@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PoolInvariantError
-from .graph import build_radius_graph, covered_set, prune_outgoing_for_labeled
+from .graph import build_radius_graph, covered_set
 from .learners import SoftmaxMatrix, uncertainty_scores
 
 STRATEGY_KINDS = (
@@ -93,13 +93,13 @@ def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:
     """Greedy max-out-degree at a fixed radius (coverage-only selection)."""
     _check_budget(pool, q)
     unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
-    graph = build_radius_graph(embedding_set, delta0)
+    targets = None
     if pool.labeled:
         coverage = covered_set(
             embedding_set, pool.labeled, [delta0] * len(pool.labeled)
         )
-        graph.prune_incoming(np.flatnonzero(coverage.covered))
-        prune_outgoing_for_labeled(graph, pool.labeled)
+        targets = np.flatnonzero(~coverage.covered)
+    graph = build_radius_graph(embedding_set, delta0, unlabeled, targets)
 
     selected = []
     available = np.ones(unlabeled.size, dtype=bool)

@@ -46,7 +46,8 @@ def _build_parser():
 def _load_pool_inputs(config):
     dataset = harness.load_dataset(config["data"])
     labeled = [int(i) for i in config.get("labeled", [])]
-    unlabeled = [i for i in range(dataset.count) if i not in set(labeled)]
+    labeled_set = set(labeled)
+    unlabeled = [i for i in range(dataset.count) if i not in labeled_set]
     deltas = [float(d) for d in config.get("deltas", [])]
     return dataset, engine.PoolState(labeled, unlabeled, deltas)
 
@@ -72,10 +73,13 @@ def _cmd_select(args):
     kind = config.get("strategy", {}).get("kind", "dcom")
     q = int(config["q"])
     seed = config.get("strategy", {}).get("seed", 0)
-    if kind == "dcom":
-        delta0 = config.get("dcom", {}).get("delta0") or harness.resolve_delta0(
+    if kind in ("dcom", "probcover"):
+        # resolve_delta0 keeps any configured value, 0 included, so DComConfig
+        # or the graph build rejects it instead of a silently derived one.
+        delta0 = harness.resolve_delta0(
             dataset, config.get("dcom", {}), dataset.num_classes, seed
         )
+    if kind == "dcom":
         dcom_config = harness._build_dcom_config(
             config.get("dcom", {}), delta0, dataset.num_classes
         )
@@ -89,9 +93,6 @@ def _cmd_select(args):
     elif kind == "coreset":
         picks = baselines.select_coreset(dataset, pool, q)
     elif kind == "probcover":
-        delta0 = config.get("dcom", {}).get("delta0") or harness.resolve_delta0(
-            dataset, config.get("dcom", {}), dataset.num_classes, seed
-        )
         picks = baselines.select_probcover(dataset, pool, delta0, q)
     else:
         spec = learners.LearnerSpec(**config.get("learner", {"seed": seed}))
@@ -110,10 +111,11 @@ def _cmd_expand_delta(args):
     dcom_config = harness._build_dcom_config(
         config.get("dcom", {}), float(config["dcom"]["delta0"]), dataset.num_classes
     )
+    query_set = set(query)
     coverage_old = (0.0 if not pool.deltas else
                     engine.covered_set(
                         dataset,
-                        [i for i in pool.labeled if i not in set(query)],
+                        [i for i in pool.labeled if i not in query_set],
                         pool.deltas,
                     ).probability)
     spec = learners.LearnerSpec(**config.get("learner", {}))

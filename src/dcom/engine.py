@@ -14,12 +14,7 @@ import numpy as np
 
 from .data import EmbeddingSet
 from .errors import ConfigError, PoolInvariantError
-from .graph import (
-    build_radius_graph,
-    covered_set,
-    prune_incoming_for_covered,
-    prune_outgoing_for_labeled,
-)
+from .graph import build_radius_graph, covered_set
 from .learners import (
     LearnerSpec,
     normalize_unit_interval,
@@ -223,15 +218,15 @@ def dcom_select(
             coverage_before, config.logistic_a, config.logistic_k
         )
         delta_avg = float(np.mean(pool.deltas))
+        targets = np.flatnonzero(~coverage.covered)
     else:
         coverage_before = 0.0
         competence = 0.0
         delta_avg = config.delta0
+        targets = None
 
-    graph = build_radius_graph(embedding_set, delta_avg)
-    if pool.labeled:
-        prune_incoming_for_covered(graph, coverage.covered)
-        prune_outgoing_for_labeled(graph, pool.labeled)
+    # Only unlabeled sources and uncovered targets ever hold an alive edge.
+    graph = build_radius_graph(embedding_set, delta_avg, unlabeled, targets)
 
     margin_full = np.ones(n)
     margin_full[unlabeled] = margins
@@ -283,7 +278,8 @@ def run_iteration(
 
     selected = result.selected
     new_labeled = list(pool.labeled) + selected
-    new_unlabeled = [i for i in unlabeled if i not in set(selected)]
+    picked = set(selected)
+    new_unlabeled = [i for i in unlabeled if i not in picked]
     new_pool = PoolState(new_labeled, new_unlabeled, list(pool.deltas))
 
     pairs = [(i, int(embedding_set.labels[i])) for i in new_labeled]

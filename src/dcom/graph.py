@@ -2,9 +2,12 @@
 
 Edges are stored as a coordinate list sorted by (source, target) with a
 liveness mask, so pruning never reallocates and out-degrees stay consistent.
-Construction finds candidate pairs with a BLAS inner-product pass and then
-confirms every candidate with an exact float64 difference-based distance, so
-the edge set matches a brute-force O(n^2) scan bit for bit.
+Construction can be restricted to source and target indices, so the selectors
+build only the edges they keep (unlabeled sources to uncovered targets) rather
+than building all and pruning. Candidates come from a float32 BLAS Gram pass
+per block of source rows with a per-row threshold; every candidate is then
+confirmed with an exact float64 difference-based distance, so the edge set
+matches a brute-force O(n^2) scan bit for bit.
 """
 
 from __future__ import annotations
@@ -91,8 +94,24 @@ class RadiusGraph:
         self._out_degree[sources] = 0
 
 
-def build_radius_graph(embedding_set: EmbeddingSet, delta: float) -> RadiusGraph:
-    """All ordered pairs at exact distance <= delta, without self-loops."""
+def build_radius_graph(
+    embedding_set: EmbeddingSet, delta: float, sources=None, targets=None
+) -> RadiusGraph:
+    """All ordered pairs at exact distance <= delta, without self-loops.
+
+    sources and targets, when given, restrict the edges to pairs whose source
+    lies in sources and whose target lies in targets; either may be unsorted
+    and hold duplicates. The restricted edge set equals the full one filtered
+    to sources x targets, and ball_members then returns only targets.
+
+    The candidate pass computes g = x_i . x_j for a block of source rows in
+    float32 and keeps (i, j) when g - |x_j|^2/2 >= (|x_i|^2 - margin)/2, which
+    is |x_i - x_j|^2 <= margin rearranged. margin is delta^2 plus
+    1e-3 * (1 + 2 max |x|^2), a slack that scales with the largest norm so the
+    float32 rounding in those terms drops no true edge. Each candidate is then
+    confirmed with the exact float64 distance sum((x_i - x_j)^2) <= delta^2,
+    the same refine as a full build.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
     points32 = embedding_set.vectors
@@ -103,13 +122,25 @@ def build_radius_graph(embedding_set: EmbeddingSet, delta: float) -> RadiusGraph
     # Loose float32 candidate threshold; exact float64 refinement below.
     margin = np.float32(thresh + 1e-3 * (1.0 + 2.0 * float(sq_norms32.max()))) if n else thresh
 
+    # Sorted, duplicate-free indices: the CSR in RadiusGraph needs ascending sources.
+    all_rows = np.arange(n) if sources is None else np.unique(np.asarray(sources, dtype=np.int64))
+    cols = None if targets is None else np.unique(np.asarray(targets, dtype=np.int64))
+    tgt = points32 if cols is None else points32[cols]
+    m = tgt.shape[0]
+    half_sq_t = np.float32(0.5) * (sq_norms32 if cols is None else sq_norms32[cols])
+    buf = np.empty((min(_CHUNK_ROWS, all_rows.size), m), dtype=np.float32)
+    mask = np.empty(buf.shape, dtype=bool)
+
     src_parts, dst_parts = [], []
-    for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
-        gram = points32[lo:hi] @ points32.T
-        cand_sq = sq_norms32[lo:hi, None] - 2.0 * gram + sq_norms32[None, :]
-        cand_src, cand_dst = np.nonzero(cand_sq <= margin)
-        cand_src = cand_src + lo
+    for lo in range(0, all_rows.size if m else 0, _CHUNK_ROWS):
+        rows = all_rows[lo : lo + _CHUNK_ROWS]
+        block, block_mask = buf[: rows.size], mask[: rows.size]
+        np.matmul(points32[rows], tgt.T, out=block)
+        block -= half_sq_t
+        np.greater_equal(block, ((sq_norms32[rows] - margin) / 2)[:, None], out=block_mask)
+        cand_row, cand_col = np.divmod(np.flatnonzero(block_mask), m)
+        cand_src = rows[cand_row]
+        cand_dst = cand_col if cols is None else cols[cand_col]
         keep = cand_src != cand_dst
         cand_src, cand_dst = cand_src[keep], cand_dst[keep]
         if cand_src.size:

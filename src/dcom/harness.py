@@ -33,7 +33,7 @@ from .data import (
     read_label_file,
 )
 from .engine import DComConfig, PoolState, run_iteration
-from .errors import ConfigError, EmptyTestSet
+from .errors import ConfigError, EmptyTestSet, PoolInvariantError
 from .learners import LearnerSpec, predict_softmax, train_learner
 from .purity import (
     DEFAULT_GRID,
@@ -169,9 +169,11 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
     dcom_cfg = dict(config.get("dcom", {}))
     dcom_config = None
     if strategy.kind in ("dcom", "probcover"):
-        delta0 = strategy.params.get("delta0") or resolve_delta0(
-            pool_set, dcom_cfg, num_classes, seed=config.get("split", {}).get("seed", 0)
-        )
+        delta0 = strategy.params.get("delta0")
+        if delta0 is None:
+            delta0 = resolve_delta0(
+                pool_set, dcom_cfg, num_classes, seed=config.get("split", {}).get("seed", 0)
+            )
         dcom_config = _build_dcom_config(dcom_cfg, delta0, num_classes)
 
     oracle = LabelOracle(pool_set.labels)
@@ -196,9 +198,10 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
                 pool_set, pool, strategy, q, learner, run_seed + iteration, dcom_config
             )
             oracle.reveal(picks)
+            picked = set(picks)
             pool = PoolState(
                 list(pool.labeled) + picks,
-                [i for i in pool.unlabeled if i not in set(picks)],
+                [i for i in pool.unlabeled if i not in picked],
                 [],
             )
             pairs = list(zip(pool.labeled, oracle.reveal(pool.labeled)))
@@ -225,7 +228,9 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
             )
         )
     # Label reads stay confined to the queried points.
-    assert oracle.revealed == set(pool.labeled), "label reads outside the query sets"
+    stray = sorted(oracle.revealed ^ set(pool.labeled))
+    if stray:
+        raise PoolInvariantError(f"label reads outside the query sets at indices {stray}")
     return records
 
 

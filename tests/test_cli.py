@@ -85,6 +85,34 @@ def test_select_dcom_and_random(capsys, tmp_path):
     assert len(out.strip().split(",")) == 3
 
 
+@pytest.mark.parametrize(
+    "kind, message", [("dcom", "delta0 must be positive"), ("probcover", "delta must be positive")]
+)
+def test_select_delta0_zero_is_rejected_not_rederived(capsys, tmp_path, kind, message):
+    config = {
+        "data": {
+            "mixture": {
+                "num_classes": 2,
+                "points_per_class": 20,
+                "dim": 4,
+                "class_separation": 6.0,
+                "within_std": 0.8,
+                "seed": 2,
+            }
+        },
+        "labeled": [0, 25],
+        "strategy": {"kind": kind},
+        "dcom": {"delta0": 0},
+        "learner": {"epochs": 30},
+        "q": 3,
+    }
+    path = tmp_path / "select.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "select", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error (query-selection):") and message in err
+
+
 def test_select_bad_config(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

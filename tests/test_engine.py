@@ -15,7 +15,13 @@ from dcom.engine import (
     largest_passing_index,
     run_iteration,
 )
-from dcom.graph import build_radius_graph, covered_set
+from dcom.baselines import select_probcover
+from dcom.graph import (
+    build_radius_graph,
+    covered_set,
+    prune_incoming_for_covered,
+    prune_outgoing_for_labeled,
+)
 from dcom.learners import LearnerSpec
 
 
@@ -256,3 +262,104 @@ def test_run_iteration_single_class_start():
     _, new_pool, _, _ = run_iteration(s, pool, LearnerSpec(epochs=10), 1, DComConfig(delta0=0.05))
     new_pool.validate(5)
     assert len(new_pool.labeled) == 2
+
+
+def full_build_then_prune(s, labeled, deltas, delta):
+    """Graph over every pair, pruned to unlabeled sources and uncovered targets."""
+    graph = build_radius_graph(s, delta)
+    if labeled:
+        prune_incoming_for_covered(graph, covered_set(s, labeled, deltas).covered)
+        prune_outgoing_for_labeled(graph, labeled)
+    return graph
+
+
+def pruned_graph_dcom_oracle(s, labeled, unlabeled, deltas, margins, q, config):
+    """dcom_select's greedy loop over a full-build-then-prune graph."""
+    if labeled:
+        coverage = covered_set(s, labeled, deltas).probability
+        competence = competence_score(coverage, config.logistic_a, config.logistic_k)
+        delta = float(np.mean(deltas))
+    else:
+        competence, delta = 0.0, config.delta0
+    graph = full_build_then_prune(s, labeled, deltas, delta)
+    unlabeled = np.asarray(unlabeled, dtype=np.int64)
+    margin_full = np.ones(s.count)
+    margin_full[unlabeled] = margins
+    available = np.ones(unlabeled.size, dtype=bool)
+    per_step = []
+    for _ in range(q):
+        degrees = graph.out_degree[unlabeled].astype(np.float64)
+        top = degrees.max()
+        odr = degrees / top if top > 0 else np.zeros_like(degrees)
+        scores = competence * (1.0 - margin_full[unlabeled]) + (1.0 - competence) * odr
+        pos = int(np.argmax(np.where(available, scores, -np.inf)))
+        pick = int(unlabeled[pos])
+        per_step.append((pick, float(scores[pos])))
+        available[pos] = False
+        graph.prune_incoming(np.append(graph.ball_members(pick), pick))
+        margin_full[pick] = 1.0
+    return per_step
+
+
+def pruned_graph_probcover_oracle(s, labeled, unlabeled, delta0, q):
+    """select_probcover's greedy loop over a full-build-then-prune graph."""
+    graph = full_build_then_prune(s, labeled, [delta0] * len(labeled), delta0)
+    unlabeled = np.asarray(unlabeled, dtype=np.int64)
+    available = np.ones(unlabeled.size, dtype=bool)
+    selected = []
+    for _ in range(q):
+        degrees = graph.out_degree[unlabeled].astype(np.float64)
+        pos = int(np.argmax(np.where(available, degrees, -np.inf)))
+        pick = int(unlabeled[pos])
+        selected.append(pick)
+        available[pos] = False
+        graph.prune_incoming(np.append(graph.ball_members(pick), pick))
+    return selected
+
+
+def partly_covered_pool(rng, lattice):
+    n = int(rng.integers(20, 90))
+    if lattice:
+        s = EmbeddingSet(rng.integers(-3, 4, size=(n, 2)).astype(np.float64))
+    else:
+        s = EmbeddingSet(rng.normal(size=(n, 3)))
+    size = int(rng.integers(0, n // 3))
+    labeled = rng.choice(n, size=size, replace=False).tolist()
+    labeled_set = set(labeled)
+    unlabeled = [int(i) for i in rng.permutation(n) if i not in labeled_set]
+    deltas = (
+        rng.choice([1.0, np.sqrt(2.0)], size=size) if lattice
+        else rng.uniform(0.2, 1.0, size=size)
+    ).tolist()
+    return s, labeled, unlabeled, deltas
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+def test_dcom_select_matches_full_build_then_prune(lattice):
+    rng = np.random.default_rng(31 + lattice)
+    config = DComConfig(delta0=1.0 if lattice else 0.6, delta_max=2.0, logistic_k=5.0)
+    partly = 0
+    for _ in range(30):
+        s, labeled, unlabeled, deltas = partly_covered_pool(rng, lattice)
+        if labeled:
+            partly += 0 < covered_set(s, labeled, deltas).probability < 1
+        margins = rng.random(len(unlabeled))
+        q = int(rng.integers(1, min(12, len(unlabeled)) + 1))
+        pool = PoolState(list(labeled), list(unlabeled), list(deltas))
+        result = dcom_select(s, pool, margins, q, config)
+        expected = pruned_graph_dcom_oracle(s, labeled, unlabeled, deltas, margins, q, config)
+        assert result.per_step_scores == expected
+        assert result.selected == [pick for pick, _ in expected]
+    assert partly >= 10
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+def test_probcover_matches_full_build_then_prune(lattice):
+    rng = np.random.default_rng(41 + lattice)
+    for _ in range(30):
+        s, labeled, unlabeled, _ = partly_covered_pool(rng, lattice)
+        delta0 = float(rng.choice([1.0, np.sqrt(2.0)])) if lattice else 0.5
+        q = int(rng.integers(1, min(12, len(unlabeled)) + 1))
+        pool = PoolState(list(labeled), list(unlabeled), [])
+        expected = pruned_graph_probcover_oracle(s, labeled, unlabeled, delta0, q)
+        assert select_probcover(s, pool, delta0, q) == expected

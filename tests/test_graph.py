@@ -159,3 +159,96 @@ def test_out_degree_rank():
     assert out_degree_rank(g2, [0]).tolist() == [1.0]
     with pytest.raises(ValueError):
         out_degree_rank(g, [])
+
+
+def random_case(rng, kind):
+    """Points for the restricted-build equivalence tests, by kind."""
+    n = int(rng.integers(1, 45))
+    d = int(rng.integers(1, 5))
+    if kind == "gaussian":
+        return EmbeddingSet(rng.normal(size=(n, d))), float(rng.uniform(0.2, 2.0))
+    if kind == "lattice":
+        # Integer points: many distances fall exactly on delta.
+        pts = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        return EmbeddingSet(pts), float(rng.choice([1.0, np.sqrt(2.0), 2.0, np.sqrt(5.0)]))
+    # Large norms: a far offset plus a wide spread.
+    offset = rng.normal(size=d) * rng.choice([1e2, 1e3, 1e4])
+    pts = offset + rng.normal(size=(n, d)) * rng.choice([1.0, 10.0])
+    return EmbeddingSet(pts), float(rng.uniform(0.5, 20.0))
+
+
+def random_indices(rng, n):
+    """Unsorted indices with duplicates; empty about one time in six."""
+    if rng.random() < 1 / 6:
+        return np.empty(0, dtype=np.int64)
+    return rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lattice", "large_norm"])
+def test_restricted_build_matches_filtered_brute_force(kind):
+    rng = np.random.default_rng({"gaussian": 21, "lattice": 22, "large_norm": 23}[kind])
+    for _ in range(25):
+        s, delta = random_case(rng, kind)
+        sources, targets = random_indices(rng, s.count), random_indices(rng, s.count)
+        g = build_radius_graph(s, delta, sources=sources, targets=targets)
+        src_set, tgt_set = set(sources.tolist()), set(targets.tolist())
+        expected = [
+            (u, v) for u, v in brute_force_edges(s, delta) if u in src_set and v in tgt_set
+        ]
+        assert list(map(tuple, g.edges.tolist())) == expected
+        degree = np.bincount([u for u, _ in expected], minlength=s.count)
+        assert g.out_degree.tolist() == degree.tolist()
+        for u in range(s.count):
+            assert g.ball_members(u).tolist() == [v for w, v in expected if w == u]
+
+
+def test_restricted_build_defaults_and_empty_sides():
+    rng = np.random.default_rng(24)
+    s = EmbeddingSet(rng.normal(size=(30, 3)))
+    full = build_radius_graph(s, 1.2).edges
+    everything = np.arange(30)[::-1]
+    assert np.array_equal(build_radius_graph(s, 1.2, everything, everything).edges, full)
+    assert np.array_equal(build_radius_graph(s, 1.2, sources=everything).edges, full)
+    for sources, targets in (([], None), (None, []), ([], [])):
+        g = build_radius_graph(s, 1.2, sources, targets)
+        assert g.edges.shape == (0, 2)
+        assert g.out_degree.tolist() == [0] * 30
+
+
+def test_restricted_build_spans_several_row_blocks():
+    # More sources than one candidate block holds, so blocks are stitched.
+    rng = np.random.default_rng(25)
+    s = EmbeddingSet(rng.normal(size=(1200, 2)))
+    sources = rng.permutation(1200)[:1100]
+    targets = rng.permutation(1200)[:700]
+    g = build_radius_graph(s, 0.15, sources, targets)
+    pts = s.vectors.astype(np.float64)
+    src, dst = [], []
+    for u in np.sort(sources):
+        diff = pts[np.sort(targets)] - pts[u]
+        near = np.sort(targets)[(diff * diff).sum(axis=1) <= 0.15 * 0.15]
+        near = near[near != u]
+        src.extend([u] * near.size)
+        dst.extend(near.tolist())
+    assert g.edges[:, 0].tolist() == src
+    assert g.edges[:, 1].tolist() == dst
+
+
+def test_candidate_margin_absorbs_float32_rounding():
+    # Far from the origin the float32 Gram terms carry rounding errors larger
+    # than delta^2 itself; with delta at the median distance, many pairs sit
+    # inside that error band and must still be found by the candidate pass.
+    rng = np.random.default_rng(26)
+    pts = 1e3 + rng.normal(size=(150, 8))
+    s = EmbeddingSet(pts)
+    exact = s.vectors.astype(np.float64)
+    dists = np.sqrt(((exact[:, None, :] - exact[None, :, :]) ** 2).sum(axis=2))
+    delta = float(np.median(dists[np.triu_indices(150, 1)]))
+    targets = rng.permutation(150)[:100]
+    target_set = set(targets.tolist())
+    expected = [(u, v) for u, v in brute_force_edges(s, delta) if v in target_set]
+    assert list(map(tuple, build_radius_graph(s, delta).edges.tolist())) == (
+        brute_force_edges(s, delta)
+    )
+    restricted = build_radius_graph(s, delta, targets=targets)
+    assert list(map(tuple, restricted.edges.tolist())) == expected

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
-from dcom.errors import ConfigError, EmptyTestSet
+from dcom import harness
+from dcom.errors import ConfigError, EmptyTestSet, PoolInvariantError
 from dcom.harness import (
     ExperimentRecord,
     LabelOracle,
@@ -133,6 +134,31 @@ def test_run_al_loop_coverage_monotone():
     records = run_al_loop(config)
     coverages = [r.coverage for r in records]
     assert all(b >= a for a, b in zip(coverages, coverages[1:]))
+
+
+class LeakyOracle(LabelOracle):
+    """Also reads the label of one point the strategy never queried."""
+
+    def reveal(self, indices):
+        labels = super().reveal(indices)
+        unqueried = sorted(set(range(self._labels.size)) - self.revealed)
+        super().reveal(unqueried[:1])
+        return labels
+
+
+@pytest.mark.parametrize("strategy", ["dcom", "random"])
+def test_label_read_outside_query_set_raises(monkeypatch, strategy):
+    monkeypatch.setattr(harness, "LabelOracle", LeakyOracle)
+    config = base_config(strategy=strategy, repetitions=1, dcom={"delta0": 0.4})
+    with pytest.raises(PoolInvariantError, match="label reads outside the query sets"):
+        run_al_loop(config)
+
+
+def test_strategy_delta0_zero_is_not_unset():
+    config = base_config(strategy="dcom", repetitions=1)
+    config["strategy"]["params"] = {"delta0": 0}
+    with pytest.raises(ConfigError, match="delta0 must be positive"):
+        run_al_loop(config)
 
 
 def test_run_al_loop_config_validation():
