@@ -6,8 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _sq_dists
+from .engine import _greedy_select
 from .errors import PoolInvariantError
-from .graph import build_radius_graph, covered_set
+from .graph import covered_set
 from .learners import SoftmaxMatrix, uncertainty_scores
 
 STRATEGY_KINDS = (
@@ -25,7 +27,6 @@ STRATEGY_KINDS = (
 class StrategySpec:
     kind: str
     params: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -67,10 +68,10 @@ def select_coreset(embedding_set, pool, q: int) -> list:
     _check_budget(pool, q)
     unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
     points = embedding_set.vectors.astype(np.float64)
+    candidates = points[unlabeled]
     min_sq = np.full(unlabeled.size, np.inf)
     for i in pool.labeled:
-        diff = points[unlabeled] - points[i]
-        min_sq = np.minimum(min_sq, (diff * diff).sum(axis=1))
+        min_sq = np.minimum(min_sq, _sq_dists(candidates, points[i]))
 
     selected = []
     available = np.ones(unlabeled.size, dtype=bool)
@@ -84,13 +85,16 @@ def select_coreset(embedding_set, pool, q: int) -> list:
         pick = int(unlabeled[pos])
         selected.append(pick)
         available[pos] = False
-        diff = points[unlabeled] - points[pick]
-        min_sq = np.minimum(min_sq, (diff * diff).sum(axis=1))
+        min_sq = np.minimum(min_sq, _sq_dists(candidates, points[pick]))
     return selected
 
 
 def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:
-    """Greedy max-out-degree at a fixed radius (coverage-only selection)."""
+    """Greedy max-out-degree at a fixed radius (coverage-only selection).
+
+    This is DCoM's greedy kernel at competence 0: every labeled point covers
+    a delta0 ball, and the graph counts edges into uncovered points only.
+    """
     _check_budget(pool, q)
     unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
     targets = None
@@ -99,16 +103,6 @@ def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:
             embedding_set, pool.labeled, [delta0] * len(pool.labeled)
         )
         targets = np.flatnonzero(~coverage.covered)
-    graph = build_radius_graph(embedding_set, delta0, unlabeled, targets)
-
-    selected = []
-    available = np.ones(unlabeled.size, dtype=bool)
-    for _ in range(q):
-        degrees = graph._out_degree[unlabeled].astype(np.float64)
-        masked = np.where(available, degrees, -np.inf)
-        pos = int(np.argmax(masked))
-        pick = int(unlabeled[pos])
-        selected.append(pick)
-        available[pos] = False
-        graph.prune_incoming(np.append(graph.ball_members(pick), pick))
-    return selected
+    ones = np.ones(unlabeled.size)
+    per_step = _greedy_select(embedding_set, unlabeled, targets, delta0, 0.0, ones, q)
+    return [pick for pick, _ in per_step]

@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines, engine, harness, learners, purity
 from .errors import DcomError
 
@@ -57,8 +55,7 @@ def _cmd_init_delta(args):
         {"embeddings": args.embeddings, "l2_normalize": not args.no_normalize}
     )
     labels = purity.kmeans_cluster(dataset, args.classes, seed=args.seed)
-    steps = int(np.floor(args.grid_max / args.grid_step + 1e-9))
-    grid = args.grid_step * np.arange(1, steps + 1)
+    grid = engine.delta_grid(args.grid_step, args.grid_max)
     curve = purity.estimate_purity_curve(dataset, labels, grid)
     print("delta,purity")
     for d, p in zip(curve.grid, curve.purity):
@@ -70,36 +67,16 @@ def _cmd_init_delta(args):
 def _cmd_select(args):
     config = json.loads(Path(args.config).read_text())
     dataset, pool = _load_pool_inputs(config)
-    kind = config.get("strategy", {}).get("kind", "dcom")
+    strategy_cfg = config.get("strategy", {})
+    strategy = baselines.StrategySpec(
+        strategy_cfg.get("kind", "dcom"), strategy_cfg.get("params", {})
+    )
     q = int(config["q"])
-    seed = config.get("strategy", {}).get("seed", 0)
-    if kind in ("dcom", "probcover"):
-        # resolve_delta0 keeps any configured value, 0 included, so DComConfig
-        # or the graph build rejects it instead of a silently derived one.
-        delta0 = harness.resolve_delta0(
-            dataset, config.get("dcom", {}), dataset.num_classes, seed
-        )
-    if kind == "dcom":
-        dcom_config = harness._build_dcom_config(
-            config.get("dcom", {}), delta0, dataset.num_classes
-        )
-        if not pool.deltas:
-            pool.deltas = [dcom_config.delta0] * len(pool.labeled)
-        spec = learners.LearnerSpec(**config.get("learner", {"seed": seed}))
-        result, _, _, _ = engine.run_iteration(dataset, pool, spec, q, dcom_config)
-        picks = result.selected
-    elif kind == "random":
-        picks = baselines.select_random(pool, q, seed)
-    elif kind == "coreset":
-        picks = baselines.select_coreset(dataset, pool, q)
-    elif kind == "probcover":
-        picks = baselines.select_probcover(dataset, pool, delta0, q)
-    else:
-        spec = learners.LearnerSpec(**config.get("learner", {"seed": seed}))
-        pairs = [(i, int(dataset.labels[i])) for i in pool.labeled]
-        learner = learners.train_learner(dataset, pairs, spec)
-        probs = learners.predict_softmax(learner, dataset, pool.unlabeled)
-        picks = baselines.select_by_uncertainty(pool, probs, kind, q)
+    seed = strategy_cfg.get("seed", 0)
+    setting = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
+    picks, _ = harness.select_step(
+        dataset, pool, strategy, q, setting, harness.learner_spec(config), seed=seed
+    )
     print(",".join(str(i) for i in picks))
     return 0
 
@@ -108,7 +85,7 @@ def _cmd_expand_delta(args):
     config = json.loads(Path(args.config).read_text())
     dataset, pool = _load_pool_inputs(config)
     query = [int(i) for i in config["query"]]
-    dcom_config = harness._build_dcom_config(
+    dcom_config = harness.dcom_config(
         config.get("dcom", {}), float(config["dcom"]["delta0"]), dataset.num_classes
     )
     query_set = set(query)
@@ -118,9 +95,8 @@ def _cmd_expand_delta(args):
                         [i for i in pool.labeled if i not in query_set],
                         pool.deltas,
                     ).probability)
-    spec = learners.LearnerSpec(**config.get("learner", {}))
     pairs = [(i, int(dataset.labels[i])) for i in pool.labeled]
-    learner = learners.train_learner(dataset, pairs, spec)
+    learner = learners.train_learner(dataset, pairs, harness.learner_spec(config))
     probs = learners.predict_softmax(learner, dataset, pool.unlabeled)
     predicted = probs.rows.argmax(axis=1)
     deltas = engine.expand_delta(

@@ -3,7 +3,9 @@
 The selection loop greedily maximizes a competence-weighted mix of margin
 uncertainty and out-degree rank over a radius graph; after annotation, each
 new point receives the largest radius whose predicted-label purity still
-clears an adaptive threshold.
+clears an adaptive threshold. _greedy_select holds the package's only greedy
+loop: ProbCover's max-coverage selection (baselines.select_probcover) is the
+same loop at competence 0 with a uniform radius.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EmbeddingSet
+from .data import EmbeddingSet, _sq_dists
 from .errors import ConfigError, PoolInvariantError
 from .graph import build_radius_graph, covered_set
 from .learners import (
@@ -58,7 +60,6 @@ class DComConfig:
     logistic_a: float = 0.9
     logistic_k: float = 30.0
     delta_resolution: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.delta0 <= 0:
@@ -133,8 +134,7 @@ def ball_purity_predicted(
     """
     effective = _effective_labels(embedding_set, pool, predicted_unlabeled)
     points = embedding_set.vectors.astype(np.float64)
-    diff = points - points[center]
-    inside = (diff * diff).sum(axis=1) <= delta * delta
+    inside = _sq_dists(points, points[center]) <= delta * delta
     inside[center] = False
     total = int(inside.sum())
     if total == 0:
@@ -174,8 +174,7 @@ def expand_delta(
 
     new_deltas = []
     for v in new_points:
-        diff = points - points[v]
-        sq = (diff * diff).sum(axis=1)
+        sq = _sq_dists(points, points[v])
         sq[v] = np.inf  # the center itself never votes
 
         def pure_enough(i):
@@ -202,8 +201,7 @@ def dcom_select(
     margins are the normalized top-two softmax gaps over the unlabeled pool
     (all 1 when the labeled pool is empty). Ties break to the lowest index.
     """
-    n = embedding_set.count
-    pool.validate(n)
+    pool.validate(embedding_set.count)
     unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
     if q > unlabeled.size:
         raise PoolInvariantError(f"q={q} exceeds unlabeled pool size {unlabeled.size}")
@@ -225,27 +223,38 @@ def dcom_select(
         delta_avg = config.delta0
         targets = None
 
-    # Only unlabeled sources and uncovered targets ever hold an alive edge.
-    graph = build_radius_graph(embedding_set, delta_avg, unlabeled, targets)
+    per_step = _greedy_select(
+        embedding_set, unlabeled, targets, delta_avg, competence, margins, q
+    )
+    selected = [pick for pick, _ in per_step]
+    return QueryResult(selected, coverage_before, competence, per_step)
 
-    margin_full = np.ones(n)
-    margin_full[unlabeled] = margins
+
+def _greedy_select(embedding_set, unlabeled, targets, radius, competence, margins, q):
+    """The greedy loop of dcom_select and select_probcover; (pick, score) per step.
+
+    Each step takes the highest competence * (1 - margin) + (1 - competence)
+    * degree / max degree (lowest index on ties) and prunes edges into its
+    ball. At competence 0 this orders picks exactly by integer degree.
+    """
+    # Only unlabeled sources and uncovered targets ever hold an alive edge.
+    graph = build_radius_graph(embedding_set, radius, unlabeled, targets)
+
+    uncertainty = competence * (1.0 - margins)
     available = np.ones(unlabeled.size, dtype=bool)
-    selected, per_step = [], []
+    per_step = []
     for _ in range(q):
         degrees = graph._out_degree[unlabeled].astype(np.float64)
         top = degrees.max()
         odr = degrees / top if top > 0 else np.zeros_like(degrees)
-        scores = competence * (1.0 - margin_full[unlabeled]) + (1.0 - competence) * odr
+        scores = uncertainty + (1.0 - competence) * odr
         masked = np.where(available, scores, -np.inf)
         pick_pos = int(np.argmax(masked))  # argmax returns the lowest index on ties
         pick = int(unlabeled[pick_pos])
-        selected.append(pick)
         per_step.append((pick, float(scores[pick_pos])))
         available[pick_pos] = False
         graph.prune_incoming(np.append(graph.ball_members(pick), pick))
-        margin_full[pick] = 1.0
-    return QueryResult(selected, coverage_before, competence, per_step)
+    return per_step
 
 
 def run_iteration(

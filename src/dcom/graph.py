@@ -2,11 +2,12 @@
 
 Edges are stored as a coordinate list sorted by (source, target) with a
 liveness mask, so pruning never reallocates and out-degrees stay consistent.
-Construction can be restricted to source and target indices, so the selectors
-build only the edges they keep (unlabeled sources to uncovered targets) rather
-than building all and pruning. Candidates come from a float32 BLAS Gram pass
-per block of source rows with a per-row threshold; every candidate is then
-confirmed with an exact float64 difference-based distance, so the edge set
+Construction can be restricted to source and target indices, so the greedy
+kernel in engine (shared by dcom_select and select_probcover) builds only the
+edges it keeps, unlabeled sources to uncovered targets, rather than building
+all and pruning. Candidates come from a float32 BLAS Gram pass per block of
+source rows with a per-row threshold; every candidate is then confirmed with
+the package's exact float64 distance (data._sq_dists), so the edge set
 matches a brute-force O(n^2) scan bit for bit.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet
+from .data import EmbeddingSet, _sq_dists
 
 _CHUNK_ROWS = 512
 
@@ -63,21 +64,17 @@ class RadiusGraph:
         return self._dst[self._out_indptr[v] : self._out_indptr[v + 1]]
 
     def prune_incoming(self, targets):
-        """Remove every alive edge whose target is in targets."""
-        targets = np.asarray(targets, dtype=np.int64)
+        """Remove every alive edge whose target is in targets (duplicates allowed)."""
+        # A repeated target would list its edges twice and decrement twice.
+        targets = np.unique(np.asarray(targets, dtype=np.int64))
         if targets.size == 0:
             return
-        if targets.size > 1024:
-            mask = np.zeros(self.n, dtype=bool)
-            mask[targets] = True
-            ids = np.flatnonzero(self._alive & mask[self._dst])
-        else:
-            spans = [
-                self._in_edge_ids[self._in_indptr[t] : self._in_indptr[t + 1]]
-                for t in targets
-            ]
-            ids = np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
-            ids = ids[self._alive[ids]]
+        spans = [
+            self._in_edge_ids[self._in_indptr[t] : self._in_indptr[t + 1]]
+            for t in targets
+        ]
+        ids = np.concatenate(spans)
+        ids = ids[self._alive[ids]]
         if ids.size == 0:
             return
         self._alive[ids] = False
@@ -144,9 +141,7 @@ def build_radius_graph(
         keep = cand_src != cand_dst
         cand_src, cand_dst = cand_src[keep], cand_dst[keep]
         if cand_src.size:
-            diff = points[cand_src] - points[cand_dst]
-            exact = (diff * diff).sum(axis=1)
-            keep = exact <= thresh
+            keep = _sq_dists(points[cand_src], points[cand_dst]) <= thresh
             cand_src, cand_dst = cand_src[keep], cand_dst[keep]
         src_parts.append(cand_src.astype(np.int64))
         dst_parts.append(cand_dst.astype(np.int64))
@@ -167,8 +162,7 @@ def covered_set(embedding_set, labeled, deltas) -> CoverageState:
     covered = np.zeros(embedding_set.count, dtype=bool)
     covered[labeled] = True
     for idx, radius in zip(labeled, deltas):
-        diff = points - points[idx]
-        covered |= (diff * diff).sum(axis=1) <= radius * radius
+        covered |= _sq_dists(points, points[idx]) <= radius * radius
     probability = float(int(covered.sum()) / embedding_set.count)
     return CoverageState(covered, probability)
 

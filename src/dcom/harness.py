@@ -1,18 +1,18 @@
 """Seeded active-learning experiment loop, accuracy evaluation, CSV/JSON reports.
 
 A config is a plain dict (usually parsed from JSON); every key except the data
-source has a default. Repetitions may run in worker threads when the
-DCOM_THREADS environment variable is set to a value above 1.
+source has a default, and unknown mixture or learner keys are rejected.
+strategy_setting and select_step hold the strategy rules for every kind; the
+run loop and the CLI's select command both go through them, so one query
+round picks the same points from either.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,10 +82,24 @@ class LabelOracle:
         return [int(self._labels[i]) for i in indices]
 
 
+def _from_config(cls, values, section):
+    """Build a config dataclass, naming the keys it does not know or lacks."""
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
+    if unknown or missing:
+        raise ConfigError(f"{section} config: unknown keys {unknown}, missing keys {missing}")
+    return cls(**values)
+
+
+def learner_spec(config) -> LearnerSpec:
+    """The LearnerSpec of a config's 'learner' section."""
+    return _from_config(LearnerSpec, config.get("learner", {}), "learner")
+
+
 def load_dataset(data_cfg) -> EmbeddingSet:
     """Resolve the config's data source into an EmbeddingSet."""
     if "mixture" in data_cfg:
-        spec = MixtureSpec(**data_cfg["mixture"])
+        spec = _from_config(MixtureSpec, data_cfg["mixture"], "mixture")
         dataset = gen_gaussian_mixture(spec)
     elif "embeddings" in data_cfg:
         dataset = read_embedding_file(data_cfg["embeddings"])
@@ -137,7 +151,8 @@ def resolve_delta0(dataset, dcom_cfg, num_classes, seed) -> float:
     return select_initial_delta(curve, dcom_cfg.get("alpha", 0.95))
 
 
-def _build_dcom_config(dcom_cfg, delta0, num_classes):
+def dcom_config(dcom_cfg, delta0, num_classes) -> DComConfig:
+    """DComConfig from a config's 'dcom' section and a resolved delta0."""
     defaults_a = 0.9 if num_classes <= 10 else 0.8
     return DComConfig(
         delta0=delta0,
@@ -147,17 +162,60 @@ def _build_dcom_config(dcom_cfg, delta0, num_classes):
         logistic_a=dcom_cfg.get("logistic_a", defaults_a),
         logistic_k=dcom_cfg.get("logistic_k", 30.0),
         delta_resolution=dcom_cfg.get("delta_resolution", 0.05),
-        seed=dcom_cfg.get("seed", 0),
     )
+
+
+def strategy_setting(dataset, strategy, dcom_cfg, seed):
+    """A DComConfig for dcom, the radius delta0 for probcover, None otherwise.
+
+    delta0 is strategy.params["delta0"], else dcom_cfg["delta0"] (0 is kept,
+    and rejected later), else derived with resolve_delta0's k-means seed.
+    """
+    if strategy.kind not in ("dcom", "probcover"):
+        return None
+    delta0 = strategy.params.get("delta0")
+    if delta0 is None:
+        delta0 = resolve_delta0(dataset, dcom_cfg, dataset.num_classes, seed)
+    if strategy.kind == "probcover":
+        return delta0
+    return dcom_config(dcom_cfg, delta0, dataset.num_classes)
+
+
+def select_step(dataset, pool, strategy, q, setting, spec, learner=None, seed=0):
+    """One query round of any strategy kind; returns (picks, dcom_round).
+
+    setting comes from strategy_setting; learner is a model trained on
+    pool.labeled, or None to train one where needed. Uncertainty kinds pick at
+    random with seed until two classes are labeled. dcom_round is dcom's
+    run_iteration output, where radii default to delta0; None for the others.
+    """
+    if strategy.kind == "dcom":
+        if not pool.deltas:
+            deltas = [setting.delta0] * len(pool.labeled)
+            pool = PoolState(pool.labeled, pool.unlabeled, deltas)
+        dcom_round = run_iteration(dataset, pool, spec, q, setting, learner=learner)
+        return dcom_round[0].selected, dcom_round
+    if strategy.kind == "random":
+        return select_random(pool, q, seed), None
+    if strategy.kind == "coreset":
+        return select_coreset(dataset, pool, q), None
+    if strategy.kind == "probcover":
+        return select_probcover(dataset, pool, setting, q), None
+    if learner is None:
+        pairs = [(i, int(dataset.labels[i])) for i in pool.labeled]
+        learner = _train_or_none(dataset, pairs, spec)
+    if learner is None:
+        return select_random(pool, q, seed), None
+    probs = predict_softmax(learner, dataset, pool.unlabeled)
+    return select_by_uncertainty(pool, probs, strategy.kind, q), None
 
 
 def _run_single_repetition(dataset, train, test, config, run_seed):
     strategy = StrategySpec(
         kind=config["strategy"].get("kind", "dcom"),
         params=config["strategy"].get("params", {}),
-        seed=run_seed,
     )
-    learner_spec = LearnerSpec(**{**{"seed": run_seed}, **config.get("learner", {})})
+    spec = learner_spec(config)
 
     # Queries, coverage and training all live on the train partition; the test
     # partition is only ever touched by evaluate_accuracy.
@@ -165,17 +223,9 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
     test_set = EmbeddingSet(dataset.vectors[test], dataset.labels[test])
     test_local = np.arange(test_set.count)
 
-    num_classes = pool_set.num_classes
-    dcom_cfg = dict(config.get("dcom", {}))
-    dcom_config = None
-    if strategy.kind in ("dcom", "probcover"):
-        delta0 = strategy.params.get("delta0")
-        if delta0 is None:
-            delta0 = resolve_delta0(
-                pool_set, dcom_cfg, num_classes, seed=config.get("split", {}).get("seed", 0)
-            )
-        dcom_config = _build_dcom_config(dcom_cfg, delta0, num_classes)
-
+    setting = strategy_setting(
+        pool_set, strategy, config.get("dcom", {}), config.get("split", {}).get("seed", 0)
+    )
     oracle = LabelOracle(pool_set.labels)
     pool = PoolState(labeled=[], unlabeled=list(range(pool_set.count)), deltas=[])
     timing = bool(config.get("record_timing", False))
@@ -186,18 +236,15 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
     for iteration, q in enumerate(config["schedule"]):
         started = time.perf_counter()
         coverage = competence = delta_mean = delta_std = 0.0
-        if strategy.kind == "dcom":
-            result, pool, learner, metrics = run_iteration(
-                pool_set, pool, learner_spec, q, dcom_config, learner=learner
-            )
-            oracle.reveal(result.selected)
+        picks, dcom_round = select_step(
+            pool_set, pool, strategy, q, setting, spec, learner, run_seed + iteration
+        )
+        oracle.reveal(picks)
+        if dcom_round is not None:
+            _, pool, learner, metrics = dcom_round
             coverage, competence = metrics["coverage"], metrics["competence"]
             delta_mean, delta_std = metrics["delta_mean"], metrics["delta_std"]
         else:
-            picks = _baseline_select(
-                pool_set, pool, strategy, q, learner, run_seed + iteration, dcom_config
-            )
-            oracle.reveal(picks)
             picked = set(picks)
             pool = PoolState(
                 list(pool.labeled) + picks,
@@ -205,7 +252,7 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
                 [],
             )
             pairs = list(zip(pool.labeled, oracle.reveal(pool.labeled)))
-            learner = _train_or_none(pool_set, pairs, learner_spec)
+            learner = _train_or_none(pool_set, pairs, spec)
         budget += q
 
         if learner is None:
@@ -234,10 +281,10 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
     return records
 
 
-def _train_or_none(dataset, pairs, learner_spec):
+def _train_or_none(dataset, pairs, spec):
     if len({y for _, y in pairs}) < 2:
         return None
-    return train_learner(dataset, pairs, learner_spec)
+    return train_learner(dataset, pairs, spec)
 
 
 def _majority_accuracy(pool_set, pool, test_set):
@@ -247,21 +294,6 @@ def _majority_accuracy(pool_set, pool, test_set):
     values, counts = np.unique(pool_set.labels[pool.labeled], return_counts=True)
     majority = int(values[np.argmax(counts)])
     return float((test_set.labels == majority).mean())
-
-
-def _baseline_select(dataset, pool, strategy, q, learner, seed, dcom_config):
-    if strategy.kind == "random":
-        return select_random(pool, q, seed)
-    if strategy.kind == "coreset":
-        return select_coreset(dataset, pool, q)
-    if strategy.kind == "probcover":
-        return select_probcover(dataset, pool, dcom_config.delta0, q)
-    # Uncertainty strategies need a trained model; fall back to seeded random
-    # until at least two classes have been observed.
-    if learner is None:
-        return select_random(pool, q, seed)
-    probs = predict_softmax(learner, dataset, pool.unlabeled)
-    return select_by_uncertainty(pool, probs, strategy.kind, q)
 
 
 def run_al_loop(config) -> list:
@@ -277,23 +309,11 @@ def run_al_loop(config) -> list:
             f"schedule needs {sum(config['schedule'])} points, train pool has {train.size}"
         )
     base_seed = config.get("strategy", {}).get("seed", 0)
-    reps = config.get("repetitions", 1)
-    seeds = [base_seed + i for i in range(reps)]
-
-    workers = int(os.environ.get("DCOM_THREADS", "0") or 0)
-    if workers > 1 and reps > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(
-                pool.map(
-                    lambda s: _run_single_repetition(dataset, train, test, config, s),
-                    seeds,
-                )
-            )
-    else:
-        batches = [
-            _run_single_repetition(dataset, train, test, config, s) for s in seeds
-        ]
-    return [record for batch in batches for record in batch]
+    return [
+        record
+        for i in range(config.get("repetitions", 1))
+        for record in _run_single_repetition(dataset, train, test, config, base_seed + i)
+    ]
 
 
 def _validate_config(config):

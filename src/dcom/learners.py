@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet
+from .data import EmbeddingSet, _sq_dists
 from .errors import DimensionMismatch, SingleClass
 
 LEARNER_KINDS = ("linear_probe", "nearest_class_mean")
@@ -25,7 +25,6 @@ class LearnerSpec:
     epochs: int = 300
     l2_penalty: float = 1e-4
     temperature: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
@@ -135,8 +134,8 @@ def predict_softmax(learner: Learner, embedding_set, targets) -> SoftmaxMatrix:
         logits = np.full((features.shape[0], learner.class_count), -np.inf)
         for c in range(learner.class_count):
             if not np.isnan(learner.class_means[c]).any():
-                diff = features - learner.class_means[c]
-                logits[:, c] = -np.sqrt((diff * diff).sum(axis=1)) / learner.spec.temperature
+                sq = _sq_dists(features, learner.class_means[c])
+                logits[:, c] = -np.sqrt(sq) / learner.spec.temperature
         rows = _softmax(logits)
     return SoftmaxMatrix(rows, learner.class_count)
 
@@ -165,8 +164,7 @@ def uncertainty_scores(probs: SoftmaxMatrix, kind: str, learner=None) -> np.ndar
         raise ValueError("gradnorm requires a linear-probe learner handle")
     onehot = np.zeros_like(rows)
     onehot[np.arange(rows.shape[0]), rows.argmax(axis=1)] = 1.0
-    diff = rows - onehot
-    return np.sqrt((diff * diff).sum(axis=1))
+    return np.sqrt(_sq_dists(rows, onehot))
 
 
 def normalize_unit_interval(scores) -> np.ndarray:
@@ -189,6 +187,5 @@ def nnn_classify(embedding_set, labeled, deltas, query: int) -> int:
     deltas = np.asarray(deltas, dtype=np.float64)
     indices = np.array([i for i, _ in labeled], dtype=np.int64)
     points = embedding_set.vectors.astype(np.float64)
-    diff = points[indices] - points[query]
-    ratios = np.sqrt((diff * diff).sum(axis=1)) / deltas
+    ratios = np.sqrt(_sq_dists(points[indices], points[query])) / deltas
     return int(labeled[int(np.argmin(ratios))][1])

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet
+from .data import EmbeddingSet, _sq_dists
 from .errors import NoDeltaMeetsAlpha
 
 DEFAULT_ALPHA = 0.95
@@ -46,8 +46,7 @@ def _pairwise_sq_dists(points, centers=None):
     centers = points if centers is None else centers.astype(np.float64)
     out = np.empty((centers.shape[0], points.shape[0]))
     for i, c in enumerate(centers):
-        diff = points - c
-        out[i] = (diff * diff).sum(axis=1)
+        out[i] = _sq_dists(points, c)
     return out
 
 
@@ -79,8 +78,7 @@ def kmeans_cluster(
     for _ in range(1, k):
         nxt = int(np.argmax(min_sq))
         centers_idx.append(nxt)
-        diff = points - points[nxt]
-        min_sq = np.minimum(min_sq, (diff * diff).sum(axis=1))
+        min_sq = np.minimum(min_sq, _sq_dists(points, points[nxt]))
     centroids = points[centers_idx].copy()
 
     labels = None
@@ -112,10 +110,8 @@ def kmeans_cluster(
 def is_pure_ball(embedding_set, labels, center: int, delta: float) -> bool:
     """True iff every point within delta of the center shares its label."""
     labels = np.asarray(labels)
-    diff = embedding_set.vectors.astype(np.float64) - embedding_set.vectors[
-        center
-    ].astype(np.float64)
-    inside = (diff * diff).sum(axis=1) <= delta * delta
+    points = embedding_set.vectors.astype(np.float64)
+    inside = _sq_dists(points, points[center]) <= delta * delta
     return bool((labels[inside] == labels[center]).all())
 
 
@@ -132,8 +128,7 @@ def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
         centers = np.arange(embedding_set.count)
     out = np.empty(len(centers))
     for i, c in enumerate(centers):
-        diff = points - points[c]
-        sq = (diff * diff).sum(axis=1)
+        sq = _sq_dists(points, points[c])
         other = labels != labels[c]
         out[i] = np.sqrt(sq[other].min()) if other.any() else np.inf
     return out

@@ -192,3 +192,92 @@ def test_run_loop_and_report(capsys, tmp_path):
 def test_report_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "report", "--records", str(tmp_path / "no.csv"))
     assert code == 1 and err.startswith("error (reporting):")
+
+
+def select_config(kind, labeled):
+    return {
+        "data": {
+            "mixture": {
+                "num_classes": 3,
+                "points_per_class": 30,
+                "dim": 6,
+                "class_separation": 6.0,
+                "within_std": 1.0,
+                "seed": 5,
+            }
+        },
+        "labeled": labeled,
+        "strategy": {"kind": kind, "seed": 3},
+        "dcom": {"delta0": 0.5},
+        "learner": {"epochs": 40},
+        "q": 4,
+    }
+
+
+def run_select(capsys, tmp_path, config):
+    path = tmp_path / "select.json"
+    path.write_text(json.dumps(config))
+    return run_cli(capsys, "select", "--config", str(path))
+
+
+@pytest.mark.parametrize(
+    "kind, picks",
+    [
+        ("dcom", "39,16,79,22"),
+        ("random", "21,8,16,71"),
+        ("margin", "28,2,15,53"),
+        ("entropy", "28,2,15,8"),
+        ("maxprob", "28,2,15,24"),
+        ("coreset", "61,28,53,52"),
+        ("probcover", "39,11,63,3"),
+    ],
+)
+def test_select_golden_picks(capsys, tmp_path, kind, picks):
+    code, out, err = run_select(capsys, tmp_path, select_config(kind, [0, 35, 70]))
+    assert code == 0, err
+    assert out.strip() == picks
+
+
+@pytest.mark.parametrize("labeled", [[], [0], [1, 2]])
+def test_select_uncertainty_falls_back_to_random_below_two_classes(
+    capsys, tmp_path, labeled
+):
+    code, expected, err = run_select(capsys, tmp_path, select_config("random", labeled))
+    assert code == 0, err
+    for kind in ("margin", "entropy", "maxprob"):
+        code, out, err = run_select(capsys, tmp_path, select_config(kind, labeled))
+        assert code == 0, err
+        assert out == expected
+
+
+@pytest.mark.parametrize("kind", ["dcom", "probcover"])
+def test_select_strategy_params_delta0_comes_first(capsys, tmp_path, kind):
+    config = select_config(kind, [0, 35, 70])
+    config["dcom"] = {"delta0": 0.7}
+    code, expected, err = run_select(capsys, tmp_path, config)
+    assert code == 0, err
+    config["strategy"]["params"] = {"delta0": 0.7}
+    config["dcom"] = {"delta0": 0.5}
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 0, err
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "section, key, present",
+    [("mixture", "sed", True), ("learner", "seed", True), ("mixture", "dim", False)],
+)
+@pytest.mark.parametrize("command", ["select", "run-loop"])
+def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, key, present):
+    config = select_config("random", [0, 35, 70])
+    config.update(schedule=[3], output=str(tmp_path / "out"))
+    target = config["data"]["mixture"] if section == "mixture" else config["learner"]
+    if present:
+        target[key] = 1
+    else:
+        del target[key]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error (") and section in err and key in err

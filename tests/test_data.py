@@ -3,6 +3,7 @@ import pytest
 
 from dcom.data import (
     EmbeddingSet,
+    _sq_dists,
     MixtureSpec,
     euclidean_distance,
     gen_gaussian_mixture,
@@ -130,6 +131,18 @@ def test_euclidean_distance_values():
 def test_euclidean_distance_mismatch():
     with pytest.raises(DimensionMismatch):
         euclidean_distance([1, 2], [1, 2, 3])
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_sq_dists_equals_inline_difference_rule(offset):
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(300, 17)) + offset
+    for center in (points[5], rng.normal(size=17) + offset):
+        diff = points - center
+        assert np.array_equal(_sq_dists(points, center), (diff * diff).sum(axis=1))
+    pairs = points[::-1]
+    diff = points - pairs
+    assert np.array_equal(_sq_dists(points, pairs), (diff * diff).sum(axis=1))
 
 
 def test_triangle_inequality_sampled():

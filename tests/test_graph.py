@@ -125,6 +125,15 @@ def test_prune_incoming_noop_and_idempotent():
     assert g.edges.tolist() == first == [[1, 0], [1, 2]]
 
 
+def test_prune_incoming_duplicate_targets_decrement_once():
+    s = one_d(0.0, 0.1, 0.2)
+    g = build_radius_graph(s, 0.5)
+    g.prune_incoming([2, 2])
+    assert g.edges.tolist() == [[0, 1], [1, 0], [2, 0], [2, 1]]
+    assert g.out_degree.tolist() == [1, 1, 2]
+    assert g.out_degree.sum() == g.edges.shape[0]
+
+
 def test_prune_outgoing_for_labeled():
     s = one_d(0.0, 0.4, 0.8)
     g = build_radius_graph(s, 0.5)

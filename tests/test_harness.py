@@ -203,13 +203,3 @@ def test_report_round_trip_and_summary(tmp_path):
 
     with pytest.raises(ValueError):
         write_report([], tmp_path / "empty.csv")
-
-
-def test_threaded_matches_serial(monkeypatch):
-    config = base_config(strategy="random")
-    serial = run_al_loop(config)
-    monkeypatch.setenv("DCOM_THREADS", "2")
-    threaded = run_al_loop(base_config(strategy="random"))
-    assert sorted(serial, key=lambda r: (r.run_seed, r.iteration)) == sorted(
-        threaded, key=lambda r: (r.run_seed, r.iteration)
-    )
