@@ -35,9 +35,6 @@ from .graph import (
     RadiusGraph,
     build_radius_graph,
     covered_set,
-    out_degree_rank,
-    prune_incoming_for_covered,
-    prune_outgoing_for_labeled,
 )
 from .harness import (
     ExperimentRecord,

@@ -76,12 +76,8 @@ def select_coreset(embedding_set, pool, q: int) -> list:
     selected = []
     available = np.ones(unlabeled.size, dtype=bool)
     for _ in range(q):
-        if np.isinf(min_sq).all():
-            # Empty labeled set: declared convention, start from the lowest index.
-            pos = int(np.argmax(available))
-        else:
-            masked = np.where(available, min_sq, -np.inf)
-            pos = int(np.argmax(masked))
+        # With nothing labeled every distance is inf: the lowest index goes first.
+        pos = int(np.argmax(np.where(available, min_sq, -np.inf)))
         pick = int(unlabeled[pos])
         selected.append(pick)
         available[pos] = False

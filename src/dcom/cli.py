@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import baselines, engine, harness, learners, purity
-from .errors import DcomError
+from .errors import ConfigError, DcomError
 
 
 def _build_parser():
@@ -84,6 +84,8 @@ def _cmd_select(args):
 def _cmd_expand_delta(args):
     config = json.loads(Path(args.config).read_text())
     dataset, pool = _load_pool_inputs(config)
+    if dataset.labels is None:
+        raise ConfigError("expand-delta trains on labels, and data.labels gives none")
     query = [int(i) for i in config["query"]]
     dcom_config = harness.dcom_config(
         config.get("dcom", {}), float(config["dcom"]["delta0"]), dataset.num_classes

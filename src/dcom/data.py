@@ -146,9 +146,7 @@ def read_embedding_file(path) -> EmbeddingSet:
     if len(raw) != expected:
         raise TruncatedPayload(min(len(raw), expected), expected, len(raw))
     values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=12)
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFinite(12 + 4 * bad)
+    # EmbeddingSet reports a non-finite value at its byte offset in this layout.
     return EmbeddingSet(values.reshape(n, d) if n else values.reshape(0, d))
 
 

@@ -234,8 +234,8 @@ def _greedy_select(embedding_set, unlabeled, targets, radius, competence, margin
     """The greedy loop of dcom_select and select_probcover; (pick, score) per step.
 
     Each step takes the highest competence * (1 - margin) + (1 - competence)
-    * degree / max degree (lowest index on ties) and prunes edges into its
-    ball. At competence 0 this orders picks exactly by integer degree.
+    * degree / max degree (lowest index on ties) and covers its ball. At
+    competence 0 this orders picks exactly by integer degree.
     """
     # Only unlabeled sources and uncovered targets ever hold an alive edge.
     graph = build_radius_graph(embedding_set, radius, unlabeled, targets)
@@ -265,48 +265,52 @@ def run_iteration(
     config: DComConfig,
     learner=None,
 ):
-    """One full active-learning iteration: select, reveal, train, expand.
+    """One full active-learning iteration: _query, then _learn on the picks.
 
     Returns (QueryResult, updated pool, trained learner, metrics dict). If no
-    learner is supplied and the labeled pool is non-empty, one is trained on
-    the current labeled set to produce the margins.
+    learner is supplied and the labeled pool holds two classes, one is trained
+    on the current labeled set to produce the margins.
     """
-    unlabeled = list(pool.unlabeled)
-    labeled_classes = {int(embedding_set.labels[i]) for i in pool.labeled}
-    if pool.labeled and len(labeled_classes) >= 2:
-        if learner is None:
-            pairs = [(i, int(embedding_set.labels[i])) for i in pool.labeled]
-            learner = train_learner(embedding_set, pairs, learner_spec)
-        probs = predict_softmax(learner, embedding_set, unlabeled)
-        margins = normalize_unit_interval(uncertainty_scores(probs, "margin"))
-    else:
+    result = _query(embedding_set, pool, learner_spec, q, config, learner)
+    return (result, *_learn(embedding_set, pool, result, learner_spec, config))
+
+
+def _query(embedding_set, pool, learner_spec, q, config, learner=None) -> QueryResult:
+    """The query half of run_iteration: margins, then dcom_select. Reads no new label."""
+    learner = _learner_or_none(embedding_set, pool.labeled, learner_spec, learner)
+    if learner is None:
         # Cold start (empty or single-class labeled pool): margins default to 1.
-        margins = np.ones(len(unlabeled))
-
-    result = dcom_select(embedding_set, pool, margins, q, config)
-
-    selected = result.selected
-    new_labeled = list(pool.labeled) + selected
-    picked = set(selected)
-    new_unlabeled = [i for i in unlabeled if i not in picked]
-    new_pool = PoolState(new_labeled, new_unlabeled, list(pool.deltas))
-
-    pairs = [(i, int(embedding_set.labels[i])) for i in new_labeled]
-    new_classes = {y for _, y in pairs}
-    if len(new_classes) >= 2:
-        new_learner = train_learner(embedding_set, pairs, learner_spec)
-        if new_unlabeled:
-            probs = predict_softmax(new_learner, embedding_set, new_unlabeled)
-            predicted = probs.rows.argmax(axis=1)
-        else:
-            predicted = np.empty(0, dtype=np.int64)
+        margins = np.ones(len(pool.unlabeled))
     else:
+        probs = predict_softmax(learner, embedding_set, pool.unlabeled)
+        margins = normalize_unit_interval(uncertainty_scores(probs, "margin"))
+    return dcom_select(embedding_set, pool, margins, q, config)
+
+
+def _learn(embedding_set, pool, result, learner_spec, config):
+    """The labeled half of run_iteration: label the picks, fit, predict, expand.
+
+    Returns (updated pool, learner or None, metrics dict).
+    """
+    picked = set(result.selected)
+    new_pool = PoolState(
+        list(pool.labeled) + result.selected,
+        [i for i in pool.unlabeled if i not in picked],
+        list(pool.deltas),
+    )
+    learner = _learner_or_none(embedding_set, new_pool.labeled, learner_spec)
+    if learner is None:
         # Single observed class: predict it everywhere until a second appears.
-        new_learner = None
-        predicted = np.full(len(new_unlabeled), next(iter(new_classes)), dtype=np.int64)
+        only = embedding_set.labels[new_pool.labeled[0]]
+        predicted = np.full(len(new_pool.unlabeled), only, dtype=np.int64)
+    elif new_pool.unlabeled:
+        probs = predict_softmax(learner, embedding_set, new_pool.unlabeled)
+        predicted = probs.rows.argmax(axis=1)
+    else:
+        predicted = np.empty(0, dtype=np.int64)
 
     new_pool.deltas = expand_delta(
-        embedding_set, new_pool, selected, predicted, result.coverage_before, config
+        embedding_set, new_pool, result.selected, predicted, result.coverage_before, config
     )
     deltas = np.asarray(new_pool.deltas)
     metrics = {
@@ -315,4 +319,16 @@ def run_iteration(
         "delta_mean": float(deltas.mean()),
         "delta_std": float(deltas.std()),
     }
-    return result, new_pool, new_learner, metrics
+    return new_pool, learner, metrics
+
+
+def _learner_or_none(embedding_set, labeled, spec, learner=None):
+    """learner, or one trained on the labeled points; None below two labeled classes."""
+    if not len(labeled):
+        return None
+    if embedding_set.labels is None:
+        raise ConfigError("labeled points need labels, and data.labels gives none")
+    pairs = [(i, int(embedding_set.labels[i])) for i in labeled]
+    if len({y for _, y in pairs}) < 2:
+        return None
+    return learner if learner is not None else train_learner(embedding_set, pairs, spec)

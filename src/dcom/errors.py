@@ -46,6 +46,10 @@ class SingleClass(DcomError):
     pass
 
 
+class UnknownLabel(DcomError):
+    pass
+
+
 class NoDeltaMeetsAlpha(DcomError):
     pass
 

@@ -1,14 +1,15 @@
-"""Sparse directed radius-adjacency graph, coverage computation, degree ranks.
+"""Sparse directed radius-adjacency graph and coverage computation.
 
-Edges are stored as a coordinate list sorted by (source, target) with a
-liveness mask, so pruning never reallocates and out-degrees stay consistent.
-Construction can be restricted to source and target indices, so the greedy
-kernel in engine (shared by dcom_select and select_probcover) builds only the
-edges it keeps, unlabeled sources to uncovered targets, rather than building
-all and pruning. Candidates come from a float32 BLAS Gram pass per block of
-source rows with a per-row threshold; every candidate is then confirmed with
-the package's exact float64 distance (data._sq_dists), so the edge set
-matches a brute-force O(n^2) scan bit for bit.
+Edges are stored as a coordinate list sorted by (source, target) next to one
+covered flag per point. Covering a point drops every edge into it, so an edge
+is alive exactly while its target is uncovered, and out-degrees count alive
+edges. Construction can be restricted to source and target indices, so the
+greedy kernel in engine (shared by dcom_select and select_probcover) builds
+only unlabeled sources to uncovered targets and then only covers. Candidates
+come from a float32 BLAS Gram pass per block of source rows with a per-row
+threshold; every candidate is then confirmed with the package's exact float64
+distance (data._sq_dists), so the edge set matches a brute-force O(n^2) scan
+bit for bit.
 """
 
 from __future__ import annotations
@@ -31,29 +32,25 @@ class CoverageState:
 
 
 class RadiusGraph:
-    """Directed adjacency at a fixed radius with prunable edges."""
+    """Directed adjacency at a fixed radius whose targets can be covered."""
 
     def __init__(self, n, radius, src, dst):
         self.n = int(n)
         self.radius = float(radius)
         self._src = src
         self._dst = dst
-        self._alive = np.ones(len(src), dtype=bool)
+        self._covered = np.zeros(self.n, dtype=bool)
         self._out_degree = np.bincount(src, minlength=self.n).astype(np.int64)
-        # Static CSR over construction edges: geometric ball lookups survive pruning.
-        self._out_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(src, minlength=self.n)))
-        )
-        order = np.argsort(dst, kind="stable")
-        self._in_edge_ids = order
-        self._in_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(dst[order], minlength=self.n)))
-        )
+        # Static CSR over construction edges: geometric ball lookups survive covering.
+        self._out_indptr = np.concatenate(([0], np.cumsum(self._out_degree)))
+        self._in_edge_ids = np.argsort(dst, kind="stable")
+        self._in_indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=self.n))))
 
     @property
     def edges(self):
         """Alive (source, target) pairs, sorted by (source, target)."""
-        return np.column_stack((self._src[self._alive], self._dst[self._alive]))
+        alive = ~self._covered[self._dst]
+        return np.column_stack((self._src[alive], self._dst[alive]))
 
     @property
     def out_degree(self):
@@ -64,31 +61,17 @@ class RadiusGraph:
         return self._dst[self._out_indptr[v] : self._out_indptr[v + 1]]
 
     def prune_incoming(self, targets):
-        """Remove every alive edge whose target is in targets (duplicates allowed)."""
+        """Cover targets, removing every edge into them (repeats allowed)."""
         # A repeated target would list its edges twice and decrement twice.
         targets = np.unique(np.asarray(targets, dtype=np.int64))
+        targets = targets[~self._covered[targets]]
         if targets.size == 0:
             return
-        spans = [
-            self._in_edge_ids[self._in_indptr[t] : self._in_indptr[t + 1]]
-            for t in targets
-        ]
-        ids = np.concatenate(spans)
-        ids = ids[self._alive[ids]]
-        if ids.size == 0:
-            return
-        self._alive[ids] = False
+        self._covered[targets] = True
+        ids = np.concatenate(
+            [self._in_edge_ids[self._in_indptr[t] : self._in_indptr[t + 1]] for t in targets]
+        )
         np.subtract.at(self._out_degree, self._src[ids], 1)
-
-    def prune_outgoing(self, sources):
-        """Remove every alive edge whose source is in sources."""
-        sources = np.asarray(sources, dtype=np.int64)
-        if sources.size == 0:
-            return
-        for s in sources:
-            lo, hi = self._out_indptr[s], self._out_indptr[s + 1]
-            self._alive[lo:hi] = False
-        self._out_degree[sources] = 0
 
 
 def build_radius_graph(
@@ -166,27 +149,3 @@ def covered_set(embedding_set, labeled, deltas) -> CoverageState:
     probability = float(int(covered.sum()) / embedding_set.count)
     return CoverageState(covered, probability)
 
-
-def prune_incoming_for_covered(graph: RadiusGraph, covered) -> None:
-    """Drop every edge that targets a covered node (idempotent)."""
-    covered = np.asarray(covered, dtype=bool)
-    if covered.shape != (graph.n,):
-        raise ValueError(f"covered must have length {graph.n}")
-    graph.prune_incoming(np.flatnonzero(covered))
-
-
-def prune_outgoing_for_labeled(graph: RadiusGraph, labeled) -> None:
-    """Drop every edge sourced at a labeled node (idempotent)."""
-    graph.prune_outgoing(np.asarray(labeled, dtype=np.int64))
-
-
-def out_degree_rank(graph: RadiusGraph, candidates) -> np.ndarray:
-    """Out-degrees over the candidates, normalized by their max (0/0 -> 0)."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if candidates.size == 0:
-        raise ValueError("candidate list must be non-empty")
-    degrees = graph._out_degree[candidates].astype(np.float64)
-    top = degrees.max()
-    if top == 0:
-        return np.zeros(candidates.size)
-    return degrees / top

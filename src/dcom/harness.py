@@ -32,29 +32,15 @@ from .data import (
     read_embedding_file,
     read_label_file,
 )
-from .engine import DComConfig, PoolState, run_iteration
+from .engine import DComConfig, PoolState, _learn, _learner_or_none, _query
 from .errors import ConfigError, EmptyTestSet, PoolInvariantError
-from .learners import LearnerSpec, predict_softmax, train_learner
+from .learners import LearnerSpec, predict_softmax
 from .purity import (
     DEFAULT_GRID,
     estimate_purity_curve,
     kmeans_cluster,
     select_initial_delta,
 )
-
-REPORT_COLUMNS = (
-    "run_seed",
-    "strategy",
-    "iteration",
-    "budget",
-    "accuracy",
-    "coverage",
-    "competence",
-    "delta_mean",
-    "delta_std",
-    "seconds",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -68,6 +54,12 @@ class ExperimentRecord:
     delta_mean: float
     delta_std: float
     seconds: float
+
+
+# The report CSV has one column per record field, in field order. Under
+# postponed annotations each field's type is its name as a string.
+REPORT_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
+_PARSERS = {"int": int, "str": str, "float": float}
 
 
 class LabelOracle:
@@ -182,28 +174,27 @@ def strategy_setting(dataset, strategy, dcom_cfg, seed):
 
 
 def select_step(dataset, pool, strategy, q, setting, spec, learner=None, seed=0):
-    """One query round of any strategy kind; returns (picks, dcom_round).
+    """One query round of any strategy kind; returns (picks, query).
 
     setting comes from strategy_setting; learner is a model trained on
-    pool.labeled, or None to train one where needed. Uncertainty kinds pick at
-    random with seed until two classes are labeled. dcom_round is dcom's
-    run_iteration output, where radii default to delta0; None for the others.
+    pool.labeled, or None to train one where needed. Only the labels of
+    pool.labeled are read, so a cold start needs none. Uncertainty kinds pick
+    at random with seed until two classes are labeled. query is dcom's
+    QueryResult, where radii default to delta0; None for the others.
     """
     if strategy.kind == "dcom":
         if not pool.deltas:
             deltas = [setting.delta0] * len(pool.labeled)
             pool = PoolState(pool.labeled, pool.unlabeled, deltas)
-        dcom_round = run_iteration(dataset, pool, spec, q, setting, learner=learner)
-        return dcom_round[0].selected, dcom_round
+        query = _query(dataset, pool, spec, q, setting, learner)
+        return query.selected, query
     if strategy.kind == "random":
         return select_random(pool, q, seed), None
     if strategy.kind == "coreset":
         return select_coreset(dataset, pool, q), None
     if strategy.kind == "probcover":
         return select_probcover(dataset, pool, setting, q), None
-    if learner is None:
-        pairs = [(i, int(dataset.labels[i])) for i in pool.labeled]
-        learner = _train_or_none(dataset, pairs, spec)
+    learner = _learner_or_none(dataset, pool.labeled, spec, learner)
     if learner is None:
         return select_random(pool, q, seed), None
     probs = predict_softmax(learner, dataset, pool.unlabeled)
@@ -230,20 +221,16 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
     pool = PoolState(labeled=[], unlabeled=list(range(pool_set.count)), deltas=[])
     timing = bool(config.get("record_timing", False))
 
-    records = []
-    learner = None
-    budget = 0
+    records, learner, budget = [], None, 0
     for iteration, q in enumerate(config["schedule"]):
         started = time.perf_counter()
-        coverage = competence = delta_mean = delta_std = 0.0
-        picks, dcom_round = select_step(
+        metrics = dict.fromkeys(("coverage", "competence", "delta_mean", "delta_std"), 0.0)
+        picks, query = select_step(
             pool_set, pool, strategy, q, setting, spec, learner, run_seed + iteration
         )
         oracle.reveal(picks)
-        if dcom_round is not None:
-            _, pool, learner, metrics = dcom_round
-            coverage, competence = metrics["coverage"], metrics["competence"]
-            delta_mean, delta_std = metrics["delta_mean"], metrics["delta_std"]
+        if query is not None:
+            pool, learner, metrics = _learn(pool_set, pool, query, spec, setting)
         else:
             picked = set(picks)
             pool = PoolState(
@@ -251,8 +238,7 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
                 [i for i in pool.unlabeled if i not in picked],
                 [],
             )
-            pairs = list(zip(pool.labeled, oracle.reveal(pool.labeled)))
-            learner = _train_or_none(pool_set, pairs, spec)
+            learner = _learner_or_none(pool_set, pool.labeled, spec)
         budget += q
 
         if learner is None:
@@ -267,11 +253,8 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
                 iteration=iteration,
                 budget=budget,
                 accuracy=accuracy,
-                coverage=coverage,
-                competence=competence,
-                delta_mean=delta_mean,
-                delta_std=delta_std,
                 seconds=seconds,
+                **metrics,
             )
         )
     # Label reads stay confined to the queried points.
@@ -279,12 +262,6 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
     if stray:
         raise PoolInvariantError(f"label reads outside the query sets at indices {stray}")
     return records
-
-
-def _train_or_none(dataset, pairs, spec):
-    if len({y for _, y in pairs}) < 2:
-        return None
-    return train_learner(dataset, pairs, spec)
 
 
 def _majority_accuracy(pool_set, pool, test_set):
@@ -300,6 +277,8 @@ def run_al_loop(config) -> list:
     """Run every repetition of the configured experiment and return the records."""
     _validate_config(config)
     dataset = load_dataset(config["data"])
+    if dataset.labels is None:
+        raise ConfigError("run-loop reveals and scores labels, and data.labels gives none")
     split_cfg = config.get("split", {})
     train, test = stratified_split(
         dataset, split_cfg.get("test_fraction", 0.25), split_cfg.get("seed", 0)
@@ -341,18 +320,8 @@ def write_report(records, path) -> None:
         writer.writerow(REPORT_COLUMNS)
         for r in records:
             writer.writerow(
-                [
-                    r.run_seed,
-                    r.strategy,
-                    r.iteration,
-                    r.budget,
-                    repr(r.accuracy),
-                    repr(r.coverage),
-                    repr(r.competence),
-                    repr(r.delta_mean),
-                    repr(r.delta_std),
-                    repr(r.seconds),
-                ]
+                repr(getattr(r, f.name)) if f.type == "float" else getattr(r, f.name)
+                for f in fields(ExperimentRecord)
             )
     with open(path.with_suffix(".json"), "w") as fh:
         json.dump(summarize(records), fh, indent=2, sort_keys=True)
@@ -365,16 +334,7 @@ def read_report(path) -> list:
         rows = list(csv.DictReader(fh))
     return [
         ExperimentRecord(
-            run_seed=int(r["run_seed"]),
-            strategy=r["strategy"],
-            iteration=int(r["iteration"]),
-            budget=int(r["budget"]),
-            accuracy=float(r["accuracy"]),
-            coverage=float(r["coverage"]),
-            competence=float(r["competence"]),
-            delta_mean=float(r["delta_mean"]),
-            delta_std=float(r["delta_std"]),
-            seconds=float(r["seconds"]),
+            **{f.name: _PARSERS[f.type](r[f.name]) for f in fields(ExperimentRecord)}
         )
         for r in rows
     ]

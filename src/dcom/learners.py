@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, _sq_dists
-from .errors import DimensionMismatch, SingleClass
+from .data import UNKNOWN_LABEL, EmbeddingSet, _sq_dists
+from .errors import DimensionMismatch, SingleClass, UnknownLabel
 
 LEARNER_KINDS = ("linear_probe", "nearest_class_mean")
 UNCERTAINTY_KINDS = ("margin", "entropy", "maxprob", "gradnorm")
@@ -93,6 +93,8 @@ def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Le
     """Fit on (index, label) pairs; deterministic per (data, spec)."""
     indices = np.array([i for i, _ in labeled], dtype=np.int64)
     labels = np.array([y for _, y in labeled], dtype=np.int64)
+    if (labels == UNKNOWN_LABEL).any():
+        raise UnknownLabel(f"points {indices[labels == UNKNOWN_LABEL].tolist()} have label -1")
     if np.unique(labels).size < 2:
         raise SingleClass("training requires at least two distinct labels")
     class_count = max(embedding_set.num_classes, int(labels.max()) + 1)

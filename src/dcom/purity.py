@@ -40,16 +40,6 @@ class PurityCurve:
         object.__setattr__(self, "purity", purity)
 
 
-def _pairwise_sq_dists(points, centers=None):
-    """Exact squared distances computed from float64 coordinate differences."""
-    points = points.astype(np.float64)
-    centers = points if centers is None else centers.astype(np.float64)
-    out = np.empty((centers.shape[0], points.shape[0]))
-    for i, c in enumerate(centers):
-        out[i] = _sq_dists(points, c)
-    return out
-
-
 def kmeans_cluster(
     embedding_set: EmbeddingSet,
     k: int,
@@ -74,7 +64,7 @@ def kmeans_cluster(
     rng = np.random.default_rng(seed)
 
     centers_idx = [int(rng.integers(n))]
-    min_sq = _pairwise_sq_dists(points, points[centers_idx[-1]][None])[0]
+    min_sq = _sq_dists(points, points[centers_idx[-1]])
     for _ in range(1, k):
         nxt = int(np.argmax(min_sq))
         centers_idx.append(nxt)
@@ -84,7 +74,7 @@ def kmeans_cluster(
     labels = None
     history = []
     for _ in range(max_iters):
-        sq = _pairwise_sq_dists(points, centroids)
+        sq = np.array([_sq_dists(points, c) for c in centroids])
         new_labels = sq.argmin(axis=0)
         assigned_sq = sq[new_labels, np.arange(n)]
 
@@ -171,7 +161,8 @@ def select_initial_delta(curve: PurityCurve, alpha: float = DEFAULT_ALPHA) -> fl
 
 def densest_points(embedding_set, count: int) -> np.ndarray:
     """Indices of the points with the most neighbors within the median pairwise distance."""
-    sq = _pairwise_sq_dists(embedding_set.vectors)
+    points = embedding_set.vectors.astype(np.float64)
+    sq = np.array([_sq_dists(points, p) for p in points])
     n = embedding_set.count
     upper = sq[np.triu_indices(n, k=1)]
     median_sq = float(np.median(upper)) if upper.size else 0.0

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from dcom.cli import cli_dispatch
-from dcom.data import MixtureSpec, gen_gaussian_mixture, write_embedding_file
+from dcom.data import (
+    MixtureSpec,
+    gen_gaussian_mixture,
+    write_embedding_file,
+    write_label_file,
+)
 
 
 @pytest.fixture
@@ -281,3 +286,83 @@ def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, 
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error (") and section in err and key in err
+
+
+@pytest.fixture
+def files(tmp_path):
+    """A 3-class mixture as an unlabeled .dcm plus a separate labels file."""
+    s = gen_gaussian_mixture(MixtureSpec(3, 30, 6, 6.0, 1.0, seed=5))
+    write_embedding_file(s, tmp_path / "points.dcm")
+    write_label_file(s.labels, tmp_path / "labels.dcl")
+    return {"embeddings": str(tmp_path / "points.dcm"), "labels": str(tmp_path / "labels.dcl")}
+
+
+def file_config(files, kind, labeled, labels=True):
+    config = select_config(kind, labeled)
+    config["data"] = dict(files) if labels else {"embeddings": files["embeddings"]}
+    return config
+
+
+def test_cold_dcom_select_needs_no_labels(capsys, tmp_path, files):
+    code, expected, err = run_select(capsys, tmp_path, file_config(files, "dcom", []))
+    assert code == 0, err
+    code, out, err = run_select(capsys, tmp_path, file_config(files, "dcom", [], labels=False))
+    assert code == 0, err
+    assert out == expected and len(out.split(",")) == 4
+
+
+@pytest.mark.parametrize("kind", ["random", "coreset", "probcover"])
+def test_label_free_kinds_select_without_labels(capsys, tmp_path, files, kind):
+    code, expected, err = run_select(capsys, tmp_path, file_config(files, kind, [0, 35, 70]))
+    assert code == 0, err
+    config = file_config(files, kind, [0, 35, 70], labels=False)
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 0, err
+    assert out == expected
+
+
+@pytest.mark.parametrize("kind", ["dcom", "margin", "entropy", "maxprob"])
+def test_select_on_labeled_points_without_labels_names_data_labels(
+    capsys, tmp_path, files, kind
+):
+    config = file_config(files, kind, [0, 35, 70], labels=False)
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 1 and out == ""
+    assert err.startswith("error (query-selection):") and "data.labels" in err
+
+
+def expand_config(files, labels=True):
+    config = file_config(files, "dcom", [0, 35, 70, 5], labels)
+    config.update(deltas=[0.5, 0.5, 0.5], query=[5])
+    return config
+
+
+def test_expand_delta_without_labels_names_data_labels(capsys, tmp_path, files):
+    path = tmp_path / "expand.json"
+    path.write_text(json.dumps(expand_config(files, labels=False)))
+    code, out, err = run_cli(capsys, "expand-delta", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error (radius-expansion):") and "data.labels" in err
+
+
+def test_expand_delta_rejects_unknown_labels(capsys, tmp_path, files):
+    path = tmp_path / "expand.json"
+    path.write_text(json.dumps(expand_config(files)))
+    code, _, err = run_cli(capsys, "expand-delta", "--config", str(path))
+    assert code == 0, err
+    labels = np.full(90, -1)
+    labels[[0, 35, 70]] = [0, 1, 2]
+    write_label_file(labels, files["labels"])
+    code, out, err = run_cli(capsys, "expand-delta", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error (radius-expansion):") and "[5]" in err and "-1" in err
+
+
+def test_run_loop_without_labels_names_data_labels(capsys, tmp_path, files):
+    config = file_config(files, "dcom", [], labels=False)
+    config.update(schedule=[3], output=str(tmp_path / "out"))
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "run-loop", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error (experiment-harness):") and "data.labels" in err

@@ -16,12 +16,7 @@ from dcom.engine import (
     run_iteration,
 )
 from dcom.baselines import select_probcover
-from dcom.graph import (
-    build_radius_graph,
-    covered_set,
-    prune_incoming_for_covered,
-    prune_outgoing_for_labeled,
-)
+from dcom.graph import build_radius_graph, covered_set
 from dcom.learners import LearnerSpec
 
 
@@ -265,11 +260,13 @@ def test_run_iteration_single_class_start():
 
 
 def full_build_then_prune(s, labeled, deltas, delta):
-    """Graph over every pair, pruned to unlabeled sources and uncovered targets."""
+    """Graph over every pair with the covered targets pruned.
+
+    Edges out of labeled points stay, but only unlabeled degrees are read.
+    """
     graph = build_radius_graph(s, delta)
     if labeled:
-        prune_incoming_for_covered(graph, covered_set(s, labeled, deltas).covered)
-        prune_outgoing_for_labeled(graph, labeled)
+        graph.prune_incoming(np.flatnonzero(covered_set(s, labeled, deltas).covered))
     return graph
 
 

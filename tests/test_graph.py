@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
-from dcom.graph import (
-    build_radius_graph,
-    covered_set,
-    out_degree_rank,
-    prune_incoming_for_covered,
-    prune_outgoing_for_labeled,
-)
+from dcom.graph import build_radius_graph, covered_set
 
 
 def one_d(*values):
@@ -109,7 +103,7 @@ def test_coverage_monotone_under_pool_growth():
 def test_prune_incoming_for_covered():
     s = one_d(0.0, 0.4, 0.8)
     g = build_radius_graph(s, 0.5)
-    prune_incoming_for_covered(g, [True, True, True])
+    g.prune_incoming(np.flatnonzero([True, True, True]))
     assert g.edges.shape[0] == 0
     assert g.out_degree.tolist() == [0, 0, 0]
 
@@ -117,11 +111,11 @@ def test_prune_incoming_for_covered():
 def test_prune_incoming_noop_and_idempotent():
     s = one_d(0.0, 0.4, 0.8)
     g = build_radius_graph(s, 0.5)
-    prune_incoming_for_covered(g, [False, False, False])
+    g.prune_incoming(np.flatnonzero([False, False, False]))
     assert g.out_degree.tolist() == [1, 2, 1]
-    prune_incoming_for_covered(g, [False, True, False])
+    g.prune_incoming(np.flatnonzero([False, True, False]))
     first = g.edges.tolist()
-    prune_incoming_for_covered(g, [False, True, False])
+    g.prune_incoming(np.flatnonzero([False, True, False]))
     assert g.edges.tolist() == first == [[1, 0], [1, 2]]
 
 
@@ -134,40 +128,14 @@ def test_prune_incoming_duplicate_targets_decrement_once():
     assert g.out_degree.sum() == g.edges.shape[0]
 
 
-def test_prune_outgoing_for_labeled():
-    s = one_d(0.0, 0.4, 0.8)
-    g = build_radius_graph(s, 0.5)
-    prune_outgoing_for_labeled(g, [1])
-    assert g.edges.tolist() == [[0, 1], [2, 1]]
-    g2 = build_radius_graph(s, 0.5)
-    prune_outgoing_for_labeled(g2, [])
-    assert g2.out_degree.tolist() == [1, 2, 1]
-    prune_outgoing_for_labeled(g2, [0, 1, 2])
-    assert g2.edges.shape[0] == 0
-
-
 def test_prunes_never_raise_degree():
     rng = np.random.default_rng(4)
     s = EmbeddingSet(rng.normal(size=(40, 2)))
     g = build_radius_graph(s, 1.0)
     before = g.out_degree
-    prune_incoming_for_covered(g, rng.random(40) < 0.3)
+    g.prune_incoming(np.flatnonzero(rng.random(40) < 0.3))
     mid = g.out_degree
-    prune_outgoing_for_labeled(g, [0, 5, 9])
-    after = g.out_degree
-    assert (mid <= before).all() and (after <= mid).all()
-
-
-def test_out_degree_rank():
-    s = one_d(0.0, 0.4, 0.8)
-    g = build_radius_graph(s, 0.5)
-    assert out_degree_rank(g, [0, 1, 2]).tolist() == [0.5, 1.0, 0.5]
-    prune_incoming_for_covered(g, [True, True, True])
-    assert out_degree_rank(g, [0, 1, 2]).tolist() == [0.0, 0.0, 0.0]
-    g2 = build_radius_graph(one_d(*np.linspace(0, 1, 6)), 1.0)
-    assert out_degree_rank(g2, [0]).tolist() == [1.0]
-    with pytest.raises(ValueError):
-        out_degree_rank(g, [])
+    assert (mid <= before).all()
 
 
 def random_case(rng, kind):

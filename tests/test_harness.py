@@ -203,3 +203,32 @@ def test_report_round_trip_and_summary(tmp_path):
 
     with pytest.raises(ValueError):
         write_report([], tmp_path / "empty.csv")
+
+
+def test_select_step_dcom_only_selects(monkeypatch):
+    from dcom import engine
+    from dcom.baselines import StrategySpec
+    from dcom.engine import DComConfig, PoolState, run_iteration
+
+    s = l2_normalize(gen_gaussian_mixture(MixtureSpec(3, 20, 4, 6.0, 1.0, seed=2)))
+    pool = PoolState([0, 25, 45], [i for i in range(60) if i not in (0, 25, 45)], [0.4] * 3)
+    config, spec = DComConfig(delta0=0.4), LearnerSpec(epochs=30)
+    expected = run_iteration(s, pool, spec, 5, config)[0]
+
+    trainings = []
+
+    def train_once(*args):
+        if trainings:
+            raise AssertionError("select_step trained a second learner")
+        trainings.append(args)
+        return train_learner(*args)
+
+    def no_expand(*args):
+        raise AssertionError("select_step expanded radii")
+
+    monkeypatch.setattr(engine, "train_learner", train_once)
+    monkeypatch.setattr(engine, "expand_delta", no_expand)
+    picks, query = harness.select_step(s, pool, StrategySpec("dcom"), 5, config, spec)
+    assert picks == expected.selected and query == expected
+    assert len(trainings) == 1
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
-from dcom.errors import DimensionMismatch, SingleClass
+from dcom.errors import DimensionMismatch, SingleClass, UnknownLabel
 from dcom.learners import (
     Learner,
     LearnerSpec,
@@ -43,6 +43,12 @@ def test_single_class_rejected():
     s = EmbeddingSet([[0.0], [1.0]], labels=[0, 0])
     with pytest.raises(SingleClass):
         train_learner(s, make_pairs(s, [0, 1]), LearnerSpec())
+
+
+def test_unknown_label_rejected():
+    s = EmbeddingSet([[0.0], [1.0], [2.0]], labels=[0, 1, -1])
+    with pytest.raises(UnknownLabel, match=r"points \[2\] have label -1"):
+        train_learner(s, make_pairs(s, [0, 1, 2]), LearnerSpec())
 
 
 def test_probe_separates_well_separated_classes():
