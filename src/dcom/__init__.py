@@ -10,7 +10,6 @@ from .baselines import (
 from .data import (
     EmbeddingSet,
     MixtureSpec,
-    euclidean_distance,
     gen_gaussian_mixture,
     l2_normalize,
     read_embedding_file,
@@ -22,7 +21,6 @@ from .engine import (
     DComConfig,
     PoolState,
     QueryResult,
-    ball_purity_predicted,
     competence_score,
     compute_tau,
     dcom_select,
@@ -56,7 +54,6 @@ from .learners import (
 from .purity import (
     PurityCurve,
     estimate_purity_curve,
-    is_pure_ball,
     kmeans_cluster,
     select_initial_delta,
 )

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _sq_dists
-from .engine import _greedy_select
+from .engine import _check_budget, _greedy_select
 from .errors import PoolInvariantError
 from .graph import covered_set
 from .learners import SoftmaxMatrix, uncertainty_scores
@@ -31,13 +31,6 @@ class StrategySpec:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-
-
-def _check_budget(pool, q):
-    if q > len(pool.unlabeled):
-        raise PoolInvariantError(
-            f"q={q} exceeds unlabeled pool size {len(pool.unlabeled)}"
-        )
 
 
 def select_random(pool, q: int, seed: int) -> list:

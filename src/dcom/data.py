@@ -228,15 +228,6 @@ def _sq_dists(points, center):
     return diff.sum(axis=-1)
 
 
-def euclidean_distance(a, b) -> float:
-    """Exact L2 distance with float64 accumulation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(_sq_dists(a.ravel(), b.ravel())))
-
-
 def gen_gaussian_mixture(spec: MixtureSpec) -> EmbeddingSet:
     """Seeded Gaussian mixture; class c is centered at separation * e_(c mod d).
 

@@ -124,34 +124,6 @@ def largest_passing_index(size: int, predicate) -> int:
     return lo
 
 
-def ball_purity_predicted(
-    embedding_set, pool: PoolState, predicted_unlabeled, center: int, delta: float
-) -> float:
-    """Fraction of the center's ball (excluding the center) sharing its label.
-
-    Labeled points contribute their true labels, unlabeled points the model's
-    predictions. An empty ball counts as fully pure.
-    """
-    effective = _effective_labels(embedding_set, pool, predicted_unlabeled)
-    points = embedding_set.vectors.astype(np.float64)
-    inside = _sq_dists(points, points[center]) <= delta * delta
-    inside[center] = False
-    total = int(inside.sum())
-    if total == 0:
-        return 1.0
-    matches = int((effective[inside] == effective[center]).sum())
-    return matches / total
-
-
-def _effective_labels(embedding_set, pool, predicted_unlabeled):
-    effective = np.full(embedding_set.count, -1, dtype=np.int64)
-    labeled = np.asarray(pool.labeled, dtype=np.int64)
-    effective[labeled] = embedding_set.labels[labeled]
-    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
-    effective[unlabeled] = np.asarray(predicted_unlabeled, dtype=np.int64)
-    return effective
-
-
 def expand_delta(
     embedding_set,
     pool: PoolState,
@@ -169,7 +141,12 @@ def expand_delta(
     """
     grid = delta_grid(config.delta_resolution, config.delta_max)
     tau = compute_tau(coverage_old, config.tau_slope, config.tau_intercept)
-    effective = _effective_labels(embedding_set, pool, predicted_unlabeled)
+    # True labels on the labeled pool, predictions elsewhere.
+    effective = np.full(embedding_set.count, -1, dtype=np.int64)
+    labeled = np.asarray(pool.labeled, dtype=np.int64)
+    effective[labeled] = embedding_set.labels[labeled]
+    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
+    effective[unlabeled] = np.asarray(predicted_unlabeled, dtype=np.int64)
     points = embedding_set.vectors.astype(np.float64)
 
     new_deltas = []
@@ -202,9 +179,8 @@ def dcom_select(
     (all 1 when the labeled pool is empty). Ties break to the lowest index.
     """
     pool.validate(embedding_set.count)
+    _check_budget(pool, q)
     unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
-    if q > unlabeled.size:
-        raise PoolInvariantError(f"q={q} exceeds unlabeled pool size {unlabeled.size}")
     margins = np.asarray(margins, dtype=np.float64)
     if margins.shape != unlabeled.shape:
         raise PoolInvariantError("margins must align with the unlabeled pool")
@@ -228,6 +204,14 @@ def dcom_select(
     )
     selected = [pick for pick, _ in per_step]
     return QueryResult(selected, coverage_before, competence, per_step)
+
+
+def _check_budget(pool, q):
+    """Every selector's budget rule: 1 <= q <= the unlabeled pool size."""
+    if not 1 <= q <= len(pool.unlabeled):
+        raise PoolInvariantError(
+            f"q={q} must lie in [1, {len(pool.unlabeled)}], the unlabeled pool size"
+        )
 
 
 def _greedy_select(embedding_set, unlabeled, targets, radius, competence, margins, q):

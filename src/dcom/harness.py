@@ -1,7 +1,7 @@
 """Seeded active-learning experiment loop, accuracy evaluation, CSV/JSON reports.
 
 A config is a plain dict (usually parsed from JSON); every key except the data
-source has a default, and unknown mixture or learner keys are rejected.
+source has a default, and unknown mixture, learner or dcom keys are rejected.
 strategy_setting and select_step hold the strategy rules for every kind; the
 run loop and the CLI's select command both go through them, so one query
 round picks the same points from either.
@@ -36,6 +36,7 @@ from .engine import DComConfig, PoolState, _learn, _learner_or_none, _query
 from .errors import ConfigError, EmptyTestSet, PoolInvariantError
 from .learners import LearnerSpec, predict_softmax
 from .purity import (
+    DEFAULT_ALPHA,
     DEFAULT_GRID,
     estimate_purity_curve,
     kmeans_cluster,
@@ -107,13 +108,8 @@ def load_dataset(data_cfg) -> EmbeddingSet:
 
 
 def stratified_split(dataset, test_fraction, seed):
-    """Seeded train/test index split, stratified by class when labels are known."""
+    """Seeded train/test index split, stratified by class."""
     rng = np.random.default_rng(seed)
-    n = dataset.count
-    if dataset.labels is None:
-        order = rng.permutation(n)
-        cut = int(round(n * test_fraction))
-        return np.sort(order[cut:]), np.sort(order[:cut])
     train, test = [], []
     for c in np.unique(dataset.labels):
         members = np.flatnonzero(dataset.labels == c)
@@ -140,21 +136,17 @@ def resolve_delta0(dataset, dcom_cfg, num_classes, seed) -> float:
         return float(dcom_cfg["delta0"])
     labels = kmeans_cluster(dataset, max(num_classes, 2), seed=seed)
     curve = estimate_purity_curve(dataset, labels, DEFAULT_GRID)
-    return select_initial_delta(curve, dcom_cfg.get("alpha", 0.95))
+    return select_initial_delta(curve, dcom_cfg.get("alpha", DEFAULT_ALPHA))
 
 
 def dcom_config(dcom_cfg, delta0, num_classes) -> DComConfig:
-    """DComConfig from a config's 'dcom' section and a resolved delta0."""
-    defaults_a = 0.9 if num_classes <= 10 else 0.8
-    return DComConfig(
-        delta0=delta0,
-        delta_max=dcom_cfg.get("delta_max"),
-        tau_slope=dcom_cfg.get("tau_slope", 0.2),
-        tau_intercept=dcom_cfg.get("tau_intercept", 0.4),
-        logistic_a=dcom_cfg.get("logistic_a", defaults_a),
-        logistic_k=dcom_cfg.get("logistic_k", 30.0),
-        delta_resolution=dcom_cfg.get("delta_resolution", 0.05),
-    )
+    """DComConfig from a config's 'dcom' section and a resolved delta0.
+
+    alpha is read by resolve_delta0 only; any other key DComConfig lacks is rejected.
+    """
+    values = {k: v for k, v in dcom_cfg.items() if k != "alpha"}
+    values = {"logistic_a": 0.9 if num_classes <= 10 else 0.8, **values, "delta0": delta0}
+    return _from_config(DComConfig, values, "dcom")
 
 
 def strategy_setting(dataset, strategy, dcom_cfg, seed):
@@ -266,8 +258,6 @@ def _run_single_repetition(dataset, train, test, config, run_seed):
 
 def _majority_accuracy(pool_set, pool, test_set):
     """Constant-prediction fallback while only one class has been observed."""
-    if not pool.labeled:
-        return 0.0
     values, counts = np.unique(pool_set.labels[pool.labeled], return_counts=True)
     majority = int(values[np.argmax(counts)])
     return float((test_set.labels == majority).mean())

@@ -15,7 +15,7 @@ from .data import UNKNOWN_LABEL, EmbeddingSet, _sq_dists
 from .errors import DimensionMismatch, SingleClass, UnknownLabel
 
 LEARNER_KINDS = ("linear_probe", "nearest_class_mean")
-UNCERTAINTY_KINDS = ("margin", "entropy", "maxprob", "gradnorm")
+UNCERTAINTY_KINDS = ("margin", "entropy", "maxprob")
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,12 @@ def predict_softmax(learner: Learner, embedding_set, targets) -> SoftmaxMatrix:
     return SoftmaxMatrix(rows, learner.class_count)
 
 
-def uncertainty_scores(probs: SoftmaxMatrix, kind: str, learner=None) -> np.ndarray:
+def uncertainty_scores(probs: SoftmaxMatrix, kind: str) -> np.ndarray:
     """Per-row uncertainty inputs; interpretation depends on kind.
 
     margin: top-two probability gap (LOWER means more uncertain).
     entropy: -sum p ln p in nats (higher = more uncertain).
     maxprob: 1 - max p (higher = more uncertain).
-    gradnorm: L2 norm of the cross-entropy gradient at the output layer with
-      the argmax taken as pseudo-label (higher = more uncertain).
     """
     if kind not in UNCERTAINTY_KINDS:
         raise ValueError(f"unknown uncertainty kind {kind!r}")
@@ -160,13 +158,7 @@ def uncertainty_scores(probs: SoftmaxMatrix, kind: str, learner=None) -> np.ndar
     if kind == "entropy":
         safe = np.where(rows > 0, rows, 1.0)
         return -(rows * np.log(safe)).sum(axis=1)
-    if kind == "maxprob":
-        return 1.0 - rows.max(axis=1)
-    if learner is None or learner.spec.kind != "linear_probe":
-        raise ValueError("gradnorm requires a linear-probe learner handle")
-    onehot = np.zeros_like(rows)
-    onehot[np.arange(rows.shape[0]), rows.argmax(axis=1)] = 1.0
-    return np.sqrt(_sq_dists(rows, onehot))
+    return 1.0 - rows.max(axis=1)
 
 
 def normalize_unit_interval(scores) -> np.ndarray:

@@ -45,8 +45,7 @@ def kmeans_cluster(
     k: int,
     seed: int = 0,
     max_iters: int = 100,
-    return_sse_history: bool = False,
-):
+) -> np.ndarray:
     """Lloyd's k-means with farthest-first init, deterministic per seed.
 
     The first center is drawn uniformly with the seeded generator; each
@@ -72,7 +71,6 @@ def kmeans_cluster(
     centroids = points[centers_idx].copy()
 
     labels = None
-    history = []
     for _ in range(max_iters):
         sq = np.array([_sq_dists(points, c) for c in centroids])
         new_labels = sq.argmin(axis=0)
@@ -84,25 +82,13 @@ def kmeans_cluster(
                 new_labels[worst] = c
                 assigned_sq[worst] = 0.0
 
-        history.append(float(assigned_sq.sum()))
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
         for c in range(k):
             centroids[c] = points[labels == c].mean(axis=0)
 
-    result = labels.astype(np.int64)
-    if return_sse_history:
-        return result, history
-    return result
-
-
-def is_pure_ball(embedding_set, labels, center: int, delta: float) -> bool:
-    """True iff every point within delta of the center shares its label."""
-    labels = np.asarray(labels)
-    points = embedding_set.vectors.astype(np.float64)
-    inside = _sq_dists(points, points[center]) <= delta * delta
-    return bool((labels[inside] == labels[center]).all())
+    return labels.astype(np.int64)
 
 
 def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
@@ -124,26 +110,16 @@ def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
     return out
 
 
-def estimate_purity_curve(
-    embedding_set, labels, grid, sample=None, num_classes=None
-) -> PurityCurve:
+def estimate_purity_curve(embedding_set, labels, grid, sample=None) -> PurityCurve:
     """Fraction of centers whose ball stays pure, for each grid radius.
 
-    All points act as centers unless a sample of indices is supplied; a
-    sample must contain at least num_classes entries.
+    All points act as centers unless a sample of indices is supplied.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
     if not (np.diff(grid) > 0).all():
         raise ValueError("grid must be strictly increasing")
-    if sample is not None:
-        if num_classes is None:
-            num_classes = len(np.unique(np.asarray(labels)))
-        if len(sample) < num_classes:
-            raise ValueError(
-                f"sample of {len(sample)} centers is below num_classes={num_classes}"
-            )
     thresholds = min_impure_distance(embedding_set, labels, sample)
     purity = (thresholds[None, :] > grid[:, None]).mean(axis=1)
     return PurityCurve(grid, purity)
@@ -158,14 +134,3 @@ def select_initial_delta(curve: PurityCurve, alpha: float = DEFAULT_ALPHA) -> fl
         )
     return float(curve.grid[passing[-1]])
 
-
-def densest_points(embedding_set, count: int) -> np.ndarray:
-    """Indices of the points with the most neighbors within the median pairwise distance."""
-    points = embedding_set.vectors.astype(np.float64)
-    sq = np.array([_sq_dists(points, p) for p in points])
-    n = embedding_set.count
-    upper = sq[np.triu_indices(n, k=1)]
-    median_sq = float(np.median(upper)) if upper.size else 0.0
-    density = (sq <= median_sq).sum(axis=1) - 1
-    order = np.lexsort((np.arange(n), -density))
-    return np.sort(order[:count])

@@ -1,0 +1,37 @@
+"""Brute-force reference oracles that the tests compare the package against."""
+
+import numpy as np
+
+from dcom.data import _sq_dists
+from dcom.engine import PoolState
+
+
+def is_pure_ball(embedding_set, labels, center: int, delta: float) -> bool:
+    """True iff every point within delta of the center shares its label."""
+    labels = np.asarray(labels)
+    points = embedding_set.vectors.astype(np.float64)
+    inside = _sq_dists(points, points[center]) <= delta * delta
+    return bool((labels[inside] == labels[center]).all())
+
+
+def ball_purity_predicted(
+    embedding_set, pool: PoolState, predicted_unlabeled, center: int, delta: float
+) -> float:
+    """Fraction of the center's ball (excluding the center) sharing its label.
+
+    Labeled points contribute their true labels, unlabeled points the model's
+    predictions. An empty ball counts as fully pure.
+    """
+    effective = np.full(embedding_set.count, -1, dtype=np.int64)
+    labeled = np.asarray(pool.labeled, dtype=np.int64)
+    effective[labeled] = embedding_set.labels[labeled]
+    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
+    effective[unlabeled] = np.asarray(predicted_unlabeled, dtype=np.int64)
+    points = embedding_set.vectors.astype(np.float64)
+    inside = _sq_dists(points, points[center]) <= delta * delta
+    inside[center] = False
+    total = int(inside.sum())
+    if total == 0:
+        return 1.0
+    matches = int((effective[inside] == effective[center]).sum())
+    return matches / total

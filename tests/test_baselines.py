@@ -41,6 +41,21 @@ def test_budget_overflow_rejected():
         select_coreset(one_d(0.0, 1.0), pool, 3)
 
 
+@pytest.mark.parametrize("q", [0, -1])
+def test_nonpositive_budget_rejected(q):
+    s = one_d(0.0, 1.0, 2.0)
+    pool = PoolState([], [0, 1, 2], [])
+    probs = SoftmaxMatrix([[0.6, 0.4]] * 3, 2)
+    with pytest.raises(PoolInvariantError):
+        select_random(pool, q, seed=0)
+    with pytest.raises(PoolInvariantError):
+        select_by_uncertainty(pool, probs, "margin", q)
+    with pytest.raises(PoolInvariantError):
+        select_coreset(s, pool, q)
+    with pytest.raises(PoolInvariantError):
+        select_probcover(s, pool, 0.5, q)
+
+
 def test_uncertainty_margin_order():
     pool = PoolState([3], [0, 1, 2], [0.5])
     probs = SoftmaxMatrix([[0.9, 0.1], [0.55, 0.45], [0.7, 0.3]], 2)

@@ -270,13 +270,18 @@ def test_select_strategy_params_delta0_comes_first(capsys, tmp_path, kind):
 
 @pytest.mark.parametrize(
     "section, key, present",
-    [("mixture", "sed", True), ("learner", "seed", True), ("mixture", "dim", False)],
+    [
+        ("mixture", "sed", True),
+        ("learner", "seed", True),
+        ("mixture", "dim", False),
+        ("dcom", "tau_slop", True),
+    ],
 )
 @pytest.mark.parametrize("command", ["select", "run-loop"])
 def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, key, present):
-    config = select_config("random", [0, 35, 70])
+    config = select_config("dcom" if section == "dcom" else "random", [0, 35, 70])
     config.update(schedule=[3], output=str(tmp_path / "out"))
-    target = config["data"]["mixture"] if section == "mixture" else config["learner"]
+    target = config["data"]["mixture"] if section == "mixture" else config[section]
     if present:
         target[key] = 1
     else:
@@ -286,6 +291,17 @@ def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, 
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error (") and section in err and key in err
+
+
+@pytest.mark.parametrize(
+    "kind", ["dcom", "random", "margin", "entropy", "maxprob", "coreset", "probcover"]
+)
+def test_select_zero_budget_exits_1(capsys, tmp_path, kind):
+    config = select_config(kind, [0, 35, 70])
+    config["q"] = 0
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 1 and out == ""
+    assert err.startswith("error (query-selection):") and "q=0" in err
 
 
 @pytest.fixture

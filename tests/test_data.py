@@ -5,7 +5,6 @@ from dcom.data import (
     EmbeddingSet,
     _sq_dists,
     MixtureSpec,
-    euclidean_distance,
     gen_gaussian_mixture,
     l2_normalize,
     read_embedding_file,
@@ -13,7 +12,7 @@ from dcom.data import (
     write_embedding_file,
     write_label_file,
 )
-from dcom.errors import BadMagic, DimensionMismatch, NonFinite, TruncatedPayload, ZeroVector
+from dcom.errors import BadMagic, NonFinite, TruncatedPayload, ZeroVector
 
 
 def test_binary_round_trip(tmp_path):
@@ -122,17 +121,6 @@ def test_l2_normalize_idempotent():
     assert np.abs(norms - 1.0).max() < 1e-6
 
 
-def test_euclidean_distance_values():
-    assert euclidean_distance([0, 0], [3, 4]) == 5.0
-    assert euclidean_distance([1.5, -2.0], [1.5, -2.0]) == 0.0
-    assert abs(euclidean_distance([1, 0], [0, 1]) - np.sqrt(2)) < 1e-12
-
-
-def test_euclidean_distance_mismatch():
-    with pytest.raises(DimensionMismatch):
-        euclidean_distance([1, 2], [1, 2, 3])
-
-
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 def test_sq_dists_equals_inline_difference_rule(offset):
     rng = np.random.default_rng(11)
@@ -143,15 +131,6 @@ def test_sq_dists_equals_inline_difference_rule(offset):
     pairs = points[::-1]
     diff = points - pairs
     assert np.array_equal(_sq_dists(points, pairs), (diff * diff).sum(axis=1))
-
-
-def test_triangle_inequality_sampled():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        a, b, c = rng.normal(size=(3, 6))
-        assert euclidean_distance(a, c) <= (
-            euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-9
-        )
 
 
 def test_mixture_determinism_and_counts():

@@ -6,7 +6,6 @@ from dcom.errors import ConfigError, PoolInvariantError
 from dcom.engine import (
     DComConfig,
     PoolState,
-    ball_purity_predicted,
     competence_score,
     compute_tau,
     dcom_select,
@@ -18,6 +17,8 @@ from dcom.engine import (
 from dcom.baselines import select_probcover
 from dcom.graph import build_radius_graph, covered_set
 from dcom.learners import LearnerSpec
+
+from oracles import ball_purity_predicted
 
 
 def one_d(*values, labels=None):
@@ -218,6 +219,17 @@ def test_dcom_select_validation():
         dcom_select(s, PoolState([], [0, 1], []), np.ones(2), 3, DComConfig(delta0=0.5))
     with pytest.raises(PoolInvariantError):
         dcom_select(s, PoolState([], [0, 1], []), np.ones(3), 1, DComConfig(delta0=0.5))
+
+
+@pytest.mark.parametrize("q", [0, -1])
+def test_nonpositive_budget_rejected(q):
+    s = one_d(0.0, 1.0, 2.0, labels=[0, 1, 0])
+    pool = PoolState([], [0, 1, 2], [])
+    config = DComConfig(delta0=0.5)
+    with pytest.raises(PoolInvariantError):
+        dcom_select(s, pool, np.ones(3), q, config)
+    with pytest.raises(PoolInvariantError):
+        run_iteration(s, pool, LearnerSpec(), q, config)
 
 
 def test_dcom_select_no_duplicates_and_unlabeled_only():

@@ -4,7 +4,6 @@ import pytest
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
 from dcom.errors import DimensionMismatch, SingleClass, UnknownLabel
 from dcom.learners import (
-    Learner,
     LearnerSpec,
     SoftmaxMatrix,
     nnn_classify,
@@ -133,24 +132,6 @@ def test_uncertainty_margin_entropy_maxprob():
 def test_entropy_handles_exact_zeros():
     probs = SoftmaxMatrix([[1.0, 0.0]], 2)
     assert uncertainty_scores(probs, "entropy")[0] == 0.0
-
-
-def test_gradnorm_requires_probe_handle():
-    probs = SoftmaxMatrix([[0.6, 0.4]], 2)
-    with pytest.raises(ValueError):
-        uncertainty_scores(probs, "gradnorm")
-    ncm = Learner(LearnerSpec(kind="nearest_class_mean"), 1, 2)
-    with pytest.raises(ValueError):
-        uncertainty_scores(probs, "gradnorm", learner=ncm)
-
-
-def test_gradnorm_values():
-    probe = Learner(LearnerSpec(), 1, 2)
-    probs = SoftmaxMatrix([[0.6, 0.4], [1.0, 0.0]], 2)
-    scores = uncertainty_scores(probs, "gradnorm", learner=probe)
-    # ||(0.6-1, 0.4-0)|| = sqrt(0.32)
-    assert scores[0] == pytest.approx(np.sqrt(0.32))
-    assert scores[1] == pytest.approx(0.0)
 
 
 def test_unknown_uncertainty_kind():
