@@ -87,9 +87,10 @@ def _cmd_expand_delta(args):
     if dataset.labels is None:
         raise ConfigError("expand-delta trains on labels, and data.labels gives none")
     query = [int(i) for i in config["query"]]
-    dcom_config = harness.dcom_config(
-        config.get("dcom", {}), float(config["dcom"]["delta0"]), dataset.num_classes
-    )
+    dcom_cfg = config.get("dcom", {})
+    seed = config.get("strategy", {}).get("seed", 0)
+    delta0 = harness.resolve_delta0(dataset, dcom_cfg, dataset.num_classes, seed)
+    dcom_config = harness.dcom_config(dcom_cfg, delta0, dataset.num_classes)
     query_set = set(query)
     coverage_old = (0.0 if not pool.deltas else
                     engine.covered_set(

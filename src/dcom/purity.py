@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EmbeddingSet, _sq_dists
-from .errors import NoDeltaMeetsAlpha
+from .errors import DimensionMismatch, NoDeltaMeetsAlpha
 
 DEFAULT_ALPHA = 0.95
 # 0.05 steps from 0.05 to 2.0, suited to L2-normalized embeddings.
@@ -16,6 +16,10 @@ DEFAULT_GRID = np.round(np.arange(1, 41) * 0.05, 10)
 # Allowed upward jitter when validating that an estimated curve is
 # monotonically non-increasing.
 _MONOTONE_JITTER = 0.02
+
+# Centers per Gram block, and refine pairs per exact float64 gather.
+_BLOCK_ROWS = 32
+_REFINE_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -96,17 +100,64 @@ def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
 
     A ball around a center is pure exactly when its radius is strictly below
     this distance (closed balls), so the purity curve falls out of a single
-    pass over these values.
+    pass over these values. centers defaults to every point and may be
+    unsorted or hold duplicates; a center with no differently-labeled point
+    gets inf.
+
+    The result is sqrt of the minimum exact float64 distance
+    sum((x_j - x_c)^2) over differently-labeled j, found without a float64
+    pass over every point per center. For each block of centers, one Gram pass
+    computes the key k_j = x_c . x_j - |x_j|^2/2 with unit roundoff u (2^-24
+    in float32). Since |x_c - x_j|^2 = |x_c|^2 - 2 k_j, the nearest point has
+    the largest key. Let M = max |x|^2, d the dimension and
+    gamma_d = d u / (1 - d u) <= 16 d u / 15, as d u <= 1/16 below. A key is
+    off by at most 1.5 gamma_d M + 2.5 u M: the dot product, summed in any
+    order, by gamma_d M (Higham, Thm 3.1), the half norm by
+    (gamma_d + u) M / 2 and the subtraction by 2 u M. Rounding the row maximum
+    minus the slack s costs at most 2 u M + u s more. The float64 distances,
+    each off by a relative (d + 2) 2^-53, can invert keys that differ by up to
+    4 (d + 2) u M. So every exact float64 minimiser has a key within
+    (7.2 d + 15) u M + u s of the largest one, and s = 8 (d + 4) u (1 + M)
+    covers that; its "1 +" also covers float32 underflow. Only the columns
+    whose key is at least the row maximum minus s go through the exact refine,
+    data._sq_dists, in chunks of at most _REFINE_PAIRS pairs. The keys are
+    float32 unless d > 2^20 or 4 M would overflow float32; then they are
+    float64.
     """
-    labels = np.asarray(labels)
     points = embedding_set.vectors.astype(np.float64)
-    if centers is None:
-        centers = np.arange(embedding_set.count)
-    out = np.empty(len(centers))
-    for i, c in enumerate(centers):
-        sq = _sq_dists(points, points[c])
-        other = labels != labels[c]
-        out[i] = np.sqrt(sq[other].min()) if other.any() else np.inf
+    n, d = points.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise DimensionMismatch(f"labels length {labels.size} does not match {n} points")
+    centers = np.arange(n) if centers is None else np.asarray(centers, dtype=np.int64)
+    sq_norms = (points * points).sum(axis=1)
+    max_sq = float(sq_norms.max(initial=0.0))
+    fits32 = d <= 2**20 and 4.0 * max_sq < 2.0**127
+    gram_points = embedding_set.vectors if fits32 else points
+    dtype = gram_points.dtype
+    half_sq = (0.5 * sq_norms).astype(dtype)
+    slack = dtype.type(8 * (d + 4) * np.finfo(dtype).eps / 2 * (1.0 + max_sq))
+
+    out = np.empty(centers.size)
+    keys_buf = np.empty((min(_BLOCK_ROWS, centers.size), n), dtype=dtype)
+    mask_buf = np.empty(keys_buf.shape, dtype=bool)
+    for lo in range(0, centers.size, _BLOCK_ROWS):
+        rows = centers[lo : lo + _BLOCK_ROWS]
+        keys, mask = keys_buf[: rows.size], mask_buf[: rows.size]
+        np.matmul(gram_points[rows], gram_points.T, out=keys)
+        keys -= half_sq
+        np.equal(labels[rows][:, None], labels, out=mask)
+        np.copyto(keys, -np.inf, where=mask)
+        floor = keys.max(axis=1) - slack
+        # A row with no other label has nothing to refine.
+        floor[floor == -np.inf] = np.inf
+        np.greater_equal(keys, floor[:, None], out=mask)
+        cand_row, cand_col = np.divmod(np.flatnonzero(mask), n)
+        best = np.full(rows.size, np.inf)
+        for p in range(0, cand_row.size, _REFINE_PAIRS):
+            r, c = cand_row[p : p + _REFINE_PAIRS], cand_col[p : p + _REFINE_PAIRS]
+            np.minimum.at(best, r, _sq_dists(points[c], points[rows[r]]))
+        out[lo : lo + rows.size] = np.sqrt(best)
     return out
 
 

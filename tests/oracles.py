@@ -35,3 +35,17 @@ def ball_purity_predicted(
         return 1.0
     matches = int((effective[inside] == effective[center]).sum())
     return matches / total
+
+
+def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
+    """Reference for purity.min_impure_distance: one full float64 pass per center."""
+    labels = np.asarray(labels)
+    points = embedding_set.vectors.astype(np.float64)
+    if centers is None:
+        centers = np.arange(embedding_set.count)
+    out = np.empty(len(centers))
+    for i, c in enumerate(centers):
+        sq = _sq_dists(points, points[c])
+        other = labels != labels[c]
+        out[i] = np.sqrt(sq[other].min()) if other.any() else np.inf
+    return out

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dcom import harness
 from dcom.cli import cli_dispatch
 from dcom.data import (
     MixtureSpec,
@@ -150,6 +151,45 @@ def test_expand_delta_command(capsys, tmp_path):
     deltas = [float(v) for v in out.strip().split(",")]
     assert len(deltas) == 3
     assert all(0.05 - 1e-9 <= d <= 0.8 + 1e-9 for d in deltas)
+
+
+@pytest.mark.parametrize(
+    "dcom_section, strategy",
+    [(None, None), ({"alpha": 0.9}, None), ({"alpha": 0.9}, {"seed": 7})],
+)
+def test_expand_delta_derives_delta0(capsys, tmp_path, dcom_section, strategy):
+    mixture = {
+        "num_classes": 3,
+        "points_per_class": 20,
+        "dim": 4,
+        "class_separation": 3.0,
+        "within_std": 1.0,
+        "seed": 2,
+    }
+    config = {
+        "data": {"mixture": mixture, "l2_normalize": True},
+        "labeled": [0, 21, 45, 3],
+        "deltas": [0.3, 0.3, 0.3],
+        "query": [3],
+        "learner": {"epochs": 30},
+    }
+    if dcom_section is not None:
+        config["dcom"] = dcom_section
+    if strategy is not None:
+        config["strategy"] = strategy
+
+    def expand(cfg):
+        path = tmp_path / "expand.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "expand-delta", "--config", str(path))
+        assert code == 0, err
+        return out
+
+    dataset = harness.load_dataset(config["data"])
+    seed = (strategy or {}).get("seed", 0)
+    delta0 = harness.resolve_delta0(dataset, dcom_section or {}, dataset.num_classes, seed)
+    explicit = {**config, "dcom": {**(dcom_section or {}), "delta0": delta0}}
+    assert expand(config) == expand(explicit)
 
 
 def test_run_loop_and_report(capsys, tmp_path):

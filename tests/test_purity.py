@@ -3,15 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
+from dcom import purity
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
-from dcom.errors import NoDeltaMeetsAlpha
+from dcom.errors import DimensionMismatch, NoDeltaMeetsAlpha
 from dcom.purity import (
     PurityCurve,
     estimate_purity_curve,
     kmeans_cluster,
+    min_impure_distance,
     select_initial_delta,
 )
 
+import oracles
 from oracles import is_pure_ball
 
 
@@ -115,6 +118,122 @@ def test_purity_sample_restriction():
     sample = [0, 3, 7, 10, 14, 19]
     curve = estimate_purity_curve(s, s.labels, [0.5, 1.0], sample=sample)
     assert len(curve.purity) == 2
+
+
+def _gaussian(n, d, seed, classes=3):
+    rng = np.random.default_rng(seed)
+    return EmbeddingSet(rng.standard_normal((n, d))), rng.integers(0, classes, n)
+
+
+def _mixture(seed):
+    s = l2_normalize(gen_gaussian_mixture(MixtureSpec(4, 30, 16, 6.0, 1.0, seed=seed)))
+    return s, s.labels
+
+
+def _lattice(seed):
+    # Integer coordinates: many exactly tied distances, within and across labels.
+    grid = np.array(list(itertools.product(range(4), repeat=3)), dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    return EmbeddingSet(grid), rng.integers(0, 3, len(grid))
+
+
+def _offset(seed):
+    s, labels = _gaussian(90, 5, seed)
+    return EmbeddingSet(s.vectors.astype(np.float64) + 1e4), labels
+
+
+def _scaled(scale):
+    def make(seed):
+        s, labels = _gaussian(70, 4, seed)
+        return EmbeddingSet(s.vectors.astype(np.float64) * scale), labels
+
+    return make
+
+
+def _single_class(seed):
+    s, _ = _gaussian(50, 4, seed)
+    return s, np.zeros(50, dtype=np.int64)
+
+
+def _lone_point(seed):
+    s, _ = _gaussian(60, 4, seed)
+    labels = np.zeros(60, dtype=np.int64)
+    labels[seed % 60] = 1
+    return s, labels
+
+
+def _duplicates(seed):
+    s, labels = _gaussian(40, 4, seed)
+    points = np.concatenate([s.vectors, s.vectors[:10]])
+    return EmbeddingSet(points), np.concatenate([labels, (labels[:10] + 1) % 3])
+
+
+_CASES = {
+    "gaussian": lambda seed: _gaussian(150, 8, seed),
+    "mixture": _mixture,
+    "lattice": _lattice,
+    "offset_1e4": _offset,
+    # Beyond float32's range for |x|^2, and deep in its underflow.
+    "huge": _scaled(1e20),
+    "tiny": _scaled(1e-30),
+    "single_class": _single_class,
+    "lone_point": _lone_point,
+    "duplicates": _duplicates,
+    "n1": lambda seed: _gaussian(1, 3, seed),
+    "n_below_block": lambda seed: _gaussian(7, 3, seed),
+    "n_block": lambda seed: _gaussian(32, 3, seed),
+    "n_not_block_multiple": lambda seed: _gaussian(97, 3, seed),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_min_impure_distance_matches_loop_oracle(case):
+    for seed in range(3):
+        s, labels = _CASES[case](seed)
+        n = s.count
+        rng = np.random.default_rng(100 + seed)
+        center_sets = [
+            None,
+            rng.permutation(n),
+            rng.integers(0, n, 2 * n + 5),
+            np.sort(rng.choice(n, (n + 1) // 2, replace=False)),
+        ]
+        for centers in center_sets:
+            got = min_impure_distance(s, labels, centers)
+            assert np.array_equal(got, oracles.min_impure_distance(s, labels, centers))
+    if case == "single_class":
+        assert np.isinf(got).all()
+    if case == "duplicates":
+        assert (min_impure_distance(s, labels)[:10] == 0.0).all()
+
+
+def test_refine_skips_rows_without_other_labels(monkeypatch):
+    pairs, exact = [], purity._sq_dists
+
+    def counting(points, center):
+        pairs.append(len(points))
+        return exact(points, center)
+
+    monkeypatch.setattr(purity, "_sq_dists", counting)
+    s, _ = _gaussian(100, 4, 0)
+    assert np.isinf(min_impure_distance(s, np.zeros(100, dtype=np.int64))).all()
+    assert sum(pairs) == 0
+    # Separated data: the refine confirms a few columns per row, not all of them.
+    mixture = l2_normalize(gen_gaussian_mixture(MixtureSpec(4, 50, 16, 6.0, 1.0, seed=1)))
+    min_impure_distance(mixture, mixture.labels)
+    assert sum(pairs) < 4 * mixture.count
+
+
+@pytest.mark.parametrize("count", [3, 40])
+def test_label_length_mismatch_is_named(count):
+    s, _ = _gaussian(20, 3, 0)
+    labels = np.zeros(count, dtype=np.int64)
+    for call in (
+        lambda: min_impure_distance(s, labels),
+        lambda: estimate_purity_curve(s, labels, [0.5]),
+    ):
+        with pytest.raises(DimensionMismatch, match=rf"\b{count}\b.*\b20\b"):
+            call()
 
 
 def test_empty_grid_rejected():
