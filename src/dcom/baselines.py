@@ -22,6 +22,11 @@ STRATEGY_KINDS = (
     "dcom",
 )
 
+# The kinds whose picks read the run seed: random always, the uncertainty
+# kinds until two classes are labeled. The rest are deterministic given the
+# pool, so all their repetitions are identical.
+SEEDED_KINDS = ("random", "margin", "entropy", "maxprob")
+
 
 @dataclass(frozen=True)
 class StrategySpec:

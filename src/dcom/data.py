@@ -228,6 +228,25 @@ def _sq_dists(points, center):
     return diff.sum(axis=-1)
 
 
+def _gram_inputs(embedding_set, extent=0.0):
+    """Inputs of a Gram pass over keys x_i . x_j - |x_j|^2/2, and its slack.
+
+    Returns the float64 points, the points the pass multiplies, their half
+    squared norms in the same dtype, and 8 (d + 4) u (1 + B) in that dtype,
+    where B = max |x|^2 + extent and u is the dtype's unit roundoff. The dtype
+    is float32 unless d > 2^20 or 4 B would overflow float32; then float64.
+    Each caller derives why this slack bounds its own rounding.
+    """
+    points = embedding_set.vectors.astype(np.float64)
+    d = points.shape[1]
+    sq_norms = (points * points).sum(axis=1)
+    bound = float(sq_norms.max(initial=0.0)) + extent
+    gram_points = embedding_set.vectors if d <= 2**20 and 4.0 * bound < 2.0**127 else points
+    dtype = gram_points.dtype
+    slack = dtype.type(8 * (d + 4) * np.finfo(dtype).eps / 2 * (1.0 + bound))
+    return points, gram_points, (0.5 * sq_norms).astype(dtype), slack
+
+
 def gen_gaussian_mixture(spec: MixtureSpec) -> EmbeddingSet:
     """Seeded Gaussian mixture; class c is centered at separation * e_(c mod d).
 

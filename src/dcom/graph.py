@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, _sq_dists
+from .data import EmbeddingSet, _gram_inputs, _sq_dists
 
 _CHUNK_ROWS = 512
 
@@ -84,40 +84,50 @@ def build_radius_graph(
     and hold duplicates. The restricted edge set equals the full one filtered
     to sources x targets, and ball_members then returns only targets.
 
-    The candidate pass computes g = x_i . x_j for a block of source rows in
-    float32 and keeps (i, j) when g - |x_j|^2/2 >= (|x_i|^2 - margin)/2, which
-    is |x_i - x_j|^2 <= margin rearranged. margin is delta^2 plus
-    1e-3 * (1 + 2 max |x|^2), a slack that scales with the largest norm so the
-    float32 rounding in those terms drops no true edge. Each candidate is then
-    confirmed with the exact float64 distance sum((x_i - x_j)^2) <= delta^2,
-    the same refine as a full build.
+    The candidate pass computes the key k_ij = x_i . x_j - |x_j|^2/2 for a
+    block of source rows and keeps (i, j) when k_ij >= |x_i|^2/2 - margin/2,
+    which is |x_i - x_j|^2 <= margin rearranged, with margin = delta^2 + s.
+    Each candidate is then confirmed with the exact float64 distance sum((x_i
+    - x_j)^2) <= delta^2, the same refine as a full build.
+
+    The slack s makes the candidates hold every edge. Let M = max |x|^2, d the
+    dimension, u the unit roundoff of the keys and gamma_d = d u / (1 - d u)
+    <= 16 d u / 15, as d u <= 1/16 below. A key is off by at most 1.5 gamma_d
+    M + 2.5 u M, as purity.min_impure_distance derives. The threshold
+    |x_i|^2/2 - margin/2 is off by at most gamma_d M / 2 + 1.1 u (M + margin):
+    the half norm by (gamma_d + u) M / 2, and the halved margin and the
+    subtraction by the rest. An edge's float64 distance, a sum of d
+    non-negative terms, is off by a relative (d + 2) 2^-53, so its exact
+    distance is at most delta^2 (1 + 1.1 (d + 2) u). Every edge is therefore a
+    candidate when s >= 4.3 d u M + 7.2 u M + 2.2 u margin + 1.1 (d + 2) u
+    delta^2, and s = 8 (d + 4) u (1 + M + delta^2), data._gram_inputs's slack
+    with extent delta^2, covers that; its "1 +" also covers float32 underflow.
+    The keys are float32 unless d > 2^20 or 4 (M + delta^2) would overflow
+    float32; then they are float64.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    points32 = embedding_set.vectors
-    points = points32.astype(np.float64)
     n = embedding_set.count
-    sq_norms32 = (points32 * points32).sum(axis=1)
     thresh = delta * delta
-    # Loose float32 candidate threshold; exact float64 refinement below.
-    margin = np.float32(thresh + 1e-3 * (1.0 + 2.0 * float(sq_norms32.max()))) if n else thresh
+    points, gram_points, half_sq, slack = _gram_inputs(embedding_set, thresh)
+    half_margin = gram_points.dtype.type((thresh + float(slack)) / 2)
 
     # Sorted, duplicate-free indices: the CSR in RadiusGraph needs ascending sources.
     all_rows = np.arange(n) if sources is None else np.unique(np.asarray(sources, dtype=np.int64))
     cols = None if targets is None else np.unique(np.asarray(targets, dtype=np.int64))
-    tgt = points32 if cols is None else points32[cols]
+    tgt = gram_points if cols is None else gram_points[cols]
     m = tgt.shape[0]
-    half_sq_t = np.float32(0.5) * (sq_norms32 if cols is None else sq_norms32[cols])
-    buf = np.empty((min(_CHUNK_ROWS, all_rows.size), m), dtype=np.float32)
+    half_sq_t = half_sq if cols is None else half_sq[cols]
+    buf = np.empty((min(_CHUNK_ROWS, all_rows.size), m), dtype=gram_points.dtype)
     mask = np.empty(buf.shape, dtype=bool)
 
     src_parts, dst_parts = [], []
     for lo in range(0, all_rows.size if m else 0, _CHUNK_ROWS):
         rows = all_rows[lo : lo + _CHUNK_ROWS]
         block, block_mask = buf[: rows.size], mask[: rows.size]
-        np.matmul(points32[rows], tgt.T, out=block)
+        np.matmul(gram_points[rows], tgt.T, out=block)
         block -= half_sq_t
-        np.greater_equal(block, ((sq_norms32[rows] - margin) / 2)[:, None], out=block_mask)
+        np.greater_equal(block, (half_sq[rows] - half_margin)[:, None], out=block_mask)
         cand_row, cand_col = np.divmod(np.flatnonzero(block_mask), m)
         cand_src = rows[cand_row]
         cand_dst = cand_col if cols is None else cols[cand_col]

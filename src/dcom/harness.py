@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import (
+    SEEDED_KINDS,
     StrategySpec,
     select_by_uncertainty,
     select_coreset,
@@ -193,22 +195,8 @@ def select_step(dataset, pool, strategy, q, setting, spec, learner=None, seed=0)
     return select_by_uncertainty(pool, probs, strategy.kind, q), None
 
 
-def _run_single_repetition(dataset, train, test, config, run_seed):
-    strategy = StrategySpec(
-        kind=config["strategy"].get("kind", "dcom"),
-        params=config["strategy"].get("params", {}),
-    )
-    spec = learner_spec(config)
-
-    # Queries, coverage and training all live on the train partition; the test
-    # partition is only ever touched by evaluate_accuracy.
-    pool_set = EmbeddingSet(dataset.vectors[train], dataset.labels[train])
-    test_set = EmbeddingSet(dataset.vectors[test], dataset.labels[test])
+def _run_single_repetition(pool_set, test_set, strategy, spec, setting, config, run_seed):
     test_local = np.arange(test_set.count)
-
-    setting = strategy_setting(
-        pool_set, strategy, config.get("dcom", {}), config.get("split", {}).get("seed", 0)
-    )
     oracle = LabelOracle(pool_set.labels)
     pool = PoolState(labeled=[], unlabeled=list(range(pool_set.count)), deltas=[])
     timing = bool(config.get("record_timing", False))
@@ -264,36 +252,63 @@ def _majority_accuracy(pool_set, pool, test_set):
 
 
 def run_al_loop(config) -> list:
-    """Run every repetition of the configured experiment and return the records."""
+    """Run every repetition of the configured experiment and return the records.
+
+    Records are ordered by run seed, then iteration. Only the kinds in
+    SEEDED_KINDS read the run seed; any other kind runs its first repetition
+    once, and every run seed gets a copy of its records, seconds included.
+    """
     _validate_config(config)
     dataset = load_dataset(config["data"])
     if dataset.labels is None:
         raise ConfigError("run-loop reveals and scores labels, and data.labels gives none")
     split_cfg = config.get("split", {})
-    train, test = stratified_split(
-        dataset, split_cfg.get("test_fraction", 0.25), split_cfg.get("seed", 0)
-    )
+    split_seed = split_cfg.get("seed", 0)
+    train, test = stratified_split(dataset, split_cfg.get("test_fraction", 0.25), split_seed)
     if sum(config["schedule"]) > train.size:
         raise ConfigError(
             f"schedule needs {sum(config['schedule'])} points, train pool has {train.size}"
         )
-    base_seed = config.get("strategy", {}).get("seed", 0)
-    return [
-        record
-        for i in range(config.get("repetitions", 1))
-        for record in _run_single_repetition(dataset, train, test, config, base_seed + i)
-    ]
+    strategy_cfg = config.get("strategy", {})
+    strategy = StrategySpec(strategy_cfg.get("kind", "dcom"), strategy_cfg.get("params", {}))
+    spec = learner_spec(config)
+    # Queries, coverage and training all live on the train partition; the test
+    # partition is only ever touched by evaluate_accuracy.
+    pool_set = EmbeddingSet(dataset.vectors[train], dataset.labels[train])
+    test_set = EmbeddingSet(dataset.vectors[test], dataset.labels[test])
+    setting = strategy_setting(pool_set, strategy, config.get("dcom", {}), split_seed)
+
+    base_seed = strategy_cfg.get("seed", 0)
+    seeds = [base_seed + i for i in range(config.get("repetitions", 1))]
+    repetition = partial(
+        _run_single_repetition, pool_set, test_set, strategy, spec, setting, config
+    )
+    if strategy.kind in SEEDED_KINDS:
+        return [record for seed in seeds for record in repetition(seed)]
+    records = repetition(seeds[0])
+    return [replace(record, run_seed=seed) for seed in seeds for record in records]
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _validate_config(config):
+    """Reject what run_al_loop cannot run, naming the key; config is only read."""
     if "data" not in config:
         raise ConfigError("config requires a 'data' section")
     schedule = config.get("schedule")
-    if not schedule or any(int(q) <= 0 for q in schedule):
-        raise ConfigError("schedule must be a non-empty list of positive sizes")
-    if config.get("repetitions", 1) < 1:
-        raise ConfigError("repetitions must be >= 1")
-    config.setdefault("strategy", {"kind": "dcom"})
+    if (
+        not isinstance(schedule, (list, tuple))
+        or not schedule
+        or not all(_is_int(q) and q > 0 for q in schedule)
+    ):
+        raise ConfigError(
+            f"schedule must be a non-empty list of positive integers, got {schedule!r}"
+        )
+    repetitions = config.get("repetitions", 1)
+    if not _is_int(repetitions) or repetitions < 1:
+        raise ConfigError(f"repetitions must be an integer >= 1, got {repetitions!r}")
 
 
 def write_report(records, path) -> None:

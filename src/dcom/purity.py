@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, _sq_dists
+from .data import EmbeddingSet, _gram_inputs, _sq_dists
 from .errors import DimensionMismatch, NoDeltaMeetsAlpha
 
 DEFAULT_ALPHA = 0.95
@@ -117,29 +117,22 @@ def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
     minus the slack s costs at most 2 u M + u s more. The float64 distances,
     each off by a relative (d + 2) 2^-53, can invert keys that differ by up to
     4 (d + 2) u M. So every exact float64 minimiser has a key within
-    (7.2 d + 15) u M + u s of the largest one, and s = 8 (d + 4) u (1 + M)
-    covers that; its "1 +" also covers float32 underflow. Only the columns
-    whose key is at least the row maximum minus s go through the exact refine,
-    data._sq_dists, in chunks of at most _REFINE_PAIRS pairs. The keys are
-    float32 unless d > 2^20 or 4 M would overflow float32; then they are
-    float64.
+    (7.2 d + 15) u M + u s of the largest one, and s = 8 (d + 4) u (1 + M),
+    data._gram_inputs's slack, covers that; its "1 +" also covers float32
+    underflow. Only the columns whose key is at least the row maximum minus s
+    go through the exact refine, data._sq_dists, in chunks of at most
+    _REFINE_PAIRS pairs. The keys are float32 unless d > 2^20 or 4 M would
+    overflow float32; then they are float64.
     """
-    points = embedding_set.vectors.astype(np.float64)
-    n, d = points.shape
+    n = embedding_set.count
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimensionMismatch(f"labels length {labels.size} does not match {n} points")
     centers = np.arange(n) if centers is None else np.asarray(centers, dtype=np.int64)
-    sq_norms = (points * points).sum(axis=1)
-    max_sq = float(sq_norms.max(initial=0.0))
-    fits32 = d <= 2**20 and 4.0 * max_sq < 2.0**127
-    gram_points = embedding_set.vectors if fits32 else points
-    dtype = gram_points.dtype
-    half_sq = (0.5 * sq_norms).astype(dtype)
-    slack = dtype.type(8 * (d + 4) * np.finfo(dtype).eps / 2 * (1.0 + max_sq))
+    points, gram_points, half_sq, slack = _gram_inputs(embedding_set)
 
     out = np.empty(centers.size)
-    keys_buf = np.empty((min(_BLOCK_ROWS, centers.size), n), dtype=dtype)
+    keys_buf = np.empty((min(_BLOCK_ROWS, centers.size), n), dtype=gram_points.dtype)
     mask_buf = np.empty(keys_buf.shape, dtype=bool)
     for lo in range(0, centers.size, _BLOCK_ROWS):
         rows = centers[lo : lo + _BLOCK_ROWS]

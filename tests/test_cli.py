@@ -333,6 +333,18 @@ def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, 
     assert err.startswith("error (") and section in err and key in err
 
 
+@pytest.mark.parametrize("key, value", [("repetitions", 2.0), ("schedule", [2.5, 3])])
+def test_run_loop_non_integer_sizes_exit_1(capsys, tmp_path, key, value):
+    config = select_config("random", [])
+    config.update(schedule=[3], output=str(tmp_path / "out"))
+    config[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "run-loop", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error (experiment-harness):") and key in err
+
+
 @pytest.mark.parametrize(
     "kind", ["dcom", "random", "margin", "entropy", "maxprob", "coreset", "probcover"]
 )

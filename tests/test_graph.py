@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
+from dcom.data import EmbeddingSet, MixtureSpec, _sq_dists, gen_gaussian_mixture
 from dcom.graph import build_radius_graph, covered_set
 
 
@@ -229,3 +229,39 @@ def test_candidate_margin_absorbs_float32_rounding():
     )
     restricted = build_radius_graph(s, delta, targets=targets)
     assert list(map(tuple, restricted.edges.tolist())) == expected
+
+
+def test_build_beyond_float32_range():
+    # |x|^2 overflows float32 here, so the keys must switch to float64.
+    rng = np.random.default_rng(0)
+    s = EmbeddingSet(rng.standard_normal((50, 4)) * 1e20)
+    expected = brute_force_edges(s, 2e20)
+    assert len(expected) == 678
+    assert list(map(tuple, build_radius_graph(s, 2e20).edges.tolist())) == expected
+
+
+@pytest.mark.parametrize("kind", ["large_d", "offset_1e4"])
+def test_candidate_slack_holds_at_large_d_and_offset(kind):
+    # delta at a random quantile of the pair distances puts many pairs within
+    # float32 rounding of the boundary.
+    rng = np.random.default_rng({"large_d": 31, "offset_1e4": 32}[kind])
+    for _ in range(4):
+        n = int(rng.integers(20, 60))
+        if kind == "large_d":
+            d = int(rng.integers(1024, 4096))
+            pts = rng.choice([0.0, 1e2, 1e3]) + rng.normal(size=(n, d))
+        else:
+            d = int(rng.integers(2, 65))
+            pts = 1e4 + rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 10.0])
+        s = EmbeddingSet(pts)
+        exact = s.vectors.astype(np.float64)
+        dists = [np.sqrt(_sq_dists(exact, exact[u])) for u in range(n)]
+        delta = float(np.quantile(np.concatenate(dists), rng.uniform(0.1, 0.9)))
+        expected = brute_force_edges(s, delta)
+        assert list(map(tuple, build_radius_graph(s, delta).edges.tolist())) == expected
+        targets = rng.permutation(n)[: n // 2]
+        target_set = set(targets.tolist())
+        restricted = build_radius_graph(s, delta, targets=targets)
+        assert list(map(tuple, restricted.edges.tolist())) == [
+            (u, v) for u, v in expected if v in target_set
+        ]

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
 from dcom import harness
+from dcom.baselines import SEEDED_KINDS, STRATEGY_KINDS
 from dcom.errors import ConfigError, EmptyTestSet, PoolInvariantError
 from dcom.harness import (
     ExperimentRecord,
@@ -126,6 +129,59 @@ def test_run_al_loop_repetition_seeds_differ():
     by_seed = {s: [r.accuracy for r in records if r.run_seed == s] for s in seeds}
     assert len(records) == 4
     assert set(by_seed) == {0, 1}
+    assert by_seed[0] != by_seed[1]
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_declared_seedless_kinds_ignore_the_run_seed(monkeypatch, kind):
+    picks = []
+
+    class PickLog(LabelOracle):
+        def reveal(self, indices):
+            picks.append(list(indices))
+            return super().reveal(indices)
+
+    # Each run computes one repetition, so the two seeds never share a copy.
+    monkeypatch.setattr(harness, "LabelOracle", PickLog)
+    runs = []
+    for seed in (0, 1):
+        picks.clear()
+        config = base_config(strategy=kind, repetitions=1, dcom={"delta0": 0.4})
+        config["strategy"]["seed"] = seed
+        records = [
+            dataclasses.replace(r, run_seed=0, seconds=0.0) for r in run_al_loop(config)
+        ]
+        runs.append((records, list(picks)))
+    assert (runs[0] == runs[1]) == (kind not in SEEDED_KINDS)
+    if kind == "random":
+        assert runs[0][0] != runs[1][0]
+
+
+@pytest.mark.parametrize("kind, computed", [("dcom", 1), ("coreset", 1), ("random", 3)])
+def test_seedless_kinds_compute_one_repetition(monkeypatch, kind, computed):
+    calls = []
+    original = harness._run_single_repetition
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(harness, "_run_single_repetition", counted)
+    config = base_config(strategy=kind, repetitions=3, dcom={"delta0": 0.4})
+    config["strategy"]["seed"] = 4
+    records = run_al_loop(config)
+    assert calls == [4, 5, 6][:computed]
+    assert [r.run_seed for r in records] == [4, 4, 5, 5, 6, 6]
+    assert [r.iteration for r in records] == [0, 1] * 3
+
+
+def test_copied_records_keep_the_computed_seconds():
+    config = base_config(strategy="dcom", repetitions=3, dcom={"delta0": 0.4},
+                         record_timing=True)
+    records = run_al_loop(config)
+    seconds = [[r.seconds for r in records if r.run_seed == s] for s in (0, 1, 2)]
+    assert all(t > 0.0 for t in seconds[0])
+    assert seconds[1] == seconds[0] and seconds[2] == seconds[0]
 
 
 def test_run_al_loop_coverage_monotone():
@@ -170,6 +226,31 @@ def test_run_al_loop_config_validation():
         run_al_loop(base_config(schedule=[10_000]))
     with pytest.raises(ConfigError):
         run_al_loop(base_config(repetitions=0))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("repetitions", 2.0),
+        ("repetitions", True),
+        ("repetitions", "2"),
+        ("schedule", [2.5, 3]),
+        ("schedule", [3, True]),
+        ("schedule", 3),
+    ],
+)
+def test_non_integer_sizes_are_named(key, value):
+    with pytest.raises(ConfigError, match=key):
+        run_al_loop(base_config(**{key: value}))
+
+
+def test_run_al_loop_leaves_config_unchanged():
+    config = base_config(strategy="dcom", repetitions=1, dcom={"delta0": 0.4})
+    del config["strategy"]
+    before = copy.deepcopy(config)
+    records = run_al_loop(config)
+    assert config == before
+    assert records[0].strategy == "dcom"
 
 
 def test_write_report_byte_identical(tmp_path):
