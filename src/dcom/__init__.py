@@ -29,7 +29,6 @@ from .engine import (
     run_iteration,
 )
 from .graph import (
-    CoverageState,
     RadiusGraph,
     build_radius_graph,
     covered_set,

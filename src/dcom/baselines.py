@@ -93,10 +93,8 @@ def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:
     unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
     targets = None
     if pool.labeled:
-        coverage = covered_set(
-            embedding_set, pool.labeled, [delta0] * len(pool.labeled)
-        )
-        targets = np.flatnonzero(~coverage.covered)
+        covered = covered_set(embedding_set, pool.labeled, [delta0] * len(pool.labeled))
+        targets = np.flatnonzero(~covered)
     ones = np.ones(unlabeled.size)
     per_step = _greedy_select(embedding_set, unlabeled, targets, delta0, 0.0, ones, q)
     return [pick for pick, _ in per_step]

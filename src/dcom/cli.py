@@ -50,6 +50,13 @@ def _load_pool_inputs(config):
     return dataset, engine.PoolState(labeled, unlabeled, deltas)
 
 
+def _strategy(config, kind=None):
+    """The config's StrategySpec, of the given kind if any, and its seed."""
+    cfg = config.get("strategy", {})
+    spec = baselines.StrategySpec(kind or cfg.get("kind", "dcom"), cfg.get("params", {}))
+    return spec, cfg.get("seed", 0)
+
+
 def _cmd_init_delta(args):
     dataset = harness.load_dataset(
         {"embeddings": args.embeddings, "l2_normalize": not args.no_normalize}
@@ -67,12 +74,8 @@ def _cmd_init_delta(args):
 def _cmd_select(args):
     config = json.loads(Path(args.config).read_text())
     dataset, pool = _load_pool_inputs(config)
-    strategy_cfg = config.get("strategy", {})
-    strategy = baselines.StrategySpec(
-        strategy_cfg.get("kind", "dcom"), strategy_cfg.get("params", {})
-    )
+    strategy, seed = _strategy(config)
     q = int(config["q"])
-    seed = strategy_cfg.get("seed", 0)
     setting = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
     picks, _ = harness.select_step(
         dataset, pool, strategy, q, setting, harness.learner_spec(config), seed=seed
@@ -87,17 +90,14 @@ def _cmd_expand_delta(args):
     if dataset.labels is None:
         raise ConfigError("expand-delta trains on labels, and data.labels gives none")
     query = [int(i) for i in config["query"]]
-    dcom_cfg = config.get("dcom", {})
-    seed = config.get("strategy", {}).get("seed", 0)
-    delta0 = harness.resolve_delta0(dataset, dcom_cfg, dataset.num_classes, seed)
-    dcom_config = harness.dcom_config(dcom_cfg, delta0, dataset.num_classes)
+    strategy, seed = _strategy(config, "dcom")
+    dcom_config = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
     query_set = set(query)
-    coverage_old = (0.0 if not pool.deltas else
-                    engine.covered_set(
-                        dataset,
-                        [i for i in pool.labeled if i not in query_set],
-                        pool.deltas,
-                    ).probability)
+    earlier = [i for i in pool.labeled if i not in query_set]
+    if not pool.deltas:
+        # As in select: labeled points given without radii take delta0.
+        pool.deltas = [dcom_config.delta0] * len(earlier)
+    coverage_old = float(engine.covered_set(dataset, earlier, pool.deltas).mean())
     pairs = [(i, int(dataset.labels[i])) for i in pool.labeled]
     learner = learners.train_learner(dataset, pairs, harness.learner_spec(config))
     probs = learners.predict_softmax(learner, dataset, pool.unlabeled)

@@ -31,6 +31,7 @@ UNKNOWN_LABEL = -1
 
 # n and d are u32 on disk; reject payloads whose product cannot be indexed.
 _MAX_ELEMENTS = 2**31
+_REFINE_PAIRS = 1024  # pairs per exact float64 gather: bounds memory, not results
 
 
 class EmbeddingSet:
@@ -226,6 +227,15 @@ def _sq_dists(points, center):
     diff = points - center
     np.multiply(diff, diff, out=diff)
     return diff.sum(axis=-1)
+
+
+def _pair_sq_dists(points, a, b):
+    """_sq_dists(points[a], points[b]), gathering at most _REFINE_PAIRS pairs at a time."""
+    out = np.empty(len(a))
+    for lo in range(0, len(a), _REFINE_PAIRS):
+        part = slice(lo, lo + _REFINE_PAIRS)
+        out[part] = _sq_dists(points[a[part]], points[b[part]])
+    return out
 
 
 def _gram_inputs(embedding_set, extent=0.0):

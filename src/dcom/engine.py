@@ -186,13 +186,13 @@ def dcom_select(
         raise PoolInvariantError("margins must align with the unlabeled pool")
 
     if pool.labeled:
-        coverage = covered_set(embedding_set, pool.labeled, pool.deltas)
-        coverage_before = coverage.probability
+        covered = covered_set(embedding_set, pool.labeled, pool.deltas)
+        coverage_before = float(covered.mean())
         competence = competence_score(
             coverage_before, config.logistic_a, config.logistic_k
         )
         delta_avg = float(np.mean(pool.deltas))
-        targets = np.flatnonzero(~coverage.covered)
+        targets = np.flatnonzero(~covered)
     else:
         coverage_before = 0.0
         competence = 0.0

@@ -8,27 +8,20 @@ greedy kernel in engine (shared by dcom_select and select_probcover) builds
 only unlabeled sources to uncovered targets and then only covers. Candidates
 come from a float32 BLAS Gram pass per block of source rows with a per-row
 threshold; every candidate is then confirmed with the package's exact float64
-distance (data._sq_dists), so the edge set matches a brute-force O(n^2) scan
-bit for bit.
+distance (data._pair_sq_dists), so the edge set matches a brute-force O(n^2)
+scan bit for bit. covered_set runs the same kernel with a radius per labeled
+point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import EmbeddingSet, _gram_inputs, _sq_dists
+from .data import EmbeddingSet, _gram_inputs, _pair_sq_dists
 
+# Source rows per Gram block of a build, and labeled points per coverage block.
 _CHUNK_ROWS = 512
-
-
-@dataclass(frozen=True)
-class CoverageState:
-    """Boolean covered flags plus their exact mean."""
-
-    covered: np.ndarray
-    probability: float
+_COVER_ROWS = 32
 
 
 class RadiusGraph:
@@ -103,59 +96,68 @@ def build_radius_graph(
     delta^2, and s = 8 (d + 4) u (1 + M + delta^2), data._gram_inputs's slack
     with extent delta^2, covers that; its "1 +" also covers float32 underflow.
     The keys are float32 unless d > 2^20 or 4 (M + delta^2) would overflow
-    float32; then they are float64.
+    float32; then they are float64. With a radius per row, as in covered_set,
+    the slack is computed for the largest radius and only grows with it, so
+    the bound holds row by row.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = embedding_set.count
     thresh = delta * delta
-    points, gram_points, half_sq, slack = _gram_inputs(embedding_set, thresh)
-    half_margin = gram_points.dtype.type((thresh + float(slack)) / 2)
-
     # Sorted, duplicate-free indices: the CSR in RadiusGraph needs ascending sources.
-    all_rows = np.arange(n) if sources is None else np.unique(np.asarray(sources, dtype=np.int64))
-    cols = None if targets is None else np.unique(np.asarray(targets, dtype=np.int64))
-    tgt = gram_points if cols is None else gram_points[cols]
-    m = tgt.shape[0]
-    half_sq_t = half_sq if cols is None else half_sq[cols]
-    buf = np.empty((min(_CHUNK_ROWS, all_rows.size), m), dtype=gram_points.dtype)
-    mask = np.empty(buf.shape, dtype=bool)
-
-    src_parts, dst_parts = [], []
-    for lo in range(0, all_rows.size if m else 0, _CHUNK_ROWS):
-        rows = all_rows[lo : lo + _CHUNK_ROWS]
-        block, block_mask = buf[: rows.size], mask[: rows.size]
-        np.matmul(gram_points[rows], tgt.T, out=block)
-        block -= half_sq_t
-        np.greater_equal(block, (half_sq[rows] - half_margin)[:, None], out=block_mask)
-        cand_row, cand_col = np.divmod(np.flatnonzero(block_mask), m)
-        cand_src = rows[cand_row]
-        cand_dst = cand_col if cols is None else cols[cand_col]
-        keep = cand_src != cand_dst
-        cand_src, cand_dst = cand_src[keep], cand_dst[keep]
-        if cand_src.size:
-            keep = _sq_dists(points[cand_src], points[cand_dst]) <= thresh
-            cand_src, cand_dst = cand_src[keep], cand_dst[keep]
-        src_parts.append(cand_src.astype(np.int64))
-        dst_parts.append(cand_dst.astype(np.int64))
-    src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
-    dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, dtype=np.int64)
+    rows = np.arange(n) if sources is None else np.unique(np.asarray(sources, dtype=np.int64))
+    cols = np.arange(n) if targets is None else np.unique(np.asarray(targets, dtype=np.int64))
+    inputs = _gram_inputs(embedding_set, thresh)
+    src, dst = _pairs_within(inputs, rows, np.full(rows.size, thresh, dtype=np.float64), cols)
     return RadiusGraph(n, delta, src, dst)
 
 
-def covered_set(embedding_set, labeled, deltas) -> CoverageState:
-    """Union of closed per-point balls around the labeled points."""
+def _pairs_within(inputs, rows, sq_radii, cols):
+    """Pairs (rows[k], j != rows[k]), j in cols, at exact squared distance <= sq_radii[k].
+
+    inputs is data._gram_inputs(embedding_set, extent >= max(sq_radii)), whose
+    bound build_radius_graph derives. Pairs come in (rows, cols) order.
+    """
+    points, gram_points, half_sq, slack = inputs
+    tgt, half_sq_t = gram_points[cols], half_sq[cols]
+    floor = half_sq[rows] - ((sq_radii + float(slack)) / 2).astype(gram_points.dtype)
+    buf = np.empty((min(_CHUNK_ROWS, rows.size), cols.size), dtype=gram_points.dtype)
+    mask = np.empty(buf.shape, dtype=bool)
+
+    src_parts, dst_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo in range(0, rows.size if cols.size else 0, _CHUNK_ROWS):
+        block_rows = rows[lo : lo + _CHUNK_ROWS]
+        block, block_mask = buf[: block_rows.size], mask[: block_rows.size]
+        np.matmul(gram_points[block_rows], tgt.T, out=block)
+        block -= half_sq_t
+        np.greater_equal(block, floor[lo : lo + _CHUNK_ROWS, None], out=block_mask)
+        cand_row, cand_col = np.divmod(np.flatnonzero(block_mask), cols.size)
+        src, dst = block_rows[cand_row], cols[cand_col]
+        keep = (src != dst) & (_pair_sq_dists(points, src, dst) <= sq_radii[lo + cand_row])
+        src_parts.append(src[keep])
+        dst_parts.append(dst[keep])
+    return np.concatenate(src_parts), np.concatenate(dst_parts)
+
+
+def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
+    """Covered flags of the union of closed per-point balls around the labeled points.
+
+    Each block of _COVER_ROWS labeled points runs the build's exact kernel
+    against only the points no earlier block covered, as a union has no order.
+    """
     labeled = np.asarray(labeled, dtype=np.int64)
     deltas = np.asarray(deltas, dtype=np.float64)
     if labeled.shape != deltas.shape:
-        raise ValueError(
-            f"labeled length {labeled.size} does not match deltas length {deltas.size}"
-        )
-    points = embedding_set.vectors.astype(np.float64)
+        raise ValueError(f"{labeled.size} labeled points but {deltas.size} deltas")
+    if np.isnan(deltas).any():
+        raise ValueError("deltas must not be NaN")
+    sq_radii = deltas * deltas
+    inputs = _gram_inputs(embedding_set, float(sq_radii.max(initial=0.0)))
     covered = np.zeros(embedding_set.count, dtype=bool)
     covered[labeled] = True
-    for idx, radius in zip(labeled, deltas):
-        covered |= _sq_dists(points, points[idx]) <= radius * radius
-    probability = float(int(covered.sum()) / embedding_set.count)
-    return CoverageState(covered, probability)
-
+    for lo in range(0, labeled.size, _COVER_ROWS):
+        hi = lo + _COVER_ROWS
+        uncovered = np.flatnonzero(~covered)
+        _, dst = _pairs_within(inputs, labeled[lo:hi], sq_radii[lo:hi], uncovered)
+        covered[dst] = True
+    return covered

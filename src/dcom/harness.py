@@ -141,21 +141,12 @@ def resolve_delta0(dataset, dcom_cfg, num_classes, seed) -> float:
     return select_initial_delta(curve, dcom_cfg.get("alpha", DEFAULT_ALPHA))
 
 
-def dcom_config(dcom_cfg, delta0, num_classes) -> DComConfig:
-    """DComConfig from a config's 'dcom' section and a resolved delta0.
-
-    alpha is read by resolve_delta0 only; any other key DComConfig lacks is rejected.
-    """
-    values = {k: v for k, v in dcom_cfg.items() if k != "alpha"}
-    values = {"logistic_a": 0.9 if num_classes <= 10 else 0.8, **values, "delta0": delta0}
-    return _from_config(DComConfig, values, "dcom")
-
-
 def strategy_setting(dataset, strategy, dcom_cfg, seed):
     """A DComConfig for dcom, the radius delta0 for probcover, None otherwise.
 
     delta0 is strategy.params["delta0"], else dcom_cfg["delta0"] (0 is kept,
-    and rejected later), else derived with resolve_delta0's k-means seed.
+    and rejected later), else derived with resolve_delta0's k-means seed. The
+    rest of dcom_cfg but alpha must be DComConfig fields.
     """
     if strategy.kind not in ("dcom", "probcover"):
         return None
@@ -164,7 +155,9 @@ def strategy_setting(dataset, strategy, dcom_cfg, seed):
         delta0 = resolve_delta0(dataset, dcom_cfg, dataset.num_classes, seed)
     if strategy.kind == "probcover":
         return delta0
-    return dcom_config(dcom_cfg, delta0, dataset.num_classes)
+    values = {k: v for k, v in dcom_cfg.items() if k != "alpha"}
+    values = {"logistic_a": 0.9 if dataset.num_classes <= 10 else 0.8, **values, "delta0": delta0}
+    return _from_config(DComConfig, values, "dcom")
 
 
 def select_step(dataset, pool, strategy, q, setting, spec, learner=None, seed=0):

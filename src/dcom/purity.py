@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, _gram_inputs, _sq_dists
+from .data import EmbeddingSet, _gram_inputs, _pair_sq_dists, _sq_dists
 from .errors import DimensionMismatch, NoDeltaMeetsAlpha
 
 DEFAULT_ALPHA = 0.95
@@ -17,9 +17,8 @@ DEFAULT_GRID = np.round(np.arange(1, 41) * 0.05, 10)
 # monotonically non-increasing.
 _MONOTONE_JITTER = 0.02
 
-# Centers per Gram block, and refine pairs per exact float64 gather.
+# Centers per Gram block.
 _BLOCK_ROWS = 32
-_REFINE_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,8 @@ def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
     (7.2 d + 15) u M + u s of the largest one, and s = 8 (d + 4) u (1 + M),
     data._gram_inputs's slack, covers that; its "1 +" also covers float32
     underflow. Only the columns whose key is at least the row maximum minus s
-    go through the exact refine, data._sq_dists, in chunks of at most
-    _REFINE_PAIRS pairs. The keys are float32 unless d > 2^20 or 4 M would
-    overflow float32; then they are float64.
+    go through the exact refine, data._pair_sq_dists. The keys are float32
+    unless d > 2^20 or 4 M would overflow float32; then they are float64.
     """
     n = embedding_set.count
     labels = np.asarray(labels)
@@ -147,9 +145,7 @@ def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
         np.greater_equal(keys, floor[:, None], out=mask)
         cand_row, cand_col = np.divmod(np.flatnonzero(mask), n)
         best = np.full(rows.size, np.inf)
-        for p in range(0, cand_row.size, _REFINE_PAIRS):
-            r, c = cand_row[p : p + _REFINE_PAIRS], cand_col[p : p + _REFINE_PAIRS]
-            np.minimum.at(best, r, _sq_dists(points[c], points[rows[r]]))
+        np.minimum.at(best, cand_row, _pair_sq_dists(points, cand_col, rows[cand_row]))
         out[lo : lo + rows.size] = np.sqrt(best)
     return out
 

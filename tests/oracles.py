@@ -49,3 +49,15 @@ def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
         other = labels != labels[c]
         out[i] = np.sqrt(sq[other].min()) if other.any() else np.inf
     return out
+
+
+def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
+    """Reference for graph.covered_set: one full float64 pass per labeled point."""
+    labeled = np.asarray(labeled, dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    points = embedding_set.vectors.astype(np.float64)
+    covered = np.zeros(embedding_set.count, dtype=bool)
+    covered[labeled] = True
+    for idx, radius in zip(labeled, deltas):
+        covered |= _sq_dists(points, points[idx]) <= radius * radius
+    return covered

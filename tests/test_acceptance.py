@@ -45,8 +45,8 @@ def test_criterion_01_competence_monotone_in_nested_pools():
         order = rng.permutation(s.count)
         small, big = order[:size_small], order[:size_big]
         deltas_big = rng.uniform(0.1, 1.5, size=size_big)
-        cov_small = covered_set(s, small, deltas_big[:size_small]).probability
-        cov_big = covered_set(s, big, deltas_big).probability
+        cov_small = covered_set(s, small, deltas_big[:size_small]).mean()
+        cov_big = covered_set(s, big, deltas_big).mean()
         a, k = 0.9, 30.0
         ok &= competence_score(cov_small, a, k) <= competence_score(cov_big, a, k)
     elapsed = time.perf_counter() - started
@@ -79,7 +79,7 @@ def test_criterion_03_coverage_equals_brute_force():
         m = int(rng.integers(1, 21))
         labeled = rng.choice(n, size=m, replace=False)
         deltas = rng.uniform(0.2, 2.0, size=m)
-        state = covered_set(s, labeled, deltas)
+        covered = covered_set(s, labeled, deltas)
         pts = s.vectors.astype(np.float64)
         brute = np.zeros(n, dtype=bool)
         brute[labeled] = True
@@ -88,8 +88,8 @@ def test_criterion_03_coverage_equals_brute_force():
                 if ((pts[x] - pts[i]) ** 2).sum() <= d * d:
                     brute[x] = True
                     break
-        ok &= np.array_equal(state.covered, brute)
-        ok &= state.probability == brute.sum() / n
+        ok &= np.array_equal(covered, brute)
+        ok &= covered.mean() == brute.sum() / n
     elapsed = time.perf_counter() - started
     _verdict(
         f"coverage matches the O(n^2) scan exactly (50/50 instances, {elapsed:.1f}s < 30s)",
@@ -101,10 +101,10 @@ def _greedy_oracle(s, labeled, unlabeled, deltas, margins, q, config):
     """Every pick recomputed from scratch with a dense distance matrix."""
     pts = s.vectors.astype(np.float64)
     sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    coverage = covered_set(s, labeled, deltas)
+    covered = covered_set(s, labeled, deltas)
     if len(labeled):
         competence = competence_score(
-            coverage.probability, config.logistic_a, config.logistic_k
+            covered.mean(), config.logistic_a, config.logistic_k
         )
         delta_avg = float(np.mean(deltas))
     else:
@@ -114,7 +114,7 @@ def _greedy_oracle(s, labeled, unlabeled, deltas, margins, q, config):
 
     margin_map = np.ones(s.count)
     margin_map[unlabeled] = margins
-    blocked = coverage.covered.copy()
+    blocked = covered.copy()
     blocked[np.asarray(labeled, dtype=np.int64)] = True
     unl = np.asarray(unlabeled, dtype=np.int64)
     picked = np.zeros(s.count, dtype=bool)
@@ -228,7 +228,7 @@ def test_criterion_07_error_bounded_by_uncovered_mass_with_pure_balls():
         ok &= all(
             is_pure_ball(s, s.labels, c, d) for c, d in zip(labeled_idx, pool.deltas)
         )
-        coverage = covered_set(s, labeled_idx, pool.deltas).probability
+        coverage = covered_set(s, labeled_idx, pool.deltas).mean()
         pairs = [(i, int(s.labels[i])) for i in labeled_idx]
         predictions = [nnn_classify(s, pairs, pool.deltas, x) for x in range(s.count)]
         error = float(np.mean(np.asarray(predictions) != s.labels))

@@ -192,6 +192,51 @@ def test_expand_delta_derives_delta0(capsys, tmp_path, dcom_section, strategy):
     assert expand(config) == expand(explicit)
 
 
+def expand_radii(capsys, tmp_path, config):
+    path = tmp_path / "expand.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "expand-delta", "--config", str(path))
+    assert code == 0, err
+    return [float(v) for v in out.strip().split(",")]
+
+
+def small_expand_config(**overrides):
+    mixture = {
+        "num_classes": 2,
+        "points_per_class": 15,
+        "dim": 4,
+        "class_separation": 6.0,
+        "within_std": 0.8,
+        "seed": 3,
+    }
+    config = {
+        "data": {"mixture": mixture},
+        "labeled": [0, 16, 5, 20, 3],
+        "deltas": [0.4, 0.4, 0.4],
+        "query": [5, 3],
+        "learner": {"epochs": 30},
+    }
+    return {**config, **overrides}
+
+
+def test_expand_delta_honours_strategy_params_delta0(capsys, tmp_path):
+    # select reads params.delta0 before dcom.delta0; expand-delta must agree.
+    from_params = small_expand_config(
+        strategy={"params": {"delta0": 0.7}}, dcom={"delta0": 0.3}
+    )
+    from_dcom = small_expand_config(dcom={"delta0": 0.7})
+    radii = expand_radii(capsys, tmp_path, from_params)
+    assert radii == expand_radii(capsys, tmp_path, from_dcom)
+    assert radii != expand_radii(capsys, tmp_path, small_expand_config(dcom={"delta0": 0.3}))
+
+
+def test_expand_delta_without_deltas_gives_earlier_points_delta0(capsys, tmp_path):
+    # As in select, labeled points given without radii take delta0.
+    implicit = expand_radii(capsys, tmp_path, small_expand_config(deltas=[], dcom={"delta0": 0.4}))
+    assert len(implicit) == 5 and implicit[:3] == [0.4, 0.4, 0.4]
+    assert implicit == expand_radii(capsys, tmp_path, small_expand_config(dcom={"delta0": 0.4}))
+
+
 def test_run_loop_and_report(capsys, tmp_path):
     config = {
         "data": {

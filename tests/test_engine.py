@@ -174,12 +174,12 @@ def pool_copy(labeled, unlabeled, deltas):
 def stepwise_oracle(s, labeled, unlabeled, deltas, margins, q, config):
     """Recompute every greedy step from scratch with plain loops."""
     pts = s.vectors.astype(np.float64)
-    coverage = covered_set(s, labeled, deltas)
-    competence = competence_score(coverage.probability, config.logistic_a, config.logistic_k)
+    covered = covered_set(s, labeled, deltas)
+    competence = competence_score(covered.mean(), config.logistic_a, config.logistic_k)
     delta_avg = float(np.mean(deltas)) if labeled else config.delta0
 
     margin_map = dict(zip(unlabeled, margins))
-    blocked = set(np.flatnonzero(coverage.covered).tolist()) | set(labeled)
+    blocked = set(np.flatnonzero(covered).tolist()) | set(labeled)
     selected = []
     for _ in range(q):
         degrees = {}
@@ -278,14 +278,14 @@ def full_build_then_prune(s, labeled, deltas, delta):
     """
     graph = build_radius_graph(s, delta)
     if labeled:
-        graph.prune_incoming(np.flatnonzero(covered_set(s, labeled, deltas).covered))
+        graph.prune_incoming(np.flatnonzero(covered_set(s, labeled, deltas)))
     return graph
 
 
 def pruned_graph_dcom_oracle(s, labeled, unlabeled, deltas, margins, q, config):
     """dcom_select's greedy loop over a full-build-then-prune graph."""
     if labeled:
-        coverage = covered_set(s, labeled, deltas).probability
+        coverage = covered_set(s, labeled, deltas).mean()
         competence = competence_score(coverage, config.logistic_a, config.logistic_k)
         delta = float(np.mean(deltas))
     else:
@@ -351,7 +351,7 @@ def test_dcom_select_matches_full_build_then_prune(lattice):
     for _ in range(30):
         s, labeled, unlabeled, deltas = partly_covered_pool(rng, lattice)
         if labeled:
-            partly += 0 < covered_set(s, labeled, deltas).probability < 1
+            partly += 0 < covered_set(s, labeled, deltas).mean() < 1
         margins = rng.random(len(unlabeled))
         q = int(rng.integers(1, min(12, len(unlabeled)) + 1))
         pool = PoolState(list(labeled), list(unlabeled), list(deltas))

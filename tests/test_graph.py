@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from dcom.data import EmbeddingSet, MixtureSpec, _sq_dists, gen_gaussian_mixture
-from dcom.graph import build_radius_graph, covered_set
+import oracles
+from dcom import data
+from dcom.data import EmbeddingSet, MixtureSpec, _gram_inputs, _sq_dists, gen_gaussian_mixture
+from dcom.graph import _pairs_within, build_radius_graph, covered_set
 
 
 def one_d(*values):
@@ -55,11 +57,11 @@ def test_matches_brute_force(seed):
 
 def test_covered_set_examples():
     s = one_d(0.0, 0.4, 0.8)
-    assert covered_set(s, [1], [0.5]).probability == 1.0
-    assert covered_set(s, [], []).probability == 0.0
-    state = covered_set(s, [0], [0.1])
-    assert state.probability == pytest.approx(1 / 3)
-    assert state.covered.tolist() == [True, False, False]
+    assert covered_set(s, [1], [0.5]).mean() == 1.0
+    assert covered_set(s, [], []).mean() == 0.0
+    covered = covered_set(s, [0], [0.1])
+    assert covered.mean() == pytest.approx(1 / 3)
+    assert covered.tolist() == [True, False, False]
 
 
 def test_covered_set_matches_double_loop():
@@ -68,7 +70,7 @@ def test_covered_set_matches_double_loop():
         s = EmbeddingSet(rng.normal(size=(50, 4)))
         labeled = rng.choice(50, size=8, replace=False)
         deltas = rng.uniform(0.2, 2.0, size=8)
-        state = covered_set(s, labeled, deltas)
+        covered = covered_set(s, labeled, deltas)
         pts = s.vectors.astype(np.float64)
         brute = []
         for x in range(50):
@@ -77,13 +79,102 @@ def test_covered_set_matches_double_loop():
                 if ((pts[x] - pts[i]) ** 2).sum() <= d * d:
                     inside = True
             brute.append(inside)
-        assert state.covered.tolist() == brute
-        assert state.probability == sum(brute) / 50
+        assert covered.tolist() == brute
+        assert covered.mean() == sum(brute) / 50
 
 
 def test_covered_length_mismatch():
     with pytest.raises(ValueError):
         covered_set(one_d(0.0, 1.0), [0], [0.5, 0.5])
+
+
+def test_covered_set_rejects_nan_radius():
+    with pytest.raises(ValueError, match="NaN"):
+        covered_set(one_d(0.0, 1.0), [0, 1], [0.5, np.nan])
+
+
+def coverage_case(rng, kind):
+    """(points, labeled, deltas) for the covered_set equivalence test, by kind."""
+    n = int(rng.integers(2, 120))
+    d = int(rng.integers(1, 9))
+    m = int(rng.integers(1, min(n, 20) + 1))
+    labeled = rng.choice(n, size=m, replace=False)
+    if kind == "lattice":
+        # Integer points and radii sqrt(k): many distances fall exactly on a radius.
+        pts = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        return pts, labeled, np.sqrt(rng.integers(1, 6, size=m).astype(np.float64))
+    if kind == "zero_radii":
+        # Few distinct points, so a zero radius still covers the coincident ones.
+        pts = rng.normal(size=(5, d))[rng.integers(0, 5, size=n)]
+        return pts, labeled, np.zeros(m)
+    if kind == "duplicates":
+        labeled = rng.integers(0, n, size=int(rng.integers(2, 2 * n + 2)))
+        return rng.normal(size=(n, d)), labeled, rng.uniform(0.1, 2.0, size=labeled.size)
+    if kind == "many_blocks":
+        n = int(rng.integers(200, 500))
+        labeled = rng.choice(n, size=int(rng.integers(33, 150)), replace=False)
+        return rng.normal(size=(n, d)), labeled, rng.uniform(0.05, 0.8, size=labeled.size)
+    if kind == "empty":
+        return rng.normal(size=(n, d)), labeled[:0], np.empty(0)
+    if kind == "scale_1e20":
+        # |x|^2 overflows float32, so the keys are float64.
+        return rng.normal(size=(n, d)) * 1e20, labeled, rng.uniform(0.2, 2.0, size=m) * 1e20
+    if kind == "offset_1e4":
+        pts = 1e4 + rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 10.0])
+    else:
+        pts = rng.normal(size=(n, d))
+    if kind == "gaussian":
+        return pts, labeled, rng.uniform(0.1, 2.0, size=m)
+    # Radii equal to the exact distance from each labeled point to another point.
+    exact = EmbeddingSet(pts).vectors.astype(np.float64)
+    other = rng.integers(0, n, size=m)
+    return pts, labeled, np.sqrt(_sq_dists(exact[other], exact[labeled]))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "gaussian",
+        "lattice",
+        "zero_radii",
+        "pair_distances",
+        "duplicates",
+        "offset_1e4",
+        "scale_1e20",
+        "empty",
+        "many_blocks",
+    ],
+)
+def test_covered_set_matches_per_point_passes(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(20):
+        pts, labeled, deltas = coverage_case(rng, kind)
+        s = EmbeddingSet(pts)
+        covered = covered_set(s, labeled, deltas)
+        expected = oracles.covered_set(s, labeled, deltas)
+        assert covered.dtype == bool
+        assert np.array_equal(covered, expected)
+        assert covered.mean() == int(expected.sum()) / s.count
+
+
+def test_refine_gathers_at_most_1024_pairs(monkeypatch):
+    pairs, exact = [], data._sq_dists
+
+    def recording(points, center):
+        pairs.append(len(points))
+        return exact(points, center)
+
+    monkeypatch.setattr(data, "_sq_dists", recording)
+    rng = np.random.default_rng(40)
+    s = EmbeddingSet(rng.normal(size=(600, 3)))
+    # Dense: one 512-row block holds far more than 1,024 candidates.
+    edges = build_radius_graph(s, 2.0).edges.shape[0]
+    assert edges > 50_000
+    assert sum(pairs) >= edges and max(pairs) <= 1024
+    pairs.clear()
+    covered = covered_set(s, rng.choice(600, size=100, replace=False), np.full(100, 1.5))
+    assert covered.sum() > 100
+    assert sum(pairs) > 1024 and max(pairs) <= 1024
 
 
 def test_coverage_monotone_under_pool_growth():
@@ -95,8 +186,8 @@ def test_coverage_monotone_under_pool_growth():
         deltas_small = rng.uniform(0.1, 1.0, size=5).tolist()
         deltas_big = deltas_small + rng.uniform(0.1, 1.0, size=len(extra)).tolist()
         assert (
-            covered_set(s, small, deltas_small).probability
-            <= covered_set(s, small + extra, deltas_big).probability
+            covered_set(s, small, deltas_small).mean()
+            <= covered_set(s, small + extra, deltas_big).mean()
         )
 
 
@@ -209,6 +300,23 @@ def test_restricted_build_spans_several_row_blocks():
         dst.extend(near.tolist())
     assert g.edges[:, 0].tolist() == src
     assert g.edges[:, 1].tolist() == dst
+
+
+def test_pairs_within_radius_per_row_across_row_blocks():
+    # More rows than one Gram block, each with its own radius, in any order.
+    rng = np.random.default_rng(27)
+    s = EmbeddingSet(rng.normal(size=(700, 2)))
+    rows, cols = rng.permutation(700)[:600], np.sort(rng.permutation(700)[:300])
+    sq_radii = rng.uniform(0.0, 0.1, size=600)
+    src, dst = _pairs_within(_gram_inputs(s, sq_radii.max()), rows, sq_radii, cols)
+    pts = s.vectors.astype(np.float64)
+    expected = [
+        (u, v)
+        for u, r2 in zip(rows.tolist(), sq_radii)
+        for v in cols[_sq_dists(pts[cols], pts[u]) <= r2].tolist()
+        if v != u
+    ]
+    assert list(zip(src.tolist(), dst.tolist())) == expected
 
 
 def test_candidate_margin_absorbs_float32_rounding():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dcom import purity
+from dcom import data
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
 from dcom.errors import DimensionMismatch, NoDeltaMeetsAlpha
 from dcom.purity import (
@@ -208,13 +208,13 @@ def test_min_impure_distance_matches_loop_oracle(case):
 
 
 def test_refine_skips_rows_without_other_labels(monkeypatch):
-    pairs, exact = [], purity._sq_dists
+    pairs, exact = [], data._sq_dists
 
     def counting(points, center):
         pairs.append(len(points))
         return exact(points, center)
 
-    monkeypatch.setattr(purity, "_sq_dists", counting)
+    monkeypatch.setattr(data, "_sq_dists", counting)
     s, _ = _gaussian(100, 4, 0)
     assert np.isinf(min_impure_distance(s, np.zeros(100, dtype=np.int64))).all()
     assert sum(pairs) == 0
