@@ -44,7 +44,6 @@ from .learners import (
     Learner,
     LearnerSpec,
     SoftmaxMatrix,
-    nnn_classify,
     normalize_unit_interval,
     predict_softmax,
     train_learner,

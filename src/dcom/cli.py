@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import baselines, engine, harness, learners, purity
-from .errors import ConfigError, DcomError
+from . import engine, harness, learners, purity
+from .errors import ConfigError, DcomError, PoolInvariantError
 
 
 def _build_parser():
@@ -50,13 +51,6 @@ def _load_pool_inputs(config):
     return dataset, engine.PoolState(labeled, unlabeled, deltas)
 
 
-def _strategy(config, kind=None):
-    """The config's StrategySpec, of the given kind if any, and its seed."""
-    cfg = config.get("strategy", {})
-    spec = baselines.StrategySpec(kind or cfg.get("kind", "dcom"), cfg.get("params", {}))
-    return spec, cfg.get("seed", 0)
-
-
 def _cmd_init_delta(args):
     dataset = harness.load_dataset(
         {"embeddings": args.embeddings, "l2_normalize": not args.no_normalize}
@@ -74,7 +68,7 @@ def _cmd_init_delta(args):
 def _cmd_select(args):
     config = json.loads(Path(args.config).read_text())
     dataset, pool = _load_pool_inputs(config)
-    strategy, seed = _strategy(config)
+    strategy, seed = harness.strategy_spec(config)
     q = int(config["q"])
     setting = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
     picks, _ = harness.select_step(
@@ -90,13 +84,18 @@ def _cmd_expand_delta(args):
     if dataset.labels is None:
         raise ConfigError("expand-delta trains on labels, and data.labels gives none")
     query = [int(i) for i in config["query"]]
-    strategy, seed = _strategy(config, "dcom")
+    query_set, labeled = set(query), set(pool.labeled)
+    bad = sorted(i for i, k in Counter(query).items() if k > 1 or i not in labeled)
+    if bad:
+        raise PoolInvariantError(f"query points {bad} are repeated or not labeled")
+    strategy, seed = harness.strategy_spec(config, "dcom")
     dcom_config = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
-    query_set = set(query)
     earlier = [i for i in pool.labeled if i not in query_set]
     if not pool.deltas:
         # As in select: labeled points given without radii take delta0.
         pool.deltas = [dcom_config.delta0] * len(earlier)
+    # select validates its pool in dcom_select; this is the pool before the query.
+    engine.PoolState(earlier, pool.unlabeled + query, pool.deltas).validate(dataset.count)
     coverage_old = float(engine.covered_set(dataset, earlier, pool.deltas).mean())
     pairs = [(i, int(dataset.labels[i])) for i in pool.labeled]
     learner = learners.train_learner(dataset, pairs, harness.learner_spec(config))

@@ -91,10 +91,6 @@ class EmbeddingSet:
             return False
         return self.labels is None or np.array_equal(self.labels, other.labels)
 
-    def __repr__(self):
-        lab = "labeled" if self.labels is not None else "unlabeled"
-        return f"EmbeddingSet(n={self.count}, d={self.dim}, {lab})"
-
 
 @dataclass(frozen=True)
 class MixtureSpec:

@@ -34,6 +34,12 @@ class PoolState:
     unlabeled: list
     deltas: list
 
+    def with_labeled(self, picks):
+        """This pool with picks moved from unlabeled to labeled; radii are kept."""
+        picked = set(picks)
+        unlabeled = [i for i in self.unlabeled if i not in picked]
+        return PoolState(list(self.labeled) + list(picks), unlabeled, list(self.deltas))
+
     def validate(self, n, delta_max=None):
         if len(self.deltas) != len(self.labeled):
             raise PoolInvariantError(
@@ -276,12 +282,7 @@ def _learn(embedding_set, pool, result, learner_spec, config):
 
     Returns (updated pool, learner or None, metrics dict).
     """
-    picked = set(result.selected)
-    new_pool = PoolState(
-        list(pool.labeled) + result.selected,
-        [i for i in pool.unlabeled if i not in picked],
-        list(pool.deltas),
-    )
+    new_pool = pool.with_labeled(result.selected)
     learner = _learner_or_none(embedding_set, new_pool.labeled, learner_spec)
     if learner is None:
         # Single observed class: predict it everywhere until a second appears.

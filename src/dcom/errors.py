@@ -38,6 +38,10 @@ class ZeroVector(DcomError):
         self.row = row
 
 
+class DenseRadiusGraph(DcomError):
+    pass
+
+
 class DimensionMismatch(DcomError):
     pass
 

@@ -18,26 +18,27 @@ from __future__ import annotations
 import numpy as np
 
 from .data import EmbeddingSet, _gram_inputs, _pair_sq_dists
+from .errors import DenseRadiusGraph
 
 # Source rows per Gram block of a build, and labeled points per coverage block.
 _CHUNK_ROWS = 512
 _COVER_ROWS = 32
+# Confirmed edges past which a build stops, about ten times a 100k-point select's 5.6M.
+_MAX_EDGES = 60_000_000
 
 
 class RadiusGraph:
     """Directed adjacency at a fixed radius whose targets can be covered."""
 
-    def __init__(self, n, radius, src, dst):
-        self.n = int(n)
-        self.radius = float(radius)
+    def __init__(self, n, src, dst):
         self._src = src
         self._dst = dst
-        self._covered = np.zeros(self.n, dtype=bool)
-        self._out_degree = np.bincount(src, minlength=self.n).astype(np.int64)
+        self._covered = np.zeros(n, dtype=bool)
+        self._out_degree = np.bincount(src, minlength=n).astype(np.int64)
         # Static CSR over construction edges: geometric ball lookups survive covering.
         self._out_indptr = np.concatenate(([0], np.cumsum(self._out_degree)))
         self._in_edge_ids = np.argsort(dst, kind="stable")
-        self._in_indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=self.n))))
+        self._in_indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
 
     @property
     def edges(self):
@@ -109,14 +110,15 @@ def build_radius_graph(
     cols = np.arange(n) if targets is None else np.unique(np.asarray(targets, dtype=np.int64))
     inputs = _gram_inputs(embedding_set, thresh)
     src, dst = _pairs_within(inputs, rows, np.full(rows.size, thresh, dtype=np.float64), cols)
-    return RadiusGraph(n, delta, src, dst)
+    return RadiusGraph(n, src, dst)
 
 
 def _pairs_within(inputs, rows, sq_radii, cols):
     """Pairs (rows[k], j != rows[k]), j in cols, at exact squared distance <= sq_radii[k].
 
     inputs is data._gram_inputs(embedding_set, extent >= max(sq_radii)), whose
-    bound build_radius_graph derives. Pairs come in (rows, cols) order.
+    bound build_radius_graph derives. Pairs come in (rows, cols) order. Raises
+    DenseRadiusGraph once more than _MAX_EDGES pairs are confirmed.
     """
     points, gram_points, half_sq, slack = inputs
     tgt, half_sq_t = gram_points[cols], half_sq[cols]
@@ -125,6 +127,7 @@ def _pairs_within(inputs, rows, sq_radii, cols):
     mask = np.empty(buf.shape, dtype=bool)
 
     src_parts, dst_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    edges = 0
     for lo in range(0, rows.size if cols.size else 0, _CHUNK_ROWS):
         block_rows = rows[lo : lo + _CHUNK_ROWS]
         block, block_mask = buf[: block_rows.size], mask[: block_rows.size]
@@ -136,6 +139,12 @@ def _pairs_within(inputs, rows, sq_radii, cols):
         keep = (src != dst) & (_pair_sq_dists(points, src, dst) <= sq_radii[lo + cand_row])
         src_parts.append(src[keep])
         dst_parts.append(dst[keep])
+        edges += src_parts[-1].size
+        if edges > _MAX_EDGES:
+            raise DenseRadiusGraph(
+                f"radius graph too dense: {edges} edges so far within delta "
+                f"{np.sqrt(sq_radii.max()):.6g} among {points.shape[0]} points"
+            )
     return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 

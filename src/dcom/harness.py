@@ -1,10 +1,10 @@
 """Seeded active-learning experiment loop, accuracy evaluation, CSV/JSON reports.
 
 A config is a plain dict (usually parsed from JSON); every key except the data
-source has a default, and unknown mixture, learner or dcom keys are rejected.
-strategy_setting and select_step hold the strategy rules for every kind; the
-run loop and the CLI's select command both go through them, so one query
-round picks the same points from either.
+source has a default, and unknown mixture, learner, dcom or strategy keys are
+rejected. strategy_spec, strategy_setting and select_step hold the strategy
+rules for every kind; the run loop and the CLI both go through them, so one
+query round picks the same points from either.
 """
 
 from __future__ import annotations
@@ -84,6 +84,17 @@ def _from_config(cls, values, section):
     if unknown or missing:
         raise ConfigError(f"{section} config: unknown keys {unknown}, missing keys {missing}")
     return cls(**values)
+
+
+def strategy_spec(config, kind=None):
+    """The StrategySpec of a config's 'strategy' section, of kind if given, and its seed."""
+    values = config.get("strategy", {})
+    params = values.get("params", {})
+    unknown = sorted(set(values) - {"kind", "seed", "params"})
+    unknown += [f"params.{k}" for k in sorted(set(params) - {"delta0"})]
+    if unknown:
+        raise ConfigError(f"strategy config: unknown keys {unknown}")
+    return StrategySpec(kind or values.get("kind", "dcom"), params), values.get("seed", 0)
 
 
 def learner_spec(config) -> LearnerSpec:
@@ -205,12 +216,7 @@ def _run_single_repetition(pool_set, test_set, strategy, spec, setting, config, 
         if query is not None:
             pool, learner, metrics = _learn(pool_set, pool, query, spec, setting)
         else:
-            picked = set(picks)
-            pool = PoolState(
-                list(pool.labeled) + picks,
-                [i for i in pool.unlabeled if i not in picked],
-                [],
-            )
+            pool = pool.with_labeled(picks)
             learner = _learner_or_none(pool_set, pool.labeled, spec)
         budget += q
 
@@ -262,8 +268,7 @@ def run_al_loop(config) -> list:
         raise ConfigError(
             f"schedule needs {sum(config['schedule'])} points, train pool has {train.size}"
         )
-    strategy_cfg = config.get("strategy", {})
-    strategy = StrategySpec(strategy_cfg.get("kind", "dcom"), strategy_cfg.get("params", {}))
+    strategy, base_seed = strategy_spec(config)
     spec = learner_spec(config)
     # Queries, coverage and training all live on the train partition; the test
     # partition is only ever touched by evaluate_accuracy.
@@ -271,7 +276,6 @@ def run_al_loop(config) -> list:
     test_set = EmbeddingSet(dataset.vectors[test], dataset.labels[test])
     setting = strategy_setting(pool_set, strategy, config.get("dcom", {}), split_seed)
 
-    base_seed = strategy_cfg.get("seed", 0)
     seeds = [base_seed + i for i in range(config.get("repetitions", 1))]
     repetition = partial(
         _run_single_repetition, pool_set, test_set, strategy, spec, setting, config

@@ -1,8 +1,9 @@
-"""Desk-scale classifiers with softmax outputs, uncertainty scores, nNN rule.
+"""Desk-scale classifiers with softmax outputs and uncertainty scores.
 
 Two learner kinds are provided: a multinomial logistic regression trained by
 full-batch gradient descent (linear_probe) and a nearest-class-mean classifier
 whose softmax is taken over negative distances scaled by a temperature.
+Training computes only what prediction reads: no loss is kept.
 """
 
 from __future__ import annotations
@@ -54,16 +55,15 @@ class SoftmaxMatrix:
         object.__setattr__(self, "rows", rows)
 
 
+@dataclass(frozen=True, eq=False)
 class Learner:
     """Trained handle; immutable after construction."""
 
-    def __init__(self, spec, dim, class_count, weights=None, class_means=None):
-        self.spec = spec
-        self.dim = dim
-        self.class_count = class_count
-        self.weights = weights  # (dim + 1, C) with bias row, linear probe only
-        self.class_means = class_means  # (C, dim), nearest-class-mean only
-        self.loss_history = None
+    spec: LearnerSpec
+    dim: int
+    class_count: int
+    weights: np.ndarray = None  # (dim + 1, C) with bias row, linear probe only
+    class_means: np.ndarray = None  # (C, dim), nearest-class-mean only
 
 
 def _softmax(logits):
@@ -72,21 +72,25 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _probe_grad(weights, features_bias, onehot, l2_penalty):
+    """The softmax rows, the penalized weights and probe_loss_and_grad's gradient."""
+    probs = _softmax(features_bias @ weights)
+    penalized = weights.copy()
+    penalized[-1] = 0.0
+    grad = features_bias.T @ (probs - onehot) / features_bias.shape[0] + l2_penalty * penalized
+    return probs, penalized, grad
+
+
 def probe_loss_and_grad(weights, features_bias, onehot, l2_penalty):
     """Mean cross-entropy with L2 on the weights, and its exact gradient.
 
     features_bias is (m, d+1) with the constant column appended; the bias row
-    of the weights is excluded from the penalty.
+    of the weights is excluded from the penalty; train_learner steps along the gradient.
     """
-    m = features_bias.shape[0]
-    probs = _softmax(features_bias @ weights)
+    probs, penalized, grad = _probe_grad(weights, features_bias, onehot, l2_penalty)
     eps = 1e-12
-    ce = -np.log(probs[np.arange(m), onehot.argmax(axis=1)] + eps).mean()
-    penalized = weights.copy()
-    penalized[-1] = 0.0
-    loss = ce + 0.5 * l2_penalty * (penalized * penalized).sum()
-    grad = features_bias.T @ (probs - onehot) / m + l2_penalty * penalized
-    return loss, grad
+    ce = -np.log(probs[np.arange(features_bias.shape[0]), onehot.argmax(axis=1)] + eps).mean()
+    return ce + 0.5 * l2_penalty * (penalized * penalized).sum(), grad
 
 
 def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Learner:
@@ -99,27 +103,20 @@ def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Le
         raise SingleClass("training requires at least two distinct labels")
     class_count = max(embedding_set.num_classes, int(labels.max()) + 1)
     features = embedding_set.vectors[indices].astype(np.float64)
-    learner = Learner(spec, embedding_set.dim, class_count)
 
     if spec.kind == "nearest_class_mean":
         means = np.full((class_count, embedding_set.dim), np.nan)
         for c in np.unique(labels):
             means[c] = features[labels == c].mean(axis=0)
-        learner.class_means = means
-        return learner
+        return Learner(spec, embedding_set.dim, class_count, class_means=means)
 
     features_bias = np.hstack((features, np.ones((features.shape[0], 1))))
-    onehot = np.zeros((features.shape[0], class_count))
-    onehot[np.arange(features.shape[0]), labels] = 1.0
+    onehot = np.eye(class_count)[labels]
     weights = np.zeros((embedding_set.dim + 1, class_count))
-    history = []
     for _ in range(spec.epochs):
-        loss, grad = probe_loss_and_grad(weights, features_bias, onehot, spec.l2_penalty)
-        history.append(loss)
+        _, _, grad = _probe_grad(weights, features_bias, onehot, spec.l2_penalty)
         weights = weights - spec.learning_rate * grad
-    learner.weights = weights
-    learner.loss_history = history
-    return learner
+    return Learner(spec, embedding_set.dim, class_count, weights=weights)
 
 
 def predict_softmax(learner: Learner, embedding_set, targets) -> SoftmaxMatrix:
@@ -172,14 +169,3 @@ def normalize_unit_interval(scores) -> np.ndarray:
     if hi == lo:
         return np.zeros_like(scores)
     return (scores - lo) / (hi - lo)
-
-
-def nnn_classify(embedding_set, labeled, deltas, query: int) -> int:
-    """Label of argmin over labeled points of distance / radius (lowest index on ties)."""
-    if not len(labeled):
-        raise ValueError("labeled set must be non-empty")
-    deltas = np.asarray(deltas, dtype=np.float64)
-    indices = np.array([i for i, _ in labeled], dtype=np.int64)
-    points = embedding_set.vectors.astype(np.float64)
-    ratios = np.sqrt(_sq_dists(points[indices], points[query])) / deltas
-    return int(labeled[int(np.argmin(ratios))][1])

@@ -4,6 +4,7 @@ import numpy as np
 
 from dcom.data import _sq_dists
 from dcom.engine import PoolState
+from dcom.learners import probe_loss_and_grad
 
 
 def is_pure_ball(embedding_set, labels, center: int, delta: float) -> bool:
@@ -61,3 +62,40 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
     for idx, radius in zip(labeled, deltas):
         covered |= _sq_dists(points, points[idx]) <= radius * radius
     return covered
+
+
+def nnn_classify(embedding_set, labeled, deltas, query: int) -> int:
+    """Label of argmin over labeled points of distance / radius (lowest index on ties).
+
+    The nearest-ball rule behind ProbCover's error bound: a query takes the
+    label of the labeled point whose ball it lies deepest inside.
+    """
+    if not len(labeled):
+        raise ValueError("labeled set must be non-empty")
+    deltas = np.asarray(deltas, dtype=np.float64)
+    indices = np.array([i for i, _ in labeled], dtype=np.int64)
+    points = embedding_set.vectors.astype(np.float64)
+    ratios = np.sqrt(_sq_dists(points[indices], points[query])) / deltas
+    return int(labeled[int(np.argmin(ratios))][1])
+
+
+def train_probe(embedding_set, labeled, spec):
+    """Reference for train_learner's linear probe: the loss at every epoch.
+
+    Returns the final weights and the loss before each update, from
+    probe_loss_and_grad on the features train_learner builds.
+    """
+    indices = np.array([i for i, _ in labeled], dtype=np.int64)
+    labels = np.array([y for _, y in labeled], dtype=np.int64)
+    class_count = max(embedding_set.num_classes, int(labels.max()) + 1)
+    features = embedding_set.vectors[indices].astype(np.float64)
+    features_bias = np.hstack((features, np.ones((features.shape[0], 1))))
+    onehot = np.zeros((features.shape[0], class_count))
+    onehot[np.arange(features.shape[0]), labels] = 1.0
+    weights = np.zeros((embedding_set.dim + 1, class_count))
+    history = []
+    for _ in range(spec.epochs):
+        loss, grad = probe_loss_and_grad(weights, features_bias, onehot, spec.l2_penalty)
+        history.append(loss)
+        weights = weights - spec.learning_rate * grad
+    return weights, history

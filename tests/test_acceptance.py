@@ -23,10 +23,10 @@ from dcom.engine import (
 )
 from dcom.graph import covered_set
 from dcom.harness import run_al_loop, summarize, write_report
-from dcom.learners import nnn_classify, probe_loss_and_grad
+from dcom.learners import probe_loss_and_grad
 from dcom.purity import estimate_purity_curve, select_initial_delta
 
-from oracles import is_pure_ball
+from oracles import is_pure_ball, nnn_classify
 
 
 def _verdict(name, ok):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dcom import harness
+from dcom import graph, harness
 from dcom.cli import cli_dispatch
 from dcom.data import (
     MixtureSpec,
@@ -237,6 +237,53 @@ def test_expand_delta_without_deltas_gives_earlier_points_delta0(capsys, tmp_pat
     assert implicit == expand_radii(capsys, tmp_path, small_expand_config(dcom={"delta0": 0.4}))
 
 
+def thirty_point_expand_config(**overrides):
+    mixture = {
+        "num_classes": 3,
+        "points_per_class": 10,
+        "dim": 4,
+        "class_separation": 6.0,
+        "within_std": 0.8,
+        "seed": 5,
+    }
+    config = {
+        "data": {"mixture": mixture},
+        "labeled": [0, 11, 21],
+        "deltas": [0.4, 0.4],
+        "query": [21],
+        "dcom": {"delta0": 0.4},
+        "learner": {"epochs": 30},
+    }
+    return {**config, **overrides}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"deltas": [-0.4, 0.4]}, "all radii must be positive"),
+        ({"query": [21, 21]}, "query points [21] are repeated or not labeled"),
+        ({"labeled": [0, 11], "query": [25]}, "query points [25] are repeated or not labeled"),
+    ],
+    ids=["negative-radius", "repeated-query", "unlabeled-query"],
+)
+def test_expand_delta_rejects_invalid_pools(capsys, tmp_path, overrides, message):
+    path = tmp_path / "expand.json"
+    path.write_text(json.dumps(thirty_point_expand_config()))
+    code, _, err = run_cli(capsys, "expand-delta", "--config", str(path))
+    assert code == 0, err
+    path.write_text(json.dumps(thirty_point_expand_config(**overrides)))
+    code, out, err = run_cli(capsys, "expand-delta", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error (radius-expansion):") and message in err
+
+
+def test_dense_radius_graph_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(graph, "_MAX_EDGES", 10)
+    code, out, err = run_select(capsys, tmp_path, select_config("dcom", [0, 35, 70]))
+    assert code == 1 and out == ""
+    assert err.startswith("error (query-selection): radius graph too dense")
+
+
 def test_run_loop_and_report(capsys, tmp_path):
     config = {
         "data": {
@@ -360,13 +407,20 @@ def test_select_strategy_params_delta0_comes_first(capsys, tmp_path, kind):
         ("learner", "seed", True),
         ("mixture", "dim", False),
         ("dcom", "tau_slop", True),
+        ("strategy", "sead", True),
+        ("params", "delta", True),
     ],
 )
 @pytest.mark.parametrize("command", ["select", "run-loop"])
 def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, key, present):
     config = select_config("dcom" if section == "dcom" else "random", [0, 35, 70])
     config.update(schedule=[3], output=str(tmp_path / "out"))
-    target = config["data"]["mixture"] if section == "mixture" else config[section]
+    if section == "mixture":
+        target = config["data"]["mixture"]
+    elif section == "params":
+        target = config["strategy"]["params"] = {}
+    else:
+        target = config[section]
     if present:
         target[key] = 1
     else:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from dcom import data
+from dcom import data, graph
 from dcom.data import EmbeddingSet, MixtureSpec, _gram_inputs, _sq_dists, gen_gaussian_mixture
+from dcom.errors import DenseRadiusGraph
 from dcom.graph import _pairs_within, build_radius_graph, covered_set
 
 
@@ -53,6 +54,22 @@ def test_matches_brute_force(seed):
     delta = rng.uniform(0.3, 1.5)
     g = build_radius_graph(s, delta)
     assert list(map(tuple, g.edges.tolist())) == brute_force_edges(s, delta)
+
+
+def test_dense_build_fails_naming_n_delta_and_edges(monkeypatch):
+    s = gen_gaussian_mixture(MixtureSpec(2, 600, 3, 1.0, 1.0, seed=0))
+    edges = int(build_radius_graph(s, 1.5).out_degree.sum())
+    first_block = int(build_radius_graph(s, 1.5, sources=range(graph._CHUNK_ROWS)).out_degree.sum())
+    monkeypatch.setattr(graph, "_MAX_EDGES", edges)
+    assert build_radius_graph(s, 1.5).out_degree.sum() == edges
+    # The build stops after its first row block, which passes the limit.
+    monkeypatch.setattr(graph, "_MAX_EDGES", first_block - 1)
+    with pytest.raises(DenseRadiusGraph) as err:
+        build_radius_graph(s, 1.5)
+    assert str(err.value) == (
+        f"radius graph too dense: {first_block} edges so far within delta 1.5 "
+        f"among 1200 points"
+    )
 
 
 def test_covered_set_examples():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
 from dcom.errors import DimensionMismatch, SingleClass, UnknownLabel
 from dcom.learners import (
     LearnerSpec,
     SoftmaxMatrix,
-    nnn_classify,
     normalize_unit_interval,
     predict_softmax,
     probe_loss_and_grad,
@@ -59,10 +59,32 @@ def test_probe_separates_well_separated_classes():
 
 def test_probe_loss_decreases():
     s = gen_gaussian_mixture(MixtureSpec(2, 20, 3, 3.0, 1.0, seed=1))
-    learner = train_learner(s, make_pairs(s, range(s.count)), LearnerSpec(epochs=50))
-    h = learner.loss_history
+    _, h = oracles.train_probe(s, make_pairs(s, range(s.count)), LearnerSpec(epochs=50))
     assert len(h) == 50 and h[-1] < h[0]
     assert all(b <= a + 1e-9 for a, b in zip(h, h[1:]))
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_probe_weights_equal_loss_tracking_loop(case):
+    # Dropping the per-epoch loss must leave every weight bit-identical.
+    rng = np.random.default_rng(100 + case)
+    m = (2, 3, 7, 32, 100, 512)[case % 6]
+    d = (1, 2, 5, 16, 64)[case % 5]
+    c = 2 + case % 9
+    # Every third case labels only some classes; the rest stay absent from training.
+    present = int(rng.integers(2, c + 1)) if case % 3 == 0 else c
+    labels = np.concatenate((np.arange(2), rng.integers(0, present, size=m - 2)))
+    vectors = rng.normal(scale=(0.1, 1.0, 5.0)[case % 3], size=(m + 5, d))
+    # Five unlabeled points of class c - 1 make c the dataset's class count.
+    s = EmbeddingSet(vectors, np.concatenate((labels, np.full(5, c - 1))))
+    spec = LearnerSpec(
+        learning_rate=(0.01, 0.1, 0.5, 2.0)[case % 4],
+        epochs=(1, 2, 17, 300)[case // 2 % 4],
+        l2_penalty=(0.0, 1e-4)[case % 2],
+    )
+    pairs = [(int(i), int(y)) for i, y in zip(rng.permutation(m), labels)]
+    weights, _ = oracles.train_probe(s, pairs, spec)
+    assert np.array_equal(train_learner(s, pairs, spec).weights, weights)
 
 
 def test_probe_deterministic():
@@ -155,12 +177,12 @@ def test_nnn_classify_radius_weighting():
     # Point 2 sits nearer to 0, but point 1 has a much larger radius:
     # d/delta is 0.4/0.5 = 0.8 for label 0, 0.6/2.0 = 0.3 for label 1.
     labeled = [(0, 0), (1, 1)]
-    assert nnn_classify(s, labeled, [0.5, 2.0], query=2) == 1
-    assert nnn_classify(s, labeled, [0.5, 0.5], query=2) == 0
+    assert oracles.nnn_classify(s, labeled, [0.5, 2.0], query=2) == 1
+    assert oracles.nnn_classify(s, labeled, [0.5, 0.5], query=2) == 0
 
 
 def test_nnn_classify_tie_lowest_index():
     s = EmbeddingSet([[0.0], [2.0], [1.0]])
-    assert nnn_classify(s, [(0, 7), (1, 3)], [1.0, 1.0], query=2) == 7
+    assert oracles.nnn_classify(s, [(0, 7), (1, 3)], [1.0, 1.0], query=2) == 7
     with pytest.raises(ValueError):
-        nnn_classify(s, [], [], query=2)
+        oracles.nnn_classify(s, [], [], query=2)
