@@ -8,8 +8,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import engine, harness, learners, purity
-from .errors import ConfigError, DcomError, PoolInvariantError
+from . import engine, harness, purity
+from .errors import DcomError, PoolInvariantError
 
 
 def _build_parser():
@@ -42,13 +42,33 @@ def _build_parser():
     return parser
 
 
-def _load_pool_inputs(config):
+def _distinct(values, name, allowed, where):
+    """values as ints; PoolInvariantError names those that repeat or fall outside allowed."""
+    indices = [int(i) for i in values]
+    bad = sorted(i for i, k in Counter(indices).items() if k > 1 or i not in allowed)
+    if bad:
+        raise PoolInvariantError(f"{name} points {bad} are repeated or not {where}")
+    return indices
+
+
+def _load_round(config, expanding=False):
+    """Dataset, strategy, seed, setting, pool and query of a select or expand-delta config.
+
+    labeled must hold distinct dataset indices, and expand-delta's query
+    distinct labeled ones; expand-delta is always dcom. When deltas is empty,
+    dcom gives delta0 to every labeled point outside query.
+    """
     dataset = harness.load_dataset(config["data"])
-    labeled = [int(i) for i in config.get("labeled", [])]
-    labeled_set = set(labeled)
-    unlabeled = [i for i in range(dataset.count) if i not in labeled_set]
+    n = dataset.count
+    labeled = _distinct(config.get("labeled", []), "labeled", range(n), f"in [0, {n})")
+    query = _distinct(config["query"], "query", set(labeled), "labeled") if expanding else []
+    strategy, seed = harness.strategy_spec(config, "dcom" if expanding else None)
+    setting = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
     deltas = [float(d) for d in config.get("deltas", [])]
-    return dataset, engine.PoolState(labeled, unlabeled, deltas)
+    if not deltas and strategy.kind == "dcom":
+        deltas = [setting.delta0] * (len(labeled) - len(query))
+    unlabeled = sorted(set(range(n)) - set(labeled))
+    return dataset, strategy, seed, setting, engine.PoolState(labeled, unlabeled, deltas), query
 
 
 def _cmd_init_delta(args):
@@ -67,42 +87,25 @@ def _cmd_init_delta(args):
 
 def _cmd_select(args):
     config = json.loads(Path(args.config).read_text())
-    dataset, pool = _load_pool_inputs(config)
-    strategy, seed = harness.strategy_spec(config)
-    q = int(config["q"])
-    setting = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
-    picks, _ = harness.select_step(
-        dataset, pool, strategy, q, setting, harness.learner_spec(config), seed=seed
-    )
+    dataset, strategy, seed, setting, pool, _ = _load_round(config)
+    q, spec = int(config["q"]), harness.learner_spec(config)
+    picks = harness.select_step(dataset, pool, strategy, q, setting, spec, seed=seed)
     print(",".join(str(i) for i in picks))
     return 0
 
 
 def _cmd_expand_delta(args):
     config = json.loads(Path(args.config).read_text())
-    dataset, pool = _load_pool_inputs(config)
-    if dataset.labels is None:
-        raise ConfigError("expand-delta trains on labels, and data.labels gives none")
-    query = [int(i) for i in config["query"]]
-    query_set, labeled = set(query), set(pool.labeled)
-    bad = sorted(i for i, k in Counter(query).items() if k > 1 or i not in labeled)
-    if bad:
-        raise PoolInvariantError(f"query points {bad} are repeated or not labeled")
-    strategy, seed = harness.strategy_spec(config, "dcom")
-    dcom_config = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
+    dataset, _, _, setting, pool, query = _load_round(config, expanding=True)
+    if not pool.labeled:
+        raise PoolInvariantError("expand-delta trains on the labeled points, and there are none")
+    query_set = set(query)
     earlier = [i for i in pool.labeled if i not in query_set]
-    if not pool.deltas:
-        # As in select: labeled points given without radii take delta0.
-        pool.deltas = [dcom_config.delta0] * len(earlier)
     # select validates its pool in dcom_select; this is the pool before the query.
     engine.PoolState(earlier, pool.unlabeled + query, pool.deltas).validate(dataset.count)
     coverage_old = float(engine.covered_set(dataset, earlier, pool.deltas).mean())
-    pairs = [(i, int(dataset.labels[i])) for i in pool.labeled]
-    learner = learners.train_learner(dataset, pairs, harness.learner_spec(config))
-    probs = learners.predict_softmax(learner, dataset, pool.unlabeled)
-    predicted = probs.rows.argmax(axis=1)
-    deltas = engine.expand_delta(
-        dataset, pool, query, predicted, coverage_old, dcom_config
+    _, deltas = engine._label_step(
+        dataset, pool, query, coverage_old, harness.learner_spec(config), setting
     )
     print(",".join(f"{d:.6g}" for d in deltas))
     return 0
@@ -148,7 +151,7 @@ def cli_dispatch(argv) -> int:
     module, handler = _COMMANDS[args.command]
     try:
         return handler(args)
-    except (DcomError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (DcomError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error ({module}): {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EmbeddingSet, _sq_dists
+from .data import UNKNOWN_LABEL, EmbeddingSet, _sq_dists
 from .errors import ConfigError, PoolInvariantError
 from .graph import build_radius_graph, covered_set
 from .learners import (
@@ -45,11 +45,9 @@ class PoolState:
             raise PoolInvariantError(
                 f"{len(self.deltas)} radii for {len(self.labeled)} labeled points"
             )
-        lab, unl = set(self.labeled), set(self.unlabeled)
-        if lab & unl:
-            raise PoolInvariantError("labeled and unlabeled sets overlap")
-        if lab | unl != set(range(n)):
-            raise PoolInvariantError("labeled and unlabeled must partition the dataset")
+        everyone = set(self.labeled) | set(self.unlabeled)
+        if len(self.labeled) + len(self.unlabeled) != n or everyone != set(range(n)):
+            raise PoolInvariantError("labeled and unlabeled must hold each dataset index once")
         for d in self.deltas:
             if not d > 0:
                 raise PoolInvariantError("all radii must be positive")
@@ -255,14 +253,25 @@ def run_iteration(
     config: DComConfig,
     learner=None,
 ):
-    """One full active-learning iteration: _query, then _learn on the picks.
+    """One full active-learning iteration: _query, then _label_step on the picks.
 
     Returns (QueryResult, updated pool, trained learner, metrics dict). If no
     learner is supplied and the labeled pool holds two classes, one is trained
     on the current labeled set to produce the margins.
     """
     result = _query(embedding_set, pool, learner_spec, q, config, learner)
-    return (result, *_learn(embedding_set, pool, result, learner_spec, config))
+    new_pool = pool.with_labeled(result.selected)
+    learner, new_pool.deltas = _label_step(
+        embedding_set, new_pool, result.selected, result.coverage_before, learner_spec, config
+    )
+    deltas = np.asarray(new_pool.deltas)
+    metrics = {
+        "coverage": result.coverage_before,
+        "competence": result.competence,
+        "delta_mean": float(deltas.mean()),
+        "delta_std": float(deltas.std()),
+    }
+    return result, new_pool, learner, metrics
 
 
 def _query(embedding_set, pool, learner_spec, q, config, learner=None) -> QueryResult:
@@ -277,43 +286,31 @@ def _query(embedding_set, pool, learner_spec, q, config, learner=None) -> QueryR
     return dcom_select(embedding_set, pool, margins, q, config)
 
 
-def _learn(embedding_set, pool, result, learner_spec, config):
-    """The labeled half of run_iteration: label the picks, fit, predict, expand.
+def _label_step(embedding_set, pool, new_points, coverage_before, learner_spec, config):
+    """The label half of run_iteration: fit on pool.labeled, predict, expand new_points.
 
-    Returns (updated pool, learner or None, metrics dict).
+    pool already holds new_points in its labeled list, whose order is the
+    training order. Returns (learner or None, pool.deltas plus new_points' radii).
     """
-    new_pool = pool.with_labeled(result.selected)
-    learner = _learner_or_none(embedding_set, new_pool.labeled, learner_spec)
+    learner = _learner_or_none(embedding_set, pool.labeled, learner_spec)
     if learner is None:
         # Single observed class: predict it everywhere until a second appears.
-        only = embedding_set.labels[new_pool.labeled[0]]
-        predicted = np.full(len(new_pool.unlabeled), only, dtype=np.int64)
-    elif new_pool.unlabeled:
-        probs = predict_softmax(learner, embedding_set, new_pool.unlabeled)
-        predicted = probs.rows.argmax(axis=1)
+        only = embedding_set.labels[pool.labeled[0]]
+        predicted = np.full(len(pool.unlabeled), only, dtype=np.int64)
     else:
-        predicted = np.empty(0, dtype=np.int64)
-
-    new_pool.deltas = expand_delta(
-        embedding_set, new_pool, result.selected, predicted, result.coverage_before, config
-    )
-    deltas = np.asarray(new_pool.deltas)
-    metrics = {
-        "coverage": result.coverage_before,
-        "competence": result.competence,
-        "delta_mean": float(deltas.mean()),
-        "delta_std": float(deltas.std()),
-    }
-    return new_pool, learner, metrics
+        predicted = predict_softmax(learner, embedding_set, pool.unlabeled).rows.argmax(axis=1)
+    radii = expand_delta(embedding_set, pool, new_points, predicted, coverage_before, config)
+    return learner, radii
 
 
 def _learner_or_none(embedding_set, labeled, spec, learner=None):
-    """learner, or one trained on the labeled points; None below two labeled classes."""
+    """learner, or one trained on the labeled points; None below two known classes."""
     if not len(labeled):
         return None
     if embedding_set.labels is None:
         raise ConfigError("labeled points need labels, and data.labels gives none")
     pairs = [(i, int(embedding_set.labels[i])) for i in labeled]
-    if len({y for _, y in pairs}) < 2:
+    classes = {y for _, y in pairs}
+    if len(classes) < 2 and UNKNOWN_LABEL not in classes:  # train_learner names -1 points
         return None
     return learner if learner is not None else train_learner(embedding_set, pairs, spec)

@@ -2,9 +2,9 @@
 
 A config is a plain dict (usually parsed from JSON); every key except the data
 source has a default, and unknown mixture, learner, dcom or strategy keys are
-rejected. strategy_spec, strategy_setting and select_step hold the strategy
-rules for every kind; the run loop and the CLI both go through them, so one
-query round picks the same points from either.
+rejected. strategy_spec, strategy_setting and select_step hold every kind's
+strategy rules for the run loop and the CLI (a dcom round is engine.run_iteration,
+whose query half select_step runs), so both pick the same points.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .data import (
     read_embedding_file,
     read_label_file,
 )
-from .engine import DComConfig, PoolState, _learn, _learner_or_none, _query
+from .engine import DComConfig, PoolState, _learner_or_none, _query, run_iteration
 from .errors import ConfigError, EmptyTestSet, PoolInvariantError
 from .learners import LearnerSpec, predict_softmax
 from .purity import (
@@ -172,31 +172,26 @@ def strategy_setting(dataset, strategy, dcom_cfg, seed):
 
 
 def select_step(dataset, pool, strategy, q, setting, spec, learner=None, seed=0):
-    """One query round of any strategy kind; returns (picks, query).
+    """One query round of any strategy kind; returns the picks.
 
     setting comes from strategy_setting; learner is a model trained on
     pool.labeled, or None to train one where needed. Only the labels of
     pool.labeled are read, so a cold start needs none. Uncertainty kinds pick
-    at random with seed until two classes are labeled. query is dcom's
-    QueryResult, where radii default to delta0; None for the others.
+    at random with seed until two classes are labeled.
     """
     if strategy.kind == "dcom":
-        if not pool.deltas:
-            deltas = [setting.delta0] * len(pool.labeled)
-            pool = PoolState(pool.labeled, pool.unlabeled, deltas)
-        query = _query(dataset, pool, spec, q, setting, learner)
-        return query.selected, query
+        return _query(dataset, pool, spec, q, setting, learner).selected
     if strategy.kind == "random":
-        return select_random(pool, q, seed), None
+        return select_random(pool, q, seed)
     if strategy.kind == "coreset":
-        return select_coreset(dataset, pool, q), None
+        return select_coreset(dataset, pool, q)
     if strategy.kind == "probcover":
-        return select_probcover(dataset, pool, setting, q), None
+        return select_probcover(dataset, pool, setting, q)
     learner = _learner_or_none(dataset, pool.labeled, spec, learner)
     if learner is None:
-        return select_random(pool, q, seed), None
+        return select_random(pool, q, seed)
     probs = predict_softmax(learner, dataset, pool.unlabeled)
-    return select_by_uncertainty(pool, probs, strategy.kind, q), None
+    return select_by_uncertainty(pool, probs, strategy.kind, q)
 
 
 def _run_single_repetition(pool_set, test_set, strategy, spec, setting, config, run_seed):
@@ -208,16 +203,19 @@ def _run_single_repetition(pool_set, test_set, strategy, spec, setting, config, 
     records, learner, budget = [], None, 0
     for iteration, q in enumerate(config["schedule"]):
         started = time.perf_counter()
-        metrics = dict.fromkeys(("coverage", "competence", "delta_mean", "delta_std"), 0.0)
-        picks, query = select_step(
-            pool_set, pool, strategy, q, setting, spec, learner, run_seed + iteration
-        )
-        oracle.reveal(picks)
-        if query is not None:
-            pool, learner, metrics = _learn(pool_set, pool, query, spec, setting)
+        if strategy.kind == "dcom":
+            query, pool, learner, metrics = run_iteration(
+                pool_set, pool, spec, q, setting, learner
+            )
+            picks = query.selected
         else:
+            metrics = dict.fromkeys(("coverage", "competence", "delta_mean", "delta_std"), 0.0)
+            picks = select_step(
+                pool_set, pool, strategy, q, setting, spec, learner, run_seed + iteration
+            )
             pool = pool.with_labeled(picks)
             learner = _learner_or_none(pool_set, pool.labeled, spec)
+        oracle.reveal(picks)
         budget += q
 
         if learner is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcom import graph, harness
+from dcom.baselines import STRATEGY_KINDS, StrategySpec
 from dcom.cli import cli_dispatch
 from dcom.data import (
     MixtureSpec,
@@ -11,6 +12,7 @@ from dcom.data import (
     write_embedding_file,
     write_label_file,
 )
+from dcom.engine import PoolState, run_iteration
 
 
 @pytest.fixture
@@ -257,14 +259,27 @@ def thirty_point_expand_config(**overrides):
     return {**config, **overrides}
 
 
+def index_message(bad):
+    return f"labeled points {bad} are repeated or not in [0, 30)"
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
         ({"deltas": [-0.4, 0.4]}, "all radii must be positive"),
         ({"query": [21, 21]}, "query points [21] are repeated or not labeled"),
         ({"labeled": [0, 11], "query": [25]}, "query points [25] are repeated or not labeled"),
+        ({"labeled": [], "deltas": [], "query": []}, "there are none"),
+        ({"labeled": [0, -1, 21]}, index_message([-1])),
+        ({"labeled": [0, 500, 21]}, index_message([500])),
+        ({"labeled": [0, 0, 11, 21], "deltas": [0.4] * 3}, index_message([0])),
+        ({"labeled": 5}, "not iterable"),
+        ({"deltas": [None, 0.4]}, "NoneType"),
+        ({"query": 21}, "not iterable"),
     ],
-    ids=["negative-radius", "repeated-query", "unlabeled-query"],
+    ids=["negative-radius", "repeated-query", "unlabeled-query", "no-labeled-points",
+         "negative-index", "index-past-end", "repeated-index", "labeled-int", "null-radius",
+         "query-int"],
 )
 def test_expand_delta_rejects_invalid_pools(capsys, tmp_path, overrides, message):
     path = tmp_path / "expand.json"
@@ -275,6 +290,52 @@ def test_expand_delta_rejects_invalid_pools(capsys, tmp_path, overrides, message
     code, out, err = run_cli(capsys, "expand-delta", "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error (radius-expansion):") and message in err
+
+
+@pytest.mark.parametrize(
+    "labeled, deltas, q", [([0, 11, 21], [0.4, 0.3, 0.5], 3), ([], [], 1)],
+    ids=["two-class-round", "single-class-first-round"],
+)
+def test_expand_delta_prints_the_radii_of_run_iteration(capsys, tmp_path, labeled, deltas, q):
+    config = thirty_point_expand_config(labeled=labeled, deltas=deltas)
+    dataset = harness.load_dataset(config["data"])
+    setting = harness.strategy_setting(dataset, StrategySpec("dcom"), config["dcom"], 0)
+    pool = PoolState(labeled, [i for i in range(dataset.count) if i not in labeled], deltas)
+    spec = harness.learner_spec(config)
+    result, after, learner, _ = run_iteration(dataset, pool, spec, q, setting)
+    assert (learner is None) == (not labeled)  # one class after a one-pick first round
+    config["labeled"], config["query"] = after.labeled, result.selected
+    path = tmp_path / "expand.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "expand-delta", "--config", str(path))
+    assert code == 0, err
+    assert out == ",".join(f"{d:.6g}" for d in after.deltas) + "\n"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"labeled": [0, -1]}, index_message([-1])),
+        ({"labeled": [0, 500]}, index_message([500])),
+        ({"labeled": [0, 0, 11]}, index_message([0])),
+        ({"labeled": 5}, "not iterable"),
+        ({"deltas": [None, 0.4]}, "NoneType"),
+        ({"q": None}, "NoneType"),
+    ],
+    ids=["negative-index", "index-past-end", "repeated-index", "labeled-int", "null-radius",
+         "null-q"],
+)
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_select_rejects_bad_pool_inputs(capsys, tmp_path, kind, overrides, message):
+    config = thirty_point_expand_config(
+        labeled=[0, 11], strategy={"kind": kind, "seed": 3}, q=2
+    )
+    del config["query"]
+    code, _, err = run_select(capsys, tmp_path, config)
+    assert code == 0, err
+    code, out, err = run_select(capsys, tmp_path, {**config, **overrides})
+    assert code == 1 and out == ""
+    assert err.startswith("error (query-selection):") and message in err
 
 
 def test_dense_radius_graph_exits_1(capsys, tmp_path, monkeypatch):
@@ -523,6 +584,26 @@ def test_expand_delta_rejects_unknown_labels(capsys, tmp_path, files):
     code, out, err = run_cli(capsys, "expand-delta", "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error (radius-expansion):") and "[5]" in err and "-1" in err
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("select", "dcom"), ("select", "margin"), ("select", "entropy"), ("select", "maxprob"),
+     ("expand-delta", "dcom")],
+)
+def test_single_class_of_unknown_labels_is_rejected(capsys, tmp_path, files, command, kind):
+    # Only -1 among the labels read: not a class, so the points are named.
+    config = expand_config(files) if command == "expand-delta" else file_config(
+        files, kind, [0, 35, 70]
+    )
+    labels = np.zeros(90, dtype=np.int64)
+    labels[config["labeled"]] = -1
+    write_label_file(labels, files["labels"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert f"points {config['labeled']} have label -1" in err
 
 
 def test_run_loop_without_labels_names_data_labels(capsys, tmp_path, files):

@@ -76,6 +76,10 @@ def test_pool_state_validation():
         PoolState([0], [0, 1, 2], [0.5]).validate(3)
     with pytest.raises(PoolInvariantError):
         PoolState([0], [1], [0.5]).validate(3)
+    with pytest.raises(PoolInvariantError, match="each dataset index once"):
+        PoolState([0, 0], [1, 2], [0.5, 0.5]).validate(3)
+    with pytest.raises(PoolInvariantError, match="each dataset index once"):
+        PoolState([0], [1, 1, 2], [0.5]).validate(3)
     with pytest.raises(PoolInvariantError):
         PoolState([0], [1, 2], [0.5, 0.5]).validate(3)
     with pytest.raises(PoolInvariantError):

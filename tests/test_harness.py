@@ -309,7 +309,7 @@ def test_select_step_dcom_only_selects(monkeypatch):
 
     monkeypatch.setattr(engine, "train_learner", train_once)
     monkeypatch.setattr(engine, "expand_delta", no_expand)
-    picks, query = harness.select_step(s, pool, StrategySpec("dcom"), 5, config, spec)
-    assert picks == expected.selected and query == expected
+    picks = harness.select_step(s, pool, StrategySpec("dcom"), 5, config, spec)
+    assert picks == expected.selected
     assert len(trainings) == 1
 
