@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import engine, harness, purity
-from .errors import DcomError, PoolInvariantError
+from .errors import ConfigError, DcomError, PoolInvariantError
 
 
 def _build_parser():
@@ -43,8 +43,11 @@ def _build_parser():
 
 
 def _distinct(values, name, allowed, where):
-    """values as ints; PoolInvariantError names those that repeat or fall outside allowed."""
-    indices = [int(i) for i in values]
+    """values as a list; PoolInvariantError names non-integers, repeats and any outside allowed."""
+    indices = list(values)
+    not_ints = [i for i in indices if not harness._is_int(i)]
+    if not_ints:
+        raise PoolInvariantError(f"{name} points {not_ints} are not integers")
     bad = sorted(i for i, k in Counter(indices).items() if k > 1 or i not in allowed)
     if bad:
         raise PoolInvariantError(f"{name} points {bad} are repeated or not {where}")
@@ -56,8 +59,10 @@ def _load_round(config, expanding=False):
 
     labeled must hold distinct dataset indices, and expand-delta's query
     distinct labeled ones; expand-delta is always dcom. When deltas is empty,
-    dcom gives delta0 to every labeled point outside query.
+    dcom gives delta0 to every labeled point outside query; given radii must
+    not exceed the largest one expand_delta assigns.
     """
+    harness._check_keys(config, harness._CONFIG_KEYS, "top-level")
     dataset = harness.load_dataset(config["data"])
     n = dataset.count
     labeled = _distinct(config.get("labeled", []), "labeled", range(n), f"in [0, {n})")
@@ -65,8 +70,13 @@ def _load_round(config, expanding=False):
     strategy, seed = harness.strategy_spec(config, "dcom" if expanding else None)
     setting = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
     deltas = [float(d) for d in config.get("deltas", [])]
-    if not deltas and strategy.kind == "dcom":
-        deltas = [setting.delta0] * (len(labeled) - len(query))
+    if strategy.kind == "dcom":
+        grid = engine.delta_grid(setting.delta_resolution, setting.delta_max)
+        largest = max(setting.delta_max, grid[-1])
+        above = [d for d in deltas if d > largest]
+        if above:
+            raise PoolInvariantError(f"radii {above} exceed {largest!r}, dcom's largest radius")
+        deltas = deltas or [setting.delta0] * (len(labeled) - len(query))
     unlabeled = sorted(set(range(n)) - set(labeled))
     return dataset, strategy, seed, setting, engine.PoolState(labeled, unlabeled, deltas), query
 
@@ -87,8 +97,11 @@ def _cmd_init_delta(args):
 
 def _cmd_select(args):
     config = json.loads(Path(args.config).read_text())
+    q = config["q"]
+    if not harness._is_int(q):
+        raise ConfigError(f"q must be an integer, got {type(q).__name__} {q!r}")
     dataset, strategy, seed, setting, pool, _ = _load_round(config)
-    q, spec = int(config["q"]), harness.learner_spec(config)
+    spec = harness.learner_spec(config)
     picks = harness.select_step(dataset, pool, strategy, q, setting, spec, seed=seed)
     print(",".join(str(i) for i in picks))
     return 0

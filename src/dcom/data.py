@@ -235,22 +235,42 @@ def _pair_sq_dists(points, a, b):
 
 
 def _gram_inputs(embedding_set, extent=0.0):
-    """Inputs of a Gram pass over keys x_i . x_j - |x_j|^2/2, and its slack.
+    """Inputs of a Gram pass whose keys are K_ij = -|x_i - x_j|^2/2, and its slack.
 
-    Returns the float64 points, the points the pass multiplies, their half
-    squared norms in the same dtype, and 8 (d + 4) u (1 + B) in that dtype,
-    where B = max |x|^2 + extent and u is the dtype's unit roundoff. The dtype
-    is float32 unless d > 2^20 or 4 B would overflow float32; then float64.
-    Each caller derives why this slack bounds its own rounding.
+    Returns the float64 points, the n x (d + 2) array gram whose row i is
+    [x_i, -|x_i|^2/2, 1], the column order swap that exchanges gram's last two
+    columns, and s = 12 (d + 4) u (1 + B) in gram's dtype, where
+    B = max |x|^2 + extent and u is the dtype's unit roundoff. The dtype is
+    float32 unless d > 2^20 or 4 B would overflow float32; then float64.
+    gram[rows].take(swap, axis=1) @ gram[cols].T is the block of keys, as the
+    rows of its left side are [x_i, 1, -|x_i|^2/2]. take keeps that side
+    C-contiguous; the F-ordered copy that [:, swap] makes slowed the
+    covered-iter bench passes by about 15% on a 2-core host.
+
+    The key's error, which every caller's compare step starts from: let
+    M = max |x|^2, v = 2^-53 <= u the float64 unit roundoff, and
+    gamma_k = k u / (1 - k u) <= 15 k u / 14, as the dtype rule keeps
+    (d + 2) u <= 1/15. A stored -|x|^2/2 is a float64 sum of d squares, off
+    by a relative 1.01 d v, rounded once to the dtype, so it is off by at
+    most 1.01 (d v + u) M / 2. A key sums d + 2 products whose magnitudes
+    add up to at most |x_i| |x_j| + M (1 + 1.01 (d v + u)) <= 2.01 M, so in
+    any summation order it is off its stored terms' sum by at most
+    2.01 gamma_{d+2} M <= 2.2 (d + 2) u M (Higham, Thm 3.1). Each key is
+    therefore within E = 2.2 (d + 2) u M + 1.01 (d v + u) M of
+    -|x_i - x_j|^2/2: at most (2.2 d + 5.5) u M in float32, where
+    d v <= u / 512, and (3.3 d + 5.5) u M in float64, where v = u. The exact
+    float64 distance sum((x_i - x_j)^2) that confirms a candidate is off by a
+    relative 1.1 (d + 2) v. s's "1 +" also covers float32 underflow.
     """
     points = embedding_set.vectors.astype(np.float64)
-    d = points.shape[1]
+    n, d = points.shape
     sq_norms = (points * points).sum(axis=1)
     bound = float(sq_norms.max(initial=0.0)) + extent
-    gram_points = embedding_set.vectors if d <= 2**20 and 4.0 * bound < 2.0**127 else points
-    dtype = gram_points.dtype
-    slack = dtype.type(8 * (d + 4) * np.finfo(dtype).eps / 2 * (1.0 + bound))
-    return points, gram_points, (0.5 * sq_norms).astype(dtype), slack
+    dtype = np.float32 if d <= 2**20 and 4.0 * bound < 2.0**127 else np.float64
+    gram = np.empty((n, d + 2), dtype=dtype)
+    gram[:, :d], gram[:, d], gram[:, d + 1] = embedding_set.vectors, -0.5 * sq_norms, 1.0
+    slack = dtype(12 * (d + 4) * np.finfo(dtype).eps / 2 * (1.0 + bound))
+    return points, gram, np.r_[:d, d + 1, d], slack
 
 
 def gen_gaussian_mixture(spec: MixtureSpec) -> EmbeddingSet:

@@ -78,28 +78,18 @@ def build_radius_graph(
     and hold duplicates. The restricted edge set equals the full one filtered
     to sources x targets, and ball_members then returns only targets.
 
-    The candidate pass computes the key k_ij = x_i . x_j - |x_j|^2/2 for a
-    block of source rows and keeps (i, j) when k_ij >= |x_i|^2/2 - margin/2,
-    which is |x_i - x_j|^2 <= margin rearranged, with margin = delta^2 + s.
-    Each candidate is then confirmed with the exact float64 distance sum((x_i
-    - x_j)^2) <= delta^2, the same refine as a full build.
-
-    The slack s makes the candidates hold every edge. Let M = max |x|^2, d the
-    dimension, u the unit roundoff of the keys and gamma_d = d u / (1 - d u)
-    <= 16 d u / 15, as d u <= 1/16 below. A key is off by at most 1.5 gamma_d
-    M + 2.5 u M, as purity.min_impure_distance derives. The threshold
-    |x_i|^2/2 - margin/2 is off by at most gamma_d M / 2 + 1.1 u (M + margin):
-    the half norm by (gamma_d + u) M / 2, and the halved margin and the
-    subtraction by the rest. An edge's float64 distance, a sum of d
-    non-negative terms, is off by a relative (d + 2) 2^-53, so its exact
-    distance is at most delta^2 (1 + 1.1 (d + 2) u). Every edge is therefore a
-    candidate when s >= 4.3 d u M + 7.2 u M + 2.2 u margin + 1.1 (d + 2) u
-    delta^2, and s = 8 (d + 4) u (1 + M + delta^2), data._gram_inputs's slack
-    with extent delta^2, covers that; its "1 +" also covers float32 underflow.
-    The keys are float32 unless d > 2^20 or 4 (M + delta^2) would overflow
-    float32; then they are float64. With a radius per row, as in covered_set,
-    the slack is computed for the largest radius and only grows with it, so
-    the bound holds row by row.
+    The candidate pass keeps (i, j) when the key K_ij ~ -|x_i - x_j|^2/2 of
+    data._gram_inputs(embedding_set, delta^2), off by at most the E derived
+    there, is at least the floor f = -(r^2 + s)/2 rounded to the keys' dtype,
+    with r = delta and s its slack. Each candidate is then confirmed with the
+    exact float64 distance sum((x_i - x_j)^2) <= r^2, the same refine as a
+    full build. The floor is off by at most 1.01 u (r^2 + s). An edge's exact
+    distance is at most r^2 (1 + 1.1 (d + 2) u), so its key is at least
+    -r^2/2 - 0.55 (d + 2) u r^2 - E, which clears the floor when
+    s (1 - 2.02 u) >= 2 E + 1.1 (d + 4) u r^2. As 2 E <= (6.6 d + 11) u M,
+    s = 12 (d + 4) u (1 + M + r^2) covers it. With a radius per row, as in
+    covered_set, the slack is computed for the largest radius and only grows
+    with it, so the bound holds row by row.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -108,6 +98,9 @@ def build_radius_graph(
     # Sorted, duplicate-free indices: the CSR in RadiusGraph needs ascending sources.
     rows = np.arange(n) if sources is None else np.unique(np.asarray(sources, dtype=np.int64))
     cols = np.arange(n) if targets is None else np.unique(np.asarray(targets, dtype=np.int64))
+    # A covered pool builds with no targets: skip the Gram inputs' n-row arrays.
+    if rows.size == 0 or cols.size == 0:
+        return RadiusGraph(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     inputs = _gram_inputs(embedding_set, thresh)
     src, dst = _pairs_within(inputs, rows, np.full(rows.size, thresh, dtype=np.float64), cols)
     return RadiusGraph(n, src, dst)
@@ -120,10 +113,10 @@ def _pairs_within(inputs, rows, sq_radii, cols):
     bound build_radius_graph derives. Pairs come in (rows, cols) order. Raises
     DenseRadiusGraph once more than _MAX_EDGES pairs are confirmed.
     """
-    points, gram_points, half_sq, slack = inputs
-    tgt, half_sq_t = gram_points[cols], half_sq[cols]
-    floor = half_sq[rows] - ((sq_radii + float(slack)) / 2).astype(gram_points.dtype)
-    buf = np.empty((min(_CHUNK_ROWS, rows.size), cols.size), dtype=gram_points.dtype)
+    points, gram, swap, slack = inputs
+    tgt = gram[cols]
+    floor = -((sq_radii + float(slack)) / 2).astype(gram.dtype)
+    buf = np.empty((min(_CHUNK_ROWS, rows.size), cols.size), dtype=gram.dtype)
     mask = np.empty(buf.shape, dtype=bool)
 
     src_parts, dst_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -131,8 +124,7 @@ def _pairs_within(inputs, rows, sq_radii, cols):
     for lo in range(0, rows.size if cols.size else 0, _CHUNK_ROWS):
         block_rows = rows[lo : lo + _CHUNK_ROWS]
         block, block_mask = buf[: block_rows.size], mask[: block_rows.size]
-        np.matmul(gram_points[block_rows], tgt.T, out=block)
-        block -= half_sq_t
+        np.matmul(gram[block_rows].take(swap, axis=1), tgt.T, out=block)
         np.greater_equal(block, floor[lo : lo + _CHUNK_ROWS, None], out=block_mask)
         cand_row, cand_col = np.divmod(np.flatnonzero(block_mask), cols.size)
         src, dst = block_rows[cand_row], cols[cand_col]

@@ -1,10 +1,11 @@
 """Seeded active-learning experiment loop, accuracy evaluation, CSV/JSON reports.
 
 A config is a plain dict (usually parsed from JSON); every key except the data
-source has a default, and unknown mixture, learner, dcom or strategy keys are
-rejected. strategy_spec, strategy_setting and select_step hold every kind's
-strategy rules for the run loop and the CLI (a dcom round is engine.run_iteration,
-whose query half select_step runs), so both pick the same points.
+source has a default, and unknown keys are rejected at the top level and in
+every section that is read. strategy_spec, strategy_setting and select_step
+hold every kind's strategy rules for the run loop and the CLI (a dcom round is
+engine.run_iteration, whose query half select_step runs), so both pick the
+same points.
 """
 
 from __future__ import annotations
@@ -77,6 +78,21 @@ class LabelOracle:
         return [int(self._labels[i]) for i in indices]
 
 
+# Every top-level key of a config: run-loop reads the first nine, select and
+# expand-delta read data, strategy, dcom, learner and the last four.
+_CONFIG_KEYS = (
+    "data", "split", "schedule", "strategy", "learner", "dcom", "repetitions",
+    "record_timing", "output", "labeled", "deltas", "query", "q",
+)
+
+
+def _check_keys(values, known, section):
+    """Raise a ConfigError naming the keys of values that are not in known."""
+    unknown = sorted(set(values) - set(known))
+    if unknown:
+        raise ConfigError(f"{section} config: unknown keys {unknown}")
+
+
 def _from_config(cls, values, section):
     """Build a config dataclass, naming the keys it does not know or lacks."""
     unknown = sorted(set(values) - {f.name for f in fields(cls)})
@@ -90,10 +106,8 @@ def strategy_spec(config, kind=None):
     """The StrategySpec of a config's 'strategy' section, of kind if given, and its seed."""
     values = config.get("strategy", {})
     params = values.get("params", {})
-    unknown = sorted(set(values) - {"kind", "seed", "params"})
-    unknown += [f"params.{k}" for k in sorted(set(params) - {"delta0"})]
-    if unknown:
-        raise ConfigError(f"strategy config: unknown keys {unknown}")
+    _check_keys(values, ("kind", "seed", "params"), "strategy")
+    _check_keys(params, ("delta0",), "strategy.params")
     return StrategySpec(kind or values.get("kind", "dcom"), params), values.get("seed", 0)
 
 
@@ -104,6 +118,7 @@ def learner_spec(config) -> LearnerSpec:
 
 def load_dataset(data_cfg) -> EmbeddingSet:
     """Resolve the config's data source into an EmbeddingSet."""
+    _check_keys(data_cfg, ("mixture", "embeddings", "labels", "l2_normalize"), "data")
     if "mixture" in data_cfg:
         spec = _from_config(MixtureSpec, data_cfg["mixture"], "mixture")
         dataset = gen_gaussian_mixture(spec)
@@ -260,6 +275,7 @@ def run_al_loop(config) -> list:
     if dataset.labels is None:
         raise ConfigError("run-loop reveals and scores labels, and data.labels gives none")
     split_cfg = config.get("split", {})
+    _check_keys(split_cfg, ("test_fraction", "seed"), "split")
     split_seed = split_cfg.get("seed", 0)
     train, test = stratified_split(dataset, split_cfg.get("test_fraction", 0.25), split_seed)
     if sum(config["schedule"]) > train.size:
@@ -290,6 +306,7 @@ def _is_int(value):
 
 def _validate_config(config):
     """Reject what run_al_loop cannot run, naming the key; config is only read."""
+    _check_keys(config, _CONFIG_KEYS, "top-level")
     if "data" not in config:
         raise ConfigError("config requires a 'data' section")
     schedule = config.get("schedule")

@@ -106,37 +106,31 @@ def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
     The result is sqrt of the minimum exact float64 distance
     sum((x_j - x_c)^2) over differently-labeled j, found without a float64
     pass over every point per center. For each block of centers, one Gram pass
-    computes the key k_j = x_c . x_j - |x_j|^2/2 with unit roundoff u (2^-24
-    in float32). Since |x_c - x_j|^2 = |x_c|^2 - 2 k_j, the nearest point has
-    the largest key. Let M = max |x|^2, d the dimension and
-    gamma_d = d u / (1 - d u) <= 16 d u / 15, as d u <= 1/16 below. A key is
-    off by at most 1.5 gamma_d M + 2.5 u M: the dot product, summed in any
-    order, by gamma_d M (Higham, Thm 3.1), the half norm by
-    (gamma_d + u) M / 2 and the subtraction by 2 u M. Rounding the row maximum
-    minus the slack s costs at most 2 u M + u s more. The float64 distances,
-    each off by a relative (d + 2) 2^-53, can invert keys that differ by up to
-    4 (d + 2) u M. So every exact float64 minimiser has a key within
-    (7.2 d + 15) u M + u s of the largest one, and s = 8 (d + 4) u (1 + M),
-    data._gram_inputs's slack, covers that; its "1 +" also covers float32
-    underflow. Only the columns whose key is at least the row maximum minus s
-    go through the exact refine, data._pair_sq_dists. The keys are float32
-    unless d > 2^20 or 4 M would overflow float32; then they are float64.
+    computes the keys K_cj ~ -|x_c - x_j|^2/2 of data._gram_inputs, each off
+    by at most the E derived there, so the nearest point has the largest key.
+    The float64 distances, each off by a relative 1.1 (d + 2) v, can invert
+    keys that differ by up to 4.4 (d + 2) v M, as distances reach 4 M, and
+    rounding the row maximum minus the slack s costs at most
+    u (2 M + E + s) <= 2.2 u M + u s more. So every exact float64 minimiser
+    has a key within 2 E + (4.4 d + 11) u M + u s <= (11 d + 22) u M + u s of
+    the largest one, and s = 12 (d + 4) u (1 + M), data._gram_inputs's slack,
+    covers that. Only the columns whose key is at least the row maximum minus
+    s go through the exact refine, data._pair_sq_dists.
     """
     n = embedding_set.count
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimensionMismatch(f"labels length {labels.size} does not match {n} points")
     centers = np.arange(n) if centers is None else np.asarray(centers, dtype=np.int64)
-    points, gram_points, half_sq, slack = _gram_inputs(embedding_set)
+    points, gram, swap, slack = _gram_inputs(embedding_set)
 
     out = np.empty(centers.size)
-    keys_buf = np.empty((min(_BLOCK_ROWS, centers.size), n), dtype=gram_points.dtype)
+    keys_buf = np.empty((min(_BLOCK_ROWS, centers.size), n), dtype=gram.dtype)
     mask_buf = np.empty(keys_buf.shape, dtype=bool)
     for lo in range(0, centers.size, _BLOCK_ROWS):
         rows = centers[lo : lo + _BLOCK_ROWS]
         keys, mask = keys_buf[: rows.size], mask_buf[: rows.size]
-        np.matmul(gram_points[rows], gram_points.T, out=keys)
-        keys -= half_sq
+        np.matmul(gram[rows].take(swap, axis=1), gram.T, out=keys)
         np.equal(labels[rows][:, None], labels, out=mask)
         np.copyto(keys, -np.inf, where=mask)
         floor = keys.max(axis=1) - slack

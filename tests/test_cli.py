@@ -276,10 +276,11 @@ def index_message(bad):
         ({"labeled": 5}, "not iterable"),
         ({"deltas": [None, 0.4]}, "NoneType"),
         ({"query": 21}, "not iterable"),
+        ({"query": [21.5]}, "query points [21.5] are not integers"),
     ],
     ids=["negative-radius", "repeated-query", "unlabeled-query", "no-labeled-points",
          "negative-index", "index-past-end", "repeated-index", "labeled-int", "null-radius",
-         "query-int"],
+         "query-int", "fractional-query"],
 )
 def test_expand_delta_rejects_invalid_pools(capsys, tmp_path, overrides, message):
     path = tmp_path / "expand.json"
@@ -321,9 +322,12 @@ def test_expand_delta_prints_the_radii_of_run_iteration(capsys, tmp_path, labele
         ({"labeled": 5}, "not iterable"),
         ({"deltas": [None, 0.4]}, "NoneType"),
         ({"q": None}, "NoneType"),
+        ({"labeled": [0.9, 11.5]}, "labeled points [0.9, 11.5] are not integers"),
+        ({"labeled": [True, 11]}, "labeled points [True] are not integers"),
+        ({"q": 2.7}, "q must be an integer, got float 2.7"),
     ],
     ids=["negative-index", "index-past-end", "repeated-index", "labeled-int", "null-radius",
-         "null-q"],
+         "null-q", "fractional-index", "boolean-index", "fractional-q"],
 )
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
 def test_select_rejects_bad_pool_inputs(capsys, tmp_path, kind, overrides, message):
@@ -336,6 +340,27 @@ def test_select_rejects_bad_pool_inputs(capsys, tmp_path, kind, overrides, messa
     code, out, err = run_select(capsys, tmp_path, {**config, **overrides})
     assert code == 1 and out == ""
     assert err.startswith("error (query-selection):") and message in err
+
+
+@pytest.mark.parametrize("command", ["select", "expand-delta"])
+def test_radii_above_the_largest_expand_delta_radius_exit_1(capsys, tmp_path, command):
+    config = thirty_point_expand_config(deltas=[5.0, 5.0])
+    if command == "select":
+        config.update(labeled=[0, 11], q=2)
+        del config["query"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert "radii [5.0, 5.0] exceed 0.8" in err
+    # The grid's top radius, 12 * 0.05, lies above delta_max 0.6 but is one
+    # expand_delta assigns, so a pool holding it is accepted.
+    top = 0.05 * 12
+    assert top > 0.6
+    config.update(deltas=[top, 0.6], dcom={"delta0": 0.4, "delta_max": 0.6})
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 0, err
 
 
 def test_dense_radius_graph_exits_1(capsys, tmp_path, monkeypatch):
@@ -470,6 +495,8 @@ def test_select_strategy_params_delta0_comes_first(capsys, tmp_path, kind):
         ("dcom", "tau_slop", True),
         ("strategy", "sead", True),
         ("params", "delta", True),
+        ("data", "l2_normalise", True),
+        ("top-level", "repetiton", True),
     ],
 )
 @pytest.mark.parametrize("command", ["select", "run-loop"])
@@ -480,6 +507,8 @@ def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, 
         target = config["data"]["mixture"]
     elif section == "params":
         target = config["strategy"]["params"] = {}
+    elif section == "top-level":
+        target = config
     else:
         target = config[section]
     if present:
@@ -491,6 +520,16 @@ def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, 
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error (") and section in err and key in err
+
+
+def test_run_loop_unknown_split_key_exits_1(capsys, tmp_path):
+    config = select_config("random", [])
+    config.update(schedule=[3], output=str(tmp_path / "out"), split={"test_fration": 0.5})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "run-loop", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == "error (experiment-harness): split config: unknown keys ['test_fration']\n"
 
 
 @pytest.mark.parametrize("key, value", [("repetitions", 2.0), ("schedule", [2.5, 3])])

@@ -246,9 +246,10 @@ def test_prunes_never_raise_degree():
     assert (mid <= before).all()
 
 
-def random_case(rng, kind):
+def random_case(rng, kind, n=None):
     """Points for the restricted-build equivalence tests, by kind."""
-    n = int(rng.integers(1, 45))
+    if n is None:
+        n = int(rng.integers(1, 45))
     d = int(rng.integers(1, 5))
     if kind == "gaussian":
         return EmbeddingSet(rng.normal(size=(n, d))), float(rng.uniform(0.2, 2.0))
@@ -285,6 +286,36 @@ def test_restricted_build_matches_filtered_brute_force(kind):
         assert g.out_degree.tolist() == degree.tolist()
         for u in range(s.count):
             assert g.ball_members(u).tolist() == [v for w, v in expected if w == u]
+
+
+def per_row_edges(s, delta, sources, targets):
+    """The filtered brute-force edges as an (m, 2) array, one exact pass per source."""
+    pts = s.vectors.astype(np.float64)
+    targets = np.unique(targets)
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for u in np.unique(sources):
+        near = targets[_sq_dists(pts[targets], pts[u]) <= delta * delta]
+        near = near[near != u]
+        parts.append(np.column_stack((np.full(near.size, u), near)))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "lattice", "large_norm"])
+def test_builds_with_a_partial_last_row_block_match_per_row_passes(kind):
+    # n is never a multiple of _CHUNK_ROWS, so the last row block is partial.
+    # The restricted build's targets are a strict subset of its sources, as in
+    # the greedy kernel, whose sources are unlabeled and targets uncovered.
+    rng = np.random.default_rng({"gaussian": 44, "lattice": 45, "large_norm": 46}[kind])
+    for _ in range(3):
+        n = int(rng.integers(1, 3)) * graph._CHUNK_ROWS + int(rng.integers(1, graph._CHUNK_ROWS))
+        s, delta = random_case(rng, kind, n)
+        everything = np.arange(n)
+        expected = per_row_edges(s, delta, everything, everything)
+        assert np.array_equal(build_radius_graph(s, delta).edges, expected)
+        sources = rng.permutation(n)[: int(rng.integers(graph._CHUNK_ROWS + 1, n + 1))]
+        targets = rng.choice(sources, size=int(rng.integers(1, sources.size)), replace=False)
+        g = build_radius_graph(s, delta, sources, targets)
+        assert np.array_equal(g.edges, per_row_edges(s, delta, sources, targets))
 
 
 def test_restricted_build_defaults_and_empty_sides():
@@ -334,6 +365,52 @@ def test_pairs_within_radius_per_row_across_row_blocks():
         if v != u
     ]
     assert list(zip(src.tolist(), dst.tolist())) == expected
+
+
+def gram_key_points(kind, rng):
+    """Points for the Gram key bound test, and the key dtype they must get."""
+    if kind == "d1":
+        return rng.normal(size=(60, 1)), np.float32
+    if kind == "d64":
+        return rng.normal(size=(60, 64)) * rng.uniform(0.1, 10.0, size=(60, 1)), np.float32
+    if kind == "d4096":
+        return 1e2 + rng.normal(size=(10, 4096)), np.float32
+    if kind == "near_duplicates":
+        # A few ulps apart far from the origin, plus exact copies.
+        pts = 1e3 + rng.normal(size=8) + rng.integers(-3, 4, size=(40, 8)) * 1e-4
+        return np.concatenate([pts, pts[:5]]), np.float32
+    if kind == "scale_1e20":
+        return rng.normal(size=(40, 4)) * 1e20, np.float64
+    # Largest squared norm just below and just above 2^125, where 4 |x|^2
+    # would reach float32's range.
+    pts = rng.normal(size=(40, 8))
+    scale = {"below_float32_limit": 0.9, "above_float32_limit": 1.1}[kind] * 2.0**125
+    pts *= np.sqrt(scale / (pts * pts).sum(axis=1).max())
+    return pts, np.float32 if kind == "below_float32_limit" else np.float64
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["d1", "d64", "d4096", "near_duplicates", "below_float32_limit",
+     "above_float32_limit", "scale_1e20"],
+)
+def test_gram_keys_stay_within_the_stated_bound(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    pts, dtype = gram_key_points(kind, rng)
+    points, gram, swap, slack = _gram_inputs(EmbeddingSet(pts))
+    assert gram.dtype == dtype and slack.dtype == dtype
+    n, d = points.shape
+    keys = (gram.take(swap, axis=1) @ gram.T).astype(np.float64)
+    diff = points[:, None, :] - points[None, :, :]
+    exact = -0.5 * (diff * diff).sum(axis=2)
+    # E from _gram_inputs's docstring; the float64 reference is itself off by
+    # a relative 1.1 (d + 2) 2^-53.
+    u, v = np.finfo(dtype).eps / 2, 2.0**-53
+    m = float((points * points).sum(axis=1).max())
+    bound = (2.2 * (d + 2) * u + 1.01 * (d * v + u)) * m
+    assert np.isfinite(keys).all()
+    assert (np.abs(keys - exact) <= bound + 1.1 * (d + 2) * v * np.abs(exact)).all()
+    assert 2 * bound < slack
 
 
 def test_candidate_margin_absorbs_float32_rounding():

@@ -7,6 +7,7 @@ from dcom import data
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
 from dcom.errors import DimensionMismatch, NoDeltaMeetsAlpha
 from dcom.purity import (
+    _BLOCK_ROWS,
     PurityCurve,
     estimate_purity_curve,
     kmeans_cluster,
@@ -183,6 +184,8 @@ _CASES = {
     "n_below_block": lambda seed: _gaussian(7, 3, seed),
     "n_block": lambda seed: _gaussian(32, 3, seed),
     "n_not_block_multiple": lambda seed: _gaussian(97, 3, seed),
+    # Several Gram blocks and a partial last one, at a width the GEMM tiles.
+    "d64_partial_block": lambda seed: _gaussian(3 * _BLOCK_ROWS + 5, 64, seed),
 }
 
 
