@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ SEEDED_KINDS = ("random", "margin", "entropy", "maxprob")
 @dataclass(frozen=True)
 class StrategySpec:
     kind: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:

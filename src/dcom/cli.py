@@ -62,7 +62,7 @@ def _load_round(config, expanding=False):
     dcom gives delta0 to every labeled point outside query; given radii must
     not exceed the largest one expand_delta assigns.
     """
-    harness._check_keys(config, harness._CONFIG_KEYS, "top-level")
+    harness.check_config(config)
     dataset = harness.load_dataset(config["data"])
     n = dataset.count
     labeled = _distinct(config.get("labeled", []), "labeled", range(n), f"in [0, {n})")

@@ -40,7 +40,7 @@ class PoolState:
         unlabeled = [i for i in self.unlabeled if i not in picked]
         return PoolState(list(self.labeled) + list(picks), unlabeled, list(self.deltas))
 
-    def validate(self, n, delta_max=None):
+    def validate(self, n):
         if len(self.deltas) != len(self.labeled):
             raise PoolInvariantError(
                 f"{len(self.deltas)} radii for {len(self.labeled)} labeled points"
@@ -48,11 +48,8 @@ class PoolState:
         everyone = set(self.labeled) | set(self.unlabeled)
         if len(self.labeled) + len(self.unlabeled) != n or everyone != set(range(n)):
             raise PoolInvariantError("labeled and unlabeled must hold each dataset index once")
-        for d in self.deltas:
-            if not d > 0:
-                raise PoolInvariantError("all radii must be positive")
-            if delta_max is not None and d > delta_max:
-                raise PoolInvariantError(f"radius {d} exceeds delta_max {delta_max}")
+        if not all(d > 0 for d in self.deltas):
+            raise PoolInvariantError("all radii must be positive")
 
 
 @dataclass(frozen=True)

@@ -110,11 +110,13 @@ def _pairs_within(inputs, rows, sq_radii, cols):
     """Pairs (rows[k], j != rows[k]), j in cols, at exact squared distance <= sq_radii[k].
 
     inputs is data._gram_inputs(embedding_set, extent >= max(sq_radii)), whose
-    bound build_radius_graph derives. Pairs come in (rows, cols) order. Raises
-    DenseRadiusGraph once more than _MAX_EDGES pairs are confirmed.
+    bound build_radius_graph derives. cols is sorted and duplicate-free, so
+    cols holding every point is arange(n), and gram itself is the target side.
+    Pairs come in (rows, cols) order. Raises DenseRadiusGraph once more than
+    _MAX_EDGES pairs are confirmed.
     """
     points, gram, swap, slack = inputs
-    tgt = gram[cols]
+    tgt = gram if cols.size == gram.shape[0] else gram[cols]
     floor = -((sq_radii + float(slack)) / 2).astype(gram.dtype)
     buf = np.empty((min(_CHUNK_ROWS, rows.size), cols.size), dtype=gram.dtype)
     mask = np.empty(buf.shape, dtype=bool)

@@ -1,11 +1,11 @@
 """Seeded active-learning experiment loop, accuracy evaluation, CSV/JSON reports.
 
 A config is a plain dict (usually parsed from JSON); every key except the data
-source has a default, and unknown keys are rejected at the top level and in
-every section that is read. strategy_spec, strategy_setting and select_step
-hold every kind's strategy rules for the run loop and the CLI (a dcom round is
-engine.run_iteration, whose query half select_step runs), so both pick the
-same points.
+source has a default, and check_config rejects, for every command, any key
+that CONFIG_KEYS does not list for its section. strategy_spec,
+strategy_setting and select_step hold every kind's strategy rules for the run
+loop and the CLI (a dcom round is engine.run_iteration, whose query half
+select_step runs), so both pick the same points.
 """
 
 from __future__ import annotations
@@ -78,37 +78,46 @@ class LabelOracle:
         return [int(self._labels[i]) for i in indices]
 
 
-# Every top-level key of a config: run-loop reads the first nine, select and
-# expand-delta read data, strategy, dcom, learner and the last four.
-_CONFIG_KEYS = (
-    "data", "split", "schedule", "strategy", "learner", "dcom", "repetitions",
-    "record_timing", "output", "labeled", "deltas", "query", "q",
-)
+# Every key a config may hold, by section path: check_config walks this table.
+# select and expand-delta read "labeled", "deltas" and "q" or "query" instead
+# of split, schedule, repetitions, record_timing and output.
+CONFIG_KEYS = {
+    (): ("data", "split", "schedule", "strategy", "learner", "dcom", "repetitions",
+         "record_timing", "output", "labeled", "deltas", "query", "q"),
+    ("data",): ("mixture", "embeddings", "labels", "l2_normalize"),
+    ("data", "mixture"): tuple(f.name for f in fields(MixtureSpec)),
+    ("split",): ("test_fraction", "seed"),
+    ("strategy",): ("kind", "seed"),
+    ("learner",): tuple(f.name for f in fields(LearnerSpec)),
+    ("dcom",): (*(f.name for f in fields(DComConfig)), "alpha"),
+}
 
 
-def _check_keys(values, known, section):
-    """Raise a ConfigError naming the keys of values that are not in known."""
-    unknown = sorted(set(values) - set(known))
-    if unknown:
-        raise ConfigError(f"{section} config: unknown keys {unknown}")
+def check_config(config):
+    """Raise a ConfigError naming the first section that is no object or holds unknown keys."""
+    for path, known in CONFIG_KEYS.items():
+        section, name = config, ".".join(path) or "top-level"
+        for key in path:
+            section = section.get(key, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} config must be an object, got {section!r}")
+        unknown = sorted(set(section) - set(known))
+        if unknown:
+            raise ConfigError(f"{name} config: unknown keys {unknown}")
 
 
 def _from_config(cls, values, section):
-    """Build a config dataclass, naming the keys it does not know or lacks."""
-    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    """Build a config dataclass, naming the keys it lacks (check_config names unknown ones)."""
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
-    if unknown or missing:
-        raise ConfigError(f"{section} config: unknown keys {unknown}, missing keys {missing}")
+    if missing:
+        raise ConfigError(f"{section} config: missing keys {missing}")
     return cls(**values)
 
 
 def strategy_spec(config, kind=None):
     """The StrategySpec of a config's 'strategy' section, of kind if given, and its seed."""
     values = config.get("strategy", {})
-    params = values.get("params", {})
-    _check_keys(values, ("kind", "seed", "params"), "strategy")
-    _check_keys(params, ("delta0",), "strategy.params")
-    return StrategySpec(kind or values.get("kind", "dcom"), params), values.get("seed", 0)
+    return StrategySpec(kind or values.get("kind", "dcom")), values.get("seed", 0)
 
 
 def learner_spec(config) -> LearnerSpec:
@@ -118,9 +127,8 @@ def learner_spec(config) -> LearnerSpec:
 
 def load_dataset(data_cfg) -> EmbeddingSet:
     """Resolve the config's data source into an EmbeddingSet."""
-    _check_keys(data_cfg, ("mixture", "embeddings", "labels", "l2_normalize"), "data")
     if "mixture" in data_cfg:
-        spec = _from_config(MixtureSpec, data_cfg["mixture"], "mixture")
+        spec = _from_config(MixtureSpec, data_cfg["mixture"], "data.mixture")
         dataset = gen_gaussian_mixture(spec)
     elif "embeddings" in data_cfg:
         dataset = read_embedding_file(data_cfg["embeddings"])
@@ -170,15 +178,13 @@ def resolve_delta0(dataset, dcom_cfg, num_classes, seed) -> float:
 def strategy_setting(dataset, strategy, dcom_cfg, seed):
     """A DComConfig for dcom, the radius delta0 for probcover, None otherwise.
 
-    delta0 is strategy.params["delta0"], else dcom_cfg["delta0"] (0 is kept,
-    and rejected later), else derived with resolve_delta0's k-means seed. The
-    rest of dcom_cfg but alpha must be DComConfig fields.
+    delta0 is dcom_cfg["delta0"] (0 is kept, and rejected later), else
+    derived with resolve_delta0's k-means seed. The rest of dcom_cfg but alpha
+    must be DComConfig fields.
     """
     if strategy.kind not in ("dcom", "probcover"):
         return None
-    delta0 = strategy.params.get("delta0")
-    if delta0 is None:
-        delta0 = resolve_delta0(dataset, dcom_cfg, dataset.num_classes, seed)
+    delta0 = resolve_delta0(dataset, dcom_cfg, dataset.num_classes, seed)
     if strategy.kind == "probcover":
         return delta0
     values = {k: v for k, v in dcom_cfg.items() if k != "alpha"}
@@ -275,7 +281,6 @@ def run_al_loop(config) -> list:
     if dataset.labels is None:
         raise ConfigError("run-loop reveals and scores labels, and data.labels gives none")
     split_cfg = config.get("split", {})
-    _check_keys(split_cfg, ("test_fraction", "seed"), "split")
     split_seed = split_cfg.get("seed", 0)
     train, test = stratified_split(dataset, split_cfg.get("test_fraction", 0.25), split_seed)
     if sum(config["schedule"]) > train.size:
@@ -306,7 +311,7 @@ def _is_int(value):
 
 def _validate_config(config):
     """Reject what run_al_loop cannot run, naming the key; config is only read."""
-    _check_keys(config, _CONFIG_KEYS, "top-level")
+    check_config(config)
     if "data" not in config:
         raise ConfigError("config requires a 'data' section")
     schedule = config.get("schedule")

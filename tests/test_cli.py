@@ -221,17 +221,6 @@ def small_expand_config(**overrides):
     return {**config, **overrides}
 
 
-def test_expand_delta_honours_strategy_params_delta0(capsys, tmp_path):
-    # select reads params.delta0 before dcom.delta0; expand-delta must agree.
-    from_params = small_expand_config(
-        strategy={"params": {"delta0": 0.7}}, dcom={"delta0": 0.3}
-    )
-    from_dcom = small_expand_config(dcom={"delta0": 0.7})
-    radii = expand_radii(capsys, tmp_path, from_params)
-    assert radii == expand_radii(capsys, tmp_path, from_dcom)
-    assert radii != expand_radii(capsys, tmp_path, small_expand_config(dcom={"delta0": 0.3}))
-
-
 def test_expand_delta_without_deltas_gives_earlier_points_delta0(capsys, tmp_path):
     # As in select, labeled points given without radii take delta0.
     implicit = expand_radii(capsys, tmp_path, small_expand_config(deltas=[], dcom={"delta0": 0.4}))
@@ -473,19 +462,6 @@ def test_select_uncertainty_falls_back_to_random_below_two_classes(
         assert out == expected
 
 
-@pytest.mark.parametrize("kind", ["dcom", "probcover"])
-def test_select_strategy_params_delta0_comes_first(capsys, tmp_path, kind):
-    config = select_config(kind, [0, 35, 70])
-    config["dcom"] = {"delta0": 0.7}
-    code, expected, err = run_select(capsys, tmp_path, config)
-    assert code == 0, err
-    config["strategy"]["params"] = {"delta0": 0.7}
-    config["dcom"] = {"delta0": 0.5}
-    code, out, err = run_select(capsys, tmp_path, config)
-    assert code == 0, err
-    assert out == expected
-
-
 @pytest.mark.parametrize(
     "section, key, present",
     [
@@ -494,23 +470,24 @@ def test_select_strategy_params_delta0_comes_first(capsys, tmp_path, kind):
         ("mixture", "dim", False),
         ("dcom", "tau_slop", True),
         ("strategy", "sead", True),
-        ("params", "delta", True),
+        ("strategy", "params", True),
+        ("split", "test_fration", True),
+        ("split", "sead", True),
         ("data", "l2_normalise", True),
         ("top-level", "repetiton", True),
     ],
 )
-@pytest.mark.parametrize("command", ["select", "run-loop"])
+@pytest.mark.parametrize("command", ["select", "expand-delta", "run-loop"])
 def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, key, present):
-    config = select_config("dcom" if section == "dcom" else "random", [0, 35, 70])
-    config.update(schedule=[3], output=str(tmp_path / "out"))
+    # random reads neither dcom nor split, yet every command checks every section.
+    config = select_config("random", [0, 35, 70])
+    config.update(schedule=[3], output=str(tmp_path / "out"), query=[70])
     if section == "mixture":
         target = config["data"]["mixture"]
-    elif section == "params":
-        target = config["strategy"]["params"] = {}
     elif section == "top-level":
         target = config
     else:
-        target = config[section]
+        target = config.setdefault(section, {})
     if present:
         target[key] = 1
     else:
@@ -519,7 +496,40 @@ def test_bad_config_keys_exit_1_naming_them(capsys, tmp_path, command, section, 
     path.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 1 and out == ""
-    assert err.startswith("error (") and section in err and key in err
+    keys = "unknown keys" if present else "missing keys"
+    assert err.startswith("error (") and section in err and f"{keys} ['{key}']" in err
+
+
+@pytest.mark.parametrize("command", ["select", "expand-delta", "run-loop"])
+def test_every_readme_schema_key_is_accepted(capsys, tmp_path, command):
+    # Each key of the README's JSON config schema, data given by mixture.
+    config = {
+        "data": {
+            "mixture": {"num_classes": 3, "points_per_class": 30, "dim": 6,
+                        "class_separation": 6.0, "within_std": 1.0, "seed": 5},
+            "l2_normalize": True,
+        },
+        "split": {"test_fraction": 0.25, "seed": 0},
+        "schedule": [3, 3],
+        "strategy": {"kind": "dcom", "seed": 0},
+        "dcom": {"delta0": 0.5, "delta_max": 1.0, "alpha": 0.95, "tau_slope": 0.2,
+                 "tau_intercept": 0.4, "logistic_a": 0.9, "logistic_k": 30.0,
+                 "delta_resolution": 0.05},
+        "learner": {"kind": "linear_probe", "learning_rate": 0.1, "epochs": 30,
+                    "l2_penalty": 1e-4, "temperature": 1.0},
+        "repetitions": 1,
+        "record_timing": False,
+        "output": str(tmp_path / "out"),
+        "labeled": [0, 35, 70],
+        "deltas": [],
+        "query": [70],
+        "q": 4,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 0 and err == "", err
+    assert out
 
 
 def test_run_loop_unknown_split_key_exits_1(capsys, tmp_path):

@@ -12,6 +12,7 @@ from dcom.errors import ConfigError, EmptyTestSet, PoolInvariantError
 from dcom.harness import (
     ExperimentRecord,
     LabelOracle,
+    check_config,
     evaluate_accuracy,
     load_dataset,
     read_report,
@@ -211,10 +212,22 @@ def test_label_read_outside_query_set_raises(monkeypatch, strategy):
 
 
 def test_strategy_delta0_zero_is_not_unset():
-    config = base_config(strategy="dcom", repetitions=1)
-    config["strategy"]["params"] = {"delta0": 0}
+    config = base_config(strategy="dcom", repetitions=1, dcom={"delta0": 0})
     with pytest.raises(ConfigError, match="delta0 must be positive"):
         run_al_loop(config)
+
+
+@pytest.mark.parametrize(
+    "config, section",
+    [
+        ([1, 2], "top-level"),
+        ({"dcom": None}, "dcom"),
+        ({"data": {"mixture": [3]}}, "data.mixture"),
+    ],
+)
+def test_check_config_names_a_section_that_is_not_an_object(config, section):
+    with pytest.raises(ConfigError, match=f"^{section} config must be an object"):
+        check_config(config)
 
 
 def test_run_al_loop_config_validation():
