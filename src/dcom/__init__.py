@@ -1,7 +1,6 @@
 """Dynamic coverage-and-margin active learning over embedding spaces."""
 
 from .baselines import (
-    StrategySpec,
     select_by_uncertainty,
     select_coreset,
     select_probcover,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import _sq_dists
@@ -26,15 +24,6 @@ STRATEGY_KINDS = (
 # kinds until two classes are labeled. The rest are deterministic given the
 # pool, so all their repetitions are identical.
 SEEDED_KINDS = ("random", "margin", "entropy", "maxprob")
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
 def select_random(pool, q: int, seed: int) -> list:
@@ -63,7 +52,7 @@ def select_by_uncertainty(pool, probs: SoftmaxMatrix, kind: str, q: int) -> list
 def select_coreset(embedding_set, pool, q: int) -> list:
     """Greedy k-center: repeatedly take the point farthest from the selected/labeled set."""
     _check_budget(pool, q)
-    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
+    unlabeled = np.sort(np.asarray(pool.unlabeled, dtype=np.int64))  # lowest index on ties
     points = embedding_set.vectors.astype(np.float64)
     candidates = points[unlabeled]
     min_sq = np.full(unlabeled.size, np.inf)
@@ -89,11 +78,10 @@ def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:
     a delta0 ball, and the graph counts edges into uncovered points only.
     """
     _check_budget(pool, q)
-    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
+    unlabeled = np.sort(np.asarray(pool.unlabeled, dtype=np.int64))  # lowest index on ties
     targets = None
     if pool.labeled:
         covered = covered_set(embedding_set, pool.labeled, [delta0] * len(pool.labeled))
         targets = np.flatnonzero(~covered)
     ones = np.ones(unlabeled.size)
-    per_step = _greedy_select(embedding_set, unlabeled, targets, delta0, 0.0, ones, q)
-    return [pick for pick, _ in per_step]
+    return _greedy_select(embedding_set, unlabeled, targets, delta0, 0.0, ones, q)

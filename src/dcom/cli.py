@@ -23,8 +23,6 @@ def _build_parser():
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--alpha", type=float, default=purity.DEFAULT_ALPHA)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-step", type=float, default=0.05)
-    p.add_argument("--grid-max", type=float, default=2.0)
     p.add_argument("--no-normalize", action="store_true")
 
     p = sub.add_parser("select", help="run one query-selection step from a config")
@@ -55,7 +53,7 @@ def _distinct(values, name, allowed, where):
 
 
 def _load_round(config, expanding=False):
-    """Dataset, strategy, seed, setting, pool and query of a select or expand-delta config.
+    """Dataset, strategy kind, seed, setting, pool and query of a select or expand-delta config.
 
     labeled must hold distinct dataset indices, and expand-delta's query
     distinct labeled ones; expand-delta is always dcom. When deltas is empty,
@@ -67,10 +65,10 @@ def _load_round(config, expanding=False):
     n = dataset.count
     labeled = _distinct(config.get("labeled", []), "labeled", range(n), f"in [0, {n})")
     query = _distinct(config["query"], "query", set(labeled), "labeled") if expanding else []
-    strategy, seed = harness.strategy_spec(config, "dcom" if expanding else None)
-    setting = harness.strategy_setting(dataset, strategy, config.get("dcom", {}), seed)
+    kind, seed = harness.strategy_spec(config, "dcom" if expanding else None)
+    setting = harness.strategy_setting(dataset, kind, config.get("dcom", {}), seed)
     deltas = [float(d) for d in config.get("deltas", [])]
-    if strategy.kind == "dcom":
+    if kind == "dcom":
         grid = engine.delta_grid(setting.delta_resolution, setting.delta_max)
         largest = max(setting.delta_max, grid[-1])
         above = [d for d in deltas if d > largest]
@@ -78,7 +76,7 @@ def _load_round(config, expanding=False):
             raise PoolInvariantError(f"radii {above} exceed {largest!r}, dcom's largest radius")
         deltas = deltas or [setting.delta0] * (len(labeled) - len(query))
     unlabeled = sorted(set(range(n)) - set(labeled))
-    return dataset, strategy, seed, setting, engine.PoolState(labeled, unlabeled, deltas), query
+    return dataset, kind, seed, setting, engine.PoolState(labeled, unlabeled, deltas), query
 
 
 def _cmd_init_delta(args):
@@ -86,8 +84,7 @@ def _cmd_init_delta(args):
         {"embeddings": args.embeddings, "l2_normalize": not args.no_normalize}
     )
     labels = purity.kmeans_cluster(dataset, args.classes, seed=args.seed)
-    grid = engine.delta_grid(args.grid_step, args.grid_max)
-    curve = purity.estimate_purity_curve(dataset, labels, grid)
+    curve = purity.estimate_purity_curve(dataset, labels, purity.DEFAULT_GRID)
     print("delta,purity")
     for d, p in zip(curve.grid, curve.purity):
         print(f"{d:.6g},{p:.6g}")
@@ -100,9 +97,9 @@ def _cmd_select(args):
     q = config["q"]
     if not harness._is_int(q):
         raise ConfigError(f"q must be an integer, got {type(q).__name__} {q!r}")
-    dataset, strategy, seed, setting, pool, _ = _load_round(config)
+    dataset, kind, seed, setting, pool, _ = _load_round(config)
     spec = harness.learner_spec(config)
-    picks = harness.select_step(dataset, pool, strategy, q, setting, spec, seed=seed)
+    picks = harness.select_step(dataset, pool, kind, q, setting, spec, seed=seed)
     print(",".join(str(i) for i in picks))
     return 0
 

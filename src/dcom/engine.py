@@ -10,7 +10,7 @@ same loop at competence 0 with a uniform radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class QueryResult:
     selected: list
     coverage_before: float
     competence: float
-    per_step_scores: list = field(default_factory=list)
 
 
 def competence_score(coverage_p: float, a: float, k: float) -> float:
@@ -185,6 +184,8 @@ def dcom_select(
     margins = np.asarray(margins, dtype=np.float64)
     if margins.shape != unlabeled.shape:
         raise PoolInvariantError("margins must align with the unlabeled pool")
+    order = np.argsort(unlabeled)
+    unlabeled, margins = unlabeled[order], margins[order]
 
     if pool.labeled:
         covered = covered_set(embedding_set, pool.labeled, pool.deltas)
@@ -200,11 +201,8 @@ def dcom_select(
         delta_avg = config.delta0
         targets = None
 
-    per_step = _greedy_select(
-        embedding_set, unlabeled, targets, delta_avg, competence, margins, q
-    )
-    selected = [pick for pick, _ in per_step]
-    return QueryResult(selected, coverage_before, competence, per_step)
+    selected = _greedy_select(embedding_set, unlabeled, targets, delta_avg, competence, margins, q)
+    return QueryResult(selected, coverage_before, competence)
 
 
 def _check_budget(pool, q):
@@ -216,10 +214,11 @@ def _check_budget(pool, q):
 
 
 def _greedy_select(embedding_set, unlabeled, targets, radius, competence, margins, q):
-    """The greedy loop of dcom_select and select_probcover; (pick, score) per step.
+    """The greedy loop of dcom_select and select_probcover; returns the picks.
 
     Each step takes the highest competence * (1 - margin) + (1 - competence)
-    * degree / max degree (lowest index on ties) and covers its ball. At
+    * degree / max degree and covers its ball. Ties go to the first position,
+    the lowest index, as both callers sort unlabeled (margins with it). At
     competence 0 this orders picks exactly by integer degree.
     """
     # Only unlabeled sources and uncovered targets ever hold an alive edge.
@@ -227,7 +226,7 @@ def _greedy_select(embedding_set, unlabeled, targets, radius, competence, margin
 
     uncertainty = competence * (1.0 - margins)
     available = np.ones(unlabeled.size, dtype=bool)
-    per_step = []
+    picks = []
     for _ in range(q):
         degrees = graph._out_degree[unlabeled].astype(np.float64)
         top = degrees.max()
@@ -236,10 +235,10 @@ def _greedy_select(embedding_set, unlabeled, targets, radius, competence, margin
         masked = np.where(available, scores, -np.inf)
         pick_pos = int(np.argmax(masked))  # argmax returns the lowest index on ties
         pick = int(unlabeled[pick_pos])
-        per_step.append((pick, float(scores[pick_pos])))
+        picks.append(pick)
         available[pick_pos] = False
         graph.prune_incoming(np.append(graph.ball_members(pick), pick))
-    return per_step
+    return picks
 
 
 def run_iteration(
@@ -306,8 +305,7 @@ def _learner_or_none(embedding_set, labeled, spec, learner=None):
         return None
     if embedding_set.labels is None:
         raise ConfigError("labeled points need labels, and data.labels gives none")
-    pairs = [(i, int(embedding_set.labels[i])) for i in labeled]
-    classes = {y for _, y in pairs}
-    if len(classes) < 2 and UNKNOWN_LABEL not in classes:  # train_learner names -1 points
+    classes = np.unique(embedding_set.labels[labeled])
+    if classes.size < 2 and UNKNOWN_LABEL not in classes:  # train_learner names -1 points
         return None
-    return learner if learner is not None else train_learner(embedding_set, pairs, spec)
+    return learner if learner is not None else train_learner(embedding_set, labeled, spec)

@@ -2,7 +2,8 @@
 
 A config is a plain dict (usually parsed from JSON); every key except the data
 source has a default, and check_config rejects, for every command, any key
-that CONFIG_KEYS does not list for its section. strategy_spec,
+that CONFIG_KEYS does not list for its section. Each value is checked for its
+JSON type (_typed) where it is read, before any round runs. strategy_spec,
 strategy_setting and select_step hold every kind's strategy rules for the run
 loop and the CLI (a dcom round is engine.run_iteration, whose query half
 select_step runs), so both pick the same points.
@@ -15,13 +16,15 @@ import json
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
+from math import isfinite
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import (
     SEEDED_KINDS,
-    StrategySpec,
+    STRATEGY_KINDS,
     select_by_uncertainty,
     select_coreset,
     select_probcover,
@@ -107,17 +110,52 @@ def check_config(config):
 
 
 def _from_config(cls, values, section):
-    """Build a config dataclass, naming the keys it lacks (check_config names unknown ones)."""
+    """Build a config dataclass, naming a key it lacks or whose value has the wrong type.
+
+    Each value must have its field's JSON type (_typed); a field whose default
+    is None also takes null. check_config names unknown keys.
+    """
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"{section} config: missing keys {missing}")
+    for f in fields(cls):
+        if f.name in values and not (values[f.name] is None and f.default is None):
+            _typed(values[f.name], f.type, f"{section}.{f.name}")
     return cls(**values)
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# The JSON value each annotation takes, and its name in messages. Under
+# postponed annotations a field's type is its name as a string.
+_JSON_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (
+        lambda v: isinstance(v, Real) and not isinstance(v, bool) and isfinite(v),
+        "a finite number",
+    ),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _typed(value, annotation, key):
+    """value, if it has the JSON type of annotation; else a ConfigError naming key."""
+    accepts, name = _JSON_TYPES[annotation]
+    if not accepts(value):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    return value
+
+
 def strategy_spec(config, kind=None):
-    """The StrategySpec of a config's 'strategy' section, of kind if given, and its seed."""
+    """The strategy kind of a config (kind if given) and its seed; the one kind check."""
     values = config.get("strategy", {})
-    return StrategySpec(kind or values.get("kind", "dcom")), values.get("seed", 0)
+    kind = kind or values.get("kind", "dcom")
+    if kind not in STRATEGY_KINDS:
+        raise ConfigError(f"strategy.kind must be one of {list(STRATEGY_KINDS)}, got {kind!r}")
+    return kind, _typed(values.get("seed", 0), "int", "strategy.seed")
 
 
 def learner_spec(config) -> LearnerSpec:
@@ -131,14 +169,14 @@ def load_dataset(data_cfg) -> EmbeddingSet:
         spec = _from_config(MixtureSpec, data_cfg["mixture"], "data.mixture")
         dataset = gen_gaussian_mixture(spec)
     elif "embeddings" in data_cfg:
-        dataset = read_embedding_file(data_cfg["embeddings"])
+        # A path must be a string: open() reads an integer as a file descriptor.
+        dataset = read_embedding_file(_typed(data_cfg["embeddings"], "str", "data.embeddings"))
         if "labels" in data_cfg:
-            dataset = EmbeddingSet(
-                dataset.vectors, read_label_file(data_cfg["labels"])
-            )
+            labels = read_label_file(_typed(data_cfg["labels"], "str", "data.labels"))
+            dataset = EmbeddingSet(dataset.vectors, labels)
     else:
         raise ConfigError("data config needs either 'mixture' or 'embeddings'")
-    if data_cfg.get("l2_normalize", True):
+    if _typed(data_cfg.get("l2_normalize", True), "bool", "data.l2_normalize"):
         dataset = l2_normalize(dataset)
     return dataset
 
@@ -153,7 +191,7 @@ def stratified_split(dataset, test_fraction, seed):
         cut = int(round(members.size * test_fraction))
         test.extend(members[:cut])
         train.extend(members[cut:])
-    return np.sort(np.array(train)), np.sort(np.array(test))
+    return np.sort(np.array(train, dtype=np.int64)), np.sort(np.array(test, dtype=np.int64))
 
 
 def evaluate_accuracy(learner, dataset, test) -> float:
@@ -169,62 +207,64 @@ def evaluate_accuracy(learner, dataset, test) -> float:
 def resolve_delta0(dataset, dcom_cfg, num_classes, seed) -> float:
     """Use the configured delta0, or derive it from the purity-curve procedure."""
     if dcom_cfg.get("delta0") is not None:
-        return float(dcom_cfg["delta0"])
+        return float(_typed(dcom_cfg["delta0"], "float", "dcom.delta0"))
     labels = kmeans_cluster(dataset, max(num_classes, 2), seed=seed)
     curve = estimate_purity_curve(dataset, labels, DEFAULT_GRID)
-    return select_initial_delta(curve, dcom_cfg.get("alpha", DEFAULT_ALPHA))
+    return select_initial_delta(
+        curve, _typed(dcom_cfg.get("alpha", DEFAULT_ALPHA), "float", "dcom.alpha")
+    )
 
 
-def strategy_setting(dataset, strategy, dcom_cfg, seed):
+def strategy_setting(dataset, kind, dcom_cfg, seed):
     """A DComConfig for dcom, the radius delta0 for probcover, None otherwise.
 
     delta0 is dcom_cfg["delta0"] (0 is kept, and rejected later), else
     derived with resolve_delta0's k-means seed. The rest of dcom_cfg but alpha
     must be DComConfig fields.
     """
-    if strategy.kind not in ("dcom", "probcover"):
+    if kind not in ("dcom", "probcover"):
         return None
     delta0 = resolve_delta0(dataset, dcom_cfg, dataset.num_classes, seed)
-    if strategy.kind == "probcover":
+    if kind == "probcover":
         return delta0
     values = {k: v for k, v in dcom_cfg.items() if k != "alpha"}
     values = {"logistic_a": 0.9 if dataset.num_classes <= 10 else 0.8, **values, "delta0": delta0}
     return _from_config(DComConfig, values, "dcom")
 
 
-def select_step(dataset, pool, strategy, q, setting, spec, learner=None, seed=0):
-    """One query round of any strategy kind; returns the picks.
+def select_step(dataset, pool, kind, q, setting, spec, learner=None, seed=0):
+    """One query round of the strategy kind; returns the picks.
 
     setting comes from strategy_setting; learner is a model trained on
     pool.labeled, or None to train one where needed. Only the labels of
     pool.labeled are read, so a cold start needs none. Uncertainty kinds pick
     at random with seed until two classes are labeled.
     """
-    if strategy.kind == "dcom":
+    if kind == "dcom":
         return _query(dataset, pool, spec, q, setting, learner).selected
-    if strategy.kind == "random":
+    if kind == "random":
         return select_random(pool, q, seed)
-    if strategy.kind == "coreset":
+    if kind == "coreset":
         return select_coreset(dataset, pool, q)
-    if strategy.kind == "probcover":
+    if kind == "probcover":
         return select_probcover(dataset, pool, setting, q)
     learner = _learner_or_none(dataset, pool.labeled, spec, learner)
     if learner is None:
         return select_random(pool, q, seed)
     probs = predict_softmax(learner, dataset, pool.unlabeled)
-    return select_by_uncertainty(pool, probs, strategy.kind, q)
+    return select_by_uncertainty(pool, probs, kind, q)
 
 
-def _run_single_repetition(pool_set, test_set, strategy, spec, setting, config, run_seed):
+def _run_single_repetition(pool_set, test_set, kind, spec, setting, config, run_seed):
     test_local = np.arange(test_set.count)
     oracle = LabelOracle(pool_set.labels)
     pool = PoolState(labeled=[], unlabeled=list(range(pool_set.count)), deltas=[])
-    timing = bool(config.get("record_timing", False))
+    timing = config.get("record_timing", False)
 
     records, learner, budget = [], None, 0
     for iteration, q in enumerate(config["schedule"]):
         started = time.perf_counter()
-        if strategy.kind == "dcom":
+        if kind == "dcom":
             query, pool, learner, metrics = run_iteration(
                 pool_set, pool, spec, q, setting, learner
             )
@@ -232,7 +272,7 @@ def _run_single_repetition(pool_set, test_set, strategy, spec, setting, config, 
         else:
             metrics = dict.fromkeys(("coverage", "competence", "delta_mean", "delta_std"), 0.0)
             picks = select_step(
-                pool_set, pool, strategy, q, setting, spec, learner, run_seed + iteration
+                pool_set, pool, kind, q, setting, spec, learner, run_seed + iteration
             )
             pool = pool.with_labeled(picks)
             learner = _learner_or_none(pool_set, pool.labeled, spec)
@@ -247,7 +287,7 @@ def _run_single_repetition(pool_set, test_set, strategy, spec, setting, config, 
         records.append(
             ExperimentRecord(
                 run_seed=run_seed,
-                strategy=strategy.kind,
+                strategy=kind,
                 iteration=iteration,
                 budget=budget,
                 accuracy=accuracy,
@@ -281,32 +321,30 @@ def run_al_loop(config) -> list:
     if dataset.labels is None:
         raise ConfigError("run-loop reveals and scores labels, and data.labels gives none")
     split_cfg = config.get("split", {})
-    split_seed = split_cfg.get("seed", 0)
-    train, test = stratified_split(dataset, split_cfg.get("test_fraction", 0.25), split_seed)
+    split_seed, fraction = split_cfg.get("seed", 0), split_cfg.get("test_fraction", 0.25)
+    train, test = stratified_split(dataset, fraction, split_seed)
+    if not test.size:
+        raise ConfigError(f"split.test_fraction {fraction!r} leaves the test split empty")
     if sum(config["schedule"]) > train.size:
         raise ConfigError(
             f"schedule needs {sum(config['schedule'])} points, train pool has {train.size}"
         )
-    strategy, base_seed = strategy_spec(config)
+    kind, base_seed = strategy_spec(config)
     spec = learner_spec(config)
     # Queries, coverage and training all live on the train partition; the test
     # partition is only ever touched by evaluate_accuracy.
     pool_set = EmbeddingSet(dataset.vectors[train], dataset.labels[train])
     test_set = EmbeddingSet(dataset.vectors[test], dataset.labels[test])
-    setting = strategy_setting(pool_set, strategy, config.get("dcom", {}), split_seed)
+    setting = strategy_setting(pool_set, kind, config.get("dcom", {}), split_seed)
 
     seeds = [base_seed + i for i in range(config.get("repetitions", 1))]
     repetition = partial(
-        _run_single_repetition, pool_set, test_set, strategy, spec, setting, config
+        _run_single_repetition, pool_set, test_set, kind, spec, setting, config
     )
-    if strategy.kind in SEEDED_KINDS:
+    if kind in SEEDED_KINDS:
         return [record for seed in seeds for record in repetition(seed)]
     records = repetition(seeds[0])
     return [replace(record, run_seed=seed) for seed in seeds for record in records]
-
-
-def _is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _validate_config(config):
@@ -326,6 +364,12 @@ def _validate_config(config):
     repetitions = config.get("repetitions", 1)
     if not _is_int(repetitions) or repetitions < 1:
         raise ConfigError(f"repetitions must be an integer >= 1, got {repetitions!r}")
+    _typed(config.get("record_timing", False), "bool", "record_timing")
+    split_cfg = config.get("split", {})
+    _typed(split_cfg.get("seed", 0), "int", "split.seed")
+    fraction = _typed(split_cfg.get("test_fraction", 0.25), "float", "split.test_fraction")
+    if not 0 < fraction < 1:
+        raise ConfigError(f"split.test_fraction must lie in (0, 1), got {fraction!r}")
 
 
 def write_report(records, path) -> None:

@@ -94,9 +94,9 @@ def probe_loss_and_grad(weights, features_bias, onehot, l2_penalty):
 
 
 def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Learner:
-    """Fit on (index, label) pairs; deterministic per (data, spec)."""
-    indices = np.array([i for i, _ in labeled], dtype=np.int64)
-    labels = np.array([y for _, y in labeled], dtype=np.int64)
+    """Fit on the labeled indices, in order, with their embedding_set labels; deterministic."""
+    indices = np.asarray(labeled, dtype=np.int64)
+    labels = embedding_set.labels[indices]
     if (labels == UNKNOWN_LABEL).any():
         raise UnknownLabel(f"points {indices[labels == UNKNOWN_LABEL].tolist()} have label -1")
     if np.unique(labels).size < 2:

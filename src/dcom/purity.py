@@ -19,6 +19,8 @@ _MONOTONE_JITTER = 0.02
 
 # Centers per Gram block.
 _BLOCK_ROWS = 32
+# Lloyd rounds after which k-means stops short of a fixpoint.
+_KMEANS_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -43,19 +45,14 @@ class PurityCurve:
         object.__setattr__(self, "purity", purity)
 
 
-def kmeans_cluster(
-    embedding_set: EmbeddingSet,
-    k: int,
-    seed: int = 0,
-    max_iters: int = 100,
-) -> np.ndarray:
+def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.ndarray:
     """Lloyd's k-means with farthest-first init, deterministic per seed.
 
     The first center is drawn uniformly with the seeded generator; each
     subsequent center is the point farthest from the chosen set (lowest index
     on ties). Empty clusters are repaired by moving the point currently
     farthest from its own centroid. Iteration stops at an assignment fixpoint
-    or after max_iters.
+    or after _KMEANS_ITERS rounds.
     """
     n = embedding_set.count
     if k <= 0:
@@ -74,7 +71,7 @@ def kmeans_cluster(
     centroids = points[centers_idx].copy()
 
     labels = None
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_ITERS):
         sq = np.array([_sq_dists(points, c) for c in centroids])
         new_labels = sq.argmin(axis=0)
         assigned_sq = sq[new_labels, np.arange(n)]

@@ -73,10 +73,10 @@ def nnn_classify(embedding_set, labeled, deltas, query: int) -> int:
     if not len(labeled):
         raise ValueError("labeled set must be non-empty")
     deltas = np.asarray(deltas, dtype=np.float64)
-    indices = np.array([i for i, _ in labeled], dtype=np.int64)
+    indices = np.asarray(labeled, dtype=np.int64)
     points = embedding_set.vectors.astype(np.float64)
     ratios = np.sqrt(_sq_dists(points[indices], points[query])) / deltas
-    return int(labeled[int(np.argmin(ratios))][1])
+    return int(embedding_set.labels[indices[int(np.argmin(ratios))]])
 
 
 def train_probe(embedding_set, labeled, spec):
@@ -85,8 +85,8 @@ def train_probe(embedding_set, labeled, spec):
     Returns the final weights and the loss before each update, from
     probe_loss_and_grad on the features train_learner builds.
     """
-    indices = np.array([i for i, _ in labeled], dtype=np.int64)
-    labels = np.array([y for _, y in labeled], dtype=np.int64)
+    indices = np.asarray(labeled, dtype=np.int64)
+    labels = embedding_set.labels[indices]
     class_count = max(embedding_set.num_classes, int(labels.max()) + 1)
     features = embedding_set.vectors[indices].astype(np.float64)
     features_bias = np.hstack((features, np.ones((features.shape[0], 1))))

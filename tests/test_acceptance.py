@@ -229,8 +229,7 @@ def test_criterion_07_error_bounded_by_uncovered_mass_with_pure_balls():
             is_pure_ball(s, s.labels, c, d) for c, d in zip(labeled_idx, pool.deltas)
         )
         coverage = covered_set(s, labeled_idx, pool.deltas).mean()
-        pairs = [(i, int(s.labels[i])) for i in labeled_idx]
-        predictions = [nnn_classify(s, pairs, pool.deltas, x) for x in range(s.count)]
+        predictions = [nnn_classify(s, labeled_idx, pool.deltas, x) for x in range(s.count)]
         error = float(np.mean(np.asarray(predictions) != s.labels))
         ok &= error <= 1.0 - coverage + 1e-12
     _verdict(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dcom.baselines import (
-    StrategySpec,
     select_by_uncertainty,
     select_coreset,
     select_probcover,
@@ -16,12 +15,6 @@ from dcom.learners import SoftmaxMatrix
 
 def one_d(*values):
     return EmbeddingSet(np.array(values, dtype=np.float64)[:, None])
-
-
-def test_strategy_spec_validation():
-    StrategySpec("random")
-    with pytest.raises(ValueError):
-        StrategySpec("oracle")
 
 
 def test_random_is_seeded_and_disjoint():
@@ -80,12 +73,9 @@ def test_uncertainty_row_mismatch():
 def test_coreset_farthest_first():
     s = one_d(0.0, 1.0, 10.0, 11.0)
     pool = PoolState([0], [1, 2, 3], [0.5])
-    # Farthest from point 0 is 11.0, then the farthest from {0, 3} is 1.0? No:
-    # distances to the set {0, 3}: point 1 -> 1.0, point 2 -> 1.0; tie, lowest
-    # position wins, so 10.0 comes after 11.0 only if strictly farther.
-    picks = select_coreset(s, pool, 2)
-    assert picks[0] == 3
-    assert picks[1] in (1, 2)
+    # Farthest from point 0 is 11.0 (index 3). Then points 1 and 2 both lie
+    # 1.0 from the set {0, 3}, and the tie goes to the lower index.
+    assert select_coreset(s, pool, 2) == [3, 1]
 
 
 def test_coreset_matches_greedy_oracle():
@@ -118,6 +108,29 @@ def test_coreset_empty_labeled_starts_lowest_index():
     picks = select_coreset(s, pool, 2)
     assert picks[0] == 0
     assert picks[1] == 1  # 0.0 is farther from 5.0 than 9.0 is
+
+
+@pytest.mark.parametrize("labeled", [[], [4]])
+@pytest.mark.parametrize("kind", ["dcom", "probcover", "coreset"])
+def test_a_reversed_pool_gives_the_sorted_pools_picks(kind, labeled):
+    # Far-apart points: every degree is 0 and, with nothing labeled, every
+    # k-center distance is inf, so picks are ties that the lowest index wins.
+    s = one_d(0.0, 10.0, 20.0, 30.0, 40.0)
+    margins = {0: 0.2, 1: 0.2, 2: 0.5, 3: 0.5, 4: 0.5}  # dcom's scores tie in pairs
+
+    def picks(unlabeled):
+        pool = PoolState(labeled, unlabeled, [0.5] * len(labeled))
+        if kind == "dcom":
+            gaps = [margins[i] for i in unlabeled]
+            return dcom_select(s, pool, gaps, 4, DComConfig(delta0=0.5)).selected
+        if kind == "probcover":
+            return select_probcover(s, pool, 0.5, 4)
+        return select_coreset(s, pool, 4)
+
+    in_order = [i for i in range(5) if i not in labeled]
+    expected = picks(in_order)
+    assert expected[0] == 0
+    assert picks(in_order[::-1]) == expected
 
 
 def test_probcover_greedy_degree():

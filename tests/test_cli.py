@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dcom import graph, harness
-from dcom.baselines import STRATEGY_KINDS, StrategySpec
+from dcom import graph, harness, purity
+from dcom.baselines import STRATEGY_KINDS
 from dcom.cli import cli_dispatch
 from dcom.data import (
     MixtureSpec,
@@ -49,6 +49,29 @@ def test_init_delta_output(capsys, mixture_file):
     assert any(abs(delta0 - g) < 1e-6 for g in grid)
     purity = [float(line.split(",")[1]) for line in lines[1:-1]]
     assert all(0.0 <= p <= 1.0 for p in purity)
+
+
+@pytest.mark.parametrize("classes, seed", [(2, 0), (3, 0), (3, 7), (4, 1)])
+def test_init_delta_gives_the_delta0_of_select_and_run_loop(
+    capsys, monkeypatch, mixture_file, classes, seed
+):
+    grids = []
+    curve = purity.estimate_purity_curve
+
+    def recorded(embedding_set, labels, grid, sample=None):
+        grids.append(grid)
+        return curve(embedding_set, labels, grid, sample)
+
+    monkeypatch.setattr(purity, "estimate_purity_curve", recorded)
+    argv = ["init-delta", "--embeddings", str(mixture_file), "--classes", str(classes)]
+    code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
+    assert code == 0, err
+    # The curve is printed on the grid that select and run-loop derive delta0 on.
+    assert len(grids) == 1 and np.array_equal(grids[0], purity.DEFAULT_GRID)
+    dataset = harness.load_dataset({"embeddings": str(mixture_file)})
+    delta0 = harness.resolve_delta0(dataset, {}, classes, seed)
+    assert out.splitlines()[-1] == f"delta0,{delta0:.6g}"
+    assert run_cli(capsys, *argv, "--grid-step", "0.1")[0] == 2
 
 
 def test_init_delta_missing_file(capsys, tmp_path):
@@ -289,7 +312,7 @@ def test_expand_delta_rejects_invalid_pools(capsys, tmp_path, overrides, message
 def test_expand_delta_prints_the_radii_of_run_iteration(capsys, tmp_path, labeled, deltas, q):
     config = thirty_point_expand_config(labeled=labeled, deltas=deltas)
     dataset = harness.load_dataset(config["data"])
-    setting = harness.strategy_setting(dataset, StrategySpec("dcom"), config["dcom"], 0)
+    setting = harness.strategy_setting(dataset, "dcom", config["dcom"], 0)
     pool = PoolState(labeled, [i for i in range(dataset.count) if i not in labeled], deltas)
     spec = harness.learner_spec(config)
     result, after, learner, _ = run_iteration(dataset, pool, spec, q, setting)
@@ -542,6 +565,61 @@ def test_run_loop_unknown_split_key_exits_1(capsys, tmp_path):
     assert err == "error (experiment-harness): split config: unknown keys ['test_fration']\n"
 
 
+# Each row: dotted config keys and their values, then the key the error must name.
+_BAD_VALUES = [
+    ({"data.l2_normalize": "no"}, "data.l2_normalize"),
+    ({"record_timing": "false"}, "record_timing"),
+    ({"learner.epochs": True}, "learner.epochs"),
+    ({"learner.epochs": 10.5}, "learner.epochs"),
+    ({"learner.learning_rate": "0.1"}, "learner.learning_rate"),
+    ({"learner.learning_rate": float("nan")}, "learner.learning_rate"),  # JSON NaN
+    ({"dcom.delta0": float("inf")}, "dcom.delta0"),  # JSON Infinity
+    ({"learner.kind": 1}, "learner.kind"),
+    ({"data.mixture.num_classes": 3.0}, "data.mixture.num_classes"),
+    ({"data.mixture.within_std": False}, "data.mixture.within_std"),
+    ({"strategy.seed": 1.5}, "strategy.seed"),
+    ({"dcom.delta_max": "1.0"}, "dcom.delta_max"),
+    ({"dcom.delta0": "0.5"}, "dcom.delta0"),
+    ({"dcom.delta0": None, "dcom.alpha": "0.9"}, "dcom.alpha"),
+    ({"split.seed": 1.5}, "split.seed"),
+    ({"split.test_fraction": 0}, "split.test_fraction"),
+    ({"split.test_fraction": 0.01}, "split.test_fraction"),  # rounds to 0 of 20 per class
+    ({"split.test_fraction": -0.5}, "split.test_fraction"),
+    ({"split.test_fraction": 1}, "split.test_fraction"),
+    ({"split.test_fraction": "0.25"}, "split.test_fraction"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        pytest.param(command, overrides, key, id=f"{command}-{list(overrides.values())[-1]!r}-{key}")
+        for overrides, key in _BAD_VALUES
+        for command in ("select", "run-loop")
+        # Only run-loop reads split and record_timing.
+        if command == "run-loop" or not key.startswith(("split.", "record_timing"))
+    ],
+)
+def test_bad_config_values_exit_1_naming_the_key(capsys, tmp_path, command, overrides, key):
+    config = select_config("dcom", [])
+    config["data"]["mixture"]["points_per_class"] = 20
+    config.update(schedule=[3], q=3, output=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 0, err
+    for dotted, value in overrides.items():
+        *sections, last = dotted.split(".")
+        target = config
+        for name in sections:
+            target = target.setdefault(name, {})
+        target[last] = value
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert key in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("key, value", [("repetitions", 2.0), ("schedule", [2.5, 3])])
 def test_run_loop_non_integer_sizes_exit_1(capsys, tmp_path, key, value):
     config = select_config("random", [])
@@ -663,3 +741,12 @@ def test_run_loop_without_labels_names_data_labels(capsys, tmp_path, files):
     code, out, err = run_cli(capsys, "run-loop", "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error (experiment-harness):") and "data.labels" in err
+
+
+@pytest.mark.parametrize("key", ["embeddings", "labels"])
+def test_an_integer_data_path_exits_1_naming_it(capsys, tmp_path, files, key):
+    # open() would read an integer as a file descriptor, 0 being stdin.
+    config = {"data": {**files, key: 0}, "strategy": {"kind": "coreset"}, "q": 3}
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 1 and out == ""
+    assert f"data.{key} must be a string, got 0" in err

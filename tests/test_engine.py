@@ -300,8 +300,9 @@ def pruned_graph_dcom_oracle(s, labeled, unlabeled, deltas, margins, q, config):
     unlabeled = np.asarray(unlabeled, dtype=np.int64)
     margin_full = np.ones(s.count)
     margin_full[unlabeled] = margins
+    unlabeled = np.sort(unlabeled)  # lowest index on ties
     available = np.ones(unlabeled.size, dtype=bool)
-    per_step = []
+    selected = []
     for _ in range(q):
         degrees = graph.out_degree[unlabeled].astype(np.float64)
         top = degrees.max()
@@ -309,17 +310,17 @@ def pruned_graph_dcom_oracle(s, labeled, unlabeled, deltas, margins, q, config):
         scores = competence * (1.0 - margin_full[unlabeled]) + (1.0 - competence) * odr
         pos = int(np.argmax(np.where(available, scores, -np.inf)))
         pick = int(unlabeled[pos])
-        per_step.append((pick, float(scores[pos])))
+        selected.append(pick)
         available[pos] = False
         graph.prune_incoming(np.append(graph.ball_members(pick), pick))
         margin_full[pick] = 1.0
-    return per_step
+    return selected
 
 
 def pruned_graph_probcover_oracle(s, labeled, unlabeled, delta0, q):
     """select_probcover's greedy loop over a full-build-then-prune graph."""
     graph = full_build_then_prune(s, labeled, [delta0] * len(labeled), delta0)
-    unlabeled = np.asarray(unlabeled, dtype=np.int64)
+    unlabeled = np.sort(np.asarray(unlabeled, dtype=np.int64))  # lowest index on ties
     available = np.ones(unlabeled.size, dtype=bool)
     selected = []
     for _ in range(q):
@@ -363,8 +364,7 @@ def test_dcom_select_matches_full_build_then_prune(lattice):
         pool = PoolState(list(labeled), list(unlabeled), list(deltas))
         result = dcom_select(s, pool, margins, q, config)
         expected = pruned_graph_dcom_oracle(s, labeled, unlabeled, deltas, margins, q, config)
-        assert result.per_step_scores == expected
-        assert result.selected == [pick for pick, _ in expected]
+        assert result.selected == expected
     assert partly >= 10
 
 

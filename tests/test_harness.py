@@ -18,6 +18,7 @@ from dcom.harness import (
     read_report,
     resolve_delta0,
     run_al_loop,
+    strategy_spec,
     stratified_split,
     summarize,
     write_report,
@@ -79,11 +80,17 @@ def test_stratified_split_balanced_and_seeded():
     assert not np.array_equal(test, test3)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 0.01])
+def test_an_empty_test_split_is_int64(fraction):
+    s = gen_gaussian_mixture(MixtureSpec(3, 20, 3, 4.0, 1.0, seed=2))
+    train, test = stratified_split(s, fraction, seed=0)
+    assert train.dtype == test.dtype == np.int64
+    assert test.size == 0 and train.tolist() == list(range(60))
+
+
 def test_evaluate_accuracy():
     s = gen_gaussian_mixture(MixtureSpec(2, 25, 4, 8.0, 0.5, seed=6))
-    learner = train_learner(
-        s, [(i, int(s.labels[i])) for i in range(40)], LearnerSpec(epochs=80)
-    )
+    learner = train_learner(s, range(40), LearnerSpec(epochs=80))
     acc = evaluate_accuracy(learner, s, np.arange(40, 50))
     assert acc == 1.0
     with pytest.raises(EmptyTestSet):
@@ -217,6 +224,13 @@ def test_strategy_delta0_zero_is_not_unset():
         run_al_loop(config)
 
 
+def test_strategy_spec_names_an_unknown_kind():
+    assert strategy_spec({"strategy": {"kind": "random", "seed": 3}}) == ("random", 3)
+    assert strategy_spec({"strategy": {"kind": "oracle"}}, "dcom") == ("dcom", 0)
+    with pytest.raises(ConfigError, match=r"^strategy\.kind must be one of .*'oracle'"):
+        strategy_spec({"strategy": {"kind": "oracle"}})
+
+
 @pytest.mark.parametrize(
     "config, section",
     [
@@ -301,7 +315,6 @@ def test_report_round_trip_and_summary(tmp_path):
 
 def test_select_step_dcom_only_selects(monkeypatch):
     from dcom import engine
-    from dcom.baselines import StrategySpec
     from dcom.engine import DComConfig, PoolState, run_iteration
 
     s = l2_normalize(gen_gaussian_mixture(MixtureSpec(3, 20, 4, 6.0, 1.0, seed=2)))
@@ -322,7 +335,7 @@ def test_select_step_dcom_only_selects(monkeypatch):
 
     monkeypatch.setattr(engine, "train_learner", train_once)
     monkeypatch.setattr(engine, "expand_delta", no_expand)
-    picks = harness.select_step(s, pool, StrategySpec("dcom"), 5, config, spec)
+    picks = harness.select_step(s, pool, "dcom", 5, config, spec)
     assert picks == expected.selected
     assert len(trainings) == 1
 

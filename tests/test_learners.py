@@ -15,10 +15,6 @@ from dcom.learners import (
 )
 
 
-def make_pairs(embedding_set, indices):
-    return [(int(i), int(embedding_set.labels[i])) for i in indices]
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         LearnerSpec(kind="svm")
@@ -41,25 +37,25 @@ def test_softmax_matrix_validation():
 def test_single_class_rejected():
     s = EmbeddingSet([[0.0], [1.0]], labels=[0, 0])
     with pytest.raises(SingleClass):
-        train_learner(s, make_pairs(s, [0, 1]), LearnerSpec())
+        train_learner(s, [0, 1], LearnerSpec())
 
 
 def test_unknown_label_rejected():
     s = EmbeddingSet([[0.0], [1.0], [2.0]], labels=[0, 1, -1])
     with pytest.raises(UnknownLabel, match=r"points \[2\] have label -1"):
-        train_learner(s, make_pairs(s, [0, 1, 2]), LearnerSpec())
+        train_learner(s, [0, 1, 2], LearnerSpec())
 
 
 def test_probe_separates_well_separated_classes():
     s = gen_gaussian_mixture(MixtureSpec(3, 30, 5, 8.0, 0.5, seed=0))
-    learner = train_learner(s, make_pairs(s, range(s.count)), LearnerSpec())
+    learner = train_learner(s, range(s.count), LearnerSpec())
     probs = predict_softmax(learner, s, np.arange(s.count))
     assert (probs.rows.argmax(axis=1) == s.labels).mean() == 1.0
 
 
 def test_probe_loss_decreases():
     s = gen_gaussian_mixture(MixtureSpec(2, 20, 3, 3.0, 1.0, seed=1))
-    _, h = oracles.train_probe(s, make_pairs(s, range(s.count)), LearnerSpec(epochs=50))
+    _, h = oracles.train_probe(s, range(s.count), LearnerSpec(epochs=50))
     assert len(h) == 50 and h[-1] < h[0]
     assert all(b <= a + 1e-9 for a, b in zip(h, h[1:]))
 
@@ -82,15 +78,15 @@ def test_probe_weights_equal_loss_tracking_loop(case):
         epochs=(1, 2, 17, 300)[case // 2 % 4],
         l2_penalty=(0.0, 1e-4)[case % 2],
     )
-    pairs = [(int(i), int(y)) for i, y in zip(rng.permutation(m), labels)]
-    weights, _ = oracles.train_probe(s, pairs, spec)
-    assert np.array_equal(train_learner(s, pairs, spec).weights, weights)
+    order = rng.permutation(m)
+    weights, _ = oracles.train_probe(s, order, spec)
+    assert np.array_equal(train_learner(s, order, spec).weights, weights)
 
 
 def test_probe_deterministic():
     s = gen_gaussian_mixture(MixtureSpec(2, 15, 4, 2.0, 1.0, seed=2))
-    a = train_learner(s, make_pairs(s, range(s.count)), LearnerSpec())
-    b = train_learner(s, make_pairs(s, range(s.count)), LearnerSpec())
+    a = train_learner(s, range(s.count), LearnerSpec())
+    b = train_learner(s, range(s.count), LearnerSpec())
     assert np.array_equal(a.weights, b.weights)
 
 
@@ -118,7 +114,7 @@ def test_probe_gradient_matches_central_differences():
 
 def test_nearest_class_mean_predictions():
     s = EmbeddingSet([[0.0], [0.2], [5.0], [5.2], [0.1], [5.1]], labels=[0, 0, 1, 1, 0, 1])
-    learner = train_learner(s, make_pairs(s, [0, 1, 2, 3]), LearnerSpec(kind="nearest_class_mean"))
+    learner = train_learner(s, [0, 1, 2, 3], LearnerSpec(kind="nearest_class_mean"))
     assert np.allclose(learner.class_means, [[0.1], [5.1]])
     probs = predict_softmax(learner, s, [4, 5])
     assert probs.rows.argmax(axis=1).tolist() == [0, 1]
@@ -126,14 +122,14 @@ def test_nearest_class_mean_predictions():
 
 def test_ncm_absent_class_gets_zero_probability():
     s = EmbeddingSet([[0.0], [1.0], [2.0]], labels=[0, 2, 1])
-    learner = train_learner(s, [(0, 0), (1, 2)], LearnerSpec(kind="nearest_class_mean"))
+    learner = train_learner(s, [0, 1], LearnerSpec(kind="nearest_class_mean"))
     probs = predict_softmax(learner, s, [2])
     assert probs.rows[0, 1] == 0.0
 
 
 def test_predict_dim_mismatch():
     s = EmbeddingSet([[0.0, 1.0], [1.0, 0.0]], labels=[0, 1])
-    learner = train_learner(s, make_pairs(s, [0, 1]), LearnerSpec(epochs=5))
+    learner = train_learner(s, [0, 1], LearnerSpec(epochs=5))
     with pytest.raises(DimensionMismatch):
         predict_softmax(learner, EmbeddingSet([[1.0]]), [0])
 
@@ -173,16 +169,15 @@ def test_normalize_unit_interval():
 
 
 def test_nnn_classify_radius_weighting():
-    s = EmbeddingSet([[0.0], [1.0], [0.4]])
+    s = EmbeddingSet([[0.0], [1.0], [0.4]], labels=[0, 1, -1])
     # Point 2 sits nearer to 0, but point 1 has a much larger radius:
     # d/delta is 0.4/0.5 = 0.8 for label 0, 0.6/2.0 = 0.3 for label 1.
-    labeled = [(0, 0), (1, 1)]
-    assert oracles.nnn_classify(s, labeled, [0.5, 2.0], query=2) == 1
-    assert oracles.nnn_classify(s, labeled, [0.5, 0.5], query=2) == 0
+    assert oracles.nnn_classify(s, [0, 1], [0.5, 2.0], query=2) == 1
+    assert oracles.nnn_classify(s, [0, 1], [0.5, 0.5], query=2) == 0
 
 
 def test_nnn_classify_tie_lowest_index():
-    s = EmbeddingSet([[0.0], [2.0], [1.0]])
-    assert oracles.nnn_classify(s, [(0, 7), (1, 3)], [1.0, 1.0], query=2) == 7
+    s = EmbeddingSet([[0.0], [2.0], [1.0]], labels=[7, 3, -1])
+    assert oracles.nnn_classify(s, [0, 1], [1.0, 1.0], query=2) == 7
     with pytest.raises(ValueError):
         oracles.nnn_classify(s, [], [], query=2)
