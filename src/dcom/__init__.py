@@ -42,7 +42,6 @@ from .harness import (
 from .learners import (
     Learner,
     LearnerSpec,
-    SoftmaxMatrix,
     normalize_unit_interval,
     predict_softmax,
     train_learner,

@@ -8,7 +8,7 @@ from .data import _sq_dists
 from .engine import _check_budget, _greedy_select
 from .errors import PoolInvariantError
 from .graph import covered_set
-from .learners import SoftmaxMatrix, uncertainty_scores
+from .learners import uncertainty_scores
 
 STRATEGY_KINDS = (
     "random",
@@ -34,11 +34,11 @@ def select_random(pool, q: int, seed: int) -> list:
     return [int(i) for i in picks]
 
 
-def select_by_uncertainty(pool, probs: SoftmaxMatrix, kind: str, q: int) -> list:
+def select_by_uncertainty(pool, probs: np.ndarray, kind: str, q: int) -> list:
     """The q most-uncertain unlabeled points; ties break to the lowest index."""
     _check_budget(pool, q)
     unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
-    if probs.rows.shape[0] != unlabeled.size:
+    if probs.shape[0] != unlabeled.size:
         raise PoolInvariantError("softmax rows must align with the unlabeled pool")
     scores = uncertainty_scores(probs, kind)
     if kind == "margin":

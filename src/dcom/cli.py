@@ -80,6 +80,8 @@ def _load_round(config, expanding=False):
 
 
 def _cmd_init_delta(args):
+    if args.classes < 2:
+        raise ConfigError(f"--classes must be 2 or more, got {args.classes}")
     dataset = harness.load_dataset(
         {"embeddings": args.embeddings, "l2_normalize": not args.no_normalize}
     )

@@ -238,14 +238,10 @@ def _gram_inputs(embedding_set, extent=0.0):
     """Inputs of a Gram pass whose keys are K_ij = -|x_i - x_j|^2/2, and its slack.
 
     Returns the float64 points, the n x (d + 2) array gram whose row i is
-    [x_i, -|x_i|^2/2, 1], the column order swap that exchanges gram's last two
-    columns, and s = 12 (d + 4) u (1 + B) in gram's dtype, where
+    [x_i, -|x_i|^2/2, 1], and s = 12 (d + 4) u (1 + B) in gram's dtype, where
     B = max |x|^2 + extent and u is the dtype's unit roundoff. The dtype is
     float32 unless d > 2^20 or 4 B would overflow float32; then float64.
-    gram[rows].take(swap, axis=1) @ gram[cols].T is the block of keys, as the
-    rows of its left side are [x_i, 1, -|x_i|^2/2]. take keeps that side
-    C-contiguous; the F-ordered copy that [:, swap] makes slowed the
-    covered-iter bench passes by about 15% on a 2-core host.
+    _gram_pairs multiplies these rows into keys.
 
     The key's error, which every caller's compare step starts from: let
     M = max |x|^2, v = 2^-53 <= u the float64 unit roundoff, and
@@ -270,7 +266,42 @@ def _gram_inputs(embedding_set, extent=0.0):
     gram = np.empty((n, d + 2), dtype=dtype)
     gram[:, :d], gram[:, d], gram[:, d + 1] = embedding_set.vectors, -0.5 * sq_norms, 1.0
     slack = dtype(12 * (d + 4) * np.finfo(dtype).eps / 2 * (1.0 + bound))
-    return points, gram, np.r_[:d, d + 1, d], slack
+    return points, gram, slack
+
+
+def _gram_pairs(inputs, rows, cols, block, floor_of):
+    """The package's one Gram pass: candidate pairs of rows x cols and their exact distances.
+
+    The radius graph, coverage and the purity curve differ only in floor_of.
+    inputs is _gram_inputs(...); rows are point indices in any order, cols
+    sorted and duplicate-free, so cols holding every point is arange(n) and
+    gram itself is the column side. For each block part = rows[lo : lo + block],
+    the keys fill a reused len(part) x len(cols) buffer, and
+    floor_of(lo, part, keys, scratch) returns each row's floor in the keys'
+    dtype. It may lower keys to drop pairs, and may use scratch, a boolean
+    buffer of the keys' shape that the pass overwrites right after. Each pair
+    whose key is at least its row's floor is yielded, a block at a time in
+    (rows, cols) order, as (k, i, j, sq): the position k in rows, i = rows[k],
+    j in cols and the exact refine sq = _sq_dists(x_i, x_j).
+
+    The keys are gram[part].take(swap, axis=1) @ gram[cols].T, whose left rows
+    are [x_i, 1, -|x_i|^2/2]. take keeps that side C-contiguous; [:, swap] makes
+    an F-ordered copy, which slowed the covered-iter bench by about 15% (2 cores).
+    """
+    points, gram, _ = inputs
+    swap = np.r_[: points.shape[1], -1, -2]
+    tgt = gram if cols.size == gram.shape[0] else gram[cols]
+    keys_buf = np.empty((min(block, rows.size), cols.size), dtype=gram.dtype)
+    mask_buf = np.empty(keys_buf.shape, dtype=bool)
+    for lo in range(0, rows.size if cols.size else 0, block):
+        part = rows[lo : lo + block]
+        keys, mask = keys_buf[: part.size], mask_buf[: part.size]
+        np.matmul(gram[part].take(swap, axis=1), tgt.T, out=keys)
+        floor = floor_of(lo, part, keys, mask)
+        np.greater_equal(keys, floor[:, None], out=mask)
+        cand_row, cand_col = np.divmod(np.flatnonzero(mask), cols.size)
+        src, dst = part[cand_row], cols[cand_col]
+        yield lo + cand_row, src, dst, _pair_sq_dists(points, src, dst)
 
 
 def gen_gaussian_mixture(spec: MixtureSpec) -> EmbeddingSet:

@@ -294,7 +294,7 @@ def _label_step(embedding_set, pool, new_points, coverage_before, learner_spec, 
         only = embedding_set.labels[pool.labeled[0]]
         predicted = np.full(len(pool.unlabeled), only, dtype=np.int64)
     else:
-        predicted = predict_softmax(learner, embedding_set, pool.unlabeled).rows.argmax(axis=1)
+        predicted = predict_softmax(learner, embedding_set, pool.unlabeled).argmax(axis=1)
     radii = expand_delta(embedding_set, pool, new_points, predicted, coverage_before, config)
     return learner, radii
 

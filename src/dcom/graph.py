@@ -6,18 +6,18 @@ is alive exactly while its target is uncovered, and out-degrees count alive
 edges. Construction can be restricted to source and target indices, so the
 greedy kernel in engine (shared by dcom_select and select_probcover) builds
 only unlabeled sources to uncovered targets and then only covers. Candidates
-come from a float32 BLAS Gram pass per block of source rows with a per-row
-threshold; every candidate is then confirmed with the package's exact float64
-distance (data._pair_sq_dists), so the edge set matches a brute-force O(n^2)
-scan bit for bit. covered_set runs the same kernel with a radius per labeled
-point.
+come from data._gram_pairs, the package's one float32 Gram pass, with a
+per-row floor derived from the key error bound of data._gram_inputs; every
+candidate is confirmed with the package's exact float64 distance, so the edge
+set matches a brute-force O(n^2) scan bit for bit. covered_set runs the same
+pass with a radius per labeled point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import EmbeddingSet, _gram_inputs, _pair_sq_dists
+from .data import EmbeddingSet, _gram_inputs, _gram_pairs
 from .errors import DenseRadiusGraph
 
 # Source rows per Gram block of a build, and labeled points per coverage block.
@@ -39,12 +39,6 @@ class RadiusGraph:
         self._out_indptr = np.concatenate(([0], np.cumsum(self._out_degree)))
         self._in_edge_ids = np.argsort(dst, kind="stable")
         self._in_indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
-
-    @property
-    def edges(self):
-        """Alive (source, target) pairs, sorted by (source, target)."""
-        alive = ~self._covered[self._dst]
-        return np.column_stack((self._src[alive], self._dst[alive]))
 
     @property
     def out_degree(self):
@@ -110,27 +104,18 @@ def _pairs_within(inputs, rows, sq_radii, cols):
     """Pairs (rows[k], j != rows[k]), j in cols, at exact squared distance <= sq_radii[k].
 
     inputs is data._gram_inputs(embedding_set, extent >= max(sq_radii)), whose
-    bound build_radius_graph derives. cols is sorted and duplicate-free, so
-    cols holding every point is arange(n), and gram itself is the target side.
-    Pairs come in (rows, cols) order. Raises DenseRadiusGraph once more than
-    _MAX_EDGES pairs are confirmed.
+    bound build_radius_graph derives; data._gram_pairs runs the pass with
+    row k's floor. Pairs come in (rows, cols) order. Raises DenseRadiusGraph
+    once more than _MAX_EDGES pairs are confirmed.
     """
-    points, gram, swap, slack = inputs
-    tgt = gram if cols.size == gram.shape[0] else gram[cols]
+    points, gram, slack = inputs
     floor = -((sq_radii + float(slack)) / 2).astype(gram.dtype)
-    buf = np.empty((min(_CHUNK_ROWS, rows.size), cols.size), dtype=gram.dtype)
-    mask = np.empty(buf.shape, dtype=bool)
-
     src_parts, dst_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     edges = 0
-    for lo in range(0, rows.size if cols.size else 0, _CHUNK_ROWS):
-        block_rows = rows[lo : lo + _CHUNK_ROWS]
-        block, block_mask = buf[: block_rows.size], mask[: block_rows.size]
-        np.matmul(gram[block_rows].take(swap, axis=1), tgt.T, out=block)
-        np.greater_equal(block, floor[lo : lo + _CHUNK_ROWS, None], out=block_mask)
-        cand_row, cand_col = np.divmod(np.flatnonzero(block_mask), cols.size)
-        src, dst = block_rows[cand_row], cols[cand_col]
-        keep = (src != dst) & (_pair_sq_dists(points, src, dst) <= sq_radii[lo + cand_row])
+    for k, src, dst, sq in _gram_pairs(
+        inputs, rows, cols, _CHUNK_ROWS, lambda lo, part, keys, scratch: floor[lo : lo + part.size]
+    ):
+        keep = (src != dst) & (sq <= sq_radii[k])
         src_parts.append(src[keep])
         dst_parts.append(dst[keep])
         edges += src_parts[-1].size

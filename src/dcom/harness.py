@@ -165,6 +165,9 @@ def learner_spec(config) -> LearnerSpec:
 
 def load_dataset(data_cfg) -> EmbeddingSet:
     """Resolve the config's data source into an EmbeddingSet."""
+    files = [key for key in ("embeddings", "labels") if key in data_cfg]
+    if "mixture" in data_cfg and files:
+        raise ConfigError(f"data.mixture and data.{files[0]} are two data sources; give one")
     if "mixture" in data_cfg:
         spec = _from_config(MixtureSpec, data_cfg["mixture"], "data.mixture")
         dataset = gen_gaussian_mixture(spec)
@@ -200,7 +203,7 @@ def evaluate_accuracy(learner, dataset, test) -> float:
     if test.size == 0:
         raise EmptyTestSet("cannot evaluate on an empty test set")
     probs = predict_softmax(learner, dataset, test)
-    predicted = probs.rows.argmax(axis=1)
+    predicted = probs.argmax(axis=1)
     return float((predicted == dataset.labels[test]).mean())
 
 

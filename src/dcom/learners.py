@@ -36,25 +36,6 @@ class LearnerSpec:
             raise ValueError("l2_penalty must be non-negative")
 
 
-@dataclass(frozen=True)
-class SoftmaxMatrix:
-    """Per-point class-probability rows."""
-
-    rows: np.ndarray
-    class_count: int
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != self.class_count:
-            raise ValueError(f"rows must be (m, {self.class_count})")
-        if rows.size:
-            if rows.min() < 0 or rows.max() > 1:
-                raise ValueError("probabilities must lie in [0, 1]")
-            if np.abs(rows.sum(axis=1) - 1.0).max() > 1e-6:
-                raise ValueError("rows must sum to 1 within 1e-6")
-        object.__setattr__(self, "rows", rows)
-
-
 @dataclass(frozen=True, eq=False)
 class Learner:
     """Trained handle; immutable after construction."""
@@ -119,7 +100,8 @@ def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Le
     return Learner(spec, embedding_set.dim, class_count, weights=weights)
 
 
-def predict_softmax(learner: Learner, embedding_set, targets) -> SoftmaxMatrix:
+def predict_softmax(learner: Learner, embedding_set, targets) -> np.ndarray:
+    """The (len(targets), class_count) float64 softmax rows of the targets."""
     targets = np.asarray(targets, dtype=np.int64)
     if embedding_set.dim != learner.dim:
         raise DimensionMismatch(
@@ -128,19 +110,17 @@ def predict_softmax(learner: Learner, embedding_set, targets) -> SoftmaxMatrix:
     features = embedding_set.vectors[targets].astype(np.float64)
     if learner.spec.kind == "linear_probe":
         features_bias = np.hstack((features, np.ones((features.shape[0], 1))))
-        rows = _softmax(features_bias @ learner.weights)
-    else:
-        logits = np.full((features.shape[0], learner.class_count), -np.inf)
-        for c in range(learner.class_count):
-            if not np.isnan(learner.class_means[c]).any():
-                sq = _sq_dists(features, learner.class_means[c])
-                logits[:, c] = -np.sqrt(sq) / learner.spec.temperature
-        rows = _softmax(logits)
-    return SoftmaxMatrix(rows, learner.class_count)
+        return _softmax(features_bias @ learner.weights)
+    logits = np.full((features.shape[0], learner.class_count), -np.inf)
+    for c in range(learner.class_count):
+        if not np.isnan(learner.class_means[c]).any():
+            sq = _sq_dists(features, learner.class_means[c])
+            logits[:, c] = -np.sqrt(sq) / learner.spec.temperature
+    return _softmax(logits)
 
 
-def uncertainty_scores(probs: SoftmaxMatrix, kind: str) -> np.ndarray:
-    """Per-row uncertainty inputs; interpretation depends on kind.
+def uncertainty_scores(rows: np.ndarray, kind: str) -> np.ndarray:
+    """Per-row uncertainty inputs of (m, C) softmax rows; interpretation depends on kind.
 
     margin: top-two probability gap (LOWER means more uncertain).
     entropy: -sum p ln p in nats (higher = more uncertain).
@@ -148,7 +128,6 @@ def uncertainty_scores(probs: SoftmaxMatrix, kind: str) -> np.ndarray:
     """
     if kind not in UNCERTAINTY_KINDS:
         raise ValueError(f"unknown uncertainty kind {kind!r}")
-    rows = probs.rows
     if kind == "margin":
         top2 = np.sort(rows, axis=1)[:, -2:]
         return top2[:, 1] - top2[:, 0]

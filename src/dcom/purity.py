@@ -1,4 +1,8 @@
-"""Purity-curve estimation with k-means pseudo-labels and initial radius selection."""
+"""Purity-curve estimation with k-means pseudo-labels and initial radius selection.
+
+The curve runs data._gram_pairs, the radius graph's Gram pass, with its own
+floor per row; both floors start from the key error bound of data._gram_inputs.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, _gram_inputs, _pair_sq_dists, _sq_dists
+from .data import EmbeddingSet, _gram_inputs, _gram_pairs, _sq_dists
 from .errors import DimensionMismatch, NoDeltaMeetsAlpha
 
 DEFAULT_ALPHA = 0.95
@@ -91,18 +95,17 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
     return labels.astype(np.int64)
 
 
-def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
-    """Distance from each center to its nearest differently-labeled point.
+def min_impure_distance(embedding_set, labels) -> np.ndarray:
+    """Distance from each point to its nearest differently-labeled point.
 
     A ball around a center is pure exactly when its radius is strictly below
     this distance (closed balls), so the purity curve falls out of a single
-    pass over these values. centers defaults to every point and may be
-    unsorted or hold duplicates; a center with no differently-labeled point
-    gets inf.
+    pass over these values. A point with no differently-labeled point gets
+    inf.
 
     The result is sqrt of the minimum exact float64 distance
     sum((x_j - x_c)^2) over differently-labeled j, found without a float64
-    pass over every point per center. For each block of centers, one Gram pass
+    pass over every point per center. For each block of centers, data._gram_pairs
     computes the keys K_cj ~ -|x_c - x_j|^2/2 of data._gram_inputs, each off
     by at most the E derived there, so the nearest point has the largest key.
     The float64 distances, each off by a relative 1.1 (d + 2) v, can invert
@@ -118,40 +121,37 @@ def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimensionMismatch(f"labels length {labels.size} does not match {n} points")
-    centers = np.arange(n) if centers is None else np.asarray(centers, dtype=np.int64)
-    points, gram, swap, slack = _gram_inputs(embedding_set)
+    inputs = _gram_inputs(embedding_set)
+    slack = inputs[2]
 
-    out = np.empty(centers.size)
-    keys_buf = np.empty((min(_BLOCK_ROWS, centers.size), n), dtype=gram.dtype)
-    mask_buf = np.empty(keys_buf.shape, dtype=bool)
-    for lo in range(0, centers.size, _BLOCK_ROWS):
-        rows = centers[lo : lo + _BLOCK_ROWS]
-        keys, mask = keys_buf[: rows.size], mask_buf[: rows.size]
-        np.matmul(gram[rows].take(swap, axis=1), gram.T, out=keys)
-        np.equal(labels[rows][:, None], labels, out=mask)
-        np.copyto(keys, -np.inf, where=mask)
+    def floor_of(lo, part, keys, same):
+        np.equal(labels[part][:, None], labels, out=same)
+        np.copyto(keys, -np.inf, where=same)
         floor = keys.max(axis=1) - slack
         # A row with no other label has nothing to refine.
         floor[floor == -np.inf] = np.inf
-        np.greater_equal(keys, floor[:, None], out=mask)
-        cand_row, cand_col = np.divmod(np.flatnonzero(mask), n)
-        best = np.full(rows.size, np.inf)
-        np.minimum.at(best, cand_row, _pair_sq_dists(points, cand_col, rows[cand_row]))
-        out[lo : lo + rows.size] = np.sqrt(best)
-    return out
+        return floor
+
+    best = np.full(n, np.inf)
+    everything = np.arange(n)
+    for k, _, _, sq in _gram_pairs(inputs, everything, everything, _BLOCK_ROWS, floor_of):
+        np.minimum.at(best, k, sq)
+    return np.sqrt(best)
 
 
 def estimate_purity_curve(embedding_set, labels, grid, sample=None) -> PurityCurve:
     """Fraction of centers whose ball stays pure, for each grid radius.
 
-    All points act as centers unless a sample of indices is supplied.
+    All points act as centers unless a sample of indices (any order, repeats allowed) is given.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
     if not (np.diff(grid) > 0).all():
         raise ValueError("grid must be strictly increasing")
-    thresholds = min_impure_distance(embedding_set, labels, sample)
+    thresholds = min_impure_distance(embedding_set, labels)
+    if sample is not None:
+        thresholds = thresholds[np.asarray(sample, dtype=np.int64)]
     purity = (thresholds[None, :] > grid[:, None]).mean(axis=1)
     return PurityCurve(grid, purity)
 

@@ -38,18 +38,22 @@ def ball_purity_predicted(
     return matches / total
 
 
-def min_impure_distance(embedding_set, labels, centers=None) -> np.ndarray:
-    """Reference for purity.min_impure_distance: one full float64 pass per center."""
+def min_impure_distance(embedding_set, labels) -> np.ndarray:
+    """Reference for purity.min_impure_distance: one full float64 pass per point."""
     labels = np.asarray(labels)
     points = embedding_set.vectors.astype(np.float64)
-    if centers is None:
-        centers = np.arange(embedding_set.count)
-    out = np.empty(len(centers))
-    for i, c in enumerate(centers):
+    out = np.empty(embedding_set.count)
+    for c in range(embedding_set.count):
         sq = _sq_dists(points, points[c])
         other = labels != labels[c]
-        out[i] = np.sqrt(sq[other].min()) if other.any() else np.inf
+        out[c] = np.sqrt(sq[other].min()) if other.any() else np.inf
     return out
+
+
+def edges(graph) -> np.ndarray:
+    """A RadiusGraph's alive (source, target) pairs, sorted by (source, target)."""
+    alive = ~graph._covered[graph._dst]
+    return np.column_stack((graph._src[alive], graph._dst[alive]))
 
 
 def covered_set(embedding_set, labeled, deltas) -> np.ndarray:

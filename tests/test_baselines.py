@@ -10,7 +10,6 @@ from dcom.baselines import (
 from dcom.data import EmbeddingSet
 from dcom.engine import DComConfig, PoolState, dcom_select
 from dcom.errors import PoolInvariantError
-from dcom.learners import SoftmaxMatrix
 
 
 def one_d(*values):
@@ -38,7 +37,7 @@ def test_budget_overflow_rejected():
 def test_nonpositive_budget_rejected(q):
     s = one_d(0.0, 1.0, 2.0)
     pool = PoolState([], [0, 1, 2], [])
-    probs = SoftmaxMatrix([[0.6, 0.4]] * 3, 2)
+    probs = np.array([[0.6, 0.4]] * 3)
     with pytest.raises(PoolInvariantError):
         select_random(pool, q, seed=0)
     with pytest.raises(PoolInvariantError):
@@ -51,7 +50,7 @@ def test_nonpositive_budget_rejected(q):
 
 def test_uncertainty_margin_order():
     pool = PoolState([3], [0, 1, 2], [0.5])
-    probs = SoftmaxMatrix([[0.9, 0.1], [0.55, 0.45], [0.7, 0.3]], 2)
+    probs = np.array([[0.9, 0.1], [0.55, 0.45], [0.7, 0.3]])
     assert select_by_uncertainty(pool, probs, "margin", 2) == [1, 2]
     assert select_by_uncertainty(pool, probs, "entropy", 1) == [1]
     assert select_by_uncertainty(pool, probs, "maxprob", 3) == [1, 2, 0]
@@ -59,13 +58,13 @@ def test_uncertainty_margin_order():
 
 def test_uncertainty_tie_breaks_to_lowest_index():
     pool = PoolState([], [4, 7, 9], [])
-    probs = SoftmaxMatrix([[0.6, 0.4]] * 3, 2)
+    probs = np.array([[0.6, 0.4]] * 3)
     assert select_by_uncertainty(pool, probs, "margin", 2) == [4, 7]
 
 
 def test_uncertainty_row_mismatch():
     pool = PoolState([], [0, 1], [])
-    probs = SoftmaxMatrix([[0.5, 0.5]], 2)
+    probs = np.array([[0.5, 0.5]])
     with pytest.raises(PoolInvariantError):
         select_by_uncertainty(pool, probs, "margin", 1)
 

@@ -74,6 +74,14 @@ def test_init_delta_gives_the_delta0_of_select_and_run_loop(
     assert run_cli(capsys, *argv, "--grid-step", "0.1")[0] == 2
 
 
+@pytest.mark.parametrize("classes", ["1", "0", "-3"])
+def test_init_delta_below_two_classes_exits_1_naming_classes(capsys, mixture_file, classes):
+    argv = ["init-delta", "--embeddings", str(mixture_file), "--classes", classes]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error (pseudo-purity): --classes must be 2 or more, got {classes}\n"
+
+
 def test_init_delta_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "init-delta", "--embeddings", str(tmp_path / "nope.dcm"), "--classes", "2"
@@ -750,3 +758,14 @@ def test_an_integer_data_path_exits_1_naming_it(capsys, tmp_path, files, key):
     code, out, err = run_select(capsys, tmp_path, config)
     assert code == 1 and out == ""
     assert f"data.{key} must be a string, got 0" in err
+
+
+@pytest.mark.parametrize("key", ["embeddings", "labels"])
+def test_a_mixture_beside_data_files_exits_1_naming_both(capsys, tmp_path, files, key):
+    mixture = {"num_classes": 2, "points_per_class": 5, "dim": 6,
+               "class_separation": 6.0, "within_std": 1.0}
+    config = {"data": {key: files[key], "mixture": mixture}, "strategy": {"kind": "coreset"},
+              "q": 3}
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 1 and out == ""
+    assert f"data.mixture and data.{key} are two data sources" in err

@@ -3,6 +3,8 @@ import pytest
 
 from dcom.data import (
     EmbeddingSet,
+    _gram_inputs,
+    _gram_pairs,
     _sq_dists,
     MixtureSpec,
     gen_gaussian_mixture,
@@ -131,6 +133,34 @@ def test_sq_dists_equals_inline_difference_rule(offset):
     pairs = points[::-1]
     diff = points - pairs
     assert np.array_equal(_sq_dists(points, pairs), (diff * diff).sum(axis=1))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("every_column", [False, True])
+def test_gram_pairs_yields_every_key_at_or_above_its_floor(block, every_column):
+    rng = np.random.default_rng(block + 100 * every_column)
+    inputs = _gram_inputs(EmbeddingSet(rng.normal(size=(40, 5))))
+    rows = rng.integers(0, 40, size=30)  # unsorted, with repeats
+    cols = np.arange(40) if every_column else np.sort(rng.choice(40, size=25, replace=False))
+    floors = rng.normal(-5.0, 2.0, size=rows.size).astype(inputs[1].dtype)
+    blocks = []
+
+    def floor_of(lo, part, keys, scratch):
+        assert np.array_equal(part, rows[lo : lo + block])
+        assert scratch.shape == keys.shape and scratch.dtype == bool
+        scratch[...] = True  # lent: the pass overwrites it
+        blocks.append(keys.copy())
+        return floors[lo : lo + part.size]
+
+    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, cols, block, floor_of)))
+    keys = np.concatenate(blocks)
+    assert keys.shape == (rows.size, cols.size)
+    want_k, want_c = np.nonzero(keys >= floors[:, None])
+    assert 0 < want_k.size < keys.size
+    assert np.array_equal(k, want_k) and np.array_equal(i, rows[want_k])
+    assert np.array_equal(j, cols[want_c])
+    points = inputs[0]
+    assert np.array_equal(sq, _sq_dists(points[i], points[j]))
 
 
 def test_mixture_determinism_and_counts():

@@ -3,7 +3,14 @@ import pytest
 
 import oracles
 from dcom import data, graph
-from dcom.data import EmbeddingSet, MixtureSpec, _gram_inputs, _sq_dists, gen_gaussian_mixture
+from dcom.data import (
+    EmbeddingSet,
+    MixtureSpec,
+    _gram_inputs,
+    _gram_pairs,
+    _sq_dists,
+    gen_gaussian_mixture,
+)
 from dcom.errors import DenseRadiusGraph
 from dcom.graph import _pairs_within, build_radius_graph, covered_set
 
@@ -25,25 +32,25 @@ def brute_force_edges(embedding_set, delta):
 
 def test_three_point_line():
     g = build_radius_graph(one_d(0.0, 0.4, 0.8), 0.5)
-    assert g.edges.tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
+    assert oracles.edges(g).tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
     assert g.out_degree.tolist() == [1, 2, 1]
 
 
 def test_small_delta_empty_graph():
     g = build_radius_graph(one_d(0.0, 0.4, 0.8), 0.1)
-    assert g.edges.shape[0] == 0
+    assert oracles.edges(g).shape[0] == 0
     assert g.out_degree.tolist() == [0, 0, 0]
 
 
 def test_coincident_points_mutual_edges():
     g = build_radius_graph(one_d(1.0, 1.0), 0.01)
-    assert g.edges.tolist() == [[0, 1], [1, 0]]
+    assert oracles.edges(g).tolist() == [[0, 1], [1, 0]]
 
 
 def test_symmetry_random():
     s = gen_gaussian_mixture(MixtureSpec(2, 25, 4, 2.0, 1.0, seed=3))
     g = build_radius_graph(s, 1.5)
-    pairs = set(map(tuple, g.edges.tolist()))
+    pairs = set(map(tuple, oracles.edges(g).tolist()))
     assert all((v, u) in pairs for u, v in pairs)
 
 
@@ -53,7 +60,7 @@ def test_matches_brute_force(seed):
     s = EmbeddingSet(rng.normal(size=(60, 3)))
     delta = rng.uniform(0.3, 1.5)
     g = build_radius_graph(s, delta)
-    assert list(map(tuple, g.edges.tolist())) == brute_force_edges(s, delta)
+    assert list(map(tuple, oracles.edges(g).tolist())) == brute_force_edges(s, delta)
 
 
 def test_dense_build_fails_naming_n_delta_and_edges(monkeypatch):
@@ -185,7 +192,7 @@ def test_refine_gathers_at_most_1024_pairs(monkeypatch):
     rng = np.random.default_rng(40)
     s = EmbeddingSet(rng.normal(size=(600, 3)))
     # Dense: one 512-row block holds far more than 1,024 candidates.
-    edges = build_radius_graph(s, 2.0).edges.shape[0]
+    edges = oracles.edges(build_radius_graph(s, 2.0)).shape[0]
     assert edges > 50_000
     assert sum(pairs) >= edges and max(pairs) <= 1024
     pairs.clear()
@@ -212,7 +219,7 @@ def test_prune_incoming_for_covered():
     s = one_d(0.0, 0.4, 0.8)
     g = build_radius_graph(s, 0.5)
     g.prune_incoming(np.flatnonzero([True, True, True]))
-    assert g.edges.shape[0] == 0
+    assert oracles.edges(g).shape[0] == 0
     assert g.out_degree.tolist() == [0, 0, 0]
 
 
@@ -222,18 +229,18 @@ def test_prune_incoming_noop_and_idempotent():
     g.prune_incoming(np.flatnonzero([False, False, False]))
     assert g.out_degree.tolist() == [1, 2, 1]
     g.prune_incoming(np.flatnonzero([False, True, False]))
-    first = g.edges.tolist()
+    first = oracles.edges(g).tolist()
     g.prune_incoming(np.flatnonzero([False, True, False]))
-    assert g.edges.tolist() == first == [[1, 0], [1, 2]]
+    assert oracles.edges(g).tolist() == first == [[1, 0], [1, 2]]
 
 
 def test_prune_incoming_duplicate_targets_decrement_once():
     s = one_d(0.0, 0.1, 0.2)
     g = build_radius_graph(s, 0.5)
     g.prune_incoming([2, 2])
-    assert g.edges.tolist() == [[0, 1], [1, 0], [2, 0], [2, 1]]
+    assert oracles.edges(g).tolist() == [[0, 1], [1, 0], [2, 0], [2, 1]]
     assert g.out_degree.tolist() == [1, 1, 2]
-    assert g.out_degree.sum() == g.edges.shape[0]
+    assert g.out_degree.sum() == oracles.edges(g).shape[0]
 
 
 def test_prunes_never_raise_degree():
@@ -281,7 +288,7 @@ def test_restricted_build_matches_filtered_brute_force(kind):
         expected = [
             (u, v) for u, v in brute_force_edges(s, delta) if u in src_set and v in tgt_set
         ]
-        assert list(map(tuple, g.edges.tolist())) == expected
+        assert list(map(tuple, oracles.edges(g).tolist())) == expected
         degree = np.bincount([u for u, _ in expected], minlength=s.count)
         assert g.out_degree.tolist() == degree.tolist()
         for u in range(s.count):
@@ -311,23 +318,64 @@ def test_builds_with_a_partial_last_row_block_match_per_row_passes(kind):
         s, delta = random_case(rng, kind, n)
         everything = np.arange(n)
         expected = per_row_edges(s, delta, everything, everything)
-        assert np.array_equal(build_radius_graph(s, delta).edges, expected)
+        assert np.array_equal(oracles.edges(build_radius_graph(s, delta)), expected)
         sources = rng.permutation(n)[: int(rng.integers(graph._CHUNK_ROWS + 1, n + 1))]
         targets = rng.choice(sources, size=int(rng.integers(1, sources.size)), replace=False)
         g = build_radius_graph(s, delta, sources, targets)
-        assert np.array_equal(g.edges, per_row_edges(s, delta, sources, targets))
+        assert np.array_equal(oracles.edges(g), per_row_edges(s, delta, sources, targets))
+
+
+def block_case(rng, kind):
+    """Points and a radius for the block-size test: ties, duplicates, the 1e20 scale or d = 64."""
+    n = int(rng.integers(2, 60))
+    if kind == "lattice":
+        pts = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+        return pts, float(rng.choice([1.0, np.sqrt(2.0), 2.0]))
+    d = 64 if kind == "d64" else 4
+    pts = rng.normal(size=(n, d)) * (1e20 if kind == "scale_1e20" else 1.0)
+    if kind == "duplicates":
+        pts = np.concatenate([pts, pts[: n // 2]])
+    # A radius equal to the exact distance between two points.
+    exact = EmbeddingSet(pts).vectors.astype(np.float64)
+    u, v = rng.integers(0, len(pts), size=2)
+    return pts, float(np.sqrt(_sq_dists(exact[u], exact[v]))) or 1.0
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("kind", ["lattice", "duplicates", "scale_1e20", "d64"])
+def test_builds_and_coverage_match_oracles_at_any_block_size(monkeypatch, kind, block):
+    # One-row Gram blocks under 7-row coverage blocks, so per-row radii cross
+    # Gram blocks, and 7-row Gram blocks under one-row coverage blocks.
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", block)
+    monkeypatch.setattr(graph, "_COVER_ROWS", 8 - block)
+    rng = np.random.default_rng(sum(map(ord, kind)) + block)
+    for _ in range(6):
+        pts, delta = block_case(rng, kind)
+        s = EmbeddingSet(pts)
+        n = s.count
+        everything = np.arange(n)
+        expected = per_row_edges(s, delta, everything, everything)
+        assert np.array_equal(oracles.edges(build_radius_graph(s, delta)), expected)
+        sources, targets = random_indices(rng, n), random_indices(rng, n)
+        restricted = build_radius_graph(s, delta, sources, targets)
+        assert np.array_equal(oracles.edges(restricted), per_row_edges(s, delta, sources, targets))
+        labeled = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+        exact = s.vectors.astype(np.float64)
+        deltas = np.sqrt(_sq_dists(exact[rng.integers(0, n, size=labeled.size)], exact[labeled]))
+        covered = covered_set(s, labeled, deltas)
+        assert np.array_equal(covered, oracles.covered_set(s, labeled, deltas))
 
 
 def test_restricted_build_defaults_and_empty_sides():
     rng = np.random.default_rng(24)
     s = EmbeddingSet(rng.normal(size=(30, 3)))
-    full = build_radius_graph(s, 1.2).edges
+    full = oracles.edges(build_radius_graph(s, 1.2))
     everything = np.arange(30)[::-1]
-    assert np.array_equal(build_radius_graph(s, 1.2, everything, everything).edges, full)
-    assert np.array_equal(build_radius_graph(s, 1.2, sources=everything).edges, full)
+    assert np.array_equal(oracles.edges(build_radius_graph(s, 1.2, everything, everything)), full)
+    assert np.array_equal(oracles.edges(build_radius_graph(s, 1.2, sources=everything)), full)
     for sources, targets in (([], None), (None, []), ([], [])):
         g = build_radius_graph(s, 1.2, sources, targets)
-        assert g.edges.shape == (0, 2)
+        assert oracles.edges(g).shape == (0, 2)
         assert g.out_degree.tolist() == [0] * 30
 
 
@@ -346,8 +394,8 @@ def test_restricted_build_spans_several_row_blocks():
         near = near[near != u]
         src.extend([u] * near.size)
         dst.extend(near.tolist())
-    assert g.edges[:, 0].tolist() == src
-    assert g.edges[:, 1].tolist() == dst
+    assert oracles.edges(g)[:, 0].tolist() == src
+    assert oracles.edges(g)[:, 1].tolist() == dst
 
 
 def test_pairs_within_radius_per_row_across_row_blocks():
@@ -397,10 +445,19 @@ def gram_key_points(kind, rng):
 def test_gram_keys_stay_within_the_stated_bound(kind):
     rng = np.random.default_rng(sum(map(ord, kind)))
     pts, dtype = gram_key_points(kind, rng)
-    points, gram, swap, slack = _gram_inputs(EmbeddingSet(pts))
+    inputs = _gram_inputs(EmbeddingSet(pts))
+    points, gram, slack = inputs
     assert gram.dtype == dtype and slack.dtype == dtype
     n, d = points.shape
-    keys = (gram.take(swap, axis=1) @ gram.T).astype(np.float64)
+    blocks = []
+
+    def record(lo, part, keys, scratch):
+        blocks.append(keys.astype(np.float64))
+        return np.full(part.size, np.inf, dtype=keys.dtype)
+
+    for _ in _gram_pairs(inputs, np.arange(n), np.arange(n), 7, record):
+        pass
+    keys = np.concatenate(blocks)
     diff = points[:, None, :] - points[None, :, :]
     exact = -0.5 * (diff * diff).sum(axis=2)
     # E from _gram_inputs's docstring; the float64 reference is itself off by
@@ -426,11 +483,11 @@ def test_candidate_margin_absorbs_float32_rounding():
     targets = rng.permutation(150)[:100]
     target_set = set(targets.tolist())
     expected = [(u, v) for u, v in brute_force_edges(s, delta) if v in target_set]
-    assert list(map(tuple, build_radius_graph(s, delta).edges.tolist())) == (
+    assert list(map(tuple, oracles.edges(build_radius_graph(s, delta)).tolist())) == (
         brute_force_edges(s, delta)
     )
     restricted = build_radius_graph(s, delta, targets=targets)
-    assert list(map(tuple, restricted.edges.tolist())) == expected
+    assert list(map(tuple, oracles.edges(restricted).tolist())) == expected
 
 
 def test_build_beyond_float32_range():
@@ -439,7 +496,7 @@ def test_build_beyond_float32_range():
     s = EmbeddingSet(rng.standard_normal((50, 4)) * 1e20)
     expected = brute_force_edges(s, 2e20)
     assert len(expected) == 678
-    assert list(map(tuple, build_radius_graph(s, 2e20).edges.tolist())) == expected
+    assert list(map(tuple, oracles.edges(build_radius_graph(s, 2e20)).tolist())) == expected
 
 
 @pytest.mark.parametrize("kind", ["large_d", "offset_1e4"])
@@ -460,10 +517,10 @@ def test_candidate_slack_holds_at_large_d_and_offset(kind):
         dists = [np.sqrt(_sq_dists(exact, exact[u])) for u in range(n)]
         delta = float(np.quantile(np.concatenate(dists), rng.uniform(0.1, 0.9)))
         expected = brute_force_edges(s, delta)
-        assert list(map(tuple, build_radius_graph(s, delta).edges.tolist())) == expected
+        assert list(map(tuple, oracles.edges(build_radius_graph(s, delta)).tolist())) == expected
         targets = rng.permutation(n)[: n // 2]
         target_set = set(targets.tolist())
         restricted = build_radius_graph(s, delta, targets=targets)
-        assert list(map(tuple, restricted.edges.tolist())) == [
+        assert list(map(tuple, oracles.edges(restricted).tolist())) == [
             (u, v) for u, v in expected if v in target_set
         ]

@@ -6,7 +6,6 @@ from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
 from dcom.errors import DimensionMismatch, SingleClass, UnknownLabel
 from dcom.learners import (
     LearnerSpec,
-    SoftmaxMatrix,
     normalize_unit_interval,
     predict_softmax,
     probe_loss_and_grad,
@@ -22,16 +21,6 @@ def test_spec_validation():
         LearnerSpec(learning_rate=0.0)
     with pytest.raises(ValueError):
         LearnerSpec(l2_penalty=-1.0)
-
-
-def test_softmax_matrix_validation():
-    SoftmaxMatrix([[0.5, 0.5]], 2)
-    with pytest.raises(ValueError):
-        SoftmaxMatrix([[0.5, 0.6]], 2)
-    with pytest.raises(ValueError):
-        SoftmaxMatrix([[1.2, -0.2]], 2)
-    with pytest.raises(ValueError):
-        SoftmaxMatrix([[0.5, 0.5]], 3)
 
 
 def test_single_class_rejected():
@@ -50,7 +39,7 @@ def test_probe_separates_well_separated_classes():
     s = gen_gaussian_mixture(MixtureSpec(3, 30, 5, 8.0, 0.5, seed=0))
     learner = train_learner(s, range(s.count), LearnerSpec())
     probs = predict_softmax(learner, s, np.arange(s.count))
-    assert (probs.rows.argmax(axis=1) == s.labels).mean() == 1.0
+    assert (probs.argmax(axis=1) == s.labels).mean() == 1.0
 
 
 def test_probe_loss_decreases():
@@ -117,14 +106,14 @@ def test_nearest_class_mean_predictions():
     learner = train_learner(s, [0, 1, 2, 3], LearnerSpec(kind="nearest_class_mean"))
     assert np.allclose(learner.class_means, [[0.1], [5.1]])
     probs = predict_softmax(learner, s, [4, 5])
-    assert probs.rows.argmax(axis=1).tolist() == [0, 1]
+    assert probs.argmax(axis=1).tolist() == [0, 1]
 
 
 def test_ncm_absent_class_gets_zero_probability():
     s = EmbeddingSet([[0.0], [1.0], [2.0]], labels=[0, 2, 1])
     learner = train_learner(s, [0, 1], LearnerSpec(kind="nearest_class_mean"))
     probs = predict_softmax(learner, s, [2])
-    assert probs.rows[0, 1] == 0.0
+    assert probs[0, 1] == 0.0
 
 
 def test_predict_dim_mismatch():
@@ -135,7 +124,7 @@ def test_predict_dim_mismatch():
 
 
 def test_uncertainty_margin_entropy_maxprob():
-    probs = SoftmaxMatrix([[0.7, 0.2, 0.1], [1 / 3, 1 / 3, 1 / 3]], 3)
+    probs = np.array([[0.7, 0.2, 0.1], [1 / 3, 1 / 3, 1 / 3]])
     margin = uncertainty_scores(probs, "margin")
     assert margin[0] == pytest.approx(0.5)
     assert margin[1] == pytest.approx(0.0)
@@ -148,12 +137,12 @@ def test_uncertainty_margin_entropy_maxprob():
 
 
 def test_entropy_handles_exact_zeros():
-    probs = SoftmaxMatrix([[1.0, 0.0]], 2)
+    probs = np.array([[1.0, 0.0]])
     assert uncertainty_scores(probs, "entropy")[0] == 0.0
 
 
 def test_unknown_uncertainty_kind():
-    probs = SoftmaxMatrix([[0.5, 0.5]], 2)
+    probs = np.array([[0.5, 0.5]])
     with pytest.raises(ValueError):
         uncertainty_scores(probs, "variance")
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dcom import data
+from dcom import data, purity
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
 from dcom.errors import DimensionMismatch, NoDeltaMeetsAlpha
 from dcom.purity import (
@@ -190,24 +190,33 @@ _CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))
-def test_min_impure_distance_matches_loop_oracle(case):
+def test_min_impure_distance_matches_loop_oracle(monkeypatch, case):
+    for seed in range(3):
+        s, labels = _CASES[case](seed)
+        expected = oracles.min_impure_distance(s, labels)
+        # The default block and two that put block boundaries everywhere.
+        for block in (_BLOCK_ROWS, 1, 7):
+            monkeypatch.setattr(purity, "_BLOCK_ROWS", block)
+            got = min_impure_distance(s, labels)
+            assert np.array_equal(got, expected)
+    if case == "single_class":
+        assert np.isinf(got).all()
+    if case == "duplicates":
+        assert (got[:10] == 0.0).all()
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_purity_sample_is_the_full_pass_at_unsorted_repeated_indices(case):
+    grid = np.linspace(0.05, 3.0, 12)
     for seed in range(3):
         s, labels = _CASES[case](seed)
         n = s.count
         rng = np.random.default_rng(100 + seed)
-        center_sets = [
-            None,
-            rng.permutation(n),
-            rng.integers(0, n, 2 * n + 5),
-            np.sort(rng.choice(n, (n + 1) // 2, replace=False)),
-        ]
-        for centers in center_sets:
-            got = min_impure_distance(s, labels, centers)
-            assert np.array_equal(got, oracles.min_impure_distance(s, labels, centers))
-    if case == "single_class":
-        assert np.isinf(got).all()
-    if case == "duplicates":
-        assert (min_impure_distance(s, labels)[:10] == 0.0).all()
+        full = oracles.min_impure_distance(s, labels)
+        for sample in (rng.permutation(n), rng.integers(0, n, 2 * n + 5), [n - 1, 0, n - 1]):
+            curve = estimate_purity_curve(s, labels, grid, sample=sample)
+            expected = (full[sample][None, :] > grid[:, None]).mean(axis=1)
+            assert np.array_equal(curve.purity, expected)
 
 
 def test_refine_skips_rows_without_other_labels(monkeypatch):
