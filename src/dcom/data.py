@@ -278,29 +278,49 @@ def _gram_pairs(inputs, rows, cols, block, floor_of):
     gram itself is the column side. For each block part = rows[lo : lo + block],
     the keys fill a reused len(part) x len(cols) buffer, and
     floor_of(lo, part, keys, scratch) returns each row's floor in the keys'
-    dtype. It may lower keys to drop pairs, and may use scratch, a boolean
-    buffer of the keys' shape that the pass overwrites right after. Each pair
-    whose key is at least its row's floor is yielded, a block at a time in
-    (rows, cols) order, as (k, i, j, sq): the position k in rows, i = rows[k],
-    j in cols and the exact refine sq = _sq_dists(x_i, x_j).
+    dtype. It may rewrite keys: one set below its row's floor is dropped, one
+    set to +inf is kept. It may use scratch, a boolean buffer of the keys'
+    shape that the pass overwrites right after. Each pair whose key is at
+    least its row's floor is yielded, a block at a time in (rows, cols) order,
+    as (k, i, j, sq): the position k in rows, i = rows[k], j in cols and the
+    exact refine sq = _sq_dists(x_i, x_j).
+
+    Upper-triangle mode runs when rows is cols, the way a caller passes one
+    set of points for both sides. Then part meets only cols[lo:], so keys is
+    len(part) x (len(cols) - lo) and column c holds cols[lo + c]; of the
+    leading len(part) columns, the diagonal tile, only pairs past the
+    diagonal are yielded. Each unordered pair {i, j} then comes once, as
+    i < j, sorted by (i, j). One key per pair is enough: the bound of
+    _gram_inputs holds for any summation order, so for either orientation.
+    One refine is enough: _sq_dists is exactly symmetric, as (a - b)^2 and
+    (b - a)^2 are equal in IEEE arithmetic.
 
     The keys are gram[part].take(swap, axis=1) @ gram[cols].T, whose left rows
     are [x_i, 1, -|x_i|^2/2]. take keeps that side C-contiguous; [:, swap] makes
     an F-ordered copy, which slowed the covered-iter bench by about 15% (2 cores).
+    Each block's keys and mask are contiguous views of flat reused buffers.
     """
     points, gram, _ = inputs
     swap = np.r_[: points.shape[1], -1, -2]
+    upper = rows is cols
     tgt = gram if cols.size == gram.shape[0] else gram[cols]
-    keys_buf = np.empty((min(block, rows.size), cols.size), dtype=gram.dtype)
-    mask_buf = np.empty(keys_buf.shape, dtype=bool)
+    rows_max = min(block, rows.size)
+    keys_buf = np.empty(rows_max * cols.size, dtype=gram.dtype)
+    mask_buf = np.empty(keys_buf.size, dtype=bool)
+    tile = np.triu(np.ones((rows_max, rows_max), dtype=bool), 1) if upper else None
     for lo in range(0, rows.size if cols.size else 0, block):
         part = rows[lo : lo + block]
-        keys, mask = keys_buf[: part.size], mask_buf[: part.size]
-        np.matmul(gram[part].take(swap, axis=1), tgt.T, out=keys)
+        first = lo if upper else 0
+        width = cols.size - first
+        keys = keys_buf[: part.size * width].reshape(part.size, width)
+        mask = mask_buf[: keys.size].reshape(keys.shape)
+        np.matmul(gram[part].take(swap, axis=1), tgt[first:].T, out=keys)
         floor = floor_of(lo, part, keys, mask)
         np.greater_equal(keys, floor[:, None], out=mask)
-        cand_row, cand_col = np.divmod(np.flatnonzero(mask), cols.size)
-        src, dst = part[cand_row], cols[cand_col]
+        if upper:
+            mask[:, : part.size] &= tile[: part.size, : part.size]
+        cand_row, cand_col = np.divmod(np.flatnonzero(mask), width)
+        src, dst = part[cand_row], cols[first + cand_col]
         yield lo + cand_row, src, dst, _pair_sq_dists(points, src, dst)
 
 

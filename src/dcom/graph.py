@@ -9,8 +9,10 @@ only unlabeled sources to uncovered targets and then only covers. Candidates
 come from data._gram_pairs, the package's one float32 Gram pass, with a
 per-row floor derived from the key error bound of data._gram_inputs; every
 candidate is confirmed with the package's exact float64 distance, so the edge
-set matches a brute-force O(n^2) scan bit for bit. covered_set runs the same
-pass with a radius per labeled point.
+set matches a brute-force O(n^2) scan bit for bit. A build whose sources and
+targets are the same points, as every cold start is, runs the pass's
+upper-triangle mode and mirrors each confirmed pair. covered_set runs the
+same pass with a radius per labeled point.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ def build_radius_graph(
     covered_set, the slack is computed for the largest radius and only grows
     with it, so the bound holds row by row.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     n = embedding_set.count
     thresh = delta * delta
     # Sorted, duplicate-free indices: the CSR in RadiusGraph needs ascending sources.
@@ -95,6 +97,8 @@ def build_radius_graph(
     # A covered pool builds with no targets: skip the Gram inputs' n-row arrays.
     if rows.size == 0 or cols.size == 0:
         return RadiusGraph(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    if np.array_equal(rows, cols):
+        rows = cols  # one set on both sides, as in a cold start: the symmetric pass
     inputs = _gram_inputs(embedding_set, thresh)
     src, dst = _pairs_within(inputs, rows, np.full(rows.size, thresh, dtype=np.float64), cols)
     return RadiusGraph(n, src, dst)
@@ -105,11 +109,15 @@ def _pairs_within(inputs, rows, sq_radii, cols):
 
     inputs is data._gram_inputs(embedding_set, extent >= max(sq_radii)), whose
     bound build_radius_graph derives; data._gram_pairs runs the pass with
-    row k's floor. Pairs come in (rows, cols) order. Raises DenseRadiusGraph
-    once more than _MAX_EDGES pairs are confirmed.
+    row k's floor. Pairs come in (rows, cols) order. When rows is cols, which
+    needs one radius for every row, the pass tests each unordered pair once
+    and both orders come back, sorted by (source, target). Raises
+    DenseRadiusGraph once more than _MAX_EDGES ordered pairs are confirmed.
     """
     points, gram, slack = inputs
     floor = -((sq_radii + float(slack)) / 2).astype(gram.dtype)
+    # The symmetric pass yields each pair once, for two ordered pairs.
+    orders = 2 if rows is cols else 1
     src_parts, dst_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     edges = 0
     for k, src, dst, sq in _gram_pairs(
@@ -118,13 +126,31 @@ def _pairs_within(inputs, rows, sq_radii, cols):
         keep = (src != dst) & (sq <= sq_radii[k])
         src_parts.append(src[keep])
         dst_parts.append(dst[keep])
-        edges += src_parts[-1].size
+        edges += orders * src_parts[-1].size
         if edges > _MAX_EDGES:
             raise DenseRadiusGraph(
                 f"radius graph too dense: {edges} edges so far within delta "
                 f"{np.sqrt(sq_radii.max()):.6g} among {points.shape[0]} points"
             )
-    return np.concatenate(src_parts), np.concatenate(dst_parts)
+    src, dst = np.concatenate(src_parts), np.concatenate(dst_parts)
+    return _both_orders(points.shape[0], src, dst) if orders == 2 else (src, dst)
+
+
+def _both_orders(n, lower, higher):
+    """Both orders of the pairs lower < higher, sorted by (lower, higher), as sorted (src, dst).
+
+    No sort of all 2E edges is needed: source v's edges are the mirrored pairs
+    (u, v), which a stable argsort by higher lists by u, then its own pairs
+    (v, w) as they come.
+    """
+    below = np.bincount(higher, minlength=n)
+    above = np.bincount(lower, minlength=n)
+    order = np.argsort(higher, kind="stable")
+    dst = np.empty(2 * lower.size, dtype=np.int64)
+    edge = np.arange(lower.size)
+    dst[edge + np.cumsum(below)[lower]] = higher
+    dst[edge + (np.cumsum(above) - above)[higher[order]]] = lower[order]
+    return np.repeat(np.arange(n), below + above), dst
 
 
 def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
@@ -139,6 +165,10 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
         raise ValueError(f"{labeled.size} labeled points but {deltas.size} deltas")
     if np.isnan(deltas).any():
         raise ValueError("deltas must not be NaN")
+    negative = np.flatnonzero(deltas < 0)
+    if negative.size:
+        bad = negative[0]
+        raise ValueError(f"deltas must not be negative: deltas[{bad}] is {deltas[bad]}")
     sq_radii = deltas * deltas
     inputs = _gram_inputs(embedding_set, float(sq_radii.max(initial=0.0)))
     covered = np.zeros(embedding_set.count, dtype=bool)

@@ -1,7 +1,8 @@
 """Purity-curve estimation with k-means pseudo-labels and initial radius selection.
 
-The curve runs data._gram_pairs, the radius graph's Gram pass, with its own
-floor per row; both floors start from the key error bound of data._gram_inputs.
+The curve runs data._gram_pairs, the radius graph's Gram pass, in its
+upper-triangle mode with its own floor; both floors start from the key error
+bound of data._gram_inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ DEFAULT_GRID = np.round(np.arange(1, 41) * 0.05, 10)
 # monotonically non-increasing.
 _MONOTONE_JITTER = 0.02
 
-# Centers per Gram block.
-_BLOCK_ROWS = 32
+# Points per strip of the upper-triangle Gram pass.
+_BLOCK_ROWS = 128
 # Lloyd rounds after which k-means stops short of a fixpoint.
 _KMEANS_ITERS = 100
 
@@ -105,17 +106,24 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
 
     The result is sqrt of the minimum exact float64 distance
     sum((x_j - x_c)^2) over differently-labeled j, found without a float64
-    pass over every point per center. For each block of centers, data._gram_pairs
-    computes the keys K_cj ~ -|x_c - x_j|^2/2 of data._gram_inputs, each off
-    by at most the E derived there, so the nearest point has the largest key.
-    The float64 distances, each off by a relative 1.1 (d + 2) v, can invert
-    keys that differ by up to 4.4 (d + 2) v M, as distances reach 4 M, and
-    rounding the row maximum minus the slack s costs at most
-    u (2 M + E + s) <= 2.2 u M + u s more. So every exact float64 minimiser
-    has a key within 2 E + (4.4 d + 11) u M + u s <= (11 d + 22) u M + u s of
-    the largest one, and s = 12 (d + 4) u (1 + M), data._gram_inputs's slack,
-    covers that. Only the columns whose key is at least the row maximum minus
-    s go through the exact refine, data._pair_sq_dists.
+    pass over every point per center. data._gram_pairs runs in upper-triangle
+    mode: each unordered pair gets one key K_cj ~ -|x_c - x_j|^2/2 of
+    data._gram_inputs, off by at most the E derived there in either
+    orientation, so the nearest point has the largest key. The float64
+    distances, each off by a relative 1.1 (d + 2) v, can invert keys that
+    differ by up to 4.4 (d + 2) v M, as distances reach 4 M, and rounding a
+    maximum key minus the slack s costs at most u (2 M + E + s) <= 2.2 u M +
+    u s more. So every exact float64 minimiser has a key within
+    2 E + (4.4 d + 11) u M + u s <= (11 d + 22) u M + u s of the largest one,
+    and s = 12 (d + 4) u (1 + M), data._gram_inputs's slack, covers that.
+
+    The largest key of a point is known only once every strip has passed it,
+    so each point keeps a running maximum of its differently-labeled keys,
+    over its row in its own strip and its column in earlier ones. A pair
+    goes through the exact refine, data._pair_sq_dists, when its key is at
+    least either endpoint's running maximum minus s. A running maximum never
+    exceeds the final one, so every exact minimiser of either endpoint is
+    refined, and the refine's minimum is taken at both endpoints.
     """
     n = embedding_set.count
     labels = np.asarray(labels)
@@ -123,19 +131,27 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
         raise DimensionMismatch(f"labels length {labels.size} does not match {n} points")
     inputs = _gram_inputs(embedding_set)
     slack = inputs[2]
+    top = np.full(n, -np.inf, dtype=inputs[1].dtype)
 
     def floor_of(lo, part, keys, same):
-        np.equal(labels[part][:, None], labels, out=same)
+        hi = lo + part.size
+        np.equal(labels[part][:, None], labels[lo:], out=same)
         np.copyto(keys, -np.inf, where=same)
-        floor = keys.max(axis=1) - slack
-        # A row with no other label has nothing to refine.
+        np.maximum(top[lo:hi], keys.max(axis=1), out=top[lo:hi])
+        np.maximum(top[hi:], keys[:, part.size :].max(axis=0), out=top[hi:])
+        floor = top[lo:] - slack
+        # A point with no other label so far has nothing to refine.
         floor[floor == -np.inf] = np.inf
-        return floor
+        # Keep the pairs within the slack of their column's running maximum.
+        np.greater_equal(keys, floor, out=same)
+        np.copyto(keys, np.inf, where=same)
+        return floor[: part.size]
 
     best = np.full(n, np.inf)
     everything = np.arange(n)
-    for k, _, _, sq in _gram_pairs(inputs, everything, everything, _BLOCK_ROWS, floor_of):
-        np.minimum.at(best, k, sq)
+    for _, i, j, sq in _gram_pairs(inputs, everything, everything, _BLOCK_ROWS, floor_of):
+        np.minimum.at(best, i, sq)
+        np.minimum.at(best, j, sq)
     return np.sqrt(best)
 
 

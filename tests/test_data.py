@@ -163,6 +163,38 @@ def test_gram_pairs_yields_every_key_at_or_above_its_floor(block, every_column):
     assert np.array_equal(sq, _sq_dists(points[i], points[j]))
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_gram_pairs_upper_mode_yields_each_pair_once_past_the_diagonal(block):
+    # rows is cols: block k meets only the columns from its first row onward.
+    rng = np.random.default_rng(200 + block)
+    inputs = _gram_inputs(EmbeddingSet(rng.normal(size=(40, 5))))
+    rows = np.arange(40)
+    floors = rng.normal(-5.0, 2.0, size=rows.size).astype(inputs[1].dtype)
+    keys = np.full((40, 40), -np.inf)
+
+    def floor_of(lo, part, block_keys, scratch):
+        assert block_keys.shape == scratch.shape == (part.size, 40 - lo)
+        scratch[...] = True  # lent: the pass overwrites it
+        keys[lo : lo + part.size, lo:] = block_keys
+        return floors[lo : lo + part.size]
+
+    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, rows, block, floor_of)))
+    want_i, want_j = np.nonzero(np.triu(keys >= floors[:, None], 1))
+    assert 0 < want_i.size < 40 * 39 // 2
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j) and np.array_equal(k, i)
+    points = inputs[0]
+    assert np.array_equal(sq, _sq_dists(points[i], points[j]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e20])
+def test_sq_dists_is_exactly_symmetric(scale):
+    # The symmetric Gram pass refines each unordered pair once for both orders.
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(500, 33)) * scale + rng.normal(size=33) * scale
+    other = points[rng.permutation(500)]
+    assert np.array_equal(_sq_dists(points, other), _sq_dists(other, points))
+
+
 def test_mixture_determinism_and_counts():
     spec = MixtureSpec(3, 10, 4, 6.0, 1.0, seed=7)
     a = gen_gaussian_mixture(spec)

@@ -65,10 +65,17 @@ def test_matches_brute_force(seed):
 
 def test_dense_build_fails_naming_n_delta_and_edges(monkeypatch):
     s = gen_gaussian_mixture(MixtureSpec(2, 600, 3, 1.0, 1.0, seed=0))
-    edges = int(build_radius_graph(s, 1.5).out_degree.sum())
-    first_block = int(build_radius_graph(s, 1.5, sources=range(graph._CHUNK_ROWS)).out_degree.sum())
+    pairs = oracles.edges(build_radius_graph(s, 1.5))
+    edges = pairs.shape[0]
+    # The symmetric pass's first strip holds every pair with an end among its
+    # rows, and counts it in both orders.
+    first_block = int((pairs.min(axis=1) < graph._CHUNK_ROWS).sum())
+    assert first_block < edges
     monkeypatch.setattr(graph, "_MAX_EDGES", edges)
     assert build_radius_graph(s, 1.5).out_degree.sum() == edges
+    monkeypatch.setattr(graph, "_MAX_EDGES", edges - 1)
+    with pytest.raises(DenseRadiusGraph):
+        build_radius_graph(s, 1.5)
     # The build stops after its first row block, which passes the limit.
     monkeypatch.setattr(graph, "_MAX_EDGES", first_block - 1)
     with pytest.raises(DenseRadiusGraph) as err:
@@ -115,6 +122,20 @@ def test_covered_length_mismatch():
 def test_covered_set_rejects_nan_radius():
     with pytest.raises(ValueError, match="NaN"):
         covered_set(one_d(0.0, 1.0), [0, 1], [0.5, np.nan])
+
+
+def test_covered_set_rejects_a_negative_radius_naming_it():
+    s = one_d(0.0, 0.4, 0.8)
+    # Squaring would turn -1 into the ball of radius 1.
+    with pytest.raises(ValueError, match=r"deltas\[1\] is -1"):
+        covered_set(s, [0, 1, 2], [0.5, -1.0, -2.0])
+    assert covered_set(s, [0], [0.0]).tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("delta", [float("nan"), 0.0, -1.0])
+def test_build_rejects_a_delta_that_is_not_positive(delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        build_radius_graph(one_d(0.0, 0.4, 0.8), delta)
 
 
 def coverage_case(rng, kind):
@@ -194,7 +215,8 @@ def test_refine_gathers_at_most_1024_pairs(monkeypatch):
     # Dense: one 512-row block holds far more than 1,024 candidates.
     edges = oracles.edges(build_radius_graph(s, 2.0)).shape[0]
     assert edges > 50_000
-    assert sum(pairs) >= edges and max(pairs) <= 1024
+    # The symmetric pass refines each unordered pair once, for two edges.
+    assert 2 * sum(pairs) >= edges and max(pairs) <= 1024
     pairs.clear()
     covered = covered_set(s, rng.choice(600, size=100, replace=False), np.full(100, 1.5))
     assert covered.sum() > 100
@@ -524,3 +546,49 @@ def test_candidate_slack_holds_at_large_d_and_offset(kind):
         assert list(map(tuple, oracles.edges(restricted).tolist())) == [
             (u, v) for u, v in expected if v in target_set
         ]
+
+
+def symmetric_case(rng, kind, block):
+    """Points and a radius for the symmetric build test; n is not a multiple of a block over 1."""
+    n = int(rng.integers(2, 4)) * block + int(rng.integers(1, max(block, 2)))
+    if kind == "lattice":
+        # Integer points and radii sqrt(k): many distances fall exactly on delta.
+        pts = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+        return pts, float(np.sqrt(rng.integers(1, 6)))
+    d = int(rng.integers(1024, 4097)) if kind == "large_d" else 4
+    pts = rng.normal(size=(n, d)) * (1e20 if kind == "scale_1e20" else 1.0)
+    if kind == "duplicates":
+        # Copies of the first rows land in later strips.
+        pts[n // 2 :] = pts[: n - n // 2]
+    # A radius equal to the exact distance from some point to another.
+    exact = EmbeddingSet(pts).vectors.astype(np.float64)
+    dists = np.sqrt(_sq_dists(exact, exact[rng.integers(0, n)]))
+    return pts, float(np.quantile(dists, rng.uniform(0.1, 0.9), method="lower")) or 1.0
+
+
+@pytest.mark.parametrize("block", [1, 7, graph._CHUNK_ROWS])
+@pytest.mark.parametrize("kind", ["gaussian", "lattice", "duplicates", "scale_1e20", "large_d"])
+def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatch, kind, block):
+    # A full build, or a cold start whose sources are every point in any
+    # order, tests each unordered pair once on the diagonal tile and above it.
+    monkeypatch.setattr(graph, "_CHUNK_ROWS", block)
+    rng = np.random.default_rng(sum(map(ord, kind)) + block)
+    for _ in range(1 if kind == "large_d" else 3):
+        pts, delta = symmetric_case(rng, kind, min(block, 64))
+        s = EmbeddingSet(pts)
+        n = s.count
+        g = build_radius_graph(s, delta)
+        got = oracles.edges(g)
+        assert np.array_equal(got, per_row_edges(s, delta, np.arange(n), np.arange(n)))
+        # The rectangular pass: rows and cols are equal but not one array.
+        inputs = _gram_inputs(s, delta * delta)
+        radii = np.full(n, delta * delta)
+        rect = _pairs_within(inputs, np.arange(n), radii, np.arange(n))
+        assert np.array_equal(got, np.column_stack(rect))
+        cold = build_radius_graph(s, delta, sources=rng.permutation(n))
+        assert np.array_equal(oracles.edges(cold), got)
+        # Every edge's reverse is an edge, and the CSR agrees with the list.
+        assert np.array_equal(np.unique(got[:, ::-1], axis=0), got)
+        assert g.out_degree.tolist() == np.bincount(got[:, 0], minlength=n).tolist()
+        for u in range(n):
+            assert g.ball_members(u).tolist() == got[got[:, 0] == u, 1].tolist()

@@ -182,7 +182,7 @@ _CASES = {
     "duplicates": _duplicates,
     "n1": lambda seed: _gaussian(1, 3, seed),
     "n_below_block": lambda seed: _gaussian(7, 3, seed),
-    "n_block": lambda seed: _gaussian(32, 3, seed),
+    "n_block": lambda seed: _gaussian(_BLOCK_ROWS, 3, seed),
     "n_not_block_multiple": lambda seed: _gaussian(97, 3, seed),
     # Several Gram blocks and a partial last one, at a width the GEMM tiles.
     "d64_partial_block": lambda seed: _gaussian(3 * _BLOCK_ROWS + 5, 64, seed),
@@ -217,6 +217,47 @@ def test_purity_sample_is_the_full_pass_at_unsorted_repeated_indices(case):
             curve = estimate_purity_curve(s, labels, grid, sample=sample)
             expected = (full[sample][None, :] > grid[:, None]).mean(axis=1)
             assert np.array_equal(curve.purity, expected)
+
+
+def _other_label_in_an_earlier_strip(block, rng):
+    # Label 1 only among the first rows: every later row meets it only as a column.
+    s, _ = _gaussian(3 * block + 4, 4, int(rng.integers(1000)))
+    labels = np.zeros(s.count, dtype=np.int64)
+    labels[: max(block // 2, 1)] = 1
+    return s, labels
+
+
+def _same_label_strips_first(block, rng):
+    # Two strips of label 0 before mixed labels: a later point's running
+    # maximum over those strips' rows is -inf, so its floor must be +inf.
+    s, _ = _gaussian(4 * block + 3, 4, int(rng.integers(1000)))
+    labels = np.zeros(s.count, dtype=np.int64)
+    labels[2 * block :] = rng.integers(0, 2, s.count - 2 * block)
+    return s, labels
+
+
+def _ties_across_strip_boundaries(block, rng):
+    # Lattice points, and a copy of the last row of each strip as the first
+    # row of the next, so exact ties and zero distances straddle every boundary.
+    n = 3 * block + 5
+    pts = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
+    starts = np.arange(block, n, block)
+    pts[starts] = pts[starts - 1]
+    return EmbeddingSet(pts), rng.integers(0, 3, n)
+
+
+@pytest.mark.parametrize("block", [1, 7, _BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "make",
+    [_other_label_in_an_earlier_strip, _same_label_strips_first, _ties_across_strip_boundaries],
+)
+def test_symmetric_purity_pass_matches_loop_oracle_across_strips(monkeypatch, make, block):
+    monkeypatch.setattr(purity, "_BLOCK_ROWS", block)
+    rng = np.random.default_rng(block)
+    for _ in range(3):
+        s, labels = make(block, rng)
+        expected = oracles.min_impure_distance(s, labels)
+        assert np.array_equal(min_impure_distance(s, labels), expected)
 
 
 def test_refine_skips_rows_without_other_labels(monkeypatch):
