@@ -32,6 +32,7 @@ UNKNOWN_LABEL = -1
 # n and d are u32 on disk; reject payloads whose product cannot be indexed.
 _MAX_ELEMENTS = 2**31
 _REFINE_PAIRS = 1024  # pairs per exact float64 gather: bounds memory, not results
+_GRAM_ROWS = 256  # rows per Gram-pass strip; its keys and mask take 5 bytes per row per column
 
 
 class EmbeddingSet:
@@ -165,9 +166,7 @@ def write_label_file(labels, path) -> None:
 def read_label_file(path) -> np.ndarray:
     """Parse a DCL1 file (or CSV) into an int64 label array (-1 = unknown)."""
     if str(path).endswith(".csv"):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        return np.array([int(row[0]) for row in rows[1:]], dtype=np.int64)
+        return np.array([int(row[0]) for row in _csv_records(path)[1]], dtype=np.int64)
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4 or raw[:4] != LABEL_MAGIC:
@@ -189,18 +188,28 @@ def _write_embedding_csv(embedding_set, path):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _read_embedding_csv(path):
+def _csv_records(path):
+    """A CSV file's header (None if empty) and records, each with the header's field count."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        reader = csv.reader(fh)
+        header, records = next(reader, None), []
+        for record in reader:
+            if len(record) != len(header):
+                raise DimensionMismatch(f"{path} line {reader.line_num} has "
+                                        f"{len(record)} fields, the header {len(header)}")
+            records.append(record)
+    return header, records
+
+
+def _read_embedding_csv(path):
+    header, records = _csv_records(path)
+    if header is None:
         raise TruncatedPayload(0, 1, 0)
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float32)
-    if data.size and not np.isfinite(data).all():
+    data = np.array([[float(v) for v in row] for row in records], dtype=np.float32)
+    if not np.isfinite(data).all():
         bad = int(np.flatnonzero(~np.isfinite(data.ravel()))[0])
         raise NonFinite(bad)
-    if data.size == 0:
-        data = data.reshape(0, len(rows[0]))
-    return EmbeddingSet(data)
+    return EmbeddingSet(data.reshape(len(records), len(header)))
 
 
 def l2_normalize(embedding_set: EmbeddingSet) -> EmbeddingSet:
@@ -269,20 +278,21 @@ def _gram_inputs(embedding_set, extent=0.0):
     return points, gram, slack
 
 
-def _gram_pairs(inputs, rows, cols, block, floor_of):
+def _gram_pairs(inputs, rows, cols, floor_of):
     """The package's one Gram pass: candidate pairs of rows x cols and their exact distances.
 
     The radius graph, coverage and the purity curve differ only in floor_of.
     inputs is _gram_inputs(...); rows are point indices in any order, cols
     sorted and duplicate-free, so cols holding every point is arange(n) and
-    gram itself is the column side. For each block part = rows[lo : lo + block],
+    gram itself is the column side. For each strip part = rows[lo : lo + _GRAM_ROWS],
     the keys fill a reused len(part) x len(cols) buffer, and
-    floor_of(lo, part, keys, scratch) returns each row's floor in the keys'
-    dtype. It may rewrite keys: one set below its row's floor is dropped, one
-    set to +inf is kept. It may use scratch, a boolean buffer of the keys'
-    shape that the pass overwrites right after. Each pair whose key is at
-    least its row's floor is yielded, a block at a time in (rows, cols) order,
-    as (k, i, j, sq): the position k in rows, i = rows[k], j in cols and the
+    floor_of(lo, part, keys, scratch) returns a floor in the keys' dtype that
+    broadcasts against them: a scalar, or a column with one value per row. It
+    may rewrite keys: one set below its row's floor is dropped, one set to
+    +inf is kept. It may use scratch, a boolean buffer of the keys' shape that
+    the pass overwrites right after. Each pair whose key is at least its
+    row's floor is yielded, a strip at a time in (rows, cols) order, as
+    (k, i, j, sq): the position k in rows, i = rows[k], j in cols and the
     exact refine sq = _sq_dists(x_i, x_j).
 
     Upper-triangle mode runs when rows is cols, the way a caller passes one
@@ -298,25 +308,24 @@ def _gram_pairs(inputs, rows, cols, block, floor_of):
     The keys are gram[part].take(swap, axis=1) @ gram[cols].T, whose left rows
     are [x_i, 1, -|x_i|^2/2]. take keeps that side C-contiguous; [:, swap] makes
     an F-ordered copy, which slowed the covered-iter bench by about 15% (2 cores).
-    Each block's keys and mask are contiguous views of flat reused buffers.
+    Each strip's keys and mask are contiguous views of flat reused buffers.
     """
     points, gram, _ = inputs
     swap = np.r_[: points.shape[1], -1, -2]
     upper = rows is cols
     tgt = gram if cols.size == gram.shape[0] else gram[cols]
-    rows_max = min(block, rows.size)
+    rows_max = min(_GRAM_ROWS, rows.size)
     keys_buf = np.empty(rows_max * cols.size, dtype=gram.dtype)
     mask_buf = np.empty(keys_buf.size, dtype=bool)
     tile = np.triu(np.ones((rows_max, rows_max), dtype=bool), 1) if upper else None
-    for lo in range(0, rows.size if cols.size else 0, block):
-        part = rows[lo : lo + block]
+    for lo in range(0, rows.size if cols.size else 0, _GRAM_ROWS):
+        part = rows[lo : lo + _GRAM_ROWS]
         first = lo if upper else 0
         width = cols.size - first
         keys = keys_buf[: part.size * width].reshape(part.size, width)
         mask = mask_buf[: keys.size].reshape(keys.shape)
         np.matmul(gram[part].take(swap, axis=1), tgt[first:].T, out=keys)
-        floor = floor_of(lo, part, keys, mask)
-        np.greater_equal(keys, floor[:, None], out=mask)
+        np.greater_equal(keys, floor_of(lo, part, keys, mask), out=mask)
         if upper:
             mask[:, : part.size] &= tile[: part.size, : part.size]
         cand_row, cand_col = np.divmod(np.flatnonzero(mask), width)

@@ -175,8 +175,8 @@ def dcom_select(
 ) -> QueryResult:
     """Greedy selection of q points maximizing the competence-weighted score.
 
-    margins are the normalized top-two softmax gaps over the unlabeled pool
-    (all 1 when the labeled pool is empty). Ties break to the lowest index.
+    margins, each in [0, 1], are the normalized top-two softmax gaps over the
+    unlabeled pool (all 1 when the labeled pool is empty). Ties break to the lowest index.
     """
     pool.validate(embedding_set.count)
     _check_budget(pool, q)
@@ -184,6 +184,10 @@ def dcom_select(
     margins = np.asarray(margins, dtype=np.float64)
     if margins.shape != unlabeled.shape:
         raise PoolInvariantError("margins must align with the unlabeled pool")
+    bad = np.flatnonzero(~((margins >= 0.0) & (margins <= 1.0)))  # NaN fails both
+    if bad.size:
+        raise PoolInvariantError(f"margins must lie in [0, 1]: margins[{bad[0]}] is "
+                                 f"{margins[bad[0]]}")
     order = np.argsort(unlabeled)
     unlabeled, margins = unlabeled[order], margins[order]
 

@@ -7,7 +7,7 @@ edges. Construction can be restricted to source and target indices, so the
 greedy kernel in engine (shared by dcom_select and select_probcover) builds
 only unlabeled sources to uncovered targets and then only covers. Candidates
 come from data._gram_pairs, the package's one float32 Gram pass, with a
-per-row floor derived from the key error bound of data._gram_inputs; every
+floor derived from the key error bound of data._gram_inputs; every
 candidate is confirmed with the package's exact float64 distance, so the edge
 set matches a brute-force O(n^2) scan bit for bit. A build whose sources and
 targets are the same points, as every cold start is, runs the pass's
@@ -22,8 +22,7 @@ import numpy as np
 from .data import EmbeddingSet, _gram_inputs, _gram_pairs
 from .errors import DenseRadiusGraph
 
-# Source rows per Gram block of a build, and labeled points per coverage block.
-_CHUNK_ROWS = 512
+# Labeled points per coverage block.
 _COVER_ROWS = 32
 # Confirmed edges past which a build stops, about ten times a 100k-point select's 5.6M.
 _MAX_EDGES = 60_000_000
@@ -72,7 +71,8 @@ def build_radius_graph(
     sources and targets, when given, restrict the edges to pairs whose source
     lies in sources and whose target lies in targets; either may be unsorted
     and hold duplicates. The restricted edge set equals the full one filtered
-    to sources x targets, and ball_members then returns only targets.
+    to sources x targets, and ball_members then returns only targets. Raises
+    DenseRadiusGraph once more than _MAX_EDGES edges are confirmed.
 
     The candidate pass keeps (i, j) when the key K_ij ~ -|x_i - x_j|^2/2 of
     data._gram_inputs(embedding_set, delta^2), off by at most the E derived
@@ -83,9 +83,7 @@ def build_radius_graph(
     distance is at most r^2 (1 + 1.1 (d + 2) u), so its key is at least
     -r^2/2 - 0.55 (d + 2) u r^2 - E, which clears the floor when
     s (1 - 2.02 u) >= 2 E + 1.1 (d + 4) u r^2. As 2 E <= (6.6 d + 11) u M,
-    s = 12 (d + 4) u (1 + M + r^2) covers it. With a radius per row, as in
-    covered_set, the slack is computed for the largest radius and only grows
-    with it, so the bound holds row by row.
+    s = 12 (d + 4) u (1 + M + r^2) covers it.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -100,40 +98,24 @@ def build_radius_graph(
     if np.array_equal(rows, cols):
         rows = cols  # one set on both sides, as in a cold start: the symmetric pass
     inputs = _gram_inputs(embedding_set, thresh)
-    src, dst = _pairs_within(inputs, rows, np.full(rows.size, thresh, dtype=np.float64), cols)
-    return RadiusGraph(n, src, dst)
-
-
-def _pairs_within(inputs, rows, sq_radii, cols):
-    """Pairs (rows[k], j != rows[k]), j in cols, at exact squared distance <= sq_radii[k].
-
-    inputs is data._gram_inputs(embedding_set, extent >= max(sq_radii)), whose
-    bound build_radius_graph derives; data._gram_pairs runs the pass with
-    row k's floor. Pairs come in (rows, cols) order. When rows is cols, which
-    needs one radius for every row, the pass tests each unordered pair once
-    and both orders come back, sorted by (source, target). Raises
-    DenseRadiusGraph once more than _MAX_EDGES ordered pairs are confirmed.
-    """
-    points, gram, slack = inputs
-    floor = -((sq_radii + float(slack)) / 2).astype(gram.dtype)
+    _, gram, slack = inputs
+    floor = gram.dtype.type(-(thresh + float(slack)) / 2)
     # The symmetric pass yields each pair once, for two ordered pairs.
     orders = 2 if rows is cols else 1
     src_parts, dst_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     edges = 0
-    for k, src, dst, sq in _gram_pairs(
-        inputs, rows, cols, _CHUNK_ROWS, lambda lo, part, keys, scratch: floor[lo : lo + part.size]
-    ):
-        keep = (src != dst) & (sq <= sq_radii[k])
+    for _, src, dst, sq in _gram_pairs(inputs, rows, cols, lambda *_: floor):
+        keep = (src != dst) & (sq <= thresh)
         src_parts.append(src[keep])
         dst_parts.append(dst[keep])
         edges += orders * src_parts[-1].size
         if edges > _MAX_EDGES:
-            raise DenseRadiusGraph(
-                f"radius graph too dense: {edges} edges so far within delta "
-                f"{np.sqrt(sq_radii.max()):.6g} among {points.shape[0]} points"
-            )
+            raise DenseRadiusGraph(f"radius graph too dense: {edges} edges so far within "
+                                   f"delta {delta:.6g} among {n} points")
     src, dst = np.concatenate(src_parts), np.concatenate(dst_parts)
-    return _both_orders(points.shape[0], src, dst) if orders == 2 else (src, dst)
+    if orders == 2:
+        src, dst = _both_orders(n, src, dst)
+    return RadiusGraph(n, src, dst)
 
 
 def _both_orders(n, lower, higher):
@@ -156,8 +138,11 @@ def _both_orders(n, lower, higher):
 def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
     """Covered flags of the union of closed per-point balls around the labeled points.
 
-    Each block of _COVER_ROWS labeled points runs the build's exact kernel
-    against only the points no earlier block covered, as a union has no order.
+    Each block of _COVER_ROWS labeled points runs the Gram pass against only
+    the points no earlier block covered, as a union has no order, with row
+    k's floor and refine at its own radius r_k. The floor and the bound are
+    build_radius_graph's: the slack is computed for the largest radius and
+    only grows with it, so the bound holds row by row.
     """
     labeled = np.asarray(labeled, dtype=np.int64)
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -171,11 +156,13 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
         raise ValueError(f"deltas must not be negative: deltas[{bad}] is {deltas[bad]}")
     sq_radii = deltas * deltas
     inputs = _gram_inputs(embedding_set, float(sq_radii.max(initial=0.0)))
+    floors = -((sq_radii + float(inputs[2])) / 2).astype(inputs[1].dtype)
     covered = np.zeros(embedding_set.count, dtype=bool)
     covered[labeled] = True
     for lo in range(0, labeled.size, _COVER_ROWS):
-        hi = lo + _COVER_ROWS
-        uncovered = np.flatnonzero(~covered)
-        _, dst = _pairs_within(inputs, labeled[lo:hi], sq_radii[lo:hi], uncovered)
-        covered[dst] = True
+        # A labeled point is covered, so it never meets itself among the columns.
+        pairs = _gram_pairs(inputs, labeled[lo : lo + _COVER_ROWS], np.flatnonzero(~covered),
+                            lambda at, part, *_: floors[lo + at : lo + at + part.size, None])
+        for k, _, j, sq in pairs:
+            covered[j[sq <= sq_radii[lo + k]]] = True
     return covered

@@ -22,8 +22,6 @@ DEFAULT_GRID = np.round(np.arange(1, 41) * 0.05, 10)
 # monotonically non-increasing.
 _MONOTONE_JITTER = 0.02
 
-# Points per strip of the upper-triangle Gram pass.
-_BLOCK_ROWS = 128
 # Lloyd rounds after which k-means stops short of a fixpoint.
 _KMEANS_ITERS = 100
 
@@ -145,11 +143,11 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
         # Keep the pairs within the slack of their column's running maximum.
         np.greater_equal(keys, floor, out=same)
         np.copyto(keys, np.inf, where=same)
-        return floor[: part.size]
+        return floor[: part.size, None]
 
     best = np.full(n, np.inf)
     everything = np.arange(n)
-    for _, i, j, sq in _gram_pairs(inputs, everything, everything, _BLOCK_ROWS, floor_of):
+    for _, i, j, sq in _gram_pairs(inputs, everything, everything, floor_of):
         np.minimum.at(best, i, sq)
         np.minimum.at(best, j, sq)
     return np.sqrt(best)

@@ -769,3 +769,26 @@ def test_a_mixture_beside_data_files_exits_1_naming_both(capsys, tmp_path, files
     code, out, err = run_select(capsys, tmp_path, config)
     assert code == 1 and out == ""
     assert f"data.mixture and data.{key} are two data sources" in err
+
+
+@pytest.mark.parametrize("key", ["embeddings", "labels"])
+@pytest.mark.parametrize("bad", ["", "1,2"], ids=["blank", "ragged"])
+def test_a_blank_or_ragged_csv_row_exits_1_naming_its_line(capsys, tmp_path, key, bad):
+    s = gen_gaussian_mixture(MixtureSpec(3, 30, 6, 6.0, 1.0, seed=5))
+    paths = {"embeddings": tmp_path / "points.csv", "labels": tmp_path / "labels.csv"}
+    write_embedding_file(s, paths["embeddings"])
+    write_label_file(s.labels, paths["labels"])
+    config = {"data": {k: str(p) for k, p in paths.items()}, "strategy": {"kind": "coreset"},
+              "q": 3}
+    code, _, err = run_select(capsys, tmp_path, config)
+    assert code == 0, err
+    # Line 6 of the file: the header, then four records, then the bad one.
+    lines = paths[key].read_text().splitlines()
+    lines.insert(5, bad)
+    paths[key].write_text("\n".join(lines) + "\n")
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 1 and out == ""
+    fields = len(bad.split(",")) if bad else 0
+    header = 6 if key == "embeddings" else 1
+    assert err.startswith("error (query-selection):")
+    assert f"line 6 has {fields} fields, the header {header}" in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcom import data
 from dcom.data import (
     EmbeddingSet,
     _gram_inputs,
@@ -137,7 +138,8 @@ def test_sq_dists_equals_inline_difference_rule(offset):
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("every_column", [False, True])
-def test_gram_pairs_yields_every_key_at_or_above_its_floor(block, every_column):
+def test_gram_pairs_yields_every_key_at_or_above_its_floor(monkeypatch, block, every_column):
+    monkeypatch.setattr(data, "_GRAM_ROWS", block)
     rng = np.random.default_rng(block + 100 * every_column)
     inputs = _gram_inputs(EmbeddingSet(rng.normal(size=(40, 5))))
     rows = rng.integers(0, 40, size=30)  # unsorted, with repeats
@@ -147,12 +149,13 @@ def test_gram_pairs_yields_every_key_at_or_above_its_floor(block, every_column):
 
     def floor_of(lo, part, keys, scratch):
         assert np.array_equal(part, rows[lo : lo + block])
+        assert keys.shape[0] <= data._GRAM_ROWS
         assert scratch.shape == keys.shape and scratch.dtype == bool
         scratch[...] = True  # lent: the pass overwrites it
         blocks.append(keys.copy())
-        return floors[lo : lo + part.size]
+        return floors[lo : lo + part.size, None]
 
-    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, cols, block, floor_of)))
+    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, cols, floor_of)))
     keys = np.concatenate(blocks)
     assert keys.shape == (rows.size, cols.size)
     want_k, want_c = np.nonzero(keys >= floors[:, None])
@@ -164,8 +167,9 @@ def test_gram_pairs_yields_every_key_at_or_above_its_floor(block, every_column):
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
-def test_gram_pairs_upper_mode_yields_each_pair_once_past_the_diagonal(block):
-    # rows is cols: block k meets only the columns from its first row onward.
+def test_gram_pairs_upper_mode_yields_each_pair_once_past_the_diagonal(monkeypatch, block):
+    # rows is cols: strip k meets only the columns from its first row onward.
+    monkeypatch.setattr(data, "_GRAM_ROWS", block)
     rng = np.random.default_rng(200 + block)
     inputs = _gram_inputs(EmbeddingSet(rng.normal(size=(40, 5))))
     rows = np.arange(40)
@@ -174,11 +178,12 @@ def test_gram_pairs_upper_mode_yields_each_pair_once_past_the_diagonal(block):
 
     def floor_of(lo, part, block_keys, scratch):
         assert block_keys.shape == scratch.shape == (part.size, 40 - lo)
+        assert part.size == min(block, 40 - lo) <= data._GRAM_ROWS
         scratch[...] = True  # lent: the pass overwrites it
         keys[lo : lo + part.size, lo:] = block_keys
-        return floors[lo : lo + part.size]
+        return floors[lo : lo + part.size, None]
 
-    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, rows, block, floor_of)))
+    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, rows, floor_of)))
     want_i, want_j = np.nonzero(np.triu(keys >= floors[:, None], 1))
     assert 0 < want_i.size < 40 * 39 // 2
     assert np.array_equal(i, want_i) and np.array_equal(j, want_j) and np.array_equal(k, i)

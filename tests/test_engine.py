@@ -223,6 +223,22 @@ def test_dcom_select_validation():
         dcom_select(s, PoolState([], [0, 1], []), np.ones(3), 1, DComConfig(delta0=0.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25, 1.5])
+def test_dcom_select_rejects_a_margin_outside_the_unit_interval(bad):
+    # A NaN margin would win the cold-start argmax: the picks were [7, 20, 40].
+    s = gen_gaussian_mixture(MixtureSpec(3, 20, 3, 4.0, 1.0, seed=9))
+    margins = np.ones(60)
+    margins[[7, 30]] = bad
+    # Descending pools: the position named is the margin's, not the sorted one.
+    cold = PoolState([], list(range(59, -1, -1)), [])
+    warm = PoolState([0], list(range(59, 0, -1)), [0.4])
+    for pool in (cold, warm):
+        with pytest.raises(PoolInvariantError, match=rf"margins\[7\] is {bad}$"):
+            dcom_select(s, pool, margins[: len(pool.unlabeled)], 3, DComConfig(delta0=0.5))
+    pool = PoolState([], list(range(60)), [])
+    assert dcom_select(s, pool, np.linspace(0.0, 1.0, 60), 3, DComConfig(delta0=0.5)).selected
+
+
 @pytest.mark.parametrize("q", [0, -1])
 def test_nonpositive_budget_rejected(q):
     s = one_d(0.0, 1.0, 2.0, labels=[0, 1, 0])

@@ -12,7 +12,7 @@ from dcom.data import (
     gen_gaussian_mixture,
 )
 from dcom.errors import DenseRadiusGraph
-from dcom.graph import _pairs_within, build_radius_graph, covered_set
+from dcom.graph import build_radius_graph, covered_set
 
 
 def one_d(*values):
@@ -69,14 +69,14 @@ def test_dense_build_fails_naming_n_delta_and_edges(monkeypatch):
     edges = pairs.shape[0]
     # The symmetric pass's first strip holds every pair with an end among its
     # rows, and counts it in both orders.
-    first_block = int((pairs.min(axis=1) < graph._CHUNK_ROWS).sum())
+    first_block = int((pairs.min(axis=1) < data._GRAM_ROWS).sum())
     assert first_block < edges
     monkeypatch.setattr(graph, "_MAX_EDGES", edges)
     assert build_radius_graph(s, 1.5).out_degree.sum() == edges
     monkeypatch.setattr(graph, "_MAX_EDGES", edges - 1)
     with pytest.raises(DenseRadiusGraph):
         build_radius_graph(s, 1.5)
-    # The build stops after its first row block, which passes the limit.
+    # The build stops after its first strip, which passes the limit.
     monkeypatch.setattr(graph, "_MAX_EDGES", first_block - 1)
     with pytest.raises(DenseRadiusGraph) as err:
         build_radius_graph(s, 1.5)
@@ -331,25 +331,27 @@ def per_row_edges(s, delta, sources, targets):
 
 @pytest.mark.parametrize("kind", ["gaussian", "lattice", "large_norm"])
 def test_builds_with_a_partial_last_row_block_match_per_row_passes(kind):
-    # n is never a multiple of _CHUNK_ROWS, so the last row block is partial.
+    # n is never a multiple of _GRAM_ROWS, so the last strip is partial.
     # The restricted build's targets are a strict subset of its sources, as in
     # the greedy kernel, whose sources are unlabeled and targets uncovered.
     rng = np.random.default_rng({"gaussian": 44, "lattice": 45, "large_norm": 46}[kind])
     for _ in range(3):
-        n = int(rng.integers(1, 3)) * graph._CHUNK_ROWS + int(rng.integers(1, graph._CHUNK_ROWS))
+        n = int(rng.integers(1, 3)) * data._GRAM_ROWS + int(rng.integers(1, data._GRAM_ROWS))
         s, delta = random_case(rng, kind, n)
         everything = np.arange(n)
         expected = per_row_edges(s, delta, everything, everything)
         assert np.array_equal(oracles.edges(build_radius_graph(s, delta)), expected)
-        sources = rng.permutation(n)[: int(rng.integers(graph._CHUNK_ROWS + 1, n + 1))]
+        sources = rng.permutation(n)[: int(rng.integers(data._GRAM_ROWS + 1, n + 1))]
         targets = rng.choice(sources, size=int(rng.integers(1, sources.size)), replace=False)
         g = build_radius_graph(s, delta, sources, targets)
         assert np.array_equal(oracles.edges(g), per_row_edges(s, delta, sources, targets))
 
 
 def block_case(rng, kind):
-    """Points and a radius for the block-size test: ties, duplicates, the 1e20 scale or d = 64."""
+    """Points and a radius for the block-size test: ties, duplicates, 1e20, d = 64 or 2."""
     n = int(rng.integers(2, 60))
+    if kind == "row_radii":
+        return rng.normal(size=(n, 2)), float(rng.uniform(0.1, 0.5))
     if kind == "lattice":
         pts = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
         return pts, float(rng.choice([1.0, np.sqrt(2.0), 2.0]))
@@ -364,12 +366,12 @@ def block_case(rng, kind):
 
 
 @pytest.mark.parametrize("block", [1, 7])
-@pytest.mark.parametrize("kind", ["lattice", "duplicates", "scale_1e20", "d64"])
+@pytest.mark.parametrize("kind", ["lattice", "duplicates", "scale_1e20", "d64", "row_radii"])
 def test_builds_and_coverage_match_oracles_at_any_block_size(monkeypatch, kind, block):
-    # One-row Gram blocks under 7-row coverage blocks, so per-row radii cross
-    # Gram blocks, and 7-row Gram blocks under one-row coverage blocks.
-    monkeypatch.setattr(graph, "_CHUNK_ROWS", block)
-    monkeypatch.setattr(graph, "_COVER_ROWS", 8 - block)
+    # Strips of 1 or 7 rows under coverage blocks of 5 or 17 labeled points,
+    # so each coverage block's per-row radii cross strips; at 7 the last is partial.
+    monkeypatch.setattr(data, "_GRAM_ROWS", block)
+    monkeypatch.setattr(graph, "_COVER_ROWS", 2 * block + 3)
     rng = np.random.default_rng(sum(map(ord, kind)) + block)
     for _ in range(6):
         pts, delta = block_case(rng, kind)
@@ -383,7 +385,12 @@ def test_builds_and_coverage_match_oracles_at_any_block_size(monkeypatch, kind, 
         assert np.array_equal(oracles.edges(restricted), per_row_edges(s, delta, sources, targets))
         labeled = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
         exact = s.vectors.astype(np.float64)
-        deltas = np.sqrt(_sq_dists(exact[rng.integers(0, n, size=labeled.size)], exact[labeled]))
+        if kind == "row_radii":
+            deltas = np.sqrt(rng.uniform(0.0, 0.1, size=labeled.size))
+        else:
+            # Radii at exact distances between points: ties on the boundary.
+            far = exact[rng.integers(0, n, size=labeled.size)]
+            deltas = np.sqrt(_sq_dists(far, exact[labeled]))
         covered = covered_set(s, labeled, deltas)
         assert np.array_equal(covered, oracles.covered_set(s, labeled, deltas))
 
@@ -420,23 +427,6 @@ def test_restricted_build_spans_several_row_blocks():
     assert oracles.edges(g)[:, 1].tolist() == dst
 
 
-def test_pairs_within_radius_per_row_across_row_blocks():
-    # More rows than one Gram block, each with its own radius, in any order.
-    rng = np.random.default_rng(27)
-    s = EmbeddingSet(rng.normal(size=(700, 2)))
-    rows, cols = rng.permutation(700)[:600], np.sort(rng.permutation(700)[:300])
-    sq_radii = rng.uniform(0.0, 0.1, size=600)
-    src, dst = _pairs_within(_gram_inputs(s, sq_radii.max()), rows, sq_radii, cols)
-    pts = s.vectors.astype(np.float64)
-    expected = [
-        (u, v)
-        for u, r2 in zip(rows.tolist(), sq_radii)
-        for v in cols[_sq_dists(pts[cols], pts[u]) <= r2].tolist()
-        if v != u
-    ]
-    assert list(zip(src.tolist(), dst.tolist())) == expected
-
-
 def gram_key_points(kind, rng):
     """Points for the Gram key bound test, and the key dtype they must get."""
     if kind == "d1":
@@ -464,7 +454,8 @@ def gram_key_points(kind, rng):
     ["d1", "d64", "d4096", "near_duplicates", "below_float32_limit",
      "above_float32_limit", "scale_1e20"],
 )
-def test_gram_keys_stay_within_the_stated_bound(kind):
+def test_gram_keys_stay_within_the_stated_bound(monkeypatch, kind):
+    monkeypatch.setattr(data, "_GRAM_ROWS", 7)
     rng = np.random.default_rng(sum(map(ord, kind)))
     pts, dtype = gram_key_points(kind, rng)
     inputs = _gram_inputs(EmbeddingSet(pts))
@@ -475,9 +466,9 @@ def test_gram_keys_stay_within_the_stated_bound(kind):
 
     def record(lo, part, keys, scratch):
         blocks.append(keys.astype(np.float64))
-        return np.full(part.size, np.inf, dtype=keys.dtype)
+        return keys.dtype.type(np.inf)
 
-    for _ in _gram_pairs(inputs, np.arange(n), np.arange(n), 7, record):
+    for _ in _gram_pairs(inputs, np.arange(n), np.arange(n), record):
         pass
     keys = np.concatenate(blocks)
     diff = points[:, None, :] - points[None, :, :]
@@ -566,12 +557,14 @@ def symmetric_case(rng, kind, block):
     return pts, float(np.quantile(dists, rng.uniform(0.1, 0.9), method="lower")) or 1.0
 
 
-@pytest.mark.parametrize("block", [1, 7, graph._CHUNK_ROWS])
+# Strips of 1 and 7 rows put strip boundaries everywhere; with 512, every
+# case (n < 4 * 64) fits in one strip, as at the default _GRAM_ROWS.
+@pytest.mark.parametrize("block", [1, 7, 512])
 @pytest.mark.parametrize("kind", ["gaussian", "lattice", "duplicates", "scale_1e20", "large_d"])
 def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatch, kind, block):
     # A full build, or a cold start whose sources are every point in any
     # order, tests each unordered pair once on the diagonal tile and above it.
-    monkeypatch.setattr(graph, "_CHUNK_ROWS", block)
+    monkeypatch.setattr(data, "_GRAM_ROWS", block)
     rng = np.random.default_rng(sum(map(ord, kind)) + block)
     for _ in range(1 if kind == "large_d" else 3):
         pts, delta = symmetric_case(rng, kind, min(block, 64))
@@ -582,9 +575,13 @@ def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatc
         assert np.array_equal(got, per_row_edges(s, delta, np.arange(n), np.arange(n)))
         # The rectangular pass: rows and cols are equal but not one array.
         inputs = _gram_inputs(s, delta * delta)
-        radii = np.full(n, delta * delta)
-        rect = _pairs_within(inputs, np.arange(n), radii, np.arange(n))
-        assert np.array_equal(got, np.column_stack(rect))
+        floor = inputs[1].dtype.type(-(delta * delta + float(inputs[2])) / 2)
+        everything = np.arange(n)
+        rect = [
+            np.column_stack((i, j))[(i != j) & (sq <= delta * delta)]
+            for _, i, j, sq in _gram_pairs(inputs, everything, everything.copy(), lambda *_: floor)
+        ]
+        assert np.array_equal(got, np.concatenate(rect))
         cold = build_radius_graph(s, delta, sources=rng.permutation(n))
         assert np.array_equal(oracles.edges(cold), got)
         # Every edge's reverse is an edge, and the CSR agrees with the list.

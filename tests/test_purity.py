@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dcom import data, purity
-from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
+from dcom.data import _GRAM_ROWS, EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
 from dcom.errors import DimensionMismatch, NoDeltaMeetsAlpha
 from dcom.purity import (
-    _BLOCK_ROWS,
     PurityCurve,
     estimate_purity_curve,
     kmeans_cluster,
@@ -182,10 +181,10 @@ _CASES = {
     "duplicates": _duplicates,
     "n1": lambda seed: _gaussian(1, 3, seed),
     "n_below_block": lambda seed: _gaussian(7, 3, seed),
-    "n_block": lambda seed: _gaussian(_BLOCK_ROWS, 3, seed),
+    "n_block": lambda seed: _gaussian(_GRAM_ROWS, 3, seed),
     "n_not_block_multiple": lambda seed: _gaussian(97, 3, seed),
-    # Several Gram blocks and a partial last one, at a width the GEMM tiles.
-    "d64_partial_block": lambda seed: _gaussian(3 * _BLOCK_ROWS + 5, 64, seed),
+    # Several strips and a partial last one, at a width the GEMM tiles.
+    "d64_partial_block": lambda seed: _gaussian(3 * _GRAM_ROWS + 5, 64, seed),
 }
 
 
@@ -194,9 +193,9 @@ def test_min_impure_distance_matches_loop_oracle(monkeypatch, case):
     for seed in range(3):
         s, labels = _CASES[case](seed)
         expected = oracles.min_impure_distance(s, labels)
-        # The default block and two that put block boundaries everywhere.
-        for block in (_BLOCK_ROWS, 1, 7):
-            monkeypatch.setattr(purity, "_BLOCK_ROWS", block)
+        # The default strip and two that put strip boundaries everywhere.
+        for block in (_GRAM_ROWS, 1, 7):
+            monkeypatch.setattr(data, "_GRAM_ROWS", block)
             got = min_impure_distance(s, labels)
             assert np.array_equal(got, expected)
     if case == "single_class":
@@ -246,13 +245,13 @@ def _ties_across_strip_boundaries(block, rng):
     return EmbeddingSet(pts), rng.integers(0, 3, n)
 
 
-@pytest.mark.parametrize("block", [1, 7, _BLOCK_ROWS])
+@pytest.mark.parametrize("block", [1, 7, _GRAM_ROWS])
 @pytest.mark.parametrize(
     "make",
     [_other_label_in_an_earlier_strip, _same_label_strips_first, _ties_across_strip_boundaries],
 )
 def test_symmetric_purity_pass_matches_loop_oracle_across_strips(monkeypatch, make, block):
-    monkeypatch.setattr(purity, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(data, "_GRAM_ROWS", block)
     rng = np.random.default_rng(block)
     for _ in range(3):
         s, labels = make(block, rng)
