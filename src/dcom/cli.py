@@ -40,16 +40,12 @@ def _build_parser():
     return parser
 
 
-def _distinct(values, name, allowed, where):
-    """values as a list; PoolInvariantError names non-integers, repeats and any outside allowed."""
-    indices = list(values)
-    not_ints = [i for i in indices if not harness._is_int(i)]
-    if not_ints:
-        raise PoolInvariantError(f"{name} points {not_ints} are not integers")
+def _distinct(indices, name, allowed, where):
+    """indices as a list; PoolInvariantError names repeats and any outside allowed."""
     bad = sorted(i for i, k in Counter(indices).items() if k > 1 or i not in allowed)
     if bad:
         raise PoolInvariantError(f"{name} points {bad} are repeated or not {where}")
-    return indices
+    return list(indices)
 
 
 def _load_round(config, expanding=False):
@@ -61,6 +57,7 @@ def _load_round(config, expanding=False):
     not exceed the largest one expand_delta assigns.
     """
     harness.check_config(config)
+    harness._require(config, ("data", "query" if expanding else "q"))
     dataset = harness.load_dataset(config["data"])
     n = dataset.count
     labeled = _distinct(config.get("labeled", []), "labeled", range(n), f"in [0, {n})")
@@ -96,12 +93,9 @@ def _cmd_init_delta(args):
 
 def _cmd_select(args):
     config = json.loads(Path(args.config).read_text())
-    q = config["q"]
-    if not harness._is_int(q):
-        raise ConfigError(f"q must be an integer, got {type(q).__name__} {q!r}")
     dataset, kind, seed, setting, pool, _ = _load_round(config)
     spec = harness.learner_spec(config)
-    picks = harness.select_step(dataset, pool, kind, q, setting, spec, seed=seed)
+    picks = harness.select_step(dataset, pool, kind, config["q"], setting, spec, seed=seed)
     print(",".join(str(i) for i in picks))
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from pathlib import Path
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,7 @@ class EmbeddingSet:
         if vectors.ndim != 2:
             raise DimensionMismatch(f"vectors must be 2-D, got shape {vectors.shape}")
         if not np.isfinite(vectors).all():
-            bad = int(np.flatnonzero(~np.isfinite(vectors.ravel()))[0])
-            raise NonFinite(12 + 4 * bad)
+            raise NonFinite("row {}, column {}".format(*np.argwhere(~np.isfinite(vectors))[0]))
         vectors.setflags(write=False)
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
@@ -58,8 +58,7 @@ class EmbeddingSet:
                 raise DimensionMismatch(
                     f"labels length {labels.shape} does not match {vectors.shape[0]} points"
                 )
-            known = labels[labels != UNKNOWN_LABEL]
-            if known.size and known.min() < 0:
+            if (labels < UNKNOWN_LABEL).any():
                 raise ValueError("labels must be >= 0 or the unknown sentinel -1")
             labels.setflags(write=False)
         self.vectors = vectors
@@ -78,15 +77,12 @@ class EmbeddingSet:
         """Number of classes implied by the known labels (max label + 1)."""
         if self.labels is None:
             return 0
-        known = self.labels[self.labels != UNKNOWN_LABEL]
-        return int(known.max()) + 1 if known.size else 0
+        return int(self.labels.max(initial=UNKNOWN_LABEL)) + 1
 
     def __eq__(self, other):
         if not isinstance(other, EmbeddingSet):
             return NotImplemented
-        if self.vectors.shape != other.vectors.shape:
-            return False
-        if not np.array_equal(self.vectors, other.vectors):
+        if not np.array_equal(self.vectors, other.vectors):  # False on a shape mismatch
             return False
         if (self.labels is None) != (other.labels is None):
             return False
@@ -105,12 +101,9 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_classes", "points_per_class", "dim"):
-            if getattr(self, name) <= 0:
+        for name in ("num_classes", "points_per_class", "dim", "class_separation", "within_std"):
+            if not getattr(self, name) > 0:  # not "<= 0", which NaN passes
                 raise ValueError(f"{name} must be positive")
-        for name in ("class_separation", "within_std"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
 
 
 def write_embedding_file(embedding_set: EmbeddingSet, path) -> None:
@@ -131,7 +124,7 @@ def read_embedding_file(path) -> EmbeddingSet:
     """Parse a DCM1 file (or CSV). Bytes round-trip exactly through write."""
     if str(path).endswith(".csv"):
         return _read_embedding_csv(path)
-    with open(path, "rb") as fh:
+    with open(Path(path), "rb") as fh:  # Path: open() takes an int as a file descriptor
         raw = fh.read()
     if len(raw) < 4 or raw[:4] != EMBEDDING_MAGIC:
         raise BadMagic(0, bytes(raw[:4]))
@@ -144,7 +137,9 @@ def read_embedding_file(path) -> EmbeddingSet:
     if len(raw) != expected:
         raise TruncatedPayload(min(len(raw), expected), expected, len(raw))
     values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=12)
-    # EmbeddingSet reports a non-finite value at its byte offset in this layout.
+    if not np.isfinite(values).all():
+        offset = 12 + 4 * int(np.argmin(np.isfinite(values)))
+        raise NonFinite(f"byte {offset}", offset)
     return EmbeddingSet(values.reshape(n, d) if n else values.reshape(0, d))
 
 
@@ -167,7 +162,7 @@ def read_label_file(path) -> np.ndarray:
     """Parse a DCL1 file (or CSV) into an int64 label array (-1 = unknown)."""
     if str(path).endswith(".csv"):
         return np.array([int(row[0]) for row in _csv_records(path)[1]], dtype=np.int64)
-    with open(path, "rb") as fh:
+    with open(Path(path), "rb") as fh:  # Path: open() takes an int as a file descriptor
         raw = fh.read()
     if len(raw) < 4 or raw[:4] != LABEL_MAGIC:
         raise BadMagic(0, bytes(raw[:4]))
@@ -189,26 +184,27 @@ def _write_embedding_csv(embedding_set, path):
 
 
 def _csv_records(path):
-    """A CSV file's header (None if empty) and records, each with the header's field count."""
+    """A CSV file's header (None if empty), its records of the header's width, and their lines."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header, records = next(reader, None), []
+        header, records, lines = next(reader, None), [], []
         for record in reader:
             if len(record) != len(header):
                 raise DimensionMismatch(f"{path} line {reader.line_num} has "
                                         f"{len(record)} fields, the header {len(header)}")
             records.append(record)
-    return header, records
+            lines.append(reader.line_num)
+    return header, records, lines
 
 
 def _read_embedding_csv(path):
-    header, records = _csv_records(path)
+    header, records, lines = _csv_records(path)
     if header is None:
         raise TruncatedPayload(0, 1, 0)
     data = np.array([[float(v) for v in row] for row in records], dtype=np.float32)
     if not np.isfinite(data).all():
-        bad = int(np.flatnonzero(~np.isfinite(data.ravel()))[0])
-        raise NonFinite(bad)
+        row, field = np.argwhere(~np.isfinite(data))[0]
+        raise NonFinite(f"{path} line {lines[row]}, field {field + 1}")
     return EmbeddingSet(data.reshape(len(records), len(header)))
 
 

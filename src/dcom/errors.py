@@ -27,8 +27,8 @@ class PayloadOverflow(DcomError):
 
 
 class NonFinite(DcomError):
-    def __init__(self, offset):
-        super().__init__(f"non-finite value at byte {offset}")
+    def __init__(self, where, offset=None):
+        super().__init__(f"non-finite value at {where}")
         self.offset = offset
 
 

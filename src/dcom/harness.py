@@ -1,12 +1,13 @@
 """Seeded active-learning experiment loop, accuracy evaluation, CSV/JSON reports.
 
 A config is a plain dict (usually parsed from JSON); every key except the data
-source has a default, and check_config rejects, for every command, any key
-that CONFIG_KEYS does not list for its section. Each value is checked for its
-JSON type (_typed) where it is read, before any round runs. strategy_spec,
-strategy_setting and select_step hold every kind's strategy rules for the run
-loop and the CLI (a dcom round is engine.run_iteration, whose query half
-select_step runs), so both pick the same points.
+source has a default. check_config, the one type check, rejects any key that
+CONFIG_KEYS does not list for its section or whose value lacks its JSON type
+("deltas" a list of numbers, "output" a string), for every command and every
+section, before any data loads; run_al_loop also rejects unknown (-1) labels.
+strategy_spec, strategy_setting and select_step hold every kind's strategy
+rules for the run loop and the CLI (a dcom round is engine.run_iteration,
+whose query half select_step runs), so both pick the same points.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .baselines import (
     select_random,
 )
 from .data import (
+    UNKNOWN_LABEL,
     EmbeddingSet,
     MixtureSpec,
+    _csv_records,
     gen_gaussian_mixture,
     l2_normalize,
     read_embedding_file,
@@ -81,72 +84,79 @@ class LabelOracle:
         return [int(self._labels[i]) for i in indices]
 
 
-# Every key a config may hold, by section path: check_config walks this table.
-# select and expand-delta read "labeled", "deltas" and "q" or "query" instead
-# of split, schedule, repetitions, record_timing and output.
-CONFIG_KEYS = {
-    (): ("data", "split", "schedule", "strategy", "learner", "dcom", "repetitions",
-         "record_timing", "output", "labeled", "deltas", "query", "q"),
-    ("data",): ("mixture", "embeddings", "labels", "l2_normalize"),
-    ("data", "mixture"): tuple(f.name for f in fields(MixtureSpec)),
-    ("split",): ("test_fraction", "seed"),
-    ("strategy",): ("kind", "seed"),
-    ("learner",): tuple(f.name for f in fields(LearnerSpec)),
-    ("dcom",): (*(f.name for f in fields(DComConfig)), "alpha"),
-}
-
-
-def check_config(config):
-    """Raise a ConfigError naming the first section that is no object or holds unknown keys."""
-    for path, known in CONFIG_KEYS.items():
-        section, name = config, ".".join(path) or "top-level"
-        for key in path:
-            section = section.get(key, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"{name} config must be an object, got {section!r}")
-        unknown = sorted(set(section) - set(known))
-        if unknown:
-            raise ConfigError(f"{name} config: unknown keys {unknown}")
-
-
-def _from_config(cls, values, section):
-    """Build a config dataclass, naming a key it lacks or whose value has the wrong type.
-
-    Each value must have its field's JSON type (_typed); a field whose default
-    is None also takes null. check_config names unknown keys.
-    """
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
-    if missing:
-        raise ConfigError(f"{section} config: missing keys {missing}")
-    for f in fields(cls):
-        if f.name in values and not (values[f.name] is None and f.default is None):
-            _typed(values[f.name], f.type, f"{section}.{f.name}")
-    return cls(**values)
-
-
 def _is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-# The JSON value each annotation takes, and its name in messages. Under
-# postponed annotations a field's type is its name as a string.
+def _is_number(value):
+    return isinstance(value, Real) and not isinstance(value, bool) and isfinite(value)
+
+
+# The JSON value each type name takes, and its name in messages. Under
+# postponed annotations a dataclass field's type is such a name. A list also
+# comes as a tuple from run_al_loop callers.
 _JSON_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (
-        lambda v: isinstance(v, Real) and not isinstance(v, bool) and isfinite(v),
-        "a finite number",
-    ),
+    "float": (_is_number, "a finite number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a finite number or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "list[int]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                  "a list of integers"),
+    "list[float]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+                    "a list of finite numbers"),
 }
 
 
-def _typed(value, annotation, key):
-    """value, if it has the JSON type of annotation; else a ConfigError naming key."""
-    accepts, name = _JSON_TYPES[annotation]
-    if not accepts(value):
-        raise ConfigError(f"{key} must be {name}, got {value!r}")
-    return value
+def _field_types(cls):
+    """{field: type} of a config dataclass; a field whose default is None also takes null."""
+    return {f.name: f"{f.type} | None" if f.default is None else f.type for f in fields(cls)}
+
+
+# Every key a config may hold and its JSON type, by section path. check_config
+# walks this table; each "object" key is a section whose entry comes later, so
+# it is known to be an object before its keys are read.
+# select and expand-delta read "labeled", "deltas" and "q" or "query" instead
+# of split, schedule, repetitions, record_timing and output.
+CONFIG_KEYS = {
+    (): {
+        "data": "object", "split": "object", "schedule": "list[int]", "strategy": "object",
+        "learner": "object", "dcom": "object", "repetitions": "int", "record_timing": "bool",
+        "output": "str", "labeled": "list[int]", "deltas": "list[float]",
+        "query": "list[int]", "q": "int",
+    },
+    ("data",): {"mixture": "object", "embeddings": "str", "labels": "str", "l2_normalize": "bool"},
+    ("data", "mixture"): _field_types(MixtureSpec),
+    ("split",): {"test_fraction": "float", "seed": "int"},
+    ("strategy",): {"kind": "str", "seed": "int"},
+    ("learner",): _field_types(LearnerSpec),
+    ("dcom",): {**_field_types(DComConfig), "delta0": "float | None", "alpha": "float"},
+}
+
+
+def check_config(config):
+    """Raise a ConfigError naming the first unknown key or value of the wrong JSON type."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"top-level config must be an object, got {config!r}")
+    for path, types in CONFIG_KEYS.items():
+        section = config
+        for key in path:
+            section = section.get(key, {})
+        unknown = sorted(set(section) - set(types))
+        if unknown:
+            raise ConfigError(f"{'.'.join(path) or 'top-level'} config: unknown keys {unknown}")
+        for key, value in section.items():
+            accepts, kind = _JSON_TYPES[types[key]]
+            if not accepts(value):
+                raise ConfigError(f"{'.'.join((*path, key))} must be {kind}, got {value!r}")
+
+
+def _require(values, keys, section="top-level"):
+    """Raise a ConfigError naming each of keys that values lacks."""
+    missing = [key for key in keys if key not in values]
+    if missing:
+        raise ConfigError(f"{section} config: missing keys {missing}")
 
 
 def strategy_spec(config, kind=None):
@@ -155,12 +165,12 @@ def strategy_spec(config, kind=None):
     kind = kind or values.get("kind", "dcom")
     if kind not in STRATEGY_KINDS:
         raise ConfigError(f"strategy.kind must be one of {list(STRATEGY_KINDS)}, got {kind!r}")
-    return kind, _typed(values.get("seed", 0), "int", "strategy.seed")
+    return kind, values.get("seed", 0)
 
 
 def learner_spec(config) -> LearnerSpec:
     """The LearnerSpec of a config's 'learner' section."""
-    return _from_config(LearnerSpec, config.get("learner", {}), "learner")
+    return LearnerSpec(**config.get("learner", {}))
 
 
 def load_dataset(data_cfg) -> EmbeddingSet:
@@ -169,17 +179,17 @@ def load_dataset(data_cfg) -> EmbeddingSet:
     if "mixture" in data_cfg and files:
         raise ConfigError(f"data.mixture and data.{files[0]} are two data sources; give one")
     if "mixture" in data_cfg:
-        spec = _from_config(MixtureSpec, data_cfg["mixture"], "data.mixture")
-        dataset = gen_gaussian_mixture(spec)
+        mixture = data_cfg["mixture"]
+        _require(mixture, [f.name for f in fields(MixtureSpec) if f.default is MISSING],
+                 "data.mixture")
+        dataset = gen_gaussian_mixture(MixtureSpec(**mixture))
     elif "embeddings" in data_cfg:
-        # A path must be a string: open() reads an integer as a file descriptor.
-        dataset = read_embedding_file(_typed(data_cfg["embeddings"], "str", "data.embeddings"))
+        dataset = read_embedding_file(data_cfg["embeddings"])
         if "labels" in data_cfg:
-            labels = read_label_file(_typed(data_cfg["labels"], "str", "data.labels"))
-            dataset = EmbeddingSet(dataset.vectors, labels)
+            dataset = EmbeddingSet(dataset.vectors, read_label_file(data_cfg["labels"]))
     else:
         raise ConfigError("data config needs either 'mixture' or 'embeddings'")
-    if _typed(data_cfg.get("l2_normalize", True), "bool", "data.l2_normalize"):
+    if data_cfg.get("l2_normalize", True):
         dataset = l2_normalize(dataset)
     return dataset
 
@@ -210,20 +220,17 @@ def evaluate_accuracy(learner, dataset, test) -> float:
 def resolve_delta0(dataset, dcom_cfg, num_classes, seed) -> float:
     """Use the configured delta0, or derive it from the purity-curve procedure."""
     if dcom_cfg.get("delta0") is not None:
-        return float(_typed(dcom_cfg["delta0"], "float", "dcom.delta0"))
+        return float(dcom_cfg["delta0"])
     labels = kmeans_cluster(dataset, max(num_classes, 2), seed=seed)
     curve = estimate_purity_curve(dataset, labels, DEFAULT_GRID)
-    return select_initial_delta(
-        curve, _typed(dcom_cfg.get("alpha", DEFAULT_ALPHA), "float", "dcom.alpha")
-    )
+    return select_initial_delta(curve, dcom_cfg.get("alpha", DEFAULT_ALPHA))
 
 
 def strategy_setting(dataset, kind, dcom_cfg, seed):
     """A DComConfig for dcom, the radius delta0 for probcover, None otherwise.
 
     delta0 is dcom_cfg["delta0"] (0 is kept, and rejected later), else
-    derived with resolve_delta0's k-means seed. The rest of dcom_cfg but alpha
-    must be DComConfig fields.
+    derived with resolve_delta0's k-means seed.
     """
     if kind not in ("dcom", "probcover"):
         return None
@@ -232,7 +239,7 @@ def strategy_setting(dataset, kind, dcom_cfg, seed):
         return delta0
     values = {k: v for k, v in dcom_cfg.items() if k != "alpha"}
     values = {"logistic_a": 0.9 if dataset.num_classes <= 10 else 0.8, **values, "delta0": delta0}
-    return _from_config(DComConfig, values, "dcom")
+    return DComConfig(**values)
 
 
 def select_step(dataset, pool, kind, q, setting, spec, learner=None, seed=0):
@@ -323,6 +330,12 @@ def run_al_loop(config) -> list:
     dataset = load_dataset(config["data"])
     if dataset.labels is None:
         raise ConfigError("run-loop reveals and scores labels, and data.labels gives none")
+    unknown = np.flatnonzero(dataset.labels == UNKNOWN_LABEL)
+    if unknown.size:
+        raise ConfigError(
+            f"run-loop reveals and scores labels, and data.labels marks {unknown.size} "
+            f"points unknown (-1), first at rows {unknown[:5].tolist()}"
+        )
     split_cfg = config.get("split", {})
     split_seed, fraction = split_cfg.get("seed", 0), split_cfg.get("test_fraction", 0.25)
     train, test = stratified_split(dataset, fraction, split_seed)
@@ -353,24 +366,16 @@ def run_al_loop(config) -> list:
 def _validate_config(config):
     """Reject what run_al_loop cannot run, naming the key; config is only read."""
     check_config(config)
-    if "data" not in config:
-        raise ConfigError("config requires a 'data' section")
-    schedule = config.get("schedule")
-    if (
-        not isinstance(schedule, (list, tuple))
-        or not schedule
-        or not all(_is_int(q) and q > 0 for q in schedule)
-    ):
+    _require(config, ("data", "schedule"))
+    schedule = config["schedule"]
+    if not schedule or min(schedule) < 1:
         raise ConfigError(
             f"schedule must be a non-empty list of positive integers, got {schedule!r}"
         )
     repetitions = config.get("repetitions", 1)
-    if not _is_int(repetitions) or repetitions < 1:
+    if repetitions < 1:
         raise ConfigError(f"repetitions must be an integer >= 1, got {repetitions!r}")
-    _typed(config.get("record_timing", False), "bool", "record_timing")
-    split_cfg = config.get("split", {})
-    _typed(split_cfg.get("seed", 0), "int", "split.seed")
-    fraction = _typed(split_cfg.get("test_fraction", 0.25), "float", "split.test_fraction")
+    fraction = config.get("split", {}).get("test_fraction", 0.25)
     if not 0 < fraction < 1:
         raise ConfigError(f"split.test_fraction must lie in (0, 1), got {fraction!r}")
 
@@ -398,15 +403,19 @@ def write_report(records, path) -> None:
 
 
 def read_report(path) -> list:
-    """Parse a report CSV back into ExperimentRecord objects."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [
-        ExperimentRecord(
-            **{f.name: _PARSERS[f.type](r[f.name]) for f in fields(ExperimentRecord)}
-        )
-        for r in rows
-    ]
+    """Parse a report CSV back into ExperimentRecord objects.
+
+    The header must hold every column of REPORT_COLUMNS, and at least one
+    record must follow it.
+    """
+    header, rows, _ = _csv_records(path)
+    missing = [c for c in REPORT_COLUMNS if c not in (header or ())]
+    if missing:
+        raise ValueError(f"{path} lacks report columns {missing}")
+    if not rows:
+        raise ValueError(f"{path} holds no records")
+    columns = [(f.name, _PARSERS[f.type], header.index(f.name)) for f in fields(ExperimentRecord)]
+    return [ExperimentRecord(**{name: parse(r[k]) for name, parse, k in columns}) for r in rows]
 
 
 def summarize(records) -> dict:

@@ -293,10 +293,10 @@ def index_message(bad):
         ({"labeled": [0, -1, 21]}, index_message([-1])),
         ({"labeled": [0, 500, 21]}, index_message([500])),
         ({"labeled": [0, 0, 11, 21], "deltas": [0.4] * 3}, index_message([0])),
-        ({"labeled": 5}, "not iterable"),
-        ({"deltas": [None, 0.4]}, "NoneType"),
-        ({"query": 21}, "not iterable"),
-        ({"query": [21.5]}, "query points [21.5] are not integers"),
+        ({"labeled": 5}, "labeled must be a list of integers, got 5"),
+        ({"deltas": [None, 0.4]}, "deltas must be a list of finite numbers, got [None, 0.4]"),
+        ({"query": 21}, "query must be a list of integers, got 21"),
+        ({"query": [21.5]}, "query must be a list of integers, got [21.5]"),
     ],
     ids=["negative-radius", "repeated-query", "unlabeled-query", "no-labeled-points",
          "negative-index", "index-past-end", "repeated-index", "labeled-int", "null-radius",
@@ -339,12 +339,12 @@ def test_expand_delta_prints_the_radii_of_run_iteration(capsys, tmp_path, labele
         ({"labeled": [0, -1]}, index_message([-1])),
         ({"labeled": [0, 500]}, index_message([500])),
         ({"labeled": [0, 0, 11]}, index_message([0])),
-        ({"labeled": 5}, "not iterable"),
-        ({"deltas": [None, 0.4]}, "NoneType"),
-        ({"q": None}, "NoneType"),
-        ({"labeled": [0.9, 11.5]}, "labeled points [0.9, 11.5] are not integers"),
-        ({"labeled": [True, 11]}, "labeled points [True] are not integers"),
-        ({"q": 2.7}, "q must be an integer, got float 2.7"),
+        ({"labeled": 5}, "labeled must be a list of integers, got 5"),
+        ({"deltas": [None, 0.4]}, "deltas must be a list of finite numbers, got [None, 0.4]"),
+        ({"q": None}, "q must be an integer, got None"),
+        ({"labeled": [0.9, 11.5]}, "labeled must be a list of integers, got [0.9, 11.5]"),
+        ({"labeled": [True, 11]}, "labeled must be a list of integers, got [True, 11]"),
+        ({"q": 2.7}, "q must be an integer, got 2.7"),
     ],
     ids=["negative-index", "index-past-end", "repeated-index", "labeled-int", "null-radius",
          "null-q", "fractional-index", "boolean-index", "fractional-q"],
@@ -435,6 +435,32 @@ def test_run_loop_and_report(capsys, tmp_path):
 def test_report_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "report", "--records", str(tmp_path / "no.csv"))
     assert code == 1 and err.startswith("error (reporting):")
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        (["coverage"], "lacks report columns ['coverage']"),
+        (["iteration", "seconds"], "lacks report columns ['iteration', 'seconds']"),
+        (list(harness.REPORT_COLUMNS), f"lacks report columns {list(harness.REPORT_COLUMNS)}"),
+        ([], "holds no records"),
+    ],
+    ids=["no-coverage", "two-columns", "empty-file", "header-only"],
+)
+def test_report_names_missing_columns_and_rejects_an_empty_report(
+    capsys, tmp_path, drop, message
+):
+    record = harness.ExperimentRecord(0, "random", 0, 4, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0)
+    path = tmp_path / "report.csv"
+    harness.write_report([record], path)
+    assert run_cli(capsys, "report", "--records", str(path))[0] == 0
+    header, row = (line.split(",") for line in path.read_text().splitlines())
+    keep = [k for k, column in enumerate(header) if column not in drop]
+    lines = [[header[k] for k in keep]] + ([[row[k] for k in keep]] if drop else [])
+    path.write_text("".join(",".join(line) + "\n" for line in lines if line))
+    code, out, err = run_cli(capsys, "report", "--records", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error (reporting):") and message in err
 
 
 def select_config(kind, labeled):
@@ -561,6 +587,72 @@ def test_every_readme_schema_key_is_accepted(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 0 and err == "", err
     assert out
+
+
+def _wrong_value(annotation):
+    """A JSON value that a key of type annotation does not take."""
+    if annotation == "str":
+        return 5
+    return [True, "0.4"] if annotation.startswith("list") else "x"
+
+
+@pytest.mark.parametrize(
+    "path, key, annotation",
+    [
+        pytest.param(path, key, annotation, id=".".join((*path, key)))
+        for path, types in harness.CONFIG_KEYS.items()
+        for key, annotation in types.items()
+    ],
+)
+@pytest.mark.parametrize("command", ["select", "expand-delta", "run-loop"])
+def test_every_config_key_of_the_wrong_type_exits_1_before_data_loads(
+    capsys, tmp_path, command, path, key, annotation
+):
+    # The data file does not exist, so only a check made before loading names the key.
+    missing = tmp_path / "missing.dcm"
+    config = {"data": {"embeddings": str(missing)}, "strategy": {"kind": "random"},
+              "labeled": [0], "deltas": [0.4], "query": [0], "q": 2, "schedule": [3]}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, command, "--config", str(config_path))
+    assert code == 1 and str(missing) in err
+    target = config
+    for name in path:
+        target = target.setdefault(name, {})
+    target[key] = _wrong_value(annotation)
+    config_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(config_path))
+    assert code == 1 and out == ""
+    dotted = ".".join((*path, key))
+    assert err.startswith("error (") and f": {dotted} " in err and str(missing) not in err, err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("select", "data"), ("select", "q"), ("expand-delta", "data"), ("expand-delta", "query"),
+     ("run-loop", "data"), ("run-loop", "schedule")],
+)
+def test_a_missing_required_key_exits_1_naming_it(capsys, tmp_path, command, key):
+    config = thirty_point_expand_config(deltas=[], q=2, schedule=[3])
+    config["output"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 0, err
+    del config[key]
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.endswith(f"top-level config: missing keys ['{key}']\n"), err
+
+
+@pytest.mark.parametrize("command", ["select", "expand-delta", "run-loop"])
+def test_a_config_that_is_no_object_exits_1(capsys, tmp_path, command):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.endswith("top-level config must be an object, got [1, 2]\n"), err
 
 
 def test_run_loop_unknown_split_key_exits_1(capsys, tmp_path):

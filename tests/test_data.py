@@ -68,8 +68,19 @@ def test_truncated_payload(tmp_path):
 
 
 def test_non_finite_rejected():
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match=r"^non-finite value at row 0, column 1$") as err:
         EmbeddingSet([[1.0, np.nan]])
+    assert err.value.offset is None
+    with pytest.raises(NonFinite, match=r"row 2, column 0$"):
+        EmbeddingSet([[1.0, 2.0], [3.0, 4.0], [np.inf, 0.0]])
+
+
+def test_non_finite_in_csv_names_its_line_and_field(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("f0,f1\n1.0,2.0\n3.0,nan\n")
+    with pytest.raises(NonFinite, match=r"nan\.csv line 3, field 2$") as err:
+        read_embedding_file(path)
+    assert err.value.offset is None
 
 
 def test_non_finite_on_disk(tmp_path):
@@ -78,7 +89,14 @@ def test_non_finite_on_disk(tmp_path):
     path.write_bytes(b"DCM1" + (2).to_bytes(4, "little") + (1).to_bytes(4, "little") + payload)
     with pytest.raises(NonFinite) as err:
         read_embedding_file(path)
-    assert err.value.offset == 16
+    assert err.value.offset == 16 and str(err.value) == "non-finite value at byte 16"
+
+
+@pytest.mark.parametrize("read", [read_embedding_file, read_label_file])
+def test_readers_reject_a_file_descriptor(read):
+    # open() would read descriptor 0, stdin, for a path given as the integer 0.
+    with pytest.raises(TypeError):
+        read(0)
 
 
 def test_label_file_round_trip(tmp_path):

@@ -240,7 +240,9 @@ def test_strategy_spec_names_an_unknown_kind():
     ],
 )
 def test_check_config_names_a_section_that_is_not_an_object(config, section):
-    with pytest.raises(ConfigError, match=f"^{section} config must be an object"):
+    # The top level is named "top-level config", a section by its dotted key.
+    name = "top-level config" if section == "top-level" else section
+    with pytest.raises(ConfigError, match=f"^{name} must be an object"):
         check_config(config)
 
 
@@ -269,6 +271,23 @@ def test_run_al_loop_config_validation():
 def test_non_integer_sizes_are_named(key, value):
     with pytest.raises(ConfigError, match=key):
         run_al_loop(base_config(**{key: value}))
+
+
+def test_run_loop_rejects_unknown_labels_naming_their_rows(tmp_path):
+    from dcom.data import write_embedding_file, write_label_file
+
+    s = gen_gaussian_mixture(MixtureSpec(3, 40, 8, 6.0, 1.0, seed=5))
+    labels = s.labels.copy()
+    labels[[3, 50, 90, 110]] = -1
+    write_embedding_file(s, tmp_path / "e.dcm")
+    write_label_file(labels, tmp_path / "l.dcl")
+    data = {"embeddings": str(tmp_path / "e.dcm"), "labels": str(tmp_path / "l.dcl")}
+    config = base_config(strategy="coreset", data=data, schedule=[3], repetitions=1)
+    message = r"marks 4 points unknown \(-1\), first at rows \[3, 50, 90, 110\]"
+    with pytest.raises(ConfigError, match=message):
+        run_al_loop(config)
+    write_label_file(s.labels, tmp_path / "l.dcl")
+    assert len(run_al_loop(config)) == 1
 
 
 def test_run_al_loop_leaves_config_unchanged():
