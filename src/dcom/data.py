@@ -46,11 +46,13 @@ class EmbeddingSet:
     __slots__ = ("vectors", "labels")
 
     def __init__(self, vectors, labels=None):
-        vectors = np.asarray(vectors, dtype=np.float32)
+        with np.errstate(over="ignore"):  # a value past float32's range becomes inf, caught below
+            vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise DimensionMismatch(f"vectors must be 2-D, got shape {vectors.shape}")
         if not np.isfinite(vectors).all():
-            raise NonFinite("row {}, column {}".format(*np.argwhere(~np.isfinite(vectors))[0]))
+            row, column = np.argwhere(~np.isfinite(vectors))[0]
+            raise NonFinite(f"row {row}, column {column}", cell=(row, column))
         vectors.setflags(write=False)
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
@@ -201,11 +203,12 @@ def _read_embedding_csv(path):
     header, records, lines = _csv_records(path)
     if header is None:
         raise TruncatedPayload(0, 1, 0)
-    data = np.array([[float(v) for v in row] for row in records], dtype=np.float32)
-    if not np.isfinite(data).all():
-        row, field = np.argwhere(~np.isfinite(data))[0]
-        raise NonFinite(f"{path} line {lines[row]}, field {field + 1}")
-    return EmbeddingSet(data.reshape(len(records), len(header)))
+    data = np.array([[float(v) for v in row] for row in records])
+    try:
+        return EmbeddingSet(data.reshape(len(records), len(header)))
+    except NonFinite as err:
+        row, column = err.cell
+        raise NonFinite(f"{path} line {lines[row]}, field {column + 1}") from None
 
 
 def l2_normalize(embedding_set: EmbeddingSet) -> EmbeddingSet:
@@ -215,9 +218,7 @@ def l2_normalize(embedding_set: EmbeddingSet) -> EmbeddingSet:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVector(int(zero[0]))
-    return EmbeddingSet(
-        (vectors / norms[:, None]).astype(np.float32), embedding_set.labels
-    )
+    return EmbeddingSet(vectors / norms[:, None], embedding_set.labels)
 
 
 def _sq_dists(points, center):
@@ -347,4 +348,4 @@ def gen_gaussian_mixture(spec: MixtureSpec) -> EmbeddingSet:
             (spec.points_per_class, spec.dim)
         )
         labels[lo:hi] = c
-    return EmbeddingSet(points.astype(np.float32), labels)
+    return EmbeddingSet(points, labels)

@@ -27,9 +27,10 @@ class PayloadOverflow(DcomError):
 
 
 class NonFinite(DcomError):
-    def __init__(self, where, offset=None):
+    def __init__(self, where, offset=None, cell=None):
         super().__init__(f"non-finite value at {where}")
-        self.offset = offset
+        self.offset = offset  # a file's byte
+        self.cell = cell  # an array's (row, column)
 
 
 class ZeroVector(DcomError):

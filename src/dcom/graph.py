@@ -1,18 +1,19 @@
 """Sparse directed radius-adjacency graph and coverage computation.
 
-Edges are stored as a coordinate list sorted by (source, target) next to one
-covered flag per point. Covering a point drops every edge into it, so an edge
-is alive exactly while its target is uncovered, and out-degrees count alive
-edges. Construction can be restricted to source and target indices, so the
-greedy kernel in engine (shared by dcom_select and select_probcover) builds
-only unlabeled sources to uncovered targets and then only covers. Candidates
-come from data._gram_pairs, the package's one float32 Gram pass, with a
-floor derived from the key error bound of data._gram_inputs; every
-candidate is confirmed with the package's exact float64 distance, so the edge
-set matches a brute-force O(n^2) scan bit for bit. A build whose sources and
-targets are the same points, as every cold start is, runs the pass's
-upper-triangle mode and mirrors each confirmed pair. covered_set runs the
-same pass with a radius per labeled point.
+RadiusGraph sorts its edges stably by source, keeping each source's targets in
+the order given, and keeps one covered flag per point. Covering a point drops
+every edge into it, so an edge is alive exactly while its target is uncovered,
+and out-degrees count alive edges. Construction can be restricted to source
+and target indices, so the greedy kernel in engine (shared by dcom_select and
+select_probcover) builds only unlabeled sources to uncovered targets and then
+only covers. Candidates come from data._gram_pairs, the package's one float32
+Gram pass, with a floor derived from the key error bound of data._gram_inputs;
+every candidate is confirmed with the package's exact float64 distance, so the
+edge set matches a brute-force O(n^2) scan bit for bit. A build whose sources
+and targets are the same points, as every cold start is, runs the pass's
+upper-triangle mode and puts each confirmed pair's mirror ahead of the pairs,
+so targets ascend within each source once sorted. covered_set runs the same
+pass with a radius per labeled point.
 """
 
 from __future__ import annotations
@@ -29,17 +30,18 @@ _MAX_EDGES = 60_000_000
 
 
 class RadiusGraph:
-    """Directed adjacency at a fixed radius whose targets can be covered."""
+    """Coverable directed adjacency; takes edges in any order and sorts them stably by source."""
 
     def __init__(self, n, src, dst):
-        self._src = src
-        self._dst = dst
+        order = np.argsort(src, kind="stable")
+        self._src = src[order]
+        self._dst = dst[order]
         self._covered = np.zeros(n, dtype=bool)
         self._out_degree = np.bincount(src, minlength=n).astype(np.int64)
         # Static CSR over construction edges: geometric ball lookups survive covering.
         self._out_indptr = np.concatenate(([0], np.cumsum(self._out_degree)))
-        self._in_edge_ids = np.argsort(dst, kind="stable")
-        self._in_indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
+        self._in_edge_ids = np.argsort(self._dst, kind="stable")
+        self._in_indptr = np.concatenate(([0], np.cumsum(np.bincount(self._dst, minlength=n))))
 
     @property
     def out_degree(self):
@@ -50,9 +52,9 @@ class RadiusGraph:
         return self._dst[self._out_indptr[v] : self._out_indptr[v + 1]]
 
     def prune_incoming(self, targets):
-        """Cover targets, removing every edge into them (repeats allowed)."""
+        """Cover targets, removing every edge into them (repeats allowed, indices checked)."""
         # A repeated target would list its edges twice and decrement twice.
-        targets = np.unique(np.asarray(targets, dtype=np.int64))
+        targets = np.unique(_indices("targets", targets, self._covered.size))
         targets = targets[~self._covered[targets]]
         if targets.size == 0:
             return
@@ -70,9 +72,10 @@ def build_radius_graph(
 
     sources and targets, when given, restrict the edges to pairs whose source
     lies in sources and whose target lies in targets; either may be unsorted
-    and hold duplicates. The restricted edge set equals the full one filtered
-    to sources x targets, and ball_members then returns only targets. Raises
-    DenseRadiusGraph once more than _MAX_EDGES edges are confirmed.
+    and hold duplicates, and an index outside [0, n) raises ValueError. The
+    restricted edge set equals the full one filtered to sources x targets, and
+    ball_members then returns only targets. Raises DenseRadiusGraph once more
+    than _MAX_EDGES edges are confirmed.
 
     The candidate pass keeps (i, j) when the key K_ij ~ -|x_i - x_j|^2/2 of
     data._gram_inputs(embedding_set, delta^2), off by at most the E derived
@@ -89,9 +92,9 @@ def build_radius_graph(
         raise ValueError(f"delta must be positive, got {delta}")
     n = embedding_set.count
     thresh = delta * delta
-    # Sorted, duplicate-free indices: the CSR in RadiusGraph needs ascending sources.
-    rows = np.arange(n) if sources is None else np.unique(np.asarray(sources, dtype=np.int64))
-    cols = np.arange(n) if targets is None else np.unique(np.asarray(targets, dtype=np.int64))
+    # Duplicate-free indices, sorted as the pass needs its columns.
+    rows = np.arange(n) if sources is None else np.unique(_indices("sources", sources, n))
+    cols = np.arange(n) if targets is None else np.unique(_indices("targets", targets, n))
     # A covered pool builds with no targets: skip the Gram inputs' n-row arrays.
     if rows.size == 0 or cols.size == 0:
         return RadiusGraph(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -114,25 +117,18 @@ def build_radius_graph(
                                    f"delta {delta:.6g} among {n} points")
     src, dst = np.concatenate(src_parts), np.concatenate(dst_parts)
     if orders == 2:
-        src, dst = _both_orders(n, src, dst)
+        # Mirrors first: source v lists its (v, u), u < v, by ascending u, then its (v, w).
+        src, dst = np.concatenate((dst, src)), np.concatenate((src, dst))
     return RadiusGraph(n, src, dst)
 
 
-def _both_orders(n, lower, higher):
-    """Both orders of the pairs lower < higher, sorted by (lower, higher), as sorted (src, dst).
-
-    No sort of all 2E edges is needed: source v's edges are the mirrored pairs
-    (u, v), which a stable argsort by higher lists by u, then its own pairs
-    (v, w) as they come.
-    """
-    below = np.bincount(higher, minlength=n)
-    above = np.bincount(lower, minlength=n)
-    order = np.argsort(higher, kind="stable")
-    dst = np.empty(2 * lower.size, dtype=np.int64)
-    edge = np.arange(lower.size)
-    dst[edge + np.cumsum(below)[lower]] = higher
-    dst[edge + (np.cumsum(above) - above)[higher[order]]] = lower[order]
-    return np.repeat(np.arange(n), below + above), dst
+def _indices(name, values, n):
+    """values as int64 point indices; ValueError names the first one outside [0, n)."""
+    values = np.asarray(values, dtype=np.int64)
+    bad = np.flatnonzero((values < 0) | (values >= n))
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] is {values[bad[0]]}, outside [0, {n})")
+    return values
 
 
 def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
@@ -144,7 +140,7 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
     build_radius_graph's: the slack is computed for the largest radius and
     only grows with it, so the bound holds row by row.
     """
-    labeled = np.asarray(labeled, dtype=np.int64)
+    labeled = _indices("labeled", labeled, embedding_set.count)
     deltas = np.asarray(deltas, dtype=np.float64)
     if labeled.shape != deltas.shape:
         raise ValueError(f"{labeled.size} labeled points but {deltas.size} deltas")

@@ -54,24 +54,15 @@ def _softmax(logits):
 
 
 def _probe_grad(weights, features_bias, onehot, l2_penalty):
-    """The softmax rows, the penalized weights and probe_loss_and_grad's gradient."""
+    """Gradient of the mean cross-entropy plus 0.5 * l2_penalty * |weights|^2.
+
+    features_bias is (m, d+1) with the constant column appended; the bias row
+    of the weights is excluded from the penalty.
+    """
     probs = _softmax(features_bias @ weights)
     penalized = weights.copy()
     penalized[-1] = 0.0
-    grad = features_bias.T @ (probs - onehot) / features_bias.shape[0] + l2_penalty * penalized
-    return probs, penalized, grad
-
-
-def probe_loss_and_grad(weights, features_bias, onehot, l2_penalty):
-    """Mean cross-entropy with L2 on the weights, and its exact gradient.
-
-    features_bias is (m, d+1) with the constant column appended; the bias row
-    of the weights is excluded from the penalty; train_learner steps along the gradient.
-    """
-    probs, penalized, grad = _probe_grad(weights, features_bias, onehot, l2_penalty)
-    eps = 1e-12
-    ce = -np.log(probs[np.arange(features_bias.shape[0]), onehot.argmax(axis=1)] + eps).mean()
-    return ce + 0.5 * l2_penalty * (penalized * penalized).sum(), grad
+    return features_bias.T @ (probs - onehot) / features_bias.shape[0] + l2_penalty * penalized
 
 
 def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Learner:
@@ -82,7 +73,7 @@ def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Le
         raise UnknownLabel(f"points {indices[labels == UNKNOWN_LABEL].tolist()} have label -1")
     if np.unique(labels).size < 2:
         raise SingleClass("training requires at least two distinct labels")
-    class_count = max(embedding_set.num_classes, int(labels.max()) + 1)
+    class_count = embedding_set.num_classes
     features = embedding_set.vectors[indices].astype(np.float64)
 
     if spec.kind == "nearest_class_mean":
@@ -95,7 +86,7 @@ def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Le
     onehot = np.eye(class_count)[labels]
     weights = np.zeros((embedding_set.dim + 1, class_count))
     for _ in range(spec.epochs):
-        _, _, grad = _probe_grad(weights, features_bias, onehot, spec.l2_penalty)
+        grad = _probe_grad(weights, features_bias, onehot, spec.l2_penalty)
         weights = weights - spec.learning_rate * grad
     return Learner(spec, embedding_set.dim, class_count, weights=weights)
 

@@ -4,7 +4,6 @@ import numpy as np
 
 from dcom.data import _sq_dists
 from dcom.engine import PoolState
-from dcom.learners import probe_loss_and_grad
 
 
 def is_pure_ball(embedding_set, labels, center: int, delta: float) -> bool:
@@ -83,6 +82,23 @@ def nnn_classify(embedding_set, labeled, deltas, query: int) -> int:
     return int(embedding_set.labels[indices[int(np.argmin(ratios))]])
 
 
+def probe_loss_and_grad(weights, features_bias, onehot, l2_penalty):
+    """Reference for learners._probe_grad: the loss it descends, and its gradient.
+
+    Mean cross-entropy plus 0.5 * l2_penalty * |weights|^2, the bias row of
+    the weights excluded, written out apart from learners. features_bias is
+    (m, d+1) with the constant column appended.
+    """
+    logits = features_bias @ weights
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    penalized = weights.copy()
+    penalized[-1] = 0.0
+    grad = features_bias.T @ (probs - onehot) / features_bias.shape[0] + l2_penalty * penalized
+    ce = -np.log(probs[np.arange(features_bias.shape[0]), onehot.argmax(axis=1)] + 1e-12).mean()
+    return ce + 0.5 * l2_penalty * (penalized * penalized).sum(), grad
+
+
 def train_probe(embedding_set, labeled, spec):
     """Reference for train_learner's linear probe: the loss at every epoch.
 
@@ -91,7 +107,7 @@ def train_probe(embedding_set, labeled, spec):
     """
     indices = np.asarray(labeled, dtype=np.int64)
     labels = embedding_set.labels[indices]
-    class_count = max(embedding_set.num_classes, int(labels.max()) + 1)
+    class_count = embedding_set.num_classes
     features = embedding_set.vectors[indices].astype(np.float64)
     features_bias = np.hstack((features, np.ones((features.shape[0], 1))))
     onehot = np.zeros((features.shape[0], class_count))

@@ -362,6 +362,16 @@ def test_select_rejects_bad_pool_inputs(capsys, tmp_path, kind, overrides, messa
     assert err.startswith("error (query-selection):") and message in err
 
 
+def test_select_on_a_mixture_past_float32_range_names_the_non_finite_value(capsys, tmp_path):
+    # Under tier-1's RuntimeWarning filter a warning cast would escape cli_dispatch.
+    config = thirty_point_expand_config(labeled=[0, 11], q=2)
+    del config["query"]
+    config["data"]["mixture"]["class_separation"] = 1e40
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 1 and out == ""
+    assert err == "error (query-selection): non-finite value at row 0, column 0\n"
+
+
 @pytest.mark.parametrize("command", ["select", "expand-delta"])
 def test_radii_above_the_largest_expand_delta_radius_exit_1(capsys, tmp_path, command):
     config = thirty_point_expand_config(deltas=[5.0, 5.0])

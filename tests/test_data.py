@@ -83,6 +83,20 @@ def test_non_finite_in_csv_names_its_line_and_field(tmp_path):
     assert err.value.offset is None
 
 
+# float32 overflows past about 3.4e38, so 1e40 becomes inf in the one cast,
+# EmbeddingSet's: tier-1 runs with RuntimeWarning as an error, so a cast that
+# warned would raise RuntimeWarning here rather than NonFinite.
+def test_values_past_float32_range_are_non_finite(tmp_path):
+    with pytest.raises(NonFinite, match=r"^non-finite value at row 0, column 1$"):
+        EmbeddingSet([[1.0, 1e40]])
+    path = tmp_path / "big.csv"
+    path.write_text("f0,f1\n1.0,2.0\n3.0,1e40\n")
+    with pytest.raises(NonFinite, match=r"big\.csv line 3, field 2$"):
+        read_embedding_file(path)
+    with pytest.raises(NonFinite, match=r"^non-finite value at row 0, column 0$"):
+        gen_gaussian_mixture(MixtureSpec(2, 3, 4, 1e40, 1.0))
+
+
 def test_non_finite_on_disk(tmp_path):
     path = tmp_path / "nan.dcm"
     payload = np.array([1.0, np.nan], dtype="<f4").tobytes()

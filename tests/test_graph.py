@@ -132,6 +132,29 @@ def test_covered_set_rejects_a_negative_radius_naming_it():
     assert covered_set(s, [0], [0.0]).tolist() == [True, False, False]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: covered_set(s, [-1], [0.5]), r"^labeled\[0\] is -1, outside \[0, 30\)$"),
+        (lambda s: covered_set(s, [2, 30], [0.5, 0.5]), r"^labeled\[1\] is 30, outside"),
+        (lambda s: build_radius_graph(s, 0.5, sources=[-1]), r"^sources\[0\] is -1, outside"),
+        (lambda s: build_radius_graph(s, 0.5, sources=[30]), r"^sources\[0\] is 30, outside"),
+        (lambda s: build_radius_graph(s, 0.5, targets=[0, 3, -2]), r"^targets\[2\] is -2,"),
+        (lambda s: build_radius_graph(s, 0.5, targets=[30]), r"^targets\[0\] is 30, outside"),
+        (lambda s: build_radius_graph(s, 3.0).prune_incoming([4, -1]), r"^targets\[1\] is -1,"),
+        (lambda s: build_radius_graph(s, 3.0).prune_incoming([30]), r"^targets\[0\] is 30,"),
+    ],
+    ids=["covered-negative", "covered-past-end", "sources-negative", "sources-past-end",
+         "targets-negative", "targets-past-end", "prune-negative", "prune-past-end"],
+)
+def test_indices_outside_the_points_are_named(call, message):
+    # -1 would otherwise read point 29 (prune_incoming flagged it covered but
+    # kept its edges), and 30 fail with a bare IndexError.
+    s = gen_gaussian_mixture(MixtureSpec(3, 10, 4, 6.0, 1.0, seed=5))
+    with pytest.raises(ValueError, match=message):
+        call(s)
+
+
 @pytest.mark.parametrize("delta", [float("nan"), 0.0, -1.0])
 def test_build_rejects_a_delta_that_is_not_positive(delta):
     with pytest.raises(ValueError, match="delta must be positive"):
@@ -269,10 +292,23 @@ def test_prunes_never_raise_degree():
     rng = np.random.default_rng(4)
     s = EmbeddingSet(rng.normal(size=(40, 2)))
     g = build_radius_graph(s, 1.0)
+    # The same edges with the sources interleaved at random, each one's targets
+    # kept in order: the constructor's own sort must give the same graph.
+    src = rng.permutation(g._src)
+    assert (np.diff(src) < 0).any()
+    dst = np.empty_like(g._dst)
+    dst[np.argsort(src, kind="stable")] = g._dst
+    h = graph.RadiusGraph(40, src, dst)
     before = g.out_degree
-    g.prune_incoming(np.flatnonzero(rng.random(40) < 0.3))
+    assert np.array_equal(h.out_degree, before)
+    for v in range(40):
+        assert np.array_equal(h.ball_members(v), g.ball_members(v))
+    covered = np.flatnonzero(rng.random(40) < 0.3)
+    g.prune_incoming(covered)
+    h.prune_incoming(covered)
     mid = g.out_degree
     assert (mid <= before).all()
+    assert np.array_equal(h.out_degree, mid)
 
 
 def random_case(rng, kind, n=None):
