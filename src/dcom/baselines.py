@@ -79,9 +79,8 @@ def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:
     """
     _check_budget(pool, q)
     unlabeled = np.sort(np.asarray(pool.unlabeled, dtype=np.int64))  # lowest index on ties
-    targets = None
+    covered = None
     if pool.labeled:
         covered = covered_set(embedding_set, pool.labeled, [delta0] * len(pool.labeled))
-        targets = np.flatnonzero(~covered)
     ones = np.ones(unlabeled.size)
-    return _greedy_select(embedding_set, unlabeled, targets, delta0, 0.0, ones, q)
+    return _greedy_select(embedding_set, unlabeled, covered, delta0, 0.0, ones, q)

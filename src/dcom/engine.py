@@ -198,14 +198,13 @@ def dcom_select(
             coverage_before, config.logistic_a, config.logistic_k
         )
         delta_avg = float(np.mean(pool.deltas))
-        targets = np.flatnonzero(~covered)
     else:
+        covered = None
         coverage_before = 0.0
         competence = 0.0
         delta_avg = config.delta0
-        targets = None
 
-    selected = _greedy_select(embedding_set, unlabeled, targets, delta_avg, competence, margins, q)
+    selected = _greedy_select(embedding_set, unlabeled, covered, delta_avg, competence, margins, q)
     return QueryResult(selected, coverage_before, competence)
 
 
@@ -217,7 +216,7 @@ def _check_budget(pool, q):
         )
 
 
-def _greedy_select(embedding_set, unlabeled, targets, radius, competence, margins, q):
+def _greedy_select(embedding_set, unlabeled, covered, radius, competence, margins, q):
     """The greedy loop of dcom_select and select_probcover; returns the picks.
 
     Each step takes the highest competence * (1 - margin) + (1 - competence)
@@ -225,8 +224,8 @@ def _greedy_select(embedding_set, unlabeled, targets, radius, competence, margin
     the lowest index, as both callers sort unlabeled (margins with it). At
     competence 0 this orders picks exactly by integer degree.
     """
-    # Only unlabeled sources and uncovered targets ever hold an alive edge.
-    graph = build_radius_graph(embedding_set, radius, unlabeled, targets)
+    # Only unlabeled points ever pick, and only uncovered ones count toward a degree.
+    graph = build_radius_graph(embedding_set, radius, unlabeled, covered)
 
     uncertainty = competence * (1.0 - margins)
     available = np.ones(unlabeled.size, dtype=bool)

@@ -1,19 +1,18 @@
-"""Sparse directed radius-adjacency graph and coverage computation.
+"""Sparse undirected radius-adjacency graph and coverage computation.
 
-RadiusGraph sorts its edges stably by source, keeping each source's targets in
-the order given, and keeps one covered flag per point. Covering a point drops
-every edge into it, so an edge is alive exactly while its target is uncovered,
-and out-degrees count alive edges. Construction can be restricted to source
-and target indices, so the greedy kernel in engine (shared by dcom_select and
-select_probcover) builds only unlabeled sources to uncovered targets and then
-only covers. Candidates come from data._gram_pairs, the package's one float32
-Gram pass, with a floor derived from the key error bound of data._gram_inputs;
-every candidate is confirmed with the package's exact float64 distance, so the
-edge set matches a brute-force O(n^2) scan bit for bit. A build whose sources
-and targets are the same points, as every cold start is, runs the pass's
-upper-triangle mode and puts each confirmed pair's mirror ahead of the pairs,
-so targets ascend within each source once sorted. covered_set runs the same
-pass with a radius per labeled point.
+RadiusGraph stores each unordered pair both ways in one CSR and starts from
+the caller's covered mask. Covering a point drops it from its neighbours'
+degrees, so out-degrees count uncovered neighbours, as do ball_members. The
+greedy kernel in engine (shared by dcom_select and select_probcover) builds
+over the unlabeled points with the pool's covered mask, then only covers.
+Candidates come from data._gram_pairs, the package's one float32 Gram pass,
+with a floor derived from the key error bound of data._gram_inputs; every
+candidate is confirmed with the package's exact float64 distance, so the edge
+set matches a brute-force O(n^2) scan bit for bit. The build runs the pass's
+upper-triangle mode over the uncovered points, the whole of a cold start, and
+its rectangular mode from the covered points to them: a pair of covered points
+is never alive, so never built. covered_set runs the same pass with a radius
+per labeled point.
 """
 
 from __future__ import annotations
@@ -25,57 +24,55 @@ from .errors import DenseRadiusGraph
 
 # Labeled points per coverage block.
 _COVER_ROWS = 32
-# Confirmed edges past which a build stops, about ten times a 100k-point select's 5.6M.
+# Stored entries, 2 per confirmed pair, past which a build stops; about ten times
+# a 100k-point select's 5.6M.
 _MAX_EDGES = 60_000_000
 
 
 class RadiusGraph:
-    """Coverable directed adjacency; takes edges in any order and sorts them stably by source."""
+    """Coverable undirected adjacency over pairs (a, b), each given once, covered at start.
 
-    def __init__(self, n, src, dst):
-        order = np.argsort(src, kind="stable")
-        self._src = src[order]
-        self._dst = dst[order]
-        self._covered = np.zeros(n, dtype=bool)
-        self._out_degree = np.bincount(src, minlength=n).astype(np.int64)
-        # Static CSR over construction edges: geometric ball lookups survive covering.
-        self._out_indptr = np.concatenate(([0], np.cumsum(self._out_degree)))
-        self._in_edge_ids = np.argsort(self._dst, kind="stable")
-        self._in_indptr = np.concatenate(([0], np.cumsum(np.bincount(self._dst, minlength=n))))
+    The CSR stores mirrors (b, a), then pairs, sorted stably by point.
+    """
+
+    def __init__(self, n, a, b, covered=None):
+        src, dst = np.concatenate((b, a)), np.concatenate((a, b))
+        self._nbrs = dst[np.argsort(src, kind="stable")]
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        self._covered = np.zeros(n, dtype=bool) if covered is None else covered.copy()
+        self._out_degree = np.bincount(src[~self._covered[dst]], minlength=n)
 
     @property
     def out_degree(self):
         return self._out_degree.copy()
 
     def ball_members(self, v):
-        """Points within the construction radius of v, excluding v itself."""
-        return self._dst[self._out_indptr[v] : self._out_indptr[v + 1]]
+        """v's uncovered neighbours within the construction radius, v excluded."""
+        nbrs = self._nbrs[self._indptr[v] : self._indptr[v + 1]]
+        return nbrs[~self._covered[nbrs]]
 
     def prune_incoming(self, targets):
-        """Cover targets, removing every edge into them (repeats allowed, indices checked)."""
-        # A repeated target would list its edges twice and decrement twice.
+        """Cover targets, dropping each from its neighbours' degrees (repeats allowed)."""
+        # A repeated target would list its neighbours twice and decrement twice.
         targets = np.unique(_indices("targets", targets, self._covered.size))
         targets = targets[~self._covered[targets]]
         if targets.size == 0:
             return
         self._covered[targets] = True
-        ids = np.concatenate(
-            [self._in_edge_ids[self._in_indptr[t] : self._in_indptr[t + 1]] for t in targets]
-        )
-        np.subtract.at(self._out_degree, self._src[ids], 1)
+        nbrs = np.concatenate([self._nbrs[self._indptr[t] : self._indptr[t + 1]] for t in targets])
+        np.subtract.at(self._out_degree, nbrs, 1)
 
 
 def build_radius_graph(
-    embedding_set: EmbeddingSet, delta: float, sources=None, targets=None
+    embedding_set: EmbeddingSet, delta: float, points=None, covered=None
 ) -> RadiusGraph:
-    """All ordered pairs at exact distance <= delta, without self-loops.
+    """All pairs of points at exact distance <= delta, but for pairs of covered points.
 
-    sources and targets, when given, restrict the edges to pairs whose source
-    lies in sources and whose target lies in targets; either may be unsorted
-    and hold duplicates, and an index outside [0, n) raises ValueError. The
-    restricted edge set equals the full one filtered to sources x targets, and
-    ball_members then returns only targets. Raises DenseRadiusGraph once more
-    than _MAX_EDGES edges are confirmed.
+    points may be unsorted and hold duplicates; a non-integer dtype or an index
+    outside [0, n) raises ValueError. covered, a boolean mask of shape (n,),
+    is the graph's starting coverage, so out_degree and ball_members count the
+    uncovered neighbours in points x (points minus covered). Raises
+    DenseRadiusGraph once more than _MAX_EDGES entries, 2 per pair, are stored.
 
     The candidate pass keeps (i, j) when the key K_ij ~ -|x_i - x_j|^2/2 of
     data._gram_inputs(embedding_set, delta^2), off by at most the E derived
@@ -92,39 +89,43 @@ def build_radius_graph(
         raise ValueError(f"delta must be positive, got {delta}")
     n = embedding_set.count
     thresh = delta * delta
+    covered = np.zeros(n, dtype=bool) if covered is None else np.asarray(covered)
+    if covered.dtype != bool or covered.shape != (n,):
+        raise ValueError(f"covered must be a boolean mask of shape ({n},), "
+                         f"got dtype {covered.dtype} and shape {covered.shape}")
     # Duplicate-free indices, sorted as the pass needs its columns.
-    rows = np.arange(n) if sources is None else np.unique(_indices("sources", sources, n))
-    cols = np.arange(n) if targets is None else np.unique(_indices("targets", targets, n))
-    # A covered pool builds with no targets: skip the Gram inputs' n-row arrays.
-    if rows.size == 0 or cols.size == 0:
-        return RadiusGraph(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if np.array_equal(rows, cols):
-        rows = cols  # one set on both sides, as in a cold start: the symmetric pass
+    points = np.arange(n) if points is None else np.unique(_indices("points", points, n))
+    shut = covered[points]
+    open_points, shut_points = points[~shut], points[shut]
+    # A covered pool has nothing to build: skip the Gram inputs' n-row arrays.
+    if open_points.size == 0:
+        return RadiusGraph(n, open_points, open_points, covered)
     inputs = _gram_inputs(embedding_set, thresh)
     _, gram, slack = inputs
     floor = gram.dtype.type(-(thresh + float(slack)) / 2)
-    # The symmetric pass yields each pair once, for two ordered pairs.
-    orders = 2 if rows is cols else 1
-    src_parts, dst_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    a_parts, b_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     edges = 0
-    for _, src, dst, sq in _gram_pairs(inputs, rows, cols, lambda *_: floor):
-        keep = (src != dst) & (sq <= thresh)
-        src_parts.append(src[keep])
-        dst_parts.append(dst[keep])
-        edges += orders * src_parts[-1].size
-        if edges > _MAX_EDGES:
-            raise DenseRadiusGraph(f"radius graph too dense: {edges} edges so far within "
-                                   f"delta {delta:.6g} among {n} points")
-    src, dst = np.concatenate(src_parts), np.concatenate(dst_parts)
-    if orders == 2:
-        # Mirrors first: source v lists its (v, u), u < v, by ascending u, then its (v, w).
-        src, dst = np.concatenate((dst, src)), np.concatenate((src, dst))
-    return RadiusGraph(n, src, dst)
+    # The upper-triangle pass yields each uncovered pair once, as a < b; then
+    # covered x uncovered. No pair comes twice and no point meets itself.
+    for rows in (open_points, shut_points):
+        for _, a, b, sq in _gram_pairs(inputs, rows, open_points, lambda *_: floor):
+            keep = sq <= thresh
+            a_parts.append(a[keep])
+            b_parts.append(b[keep])
+            edges += 2 * a_parts[-1].size
+            if edges > _MAX_EDGES:
+                raise DenseRadiusGraph(f"radius graph too dense: {edges} edges so far within "
+                                       f"delta {delta:.6g} among {n} points")
+    return RadiusGraph(n, np.concatenate(a_parts), np.concatenate(b_parts), covered)
 
 
 def _indices(name, values, n):
-    """values as int64 point indices; ValueError names the first one outside [0, n)."""
-    values = np.asarray(values, dtype=np.int64)
+    """values as int64 point indices; ValueError names a non-integer dtype or an outside index."""
+    values = np.asarray(values)
+    # An empty list's dtype is float64; bool is not an integer dtype.
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"{name} must hold integer indices, got dtype {values.dtype}")
+    values = values.astype(np.int64, copy=False)
     bad = np.flatnonzero((values < 0) | (values >= n))
     if bad.size:
         raise ValueError(f"{name}[{bad[0]}] is {values[bad[0]]}, outside [0, {n})")

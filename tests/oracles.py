@@ -50,9 +50,13 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
 
 
 def edges(graph) -> np.ndarray:
-    """A RadiusGraph's alive (source, target) pairs, sorted by (source, target)."""
-    alive = ~graph._covered[graph._dst]
-    return np.column_stack((graph._src[alive], graph._dst[alive]))
+    """A RadiusGraph's alive (point, uncovered neighbour) pairs in stored order.
+
+    A built graph stores them sorted by (point, neighbour).
+    """
+    src = np.repeat(np.arange(graph._indptr.size - 1), np.diff(graph._indptr))
+    alive = ~graph._covered[graph._nbrs]
+    return np.column_stack((src[alive], graph._nbrs[alive]))
 
 
 def covered_set(embedding_set, labeled, deltas) -> np.ndarray:

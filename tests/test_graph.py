@@ -84,6 +84,18 @@ def test_dense_build_fails_naming_n_delta_and_edges(monkeypatch):
         f"radius graph too dense: {first_block} edges so far within delta 1.5 "
         f"among 1200 points"
     )
+    # A restricted build stores and counts each pair with an uncovered end
+    # twice, though a pair with a covered end is alive one way only.
+    covered = np.zeros(1200, dtype=bool)
+    covered[::3] = True
+    shut_pairs = int(covered[pairs].all(axis=1).sum()) // 2
+    entries = edges - 2 * shut_pairs
+    monkeypatch.setattr(graph, "_MAX_EDGES", entries)
+    restricted = build_radius_graph(s, 1.5, covered=covered)
+    assert restricted._nbrs.size == entries > oracles.edges(restricted).shape[0]
+    monkeypatch.setattr(graph, "_MAX_EDGES", entries - 1)
+    with pytest.raises(DenseRadiusGraph):
+        build_radius_graph(s, 1.5, covered=covered)
 
 
 def test_covered_set_examples():
@@ -137,19 +149,45 @@ def test_covered_set_rejects_a_negative_radius_naming_it():
     [
         (lambda s: covered_set(s, [-1], [0.5]), r"^labeled\[0\] is -1, outside \[0, 30\)$"),
         (lambda s: covered_set(s, [2, 30], [0.5, 0.5]), r"^labeled\[1\] is 30, outside"),
-        (lambda s: build_radius_graph(s, 0.5, sources=[-1]), r"^sources\[0\] is -1, outside"),
-        (lambda s: build_radius_graph(s, 0.5, sources=[30]), r"^sources\[0\] is 30, outside"),
-        (lambda s: build_radius_graph(s, 0.5, targets=[0, 3, -2]), r"^targets\[2\] is -2,"),
-        (lambda s: build_radius_graph(s, 0.5, targets=[30]), r"^targets\[0\] is 30, outside"),
+        (lambda s: build_radius_graph(s, 0.5, points=[-1]), r"^points\[0\] is -1, outside"),
+        (lambda s: build_radius_graph(s, 0.5, points=[30]), r"^points\[0\] is 30, outside"),
+        (lambda s: build_radius_graph(s, 0.5, points=[0, 3, -2]), r"^points\[2\] is -2,"),
+        (lambda s: build_radius_graph(s, 0.5, points=[2, 30]), r"^points\[1\] is 30, outside"),
         (lambda s: build_radius_graph(s, 3.0).prune_incoming([4, -1]), r"^targets\[1\] is -1,"),
         (lambda s: build_radius_graph(s, 3.0).prune_incoming([30]), r"^targets\[0\] is 30,"),
     ],
-    ids=["covered-negative", "covered-past-end", "sources-negative", "sources-past-end",
-         "targets-negative", "targets-past-end", "prune-negative", "prune-past-end"],
+    ids=["covered-negative", "covered-past-end", "points-negative", "points-past-end",
+         "points-negative-later", "points-past-end-later", "prune-negative", "prune-past-end"],
 )
 def test_indices_outside_the_points_are_named(call, message):
     # -1 would otherwise read point 29 (prune_incoming flagged it covered but
     # kept its edges), and 30 fail with a bare IndexError.
+    s = gen_gaussian_mixture(MixtureSpec(3, 10, 4, 6.0, 1.0, seed=5))
+    with pytest.raises(ValueError, match=message):
+        call(s)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: covered_set(s, [1.7], [0.0]),
+         r"^labeled must hold integer indices, got dtype float64$"),
+        (lambda s: covered_set(s, [True], [0.5]), r"^labeled must hold .* dtype bool$"),
+        (lambda s: build_radius_graph(s, 3.0, points=[0.5, 2.9]), r"^points must .* float64$"),
+        (lambda s: build_radius_graph(s, 3.0).prune_incoming([True, False]),
+         r"^targets must hold .* dtype bool$"),
+        (lambda s: build_radius_graph(s, 3.0, covered=np.zeros(30)),
+         r"^covered must be a boolean mask of shape \(30,\), "
+         r"got dtype float64 and shape \(30,\)$"),
+        (lambda s: build_radius_graph(s, 3.0, covered=np.zeros(29, dtype=bool)),
+         r"^covered must be a boolean mask .* shape \(29,\)$"),
+        (lambda s: build_radius_graph(s, 3.0, covered=[0, 1]), r"^covered must be .* dtype int64"),
+    ],
+    ids=["covered-fraction", "covered-bool", "points-fraction", "prune-bool", "mask-float",
+         "mask-short", "mask-indices"],
+)
+def test_indices_of_another_dtype_are_named(call, message):
+    # A cast to int64 would read 1.7 as point 1 and [True, False] as points 1 and 0.
     s = gen_gaussian_mixture(MixtureSpec(3, 10, 4, 6.0, 1.0, seed=5))
     with pytest.raises(ValueError, match=message):
         call(s)
@@ -272,6 +310,7 @@ def test_prune_incoming_noop_and_idempotent():
     s = one_d(0.0, 0.4, 0.8)
     g = build_radius_graph(s, 0.5)
     g.prune_incoming(np.flatnonzero([False, False, False]))
+    g.prune_incoming([])  # an empty list's dtype is float64
     assert g.out_degree.tolist() == [1, 2, 1]
     g.prune_incoming(np.flatnonzero([False, True, False]))
     first = oracles.edges(g).tolist()
@@ -292,23 +331,23 @@ def test_prunes_never_raise_degree():
     rng = np.random.default_rng(4)
     s = EmbeddingSet(rng.normal(size=(40, 2)))
     g = build_radius_graph(s, 1.0)
-    # The same edges with the sources interleaved at random, each one's targets
-    # kept in order: the constructor's own sort must give the same graph.
-    src = rng.permutation(g._src)
-    assert (np.diff(src) < 0).any()
-    dst = np.empty_like(g._dst)
-    dst[np.argsort(src, kind="stable")] = g._dst
-    h = graph.RadiusGraph(40, src, dst)
-    before = g.out_degree
-    assert np.array_equal(h.out_degree, before)
-    for v in range(40):
-        assert np.array_equal(h.ball_members(v), g.ball_members(v))
-    covered = np.flatnonzero(rng.random(40) < 0.3)
-    g.prune_incoming(covered)
-    h.prune_incoming(covered)
-    mid = g.out_degree
-    assert (mid <= before).all()
-    assert np.array_equal(h.out_degree, mid)
+    # The same pairs in shuffled order, each in a random orientation: the
+    # constructor's own mirroring and sort must give the same balls.
+    pairs = oracles.edges(g)
+    pairs = rng.permutation(pairs[pairs[:, 0] < pairs[:, 1]])
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    h = graph.RadiusGraph(40, pairs[:, 0], pairs[:, 1])
+    for _ in range(5):
+        before = g.out_degree
+        assert np.array_equal(h.out_degree, before)
+        for v in range(40):
+            assert np.array_equal(np.sort(h.ball_members(v)), g.ball_members(v))
+            assert g.ball_members(v).size == before[v] == h.ball_members(v).size
+        covered = np.flatnonzero(rng.random(40) < 0.1)
+        g.prune_incoming(covered)
+        h.prune_incoming(covered)
+        assert (g.out_degree <= before).all()
 
 
 def random_case(rng, kind, n=None):
@@ -335,30 +374,56 @@ def random_indices(rng, n):
     return rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
 
 
+def random_covered(rng, n):
+    """A covered mask over n points, each covered at one random rate."""
+    return rng.random(n) < rng.uniform(0.0, 1.0)
+
+
+def assert_matches_filtered_brute_force(s, delta, points, covered):
+    """A build equals the brute-force edges filtered to points x (points minus covered)."""
+    g = build_radius_graph(s, delta, points, covered)
+    point_set = set(np.asarray(points, dtype=np.int64).tolist())
+    expected = [
+        (u, v) for u, v in brute_force_edges(s, delta)
+        if u in point_set and v in point_set and not covered[v]
+    ]
+    assert list(map(tuple, oracles.edges(g).tolist())) == expected
+    degree = np.bincount([u for u, _ in expected], minlength=s.count)
+    assert g.out_degree.tolist() == degree.tolist()
+    for u in range(s.count):
+        assert g.ball_members(u).tolist() == [v for w, v in expected if w == u]
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "lattice", "large_norm"])
 def test_restricted_build_matches_filtered_brute_force(kind):
     rng = np.random.default_rng({"gaussian": 21, "lattice": 22, "large_norm": 23}[kind])
     for _ in range(25):
         s, delta = random_case(rng, kind)
-        sources, targets = random_indices(rng, s.count), random_indices(rng, s.count)
-        g = build_radius_graph(s, delta, sources=sources, targets=targets)
-        src_set, tgt_set = set(sources.tolist()), set(targets.tolist())
-        expected = [
-            (u, v) for u, v in brute_force_edges(s, delta) if u in src_set and v in tgt_set
-        ]
-        assert list(map(tuple, oracles.edges(g).tolist())) == expected
-        degree = np.bincount([u for u, _ in expected], minlength=s.count)
-        assert g.out_degree.tolist() == degree.tolist()
-        for u in range(s.count):
-            assert g.ball_members(u).tolist() == [v for w, v in expected if w == u]
+        points, covered = random_indices(rng, s.count), random_covered(rng, s.count)
+        assert_matches_filtered_brute_force(s, delta, points, covered)
 
 
-def per_row_edges(s, delta, sources, targets):
-    """The filtered brute-force edges as an (m, 2) array, one exact pass per source."""
+@pytest.mark.parametrize("cover", ["none", "all", "all_but_one"])
+def test_build_with_none_all_or_all_but_one_point_covered(cover):
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        s, delta = random_case(rng, "lattice", int(rng.integers(2, 45)))
+        points = rng.permutation(s.count)[: int(rng.integers(1, s.count + 1))]
+        # Points outside the build are covered or not at random.
+        covered = random_covered(rng, s.count)
+        covered[points] = cover != "none"
+        if cover == "all_but_one":
+            covered[points[0]] = False
+        assert_matches_filtered_brute_force(s, delta, points, covered)
+
+
+def per_row_edges(s, delta, points, covered=None):
+    """The filtered brute-force edges as an (m, 2) array, one exact pass per point."""
     pts = s.vectors.astype(np.float64)
-    targets = np.unique(targets)
+    points = np.unique(points)
+    targets = points if covered is None else points[~covered[points]]
     parts = [np.empty((0, 2), dtype=np.int64)]
-    for u in np.unique(sources):
+    for u in points:
         near = targets[_sq_dists(pts[targets], pts[u]) <= delta * delta]
         near = near[near != u]
         parts.append(np.column_stack((np.full(near.size, u), near)))
@@ -368,19 +433,18 @@ def per_row_edges(s, delta, sources, targets):
 @pytest.mark.parametrize("kind", ["gaussian", "lattice", "large_norm"])
 def test_builds_with_a_partial_last_row_block_match_per_row_passes(kind):
     # n is never a multiple of _GRAM_ROWS, so the last strip is partial.
-    # The restricted build's targets are a strict subset of its sources, as in
-    # the greedy kernel, whose sources are unlabeled and targets uncovered.
+    # The restricted build covers some of its points, as in the greedy kernel,
+    # whose points are unlabeled and some of them covered.
     rng = np.random.default_rng({"gaussian": 44, "lattice": 45, "large_norm": 46}[kind])
     for _ in range(3):
         n = int(rng.integers(1, 3)) * data._GRAM_ROWS + int(rng.integers(1, data._GRAM_ROWS))
         s, delta = random_case(rng, kind, n)
-        everything = np.arange(n)
-        expected = per_row_edges(s, delta, everything, everything)
+        expected = per_row_edges(s, delta, np.arange(n))
         assert np.array_equal(oracles.edges(build_radius_graph(s, delta)), expected)
-        sources = rng.permutation(n)[: int(rng.integers(data._GRAM_ROWS + 1, n + 1))]
-        targets = rng.choice(sources, size=int(rng.integers(1, sources.size)), replace=False)
-        g = build_radius_graph(s, delta, sources, targets)
-        assert np.array_equal(oracles.edges(g), per_row_edges(s, delta, sources, targets))
+        points = rng.permutation(n)[: int(rng.integers(data._GRAM_ROWS + 1, n + 1))]
+        covered = random_covered(rng, n)
+        g = build_radius_graph(s, delta, points, covered)
+        assert np.array_equal(oracles.edges(g), per_row_edges(s, delta, points, covered))
 
 
 def block_case(rng, kind):
@@ -413,12 +477,11 @@ def test_builds_and_coverage_match_oracles_at_any_block_size(monkeypatch, kind, 
         pts, delta = block_case(rng, kind)
         s = EmbeddingSet(pts)
         n = s.count
-        everything = np.arange(n)
-        expected = per_row_edges(s, delta, everything, everything)
+        expected = per_row_edges(s, delta, np.arange(n))
         assert np.array_equal(oracles.edges(build_radius_graph(s, delta)), expected)
-        sources, targets = random_indices(rng, n), random_indices(rng, n)
-        restricted = build_radius_graph(s, delta, sources, targets)
-        assert np.array_equal(oracles.edges(restricted), per_row_edges(s, delta, sources, targets))
+        points, covered = random_indices(rng, n), random_covered(rng, n)
+        restricted = build_radius_graph(s, delta, points, covered)
+        assert np.array_equal(oracles.edges(restricted), per_row_edges(s, delta, points, covered))
         labeled = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
         exact = s.vectors.astype(np.float64)
         if kind == "row_radii":
@@ -436,26 +499,30 @@ def test_restricted_build_defaults_and_empty_sides():
     s = EmbeddingSet(rng.normal(size=(30, 3)))
     full = oracles.edges(build_radius_graph(s, 1.2))
     everything = np.arange(30)[::-1]
-    assert np.array_equal(oracles.edges(build_radius_graph(s, 1.2, everything, everything)), full)
-    assert np.array_equal(oracles.edges(build_radius_graph(s, 1.2, sources=everything)), full)
-    for sources, targets in (([], None), (None, []), ([], [])):
-        g = build_radius_graph(s, 1.2, sources, targets)
+    none = np.zeros(30, dtype=bool)
+    assert np.array_equal(oracles.edges(build_radius_graph(s, 1.2, everything, none)), full)
+    assert np.array_equal(oracles.edges(build_radius_graph(s, 1.2, points=everything)), full)
+    for points, covered in (([], None), (None, ~none), ([], ~none)):
+        g = build_radius_graph(s, 1.2, points, covered)
         assert oracles.edges(g).shape == (0, 2)
         assert g.out_degree.tolist() == [0] * 30
 
 
 def test_restricted_build_spans_several_row_blocks():
-    # More sources than one candidate block holds, so blocks are stitched.
+    # More points than one candidate block holds, so blocks are stitched.
     rng = np.random.default_rng(25)
     s = EmbeddingSet(rng.normal(size=(1200, 2)))
-    sources = rng.permutation(1200)[:1100]
-    targets = rng.permutation(1200)[:700]
-    g = build_radius_graph(s, 0.15, sources, targets)
+    points = rng.permutation(1200)[:1100]
+    covered = np.ones(1200, dtype=bool)
+    covered[rng.permutation(1200)[:700]] = False
+    g = build_radius_graph(s, 0.15, points, covered)
+    ordered = np.sort(points)
+    targets = ordered[~covered[ordered]]
     pts = s.vectors.astype(np.float64)
     src, dst = [], []
-    for u in np.sort(sources):
-        diff = pts[np.sort(targets)] - pts[u]
-        near = np.sort(targets)[(diff * diff).sum(axis=1) <= 0.15 * 0.15]
+    for u in ordered:
+        diff = pts[targets] - pts[u]
+        near = targets[(diff * diff).sum(axis=1) <= 0.15 * 0.15]
         near = near[near != u]
         src.extend([u] * near.size)
         dst.extend(near.tolist())
@@ -529,13 +596,13 @@ def test_candidate_margin_absorbs_float32_rounding():
     exact = s.vectors.astype(np.float64)
     dists = np.sqrt(((exact[:, None, :] - exact[None, :, :]) ** 2).sum(axis=2))
     delta = float(np.median(dists[np.triu_indices(150, 1)]))
-    targets = rng.permutation(150)[:100]
-    target_set = set(targets.tolist())
-    expected = [(u, v) for u, v in brute_force_edges(s, delta) if v in target_set]
+    covered = np.ones(150, dtype=bool)
+    covered[rng.permutation(150)[:100]] = False
+    expected = [(u, v) for u, v in brute_force_edges(s, delta) if not covered[v]]
     assert list(map(tuple, oracles.edges(build_radius_graph(s, delta)).tolist())) == (
         brute_force_edges(s, delta)
     )
-    restricted = build_radius_graph(s, delta, targets=targets)
+    restricted = build_radius_graph(s, delta, covered=covered)
     assert list(map(tuple, oracles.edges(restricted).tolist())) == expected
 
 
@@ -567,11 +634,11 @@ def test_candidate_slack_holds_at_large_d_and_offset(kind):
         delta = float(np.quantile(np.concatenate(dists), rng.uniform(0.1, 0.9)))
         expected = brute_force_edges(s, delta)
         assert list(map(tuple, oracles.edges(build_radius_graph(s, delta)).tolist())) == expected
-        targets = rng.permutation(n)[: n // 2]
-        target_set = set(targets.tolist())
-        restricted = build_radius_graph(s, delta, targets=targets)
+        covered = np.ones(n, dtype=bool)
+        covered[rng.permutation(n)[: n // 2]] = False
+        restricted = build_radius_graph(s, delta, covered=covered)
         assert list(map(tuple, oracles.edges(restricted).tolist())) == [
-            (u, v) for u, v in expected if v in target_set
+            (u, v) for u, v in expected if not covered[v]
         ]
 
 
@@ -598,7 +665,7 @@ def symmetric_case(rng, kind, block):
 @pytest.mark.parametrize("block", [1, 7, 512])
 @pytest.mark.parametrize("kind", ["gaussian", "lattice", "duplicates", "scale_1e20", "large_d"])
 def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatch, kind, block):
-    # A full build, or a cold start whose sources are every point in any
+    # A full build, or a cold start whose points are every point in any
     # order, tests each unordered pair once on the diagonal tile and above it.
     monkeypatch.setattr(data, "_GRAM_ROWS", block)
     rng = np.random.default_rng(sum(map(ord, kind)) + block)
@@ -608,7 +675,7 @@ def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatc
         n = s.count
         g = build_radius_graph(s, delta)
         got = oracles.edges(g)
-        assert np.array_equal(got, per_row_edges(s, delta, np.arange(n), np.arange(n)))
+        assert np.array_equal(got, per_row_edges(s, delta, np.arange(n)))
         # The rectangular pass: rows and cols are equal but not one array.
         inputs = _gram_inputs(s, delta * delta)
         floor = inputs[1].dtype.type(-(delta * delta + float(inputs[2])) / 2)
@@ -618,7 +685,7 @@ def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatc
             for _, i, j, sq in _gram_pairs(inputs, everything, everything.copy(), lambda *_: floor)
         ]
         assert np.array_equal(got, np.concatenate(rect))
-        cold = build_radius_graph(s, delta, sources=rng.permutation(n))
+        cold = build_radius_graph(s, delta, points=rng.permutation(n))
         assert np.array_equal(oracles.edges(cold), got)
         # Every edge's reverse is an edge, and the CSR agrees with the list.
         assert np.array_equal(np.unique(got[:, ::-1], axis=0), got)
