@@ -5,7 +5,10 @@ uncertainty and out-degree rank over a radius graph; after annotation, each
 new point receives the largest radius whose predicted-label purity still
 clears an adaptive threshold. _greedy_select holds the package's only greedy
 loop: ProbCover's max-coverage selection (baselines.select_probcover) is the
-same loop at competence 0 with a uniform radius.
+same loop at competence 0 with a uniform radius. The radii's ball counts come
+from data._gram_pairs, the radius graph's Gram pass: a float32 key bins each
+pair under the grid radii, and only the pairs in a band around a grid radius
+go through the exact float64 refine.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNKNOWN_LABEL, EmbeddingSet, _sq_dists
+from .data import UNKNOWN_LABEL, EmbeddingSet, _gram_inputs, _gram_pairs
 from .errors import ConfigError, PoolInvariantError
-from .graph import build_radius_graph, covered_set
+from .graph import _indices, build_radius_graph, covered_set
 from .learners import (
     LearnerSpec,
     normalize_unit_interval,
@@ -24,6 +27,12 @@ from .learners import (
     train_learner,
     uncertainty_scores,
 )
+
+# Buckets of _ball_counts' table, which spans squared distances up to the largest
+# squared grid radius; more buckets mean narrower bands and fewer exact refines.
+_BUCKETS = 2**14
+# Keys, centres x points, and histogram slots per _ball_counts block: bounds memory.
+_BALL_CELLS = 2**16
 
 
 @dataclass
@@ -107,10 +116,14 @@ def delta_grid(resolution: float, delta_max: float) -> np.ndarray:
 
 
 def largest_passing_index(size: int, predicate) -> int:
-    """Binary search for the last index satisfying a monotone predicate.
+    """Binary search for the last index satisfying a non-increasing predicate.
 
-    Assumes predicate(i) is non-increasing in i (true ... true false ... false).
-    Returns -1 when even index 0 fails.
+    It probes 0, then mid = (lo + hi + 1) // 2 on [lo, hi] = [0, size - 1],
+    raising lo to mid on a pass and lowering hi to mid - 1 on a fail, and
+    returns lo once lo == hi; -1 when index 0 fails. For a predicate that is
+    true ... true false ... false that is the last true index. For any other
+    predicate it is the index where this fixed probe sequence ends, not
+    necessarily the last true one; expand_delta's radii depend on that sequence.
     """
     if not predicate(0):
         return -1
@@ -137,33 +150,119 @@ def expand_delta(
     For each new point, binary search over the resolution grid finds the
     largest radius whose predicted-label purity still exceeds tau; if even the
     smallest grid radius fails, the radius falls back to the resolution.
-    The pool must already contain the new points in its labeled list.
+    Purity at radius r is the share of the points other than the new point
+    within exact distance r whose effective label, the true label on the
+    labeled pool and the prediction elsewhere, is the new point's; an empty
+    ball passes. new_points must be distinct members of pool.labeled, and
+    predicted_unlabeled must hold one label per point of pool.unlabeled.
     """
+    n = embedding_set.count
+    new_points = _indices("new_points", new_points, n)
+    labeled = _indices("pool.labeled", pool.labeled, n)
+    unlabeled = _indices("pool.unlabeled", pool.unlabeled, n)
+    if np.unique(new_points).size != new_points.size:
+        raise PoolInvariantError("new_points must be distinct")
+    outside = new_points[~np.isin(new_points, labeled)]
+    if outside.size:
+        raise PoolInvariantError(f"new point {outside[0]} is not in pool.labeled")
+    predicted = np.asarray(predicted_unlabeled, dtype=np.int64)
+    if predicted.shape != unlabeled.shape:
+        raise PoolInvariantError(f"predicted_unlabeled holds {predicted.size} labels for "
+                                 f"{unlabeled.size} unlabeled points")
     grid = delta_grid(config.delta_resolution, config.delta_max)
     tau = compute_tau(coverage_old, config.tau_slope, config.tau_intercept)
     # True labels on the labeled pool, predictions elsewhere.
-    effective = np.full(embedding_set.count, -1, dtype=np.int64)
-    labeled = np.asarray(pool.labeled, dtype=np.int64)
+    effective = np.full(n, -1, dtype=np.int64)
     effective[labeled] = embedding_set.labels[labeled]
-    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
-    effective[unlabeled] = np.asarray(predicted_unlabeled, dtype=np.int64)
-    points = embedding_set.vectors.astype(np.float64)
+    effective[unlabeled] = predicted
 
     new_deltas = []
-    for v in new_points:
-        sq = _sq_dists(points, points[v])
-        sq[v] = np.inf  # the center itself never votes
-
-        def pure_enough(i):
-            inside = sq <= grid[i] * grid[i]
-            total = int(inside.sum())
-            if total == 0:
-                return True
-            return (effective[inside] == effective[v]).sum() / total > tau
-
-        best = largest_passing_index(len(grid), pure_enough)
-        new_deltas.append(float(grid[best]) if best >= 0 else float(grid[0]))
+    for total, same in _ball_counts(embedding_set, new_points, effective, grid):
+        for row_total, row_same in zip(total, same):
+            best = largest_passing_index(
+                grid.size, lambda i: row_total[i] == 0 or row_same[i] / row_total[i] > tau
+            )
+            new_deltas.append(float(grid[best]) if best >= 0 else float(grid[0]))
     return list(pool.deltas) + new_deltas
+
+
+def _ball_counts(embedding_set, centers, labels, grid):
+    """Per block of centers, (total, same): each center's ball counts at every grid radius.
+
+    total[k, i] counts the points j other than c = centers[k] at exact float64
+    distance _sq_dists(x_j, x_c) <= grid[i] * grid[i], and same[k, i] those
+    of them with labels[j] == labels[c]; both are int64 of shape
+    (block, len(grid)). grid must be positive and non-decreasing.
+
+    The centers run through data._gram_pairs against every point, a block of
+    at most _BALL_CELLS keys at a time. A pair's key K ~ -D/2, D the exact
+    squared distance, is off by at most the E of data._gram_inputs, so
+    sq' = -2 K is within 2 E of D. The exact refine sq is within
+    1.1 (d + 2) v D <= 4.4 (d + 2) v M of D, as D <= 4 M. So
+    |sq - sq'| <= T = 2 E + 4.4 (d + 2) v M <= (11 d + 20) u M, which is
+    below s (1 - 2 u), s = 12 (d + 4) u (1 + M) the pass's slack before it
+    is stored in the keys' dtype. Call
+    [g_i - s, g_i + s], g_i = grid[i]^2, radius i's band: a pair with sq'
+    above it has sq > g_i, one below it sq < g_i.
+
+    Keys are placed in B + 1 = _BUCKETS + 1 buckets of width
+    w = (g_last + s) / (B - 4): p = fl(K * fl(-2 / w)), within 3.1 u |p|
+    of sq' / w and of its sign, is clipped to [0, B] and truncated to the
+    bucket b. So sq' lies in ((b - 1) w, (b + 2) w), as 3.1 u (B + 2) < 0.01,
+    bucket 0 holding everything below 2 w and bucket B everything above
+    (B - 1) w. The table
+    marks b when some radius i has floor((g_i - s) / w) - 3 <= b <=
+    floor((g_i + s) / w) + 3: these float64 quotients are off by under 0.01,
+    so every bucket whose range meets a band is marked, and bucket B, past
+    g_last + s by 3 buckets, never is. An unmarked bucket lies wholly above
+    or below each band, so its pairs are outside exactly the radii whose
+    marked range ends below it: beta of them, the first beta radii. A pair
+    in an unmarked bucket is counted in its row's histogram at beta, with
+    its label match; a pair in a marked one gets the key +inf, which the
+    pass keeps and refines, and lands at beta = searchsorted(g, sq, "left"),
+    the radii i with g_i < sq. A cumulative sum over beta then counts each
+    ball. The center itself, at exact distance 0 and of its own label, lands
+    at beta = 0 either way, so one is taken off both counts.
+    """
+    inputs = _gram_inputs(embedding_set)
+    dtype, slack = inputs[1].dtype, float(inputs[2])
+    sq_radii = grid * grid  # the same products as _sq_dists(x_j, x_c) <= grid[i] * grid[i]
+    size = sq_radii.size
+    width = (sq_radii[-1] + slack) / (_BUCKETS - 4)
+    first = np.clip(np.floor((sq_radii - slack) / width).astype(np.int64) - 3, 0, _BUCKETS)
+    last = np.clip(np.floor((sq_radii + slack) / width).astype(np.int64) + 3, 0, _BUCKETS)
+    # Both ends rise with i, so bucket b is marked iff radius beta's range starts by b.
+    buckets = np.arange(_BUCKETS + 1)
+    beta = np.searchsorted(last, buckets, "left")
+    starts = np.append(first, _BUCKETS + 1)[beta]
+    # Slot 2 beta + match of a row's histogram; slot 2 (size + 1) takes the marked pairs.
+    table = np.where(starts <= buckets, 2 * (size + 1), 2 * beta)
+    scale = dtype.type(-2.0 / width)
+    slots = 2 * (size + 2)
+    everything = np.arange(embedding_set.count)
+    step = max(1, _BALL_CELLS // max(everything.size, slots))
+    for lo in range(0, centers.size, step):
+        block = centers[lo : lo + step]
+        hist = np.zeros(block.size * slots, dtype=np.int64)
+
+        def floor_of(at, part, keys, match):
+            np.multiply(keys, scale, out=keys)
+            np.clip(keys, 0, _BUCKETS, out=keys)
+            slot = table.take(keys.astype(np.intp))
+            np.equal(slot, 2 * (size + 1), out=match)
+            np.copyto(keys, np.inf, where=match)
+            np.equal(labels[part][:, None], labels, out=match)
+            slot += match
+            slot += slots * np.arange(at, at + part.size)[:, None]
+            hist[:] += np.bincount(slot.ravel(), minlength=hist.size)
+            return dtype.type(np.inf)  # only the marked pairs' +inf keys reach it
+
+        for k, c, j, sq in _gram_pairs(inputs, block, everything, floor_of):
+            beta = np.searchsorted(sq_radii, sq, "left")
+            hist += np.bincount(slots * k + 2 * beta + (labels[j] == labels[c]),
+                                minlength=hist.size)
+        counts = hist.reshape(block.size, size + 2, 2)[:, :size].cumsum(axis=1)
+        yield counts.sum(axis=2) - 1, counts[:, :, 1] - 1
 
 
 def dcom_select(

@@ -3,7 +3,7 @@
 import numpy as np
 
 from dcom.data import _sq_dists
-from dcom.engine import PoolState
+from dcom.engine import PoolState, compute_tau, delta_grid, largest_passing_index
 
 
 def is_pure_ball(embedding_set, labels, center: int, delta: float) -> bool:
@@ -123,3 +123,51 @@ def train_probe(embedding_set, labeled, spec):
         history.append(loss)
         weights = weights - spec.learning_rate * grad
     return weights, history
+
+
+def expand_delta(embedding_set, pool: PoolState, new_points, predicted_unlabeled,
+                 coverage_old, config) -> list:
+    """Reference for engine.expand_delta: one full float64 pass per new point.
+
+    The same binary search probes a purity computed from scratch, so radii
+    agree even where purity is not monotone in the radius.
+    """
+    grid = delta_grid(config.delta_resolution, config.delta_max)
+    tau = compute_tau(coverage_old, config.tau_slope, config.tau_intercept)
+    effective = np.full(embedding_set.count, -1, dtype=np.int64)
+    labeled = np.asarray(pool.labeled, dtype=np.int64)
+    effective[labeled] = embedding_set.labels[labeled]
+    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
+    effective[unlabeled] = np.asarray(predicted_unlabeled, dtype=np.int64)
+    points = embedding_set.vectors.astype(np.float64)
+
+    new_deltas = []
+    for v in new_points:
+        sq = _sq_dists(points, points[v])
+        sq[v] = np.inf  # the center itself never votes
+
+        def pure_enough(i):
+            inside = sq <= grid[i] * grid[i]
+            total = int(inside.sum())
+            if total == 0:
+                return True
+            return (effective[inside] == effective[v]).sum() / total > tau
+
+        best = largest_passing_index(len(grid), pure_enough)
+        new_deltas.append(float(grid[best]) if best >= 0 else float(grid[0]))
+    return list(pool.deltas) + new_deltas
+
+
+def ball_counts(embedding_set, centers, labels, grid):
+    """Reference for engine._ball_counts, all centers in one block: brute-force counts."""
+    labels = np.asarray(labels)
+    points = embedding_set.vectors.astype(np.float64)
+    total = np.empty((len(centers), len(grid)), dtype=np.int64)
+    same = np.empty_like(total)
+    for k, c in enumerate(centers):
+        sq = _sq_dists(points, points[c])
+        sq[c] = np.inf
+        inside = sq[None, :] <= (np.asarray(grid) * np.asarray(grid))[:, None]
+        total[k] = inside.sum(axis=1)
+        same[k] = (inside & (labels == labels[c])).sum(axis=1)
+    return total, same

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcom import data, engine
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
 from dcom.errors import ConfigError, PoolInvariantError
 from dcom.engine import (
@@ -18,6 +19,7 @@ from dcom.baselines import select_probcover
 from dcom.graph import build_radius_graph, covered_set
 from dcom.learners import LearnerSpec
 
+import oracles
 from oracles import ball_purity_predicted
 
 
@@ -68,6 +70,30 @@ def test_largest_passing_index_matches_linear_scan():
         flags = [i < true_count for i in range(size)]
         got = largest_passing_index(size, lambda i: flags[i])
         assert got == true_count - 1
+
+
+@pytest.mark.parametrize(
+    "size, predicate, probes, result",
+    [
+        (1, lambda i: False, [0], -1),
+        (2, lambda i: i % 2 == 0, [0, 1], 0),
+        (7, lambda i: i in (0, 2, 6), [0, 3, 1], 0),
+        (30, lambda i: i % 3 != 1, [0, 15, 22, 18, 20, 21], 21),
+        (40, lambda i: bin(i).count("1") % 2 == 0, [0, 20, 30, 35, 32, 31], 30),
+        (100, lambda i: i < 10 or 60 <= i < 70 or i == 99, [0, 50, 25, 12, 6, 9, 10], 9),
+    ],
+)
+def test_largest_passing_index_probe_sequence(size, predicate, probes, result):
+    # expand_delta's purity need not be monotone in the radius, so its radii
+    # are whatever this fixed sequence of probes ends on; these pin it.
+    seen = []
+
+    def recorded(i):
+        seen.append(i)
+        return predicate(i)
+
+    assert largest_passing_index(size, recorded) == result
+    assert seen == probes
 
 
 def test_pool_state_validation():
@@ -122,18 +148,18 @@ def test_expand_delta_matches_linear_scan():
         coverage_old = float(rng.uniform(0, 1))
         new_points = labeled[-2:]
         deltas = expand_delta(s, pool, new_points, predicted, coverage_old, config)
+        assert deltas == oracles.expand_delta(s, pool, new_points, predicted, coverage_old, config)
         assert deltas[:4] == [0.5] * 4
         tau = compute_tau(coverage_old, 0.2, 0.4)
         for v, got in zip(new_points, deltas[4:]):
             flags = [
                 ball_purity_predicted(s, pool, predicted, v, d) > tau for d in grid
             ]
-            assert any(got == pytest.approx(d) for d in grid)
-            # The search contract assumes a pass/fail profile that only flips
-            # once; assert exact agreement with a linear scan on those.
+            assert got in grid.tolist()
+            # On a pass/fail profile that flips once the search is a linear scan.
             if flags == sorted(flags, reverse=True):
                 expected = grid[sum(flags) - 1] if any(flags) else grid[0]
-                assert got == pytest.approx(expected)
+                assert got == expected
 
 
 def test_expand_delta_fallback_to_resolution():
@@ -141,7 +167,148 @@ def test_expand_delta_fallback_to_resolution():
     pool = PoolState([0, 1], [], [0.5])
     config = DComConfig(delta0=0.5, delta_max=1.0)
     deltas = expand_delta(s, pool, [1], [], 0.9, config)
-    assert deltas == [0.5, pytest.approx(0.05)]
+    assert deltas == [0.5, delta_grid(0.05, 1.0)[0]] == [0.5, 0.05]
+
+
+@pytest.mark.parametrize(
+    "new_points, predicted, error, message",
+    [
+        # A length-1 prediction used to broadcast over every unlabeled point.
+        ([1], [1], PoolInvariantError, "holds 1 labels for 2 unlabeled points"),
+        # -1 used to read point n - 1.
+        ([-1], [1, 1], ValueError, r"new_points\[0\] is -1, outside \[0, 4\)"),
+        ([4], [1, 1], ValueError, r"new_points\[0\] is 4"),
+        ([0.5], [1, 1], ValueError, "new_points must hold integer indices"),
+        # An unlabeled point used to get a radius from its own prediction.
+        ([2], [1, 1], PoolInvariantError, "new point 2 is not in pool.labeled"),
+        ([1, 1], [1, 1], PoolInvariantError, "new_points must be distinct"),
+    ],
+)
+def test_expand_delta_names_bad_input(new_points, predicted, error, message):
+    s = one_d(0.0, 0.2, 0.5, 0.9, labels=[0, 0, 1, 1])
+    pool = PoolState([0, 1], [2, 3], [0.5])
+    config = DComConfig(delta0=0.5)
+    with pytest.raises(error, match=message):
+        expand_delta(s, pool, new_points, predicted, 0.5, config)
+
+
+def _random_round(rng, s, num_labeled, num_new, classes):
+    """A pool of num_labeled random points whose last num_new are new, and predictions."""
+    n = s.count
+    labeled = rng.choice(n, size=num_labeled, replace=False).tolist()
+    unlabeled = sorted(set(range(n)) - set(labeled))
+    pool = PoolState(labeled, unlabeled, [0.5] * (num_labeled - num_new))
+    return pool, labeled[-num_new:], rng.integers(0, classes, size=len(unlabeled))
+
+
+def _family(name, rng):
+    """(embedding set, config, coverage) of one randomized expand_delta family."""
+    config = DComConfig(delta0=0.5, delta_max=1.0, delta_resolution=0.05)
+    if name == "lattice":
+        # Points 0.25 apart in float32 and a 0.25 grid: many distances equal a
+        # grid radius exactly, so the <= in the ball test decides.
+        cells = rng.integers(-4, 5, size=(60, 2)).astype(np.float64) * 0.25
+        config = DComConfig(delta0=0.5, delta_max=1.5, delta_resolution=0.25)
+        return EmbeddingSet(cells, labels=rng.integers(0, 2, size=60)), config, 0.5
+    if name == "lattice-0.05":
+        cells = rng.integers(-10, 11, size=(60, 2)).astype(np.float64) * 0.05
+        return EmbeddingSet(cells, labels=rng.integers(0, 2, size=60)), config, 0.5
+    if name == "duplicates":
+        # Each point repeated, so every centre has copies at distance 0.
+        base = rng.normal(size=(12, 3)) * 0.3
+        points = base[rng.integers(0, 12, size=60)]
+        return EmbeddingSet(points, labels=rng.integers(0, 3, size=60)), config, 0.3
+    if name == "tau-near-0":
+        config = DComConfig(delta0=0.5, delta_max=1.0, tau_slope=0.0, tau_intercept=1e-12)
+        return EmbeddingSet(rng.normal(size=(60, 2)), labels=rng.integers(0, 2, size=60)), config, 0.1
+    if name == "tau-near-1":
+        config = DComConfig(delta0=0.5, delta_max=1.0, tau_slope=0.0, tau_intercept=1 - 1e-12)
+        return EmbeddingSet(rng.normal(size=(60, 2)), labels=rng.integers(0, 2, size=60)), config, 0.9
+    if name == "tau-half":
+        # Balls split evenly between two labels sit exactly on tau = 0.5.
+        config = DComConfig(delta0=0.5, delta_max=1.0, tau_slope=0.0, tau_intercept=0.5)
+        cells = rng.integers(-3, 4, size=(60, 1)).astype(np.float64) * 0.25
+        return EmbeddingSet(cells, labels=rng.integers(0, 2, size=60)), config, 0.5
+    if name == "large-norm":
+        # Norms near 1e4: the slack dwarfs the grid spacing, so most pairs are refined.
+        points = 1e4 + rng.normal(size=(60, 4))
+        config = DComConfig(delta0=1.0, delta_max=3.0, delta_resolution=0.1)
+        return EmbeddingSet(points, labels=rng.integers(0, 2, size=60)), config, 0.4
+    if name == "large-spread":
+        points = rng.normal(size=(60, 8)) * 1e3
+        config = DComConfig(delta0=2e3, delta_max=6e3, delta_resolution=1e2)
+        return EmbeddingSet(points, labels=rng.integers(0, 2, size=60)), config, 0.4
+    if name == "huge-norm":
+        # |x|^2 near 1e38 would overflow float32 keys, so the pass runs in float64.
+        points = rng.normal(size=(60, 3)) * 1e19
+        config = DComConfig(delta0=2e19, delta_max=6e19, delta_resolution=2e18)
+        return EmbeddingSet(points, labels=rng.integers(0, 2, size=60)), config, 0.4
+    if name == "fine-grid":
+        # 10,000 radii, more than one per bucket: few pairs escape the refine.
+        config = DComConfig(delta0=0.5, delta_max=1.0, delta_resolution=1e-4)
+        return EmbeddingSet(rng.normal(size=(60, 2)), labels=rng.integers(0, 2, size=60)), config, 0.5
+    if name == "d1":
+        return EmbeddingSet(rng.normal(size=(80, 1)), labels=rng.integers(0, 3, size=80)), config, 0.6
+    if name == "d64":
+        s = gen_gaussian_mixture(MixtureSpec(4, 40, 64, 1.5, 1.0, seed=int(rng.integers(1000))))
+        points = s.vectors / np.linalg.norm(s.vectors, axis=1, keepdims=True)
+        config = DComConfig(delta0=0.7, delta_max=1.5, delta_resolution=0.05)
+        return EmbeddingSet(points, labels=s.labels), config, 0.7
+    raise ValueError(name)
+
+
+FAMILIES = ["lattice", "lattice-0.05", "duplicates", "tau-near-0", "tau-near-1",
+            "tau-half", "large-norm", "large-spread", "huge-norm", "fine-grid", "d1", "d64"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_expand_delta_equals_the_per_point_oracle(family):
+    rng = np.random.default_rng(FAMILIES.index(family))
+    for _ in range(4):
+        s, config, coverage = _family(family, rng)
+        pool, new_points, predicted = _random_round(rng, s, 20, 8, 3)
+        got = expand_delta(s, pool, new_points, predicted, coverage, config)
+        assert got == oracles.expand_delta(s, pool, new_points, predicted, coverage, config)
+
+
+def test_expand_delta_ball_of_only_unlabeled_points():
+    # Centre 0's neighbours within 1 are all unlabeled, so predictions alone
+    # decide its radius; every labeled point is at least 5 away.
+    rng = np.random.default_rng(7)
+    near = rng.uniform(-0.3, 0.3, size=(30, 2))
+    far = 5.0 + rng.uniform(size=(10, 2))
+    s = EmbeddingSet(np.vstack(([[0.0, 0.0]], near, far)), labels=rng.integers(0, 2, size=41))
+    config = DComConfig(delta0=0.5, delta_max=1.0)
+    labeled = [0] + list(range(31, 41))
+    unlabeled = list(range(1, 31))
+    pool = PoolState(labeled, unlabeled, [0.5] * 10)
+    for predicted in (np.zeros(30, dtype=int), np.ones(30, dtype=int), rng.integers(0, 2, 30)):
+        got = expand_delta(s, pool, [0], predicted, 0.5, config)
+        assert got == oracles.expand_delta(s, pool, [0], predicted, 0.5, config)
+
+
+@pytest.mark.parametrize("family", ["lattice", "duplicates", "large-norm", "huge-norm", "d1", "d64"])
+@pytest.mark.parametrize("buckets, cells, rows", [(2**14, 2**16, 256), (16, 1, 256), (64, 2**20, 3)])
+def test_ball_counts_equal_brute_force_on_a_non_uniform_grid(monkeypatch, family, buckets,
+                                                             cells, rows):
+    # Few buckets mark most pairs for the refine; one cell runs a block per
+    # centre; three-row strips split a block across several strips.
+    monkeypatch.setattr(engine, "_BUCKETS", buckets)
+    monkeypatch.setattr(engine, "_BALL_CELLS", cells)
+    monkeypatch.setattr(data, "_GRAM_ROWS", rows)
+    rng = np.random.default_rng(11)
+    s, config, _ = _family(family, rng)
+    top = config.delta_max
+    grid = np.concatenate((np.sort(rng.uniform(0, top, size=7)), [top / 4, top / 2, top]))
+    grid = np.unique(np.concatenate((grid, delta_grid(config.delta_resolution, top)[::3])))
+    labels = rng.integers(0, 3, size=s.count)
+    centers = rng.choice(s.count, size=10, replace=False)
+    blocks = list(engine._ball_counts(s, centers, labels, grid))
+    total = np.concatenate([b[0] for b in blocks])
+    same = np.concatenate([b[1] for b in blocks])
+    want_total, want_same = oracles.ball_counts(s, centers, labels, grid)
+    np.testing.assert_array_equal(total, want_total)
+    np.testing.assert_array_equal(same, want_same)
 
 
 def test_dcom_select_empty_pool_is_degree_greedy():
