@@ -7,7 +7,7 @@ import numpy as np
 from .data import _sq_dists
 from .engine import _check_budget, _greedy_select
 from .errors import PoolInvariantError
-from .graph import covered_set
+from .graph import _indices, covered_set
 from .learners import uncertainty_scores
 
 STRATEGY_KINDS = (
@@ -52,11 +52,12 @@ def select_by_uncertainty(pool, probs: np.ndarray, kind: str, q: int) -> list:
 def select_coreset(embedding_set, pool, q: int) -> list:
     """Greedy k-center: repeatedly take the point farthest from the selected/labeled set."""
     _check_budget(pool, q)
-    unlabeled = np.sort(np.asarray(pool.unlabeled, dtype=np.int64))  # lowest index on ties
+    n = embedding_set.count
+    unlabeled = np.sort(_indices("pool.unlabeled", pool.unlabeled, n))  # lowest index on ties
     points = embedding_set.vectors.astype(np.float64)
     candidates = points[unlabeled]
     min_sq = np.full(unlabeled.size, np.inf)
-    for i in pool.labeled:
+    for i in _indices("pool.labeled", pool.labeled, n):
         min_sq = np.minimum(min_sq, _sq_dists(candidates, points[i]))
 
     selected = []
@@ -78,7 +79,7 @@ def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:
     a delta0 ball, and the graph counts edges into uncovered points only.
     """
     _check_budget(pool, q)
-    unlabeled = np.sort(np.asarray(pool.unlabeled, dtype=np.int64))  # lowest index on ties
+    unlabeled = np.sort(_indices("pool.unlabeled", pool.unlabeled, embedding_set.count))
     covered = None
     if pool.labeled:
         covered = covered_set(embedding_set, pool.labeled, [delta0] * len(pool.labeled))

@@ -275,27 +275,28 @@ def _gram_inputs(embedding_set, extent=0.0):
     return points, gram, slack
 
 
-def _gram_pairs(inputs, rows, cols, floor_of):
-    """The package's one Gram pass: candidate pairs of rows x cols and their exact distances.
+def _gram_pairs(inputs, rows, cols, keep):
+    """The package's one Gram pass: the pairs of rows x cols a hook marks, refined exactly.
 
-    The radius graph, coverage and the purity curve differ only in floor_of.
     inputs is _gram_inputs(...); rows are point indices in any order, cols
     sorted and duplicate-free, so cols holding every point is arange(n) and
     gram itself is the column side. For each strip part = rows[lo : lo + _GRAM_ROWS],
-    the keys fill a reused len(part) x len(cols) buffer, and
-    floor_of(lo, part, keys, scratch) returns a floor in the keys' dtype that
-    broadcasts against them: a scalar, or a column with one value per row. It
-    may rewrite keys: one set below its row's floor is dropped, one set to
-    +inf is kept. It may use scratch, a boolean buffer of the keys' shape that
-    the pass overwrites right after. Each pair whose key is at least its
-    row's floor is yielded, a strip at a time in (rows, cols) order, as
-    (k, i, j, sq): the position k in rows, i = rows[k], j in cols and the
-    exact refine sq = _sq_dists(x_i, x_j).
+    the keys fill a reused len(part) x len(cols) buffer, and the hook
+    keep(lo, part, keys, mask) fills mask, a boolean buffer of the keys'
+    shape, with the pairs to refine; it may overwrite keys. Each marked pair
+    is yielded, a strip at a time in (rows, cols) order, as (k, i, j, sq):
+    the position k in rows, i = rows[k], j in cols and the exact refine
+    sq = _sq_dists(x_i, x_j). The pass compares no keys; each client proves
+    from the key error E of _gram_inputs that it marks every pair it needs.
+    graph.build_radius_graph and graph.covered_set mark the keys at or above
+    a floor at the radius, purity.min_impure_distance those within the slack
+    of either endpoint's running largest differently-labeled key, and
+    engine._ball_counts those in a band around a grid radius.
 
     Upper-triangle mode runs when rows is cols, the way a caller passes one
     set of points for both sides. Then part meets only cols[lo:], so keys is
     len(part) x (len(cols) - lo) and column c holds cols[lo + c]; of the
-    leading len(part) columns, the diagonal tile, only pairs past the
+    leading len(part) columns, the diagonal tile, only marked pairs past the
     diagonal are yielded. Each unordered pair {i, j} then comes once, as
     i < j, sorted by (i, j). One key per pair is enough: the bound of
     _gram_inputs holds for any summation order, so for either orientation.
@@ -322,7 +323,7 @@ def _gram_pairs(inputs, rows, cols, floor_of):
         keys = keys_buf[: part.size * width].reshape(part.size, width)
         mask = mask_buf[: keys.size].reshape(keys.shape)
         np.matmul(gram[part].take(swap, axis=1), tgt[first:].T, out=keys)
-        np.greater_equal(keys, floor_of(lo, part, keys, mask), out=mask)
+        keep(lo, part, keys, mask)
         if upper:
             mask[:, : part.size] &= tile[: part.size, : part.size]
         cand_row, cand_col = np.divmod(np.flatnonzero(mask), width)

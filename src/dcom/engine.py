@@ -7,8 +7,10 @@ clears an adaptive threshold. _greedy_select holds the package's only greedy
 loop: ProbCover's max-coverage selection (baselines.select_probcover) is the
 same loop at competence 0 with a uniform radius. The radii's ball counts come
 from data._gram_pairs, the radius graph's Gram pass: a float32 key bins each
-pair under the grid radii, and only the pairs in a band around a grid radius
-go through the exact float64 refine.
+pair under the grid radii, and the hook marks only the pairs in a band around
+a grid radius for the exact float64 refine. Each block of new points then gets
+its radii from one pass/fail table of its counts, which largest_passing_index
+searches for every row at once.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .learners import (
 _BUCKETS = 2**14
 # Keys, centres x points, and histogram slots per _ball_counts block: bounds memory.
 _BALL_CELLS = 2**16
+# Most radii in a DComConfig's grid: expand_delta's count tables grow with it, not the data.
+_MAX_RADII = 2**16
 
 
 @dataclass
@@ -80,6 +84,13 @@ class DComConfig:
             raise ConfigError("delta0 must not exceed delta_max")
         if not 0 < self.delta_resolution <= self.delta_max:
             raise ConfigError("delta_resolution must lie in (0, delta_max]")
+        if not self.delta_max / self.delta_resolution <= _MAX_RADII:
+            raise ConfigError(f"delta_resolution must be at least delta_max / {_MAX_RADII}, "
+                              f"so the grid holds at most {_MAX_RADII} radii")
+        top = float(delta_grid(self.delta_resolution, self.delta_max)[-1])
+        if top * top == np.inf:
+            raise ConfigError(f"delta_max {self.delta_max} is too large: its grid radius "
+                              f"{top} squared overflows float64")
         if not 0 < self.logistic_a < 1:
             raise ConfigError("logistic_a must lie in (0, 1)")
         if self.logistic_k <= 0:
@@ -115,26 +126,26 @@ def delta_grid(resolution: float, delta_max: float) -> np.ndarray:
     return resolution * np.arange(1, steps + 1)
 
 
-def largest_passing_index(size: int, predicate) -> int:
-    """Binary search for the last index satisfying a non-increasing predicate.
+def largest_passing_index(passes: np.ndarray) -> np.ndarray:
+    """Per row of a boolean (rows, size) table, a binary search for its last passing index.
 
-    It probes 0, then mid = (lo + hi + 1) // 2 on [lo, hi] = [0, size - 1],
-    raising lo to mid on a pass and lowering hi to mid - 1 on a fail, and
-    returns lo once lo == hi; -1 when index 0 fails. For a predicate that is
-    true ... true false ... false that is the last true index. For any other
-    predicate it is the index where this fixed probe sequence ends, not
-    necessarily the last true one; expand_delta's radii depend on that sequence.
+    Row r's search probes 0, then mid = (lo + hi + 1) // 2 on [lo, hi] =
+    [0, size - 1], raising lo to mid on a pass and lowering hi to mid - 1 on
+    a fail, and gives lo once lo == hi; -1 when index 0 fails. For a row
+    that is true ... true false ... false that is the last true index. For
+    any other row it is the index where this fixed probe sequence ends, not
+    necessarily the last true one; expand_delta's radii depend on that
+    sequence. All rows step together for the ceil(log2(size)) steps the
+    longest search needs; a finished row re-probes its lo, which passes.
     """
-    if not predicate(0):
-        return -1
-    lo, hi = 0, size - 1
-    while lo < hi:
+    rows, size = passes.shape
+    every = np.arange(rows)
+    lo, hi = np.zeros(rows, dtype=np.int64), np.full(rows, size - 1)
+    for _ in range((size - 1).bit_length()):
         mid = (lo + hi + 1) // 2
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+        ok = passes[every, mid]
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid - 1)
+    return np.where(passes[:, 0], lo, -1)
 
 
 def expand_delta(
@@ -176,14 +187,12 @@ def expand_delta(
     effective[labeled] = embedding_set.labels[labeled]
     effective[unlabeled] = predicted
 
-    new_deltas = []
+    deltas = list(pool.deltas)
     for total, same in _ball_counts(embedding_set, new_points, effective, grid):
-        for row_total, row_same in zip(total, same):
-            best = largest_passing_index(
-                grid.size, lambda i: row_total[i] == 0 or row_same[i] / row_total[i] > tau
-            )
-            new_deltas.append(float(grid[best]) if best >= 0 else float(grid[0]))
-    return list(pool.deltas) + new_deltas
+        # same is 0 where total is; the divisor 1 there only spares a 0 / 0.
+        passes = (total == 0) | (same / np.maximum(total, 1) > tau)
+        deltas += grid[np.maximum(largest_passing_index(passes), 0)].tolist()
+    return deltas
 
 
 def _ball_counts(embedding_set, centers, labels, grid):
@@ -218,11 +227,11 @@ def _ball_counts(embedding_set, centers, labels, grid):
     or below each band, so its pairs are outside exactly the radii whose
     marked range ends below it: beta of them, the first beta radii. A pair
     in an unmarked bucket is counted in its row's histogram at beta, with
-    its label match; a pair in a marked one gets the key +inf, which the
-    pass keeps and refines, and lands at beta = searchsorted(g, sq, "left"),
-    the radii i with g_i < sq. A cumulative sum over beta then counts each
-    ball. The center itself, at exact distance 0 and of its own label, lands
-    at beta = 0 either way, so one is taken off both counts.
+    its label match; a pair in a marked one is marked for the pass's exact
+    refine and lands at beta = searchsorted(g, sq, "left"), the radii i with
+    g_i < sq. A cumulative sum over beta then counts each ball. The center
+    itself, at exact distance 0 and of its own label, lands at beta = 0
+    either way, so one is taken off both counts.
     """
     inputs = _gram_inputs(embedding_set)
     dtype, slack = inputs[1].dtype, float(inputs[2])
@@ -235,7 +244,7 @@ def _ball_counts(embedding_set, centers, labels, grid):
     buckets = np.arange(_BUCKETS + 1)
     beta = np.searchsorted(last, buckets, "left")
     starts = np.append(first, _BUCKETS + 1)[beta]
-    # Slot 2 beta + match of a row's histogram; slot 2 (size + 1) takes the marked pairs.
+    # Slot 2 beta + match of a row's histogram; slots from 2 (size + 1) take the marked pairs.
     table = np.where(starts <= buckets, 2 * (size + 1), 2 * beta)
     scale = dtype.type(-2.0 / width)
     slots = 2 * (size + 2)
@@ -245,19 +254,17 @@ def _ball_counts(embedding_set, centers, labels, grid):
         block = centers[lo : lo + step]
         hist = np.zeros(block.size * slots, dtype=np.int64)
 
-        def floor_of(at, part, keys, match):
+        def keep(at, part, keys, mask):
             np.multiply(keys, scale, out=keys)
             np.clip(keys, 0, _BUCKETS, out=keys)
             slot = table.take(keys.astype(np.intp))
-            np.equal(slot, 2 * (size + 1), out=match)
-            np.copyto(keys, np.inf, where=match)
-            np.equal(labels[part][:, None], labels, out=match)
-            slot += match
+            np.equal(labels[part][:, None], labels, out=mask)
+            slot += mask
+            np.greater_equal(slot, 2 * (size + 1), out=mask)
             slot += slots * np.arange(at, at + part.size)[:, None]
             hist[:] += np.bincount(slot.ravel(), minlength=hist.size)
-            return dtype.type(np.inf)  # only the marked pairs' +inf keys reach it
 
-        for k, c, j, sq in _gram_pairs(inputs, block, everything, floor_of):
+        for k, c, j, sq in _gram_pairs(inputs, block, everything, keep):
             beta = np.searchsorted(sq_radii, sq, "left")
             hist += np.bincount(slots * k + 2 * beta + (labels[j] == labels[c]),
                                 minlength=hist.size)
@@ -308,11 +315,17 @@ def dcom_select(
 
 
 def _check_budget(pool, q):
-    """Every selector's budget rule: 1 <= q <= the unlabeled pool size."""
-    if not 1 <= q <= len(pool.unlabeled):
-        raise PoolInvariantError(
-            f"q={q} must lie in [1, {len(pool.unlabeled)}], the unlabeled pool size"
-        )
+    """Every selector's pool and budget rule: distinct indices >= 0, 1 <= q <= their count."""
+    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
+    negative = np.flatnonzero(unlabeled < 0)
+    if negative.size:
+        raise PoolInvariantError(f"pool.unlabeled[{negative[0]}] is {unlabeled[negative[0]]}, "
+                                 f"a negative index")
+    if np.unique(unlabeled).size != unlabeled.size:
+        raise PoolInvariantError("pool.unlabeled must not repeat an index")
+    if not 1 <= q <= unlabeled.size:
+        raise PoolInvariantError(f"q={q} must lie in [1, {unlabeled.size}], "
+                                 f"the unlabeled pool size")
 
 
 def _greedy_select(embedding_set, unlabeled, covered, radius, competence, margins, q):
@@ -330,7 +343,7 @@ def _greedy_select(embedding_set, unlabeled, covered, radius, competence, margin
     available = np.ones(unlabeled.size, dtype=bool)
     picks = []
     for _ in range(q):
-        degrees = graph._out_degree[unlabeled].astype(np.float64)
+        degrees = graph.out_degree[unlabeled].astype(np.float64)
         top = degrees.max()
         odr = degrees / top if top > 0 else np.zeros_like(degrees)
         scores = uncertainty + (1.0 - competence) * odr

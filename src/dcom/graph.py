@@ -6,7 +6,7 @@ degrees, so out-degrees count uncovered neighbours, as do ball_members. The
 greedy kernel in engine (shared by dcom_select and select_probcover) builds
 over the unlabeled points with the pool's covered mask, then only covers.
 Candidates come from data._gram_pairs, the package's one float32 Gram pass,
-with a floor derived from the key error bound of data._gram_inputs; every
+marked at a floor derived from the key error bound of data._gram_inputs; every
 candidate is confirmed with the package's exact float64 distance, so the edge
 set matches a brute-force O(n^2) scan bit for bit. The build runs the pass's
 upper-triangle mode over the uncovered points, the whole of a cold start, and
@@ -44,7 +44,10 @@ class RadiusGraph:
 
     @property
     def out_degree(self):
-        return self._out_degree.copy()
+        """Each point's count of uncovered neighbours: a read-only view that covering updates."""
+        view = self._out_degree.view()
+        view.flags.writeable = False
+        return view
 
     def ball_members(self, v):
         """v's uncovered neighbours within the construction radius, v excluded."""
@@ -108,7 +111,9 @@ def build_radius_graph(
     # The upper-triangle pass yields each uncovered pair once, as a < b; then
     # covered x uncovered. No pair comes twice and no point meets itself.
     for rows in (open_points, shut_points):
-        for _, a, b, sq in _gram_pairs(inputs, rows, open_points, lambda *_: floor):
+        pairs = _gram_pairs(inputs, rows, open_points,
+                            lambda lo, part, keys, mask: np.greater_equal(keys, floor, out=mask))
+        for _, a, b, sq in pairs:
             keep = sq <= thresh
             a_parts.append(a[keep])
             b_parts.append(b[keep])
@@ -159,7 +164,8 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
     for lo in range(0, labeled.size, _COVER_ROWS):
         # A labeled point is covered, so it never meets itself among the columns.
         pairs = _gram_pairs(inputs, labeled[lo : lo + _COVER_ROWS], np.flatnonzero(~covered),
-                            lambda at, part, *_: floors[lo + at : lo + at + part.size, None])
+                            lambda at, part, keys, mask: np.greater_equal(
+                                keys, floors[lo + at : lo + at + part.size, None], out=mask))
         for k, _, j, sq in pairs:
             covered[j[sq <= sq_radii[lo + k]]] = True
     return covered

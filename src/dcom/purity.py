@@ -1,8 +1,8 @@
 """Purity-curve estimation with k-means pseudo-labels and initial radius selection.
 
 The curve runs data._gram_pairs, the radius graph's Gram pass, in its
-upper-triangle mode with its own floor; both floors start from the key error
-bound of data._gram_inputs.
+upper-triangle mode with its own marks; both clients' marks start from the key
+error bound of data._gram_inputs.
 """
 
 from __future__ import annotations
@@ -131,23 +131,23 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
     slack = inputs[2]
     top = np.full(n, -np.inf, dtype=inputs[1].dtype)
 
-    def floor_of(lo, part, keys, same):
+    def keep(lo, part, keys, mask):
         hi = lo + part.size
-        np.equal(labels[part][:, None], labels[lo:], out=same)
-        np.copyto(keys, -np.inf, where=same)
+        np.equal(labels[part][:, None], labels[lo:], out=mask)
+        np.copyto(keys, -np.inf, where=mask)
         np.maximum(top[lo:hi], keys.max(axis=1), out=top[lo:hi])
         np.maximum(top[hi:], keys[:, part.size :].max(axis=0), out=top[hi:])
         floor = top[lo:] - slack
         # A point with no other label so far has nothing to refine.
         floor[floor == -np.inf] = np.inf
-        # Keep the pairs within the slack of their column's running maximum.
-        np.greater_equal(keys, floor, out=same)
-        np.copyto(keys, np.inf, where=same)
-        return floor[: part.size, None]
+        # Keep the pairs within the slack of their column's maximum, as +inf keys, or their row's.
+        np.greater_equal(keys, floor, out=mask)
+        np.copyto(keys, np.inf, where=mask)
+        np.greater_equal(keys, floor[: part.size, None], out=mask)
 
     best = np.full(n, np.inf)
     everything = np.arange(n)
-    for _, i, j, sq in _gram_pairs(inputs, everything, everything, floor_of):
+    for _, i, j, sq in _gram_pairs(inputs, everything, everything, keep):
         np.minimum.at(best, i, sq)
         np.minimum.at(best, j, sq)
     return np.sqrt(best)

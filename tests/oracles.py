@@ -3,7 +3,7 @@
 import numpy as np
 
 from dcom.data import _sq_dists
-from dcom.engine import PoolState, compute_tau, delta_grid, largest_passing_index
+from dcom.engine import PoolState, compute_tau, delta_grid
 
 
 def is_pure_ball(embedding_set, labels, center: int, delta: float) -> bool:
@@ -123,6 +123,25 @@ def train_probe(embedding_set, labeled, spec):
         history.append(loss)
         weights = weights - spec.learning_rate * grad
     return weights, history
+
+
+def largest_passing_index(size: int, predicate) -> int:
+    """Reference for engine.largest_passing_index: one row's search, probing predicate(i).
+
+    It probes 0, then mid = (lo + hi + 1) // 2 on [lo, hi] = [0, size - 1],
+    raising lo to mid on a pass and lowering hi to mid - 1 on a fail, and
+    returns lo once lo == hi; -1 when index 0 fails.
+    """
+    if not predicate(0):
+        return -1
+    lo, hi = 0, size - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def expand_delta(embedding_set, pool: PoolState, new_points, predicted_unlabeled,

@@ -195,7 +195,7 @@ def test_criterion_06_radius_search_equals_linear_scan_on_monotone_profiles():
     for _ in range(200):
         purity = np.sort(rng.uniform(size=grid.size))[::-1]
         tau = float(rng.uniform(0.0, 1.0))
-        idx = largest_passing_index(grid.size, lambda i: purity[i] > tau)
+        idx = largest_passing_index((purity > tau)[None, :])[0]
         binary = grid[idx] if idx >= 0 else grid[0]
         passing = [d for d, p in zip(grid, purity) if p > tau]
         linear = passing[-1] if passing else grid[0]

@@ -48,6 +48,34 @@ def test_nonpositive_budget_rejected(q):
         select_probcover(s, pool, 0.5, q)
 
 
+SELECTORS = {
+    "random": lambda s, pool: select_random(pool, 3, seed=0),
+    "uncertainty": lambda s, pool: select_by_uncertainty(
+        pool, np.full((len(pool.unlabeled), 2), 0.5), "margin", 3),
+    "coreset": lambda s, pool: select_coreset(s, pool, 3),
+    "probcover": lambda s, pool: select_probcover(s, pool, 0.5, 3),
+}
+
+
+# Each selector used to pick a repeated index again, and -1 as the last point;
+# coreset and probcover, which hold the points, also name an index past them.
+BROKEN_POOLS = {
+    "repeated": ([1, 1, 1, 2], PoolInvariantError, "pool.unlabeled must not repeat an index"),
+    "negative": ([1, 2, -1], PoolInvariantError, r"pool.unlabeled\[2\] is -1, a negative index"),
+    "past-n": ([1, 2, 4], ValueError, r"pool.unlabeled\[2\] is 4, outside \[0, 4\)"),
+}
+
+
+@pytest.mark.parametrize("kind, broken", [
+    (kind, broken) for kind in SELECTORS for broken in BROKEN_POOLS
+    if broken != "past-n" or kind in ("coreset", "probcover")
+])
+def test_selectors_reject_a_broken_pool(kind, broken):
+    unlabeled, error, message = BROKEN_POOLS[broken]
+    with pytest.raises(error, match=message):
+        SELECTORS[kind](one_d(0.0, 1.0, 2.0, 3.0), PoolState([0], unlabeled, []))
+
+
 def test_uncertainty_margin_order():
     pool = PoolState([3], [0, 1, 2], [0.5])
     probs = np.array([[0.9, 0.1], [0.55, 0.45], [0.7, 0.3]])

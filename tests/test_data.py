@@ -170,28 +170,24 @@ def test_sq_dists_equals_inline_difference_rule(offset):
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("every_column", [False, True])
-def test_gram_pairs_yields_every_key_at_or_above_its_floor(monkeypatch, block, every_column):
+def test_gram_pairs_yields_each_marked_pair_once_in_order(monkeypatch, block, every_column):
     monkeypatch.setattr(data, "_GRAM_ROWS", block)
     rng = np.random.default_rng(block + 100 * every_column)
     inputs = _gram_inputs(EmbeddingSet(rng.normal(size=(40, 5))))
     rows = rng.integers(0, 40, size=30)  # unsorted, with repeats
     cols = np.arange(40) if every_column else np.sort(rng.choice(40, size=25, replace=False))
-    floors = rng.normal(-5.0, 2.0, size=rows.size).astype(inputs[1].dtype)
-    blocks = []
+    marks = rng.uniform(size=(rows.size, cols.size)) < 0.3
 
-    def floor_of(lo, part, keys, scratch):
+    def keep(lo, part, keys, mask):
         assert np.array_equal(part, rows[lo : lo + block])
-        assert keys.shape[0] <= data._GRAM_ROWS
-        assert scratch.shape == keys.shape and scratch.dtype == bool
-        scratch[...] = True  # lent: the pass overwrites it
-        blocks.append(keys.copy())
-        return floors[lo : lo + part.size, None]
+        assert keys.shape == mask.shape == (part.size, cols.size) and mask.dtype == bool
+        assert part.size <= data._GRAM_ROWS
+        mask[...] = marks[lo : lo + part.size]
+        keys[...] = np.nan  # the hook may overwrite keys; the pass compares none
 
-    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, cols, floor_of)))
-    keys = np.concatenate(blocks)
-    assert keys.shape == (rows.size, cols.size)
-    want_k, want_c = np.nonzero(keys >= floors[:, None])
-    assert 0 < want_k.size < keys.size
+    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, cols, keep)))
+    want_k, want_c = np.nonzero(marks)
+    assert 0 < want_k.size < marks.size
     assert np.array_equal(k, want_k) and np.array_equal(i, rows[want_k])
     assert np.array_equal(j, cols[want_c])
     points = inputs[0]
@@ -199,24 +195,23 @@ def test_gram_pairs_yields_every_key_at_or_above_its_floor(monkeypatch, block, e
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
-def test_gram_pairs_upper_mode_yields_each_pair_once_past_the_diagonal(monkeypatch, block):
-    # rows is cols: strip k meets only the columns from its first row onward.
+def test_gram_pairs_upper_mode_yields_each_marked_pair_once_past_the_diagonal(monkeypatch,
+                                                                              block):
+    # rows is cols: strip k meets only the columns from its first row onward,
+    # and marks on or below the diagonal are dropped.
     monkeypatch.setattr(data, "_GRAM_ROWS", block)
     rng = np.random.default_rng(200 + block)
     inputs = _gram_inputs(EmbeddingSet(rng.normal(size=(40, 5))))
     rows = np.arange(40)
-    floors = rng.normal(-5.0, 2.0, size=rows.size).astype(inputs[1].dtype)
-    keys = np.full((40, 40), -np.inf)
+    marks = rng.uniform(size=(40, 40)) < 0.3
 
-    def floor_of(lo, part, block_keys, scratch):
-        assert block_keys.shape == scratch.shape == (part.size, 40 - lo)
+    def keep(lo, part, keys, mask):
+        assert keys.shape == mask.shape == (part.size, 40 - lo)
         assert part.size == min(block, 40 - lo) <= data._GRAM_ROWS
-        scratch[...] = True  # lent: the pass overwrites it
-        keys[lo : lo + part.size, lo:] = block_keys
-        return floors[lo : lo + part.size, None]
+        mask[...] = marks[lo : lo + part.size, lo:]
 
-    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, rows, floor_of)))
-    want_i, want_j = np.nonzero(np.triu(keys >= floors[:, None], 1))
+    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, rows, keep)))
+    want_i, want_j = np.nonzero(np.triu(marks, 1))
     assert 0 < want_i.size < 40 * 39 // 2
     assert np.array_equal(i, want_i) and np.array_equal(j, want_j) and np.array_equal(k, i)
     points = inputs[0]

@@ -63,13 +63,24 @@ def test_delta_grid():
 
 
 def test_largest_passing_index_matches_linear_scan():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        size = int(rng.integers(1, 30))
-        true_count = int(rng.integers(0, size + 1))
-        flags = [i < true_count for i in range(size)]
-        got = largest_passing_index(size, lambda i: flags[i])
-        assert got == true_count - 1
+    # Every monotone row of each size: true ... true false ... false.
+    for size in range(1, 31):
+        passes = np.arange(size)[None, :] < np.arange(size + 1)[:, None]
+        assert largest_passing_index(passes).tolist() == list(range(-1, size))
+
+
+def test_largest_passing_index_equals_the_scalar_search_on_every_row():
+    # Every boolean row of lengths 1-12, then random rows of length 1,000 at
+    # several densities: the table search ends where the scalar search does.
+    for size in range(1, 13):
+        passes = (np.arange(2**size)[:, None] >> np.arange(size) & 1).astype(bool)
+        want = [oracles.largest_passing_index(size, row.__getitem__) for row in passes]
+        assert largest_passing_index(passes).tolist() == want
+    rng = np.random.default_rng(3)
+    passes = rng.uniform(size=(300, 1000)) < rng.uniform(size=(300, 1))
+    passes[::3, 0] = True
+    want = [oracles.largest_passing_index(1000, row.__getitem__) for row in passes]
+    assert largest_passing_index(passes).tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -85,15 +96,18 @@ def test_largest_passing_index_matches_linear_scan():
 )
 def test_largest_passing_index_probe_sequence(size, predicate, probes, result):
     # expand_delta's purity need not be monotone in the radius, so its radii
-    # are whatever this fixed sequence of probes ends on; these pin it.
+    # are whatever this fixed sequence of probes ends on; these pin the scalar
+    # reference, and the table search ends where it does.
     seen = []
 
     def recorded(i):
         seen.append(i)
         return predicate(i)
 
-    assert largest_passing_index(size, recorded) == result
+    assert oracles.largest_passing_index(size, recorded) == result
     assert seen == probes
+    row = np.array([[predicate(i) for i in range(size)]])
+    assert largest_passing_index(row).tolist() == [result]
 
 
 def test_pool_state_validation():
@@ -122,6 +136,19 @@ def test_config_defaults_and_validation():
         DComConfig(delta0=0.5, delta_max=0.4)
     with pytest.raises(ConfigError):
         DComConfig(delta0=0.5, logistic_a=1.0)
+
+
+def test_config_bounds_its_grid():
+    # A square past float64 used to warn in expand_delta, and a fine
+    # resolution to allocate its grid and count tables without limit.
+    with pytest.raises(ConfigError, match="delta_max 2e[+]160 is too large"):
+        DComConfig(delta0=1e160, delta_max=2e160, delta_resolution=1e160)
+    for resolution in (1e-9, 1 / (2**16 + 1)):
+        with pytest.raises(ConfigError, match="delta_resolution must be at least"):
+            DComConfig(delta0=0.5, delta_max=1.0, delta_resolution=resolution)
+    config = DComConfig(delta0=0.5, delta_max=1.0, delta_resolution=2**-16)
+    assert delta_grid(config.delta_resolution, config.delta_max).size == 2**16
+    DComConfig(delta0=1e154, delta_max=1e154, delta_resolution=5e153)
 
 
 def test_ball_purity_predicted():

@@ -36,6 +36,15 @@ def test_three_point_line():
     assert g.out_degree.tolist() == [1, 2, 1]
 
 
+def test_out_degree_is_a_read_only_view_that_covering_updates():
+    g = build_radius_graph(one_d(0.0, 0.4, 0.8), 0.5)
+    degree = g.out_degree
+    with pytest.raises(ValueError, match="read-only"):
+        degree[0] = 5
+    g.prune_incoming([1])
+    assert degree.tolist() == [0, 2, 0]
+
+
 def test_small_delta_empty_graph():
     g = build_radius_graph(one_d(0.0, 0.4, 0.8), 0.1)
     assert oracles.edges(g).shape[0] == 0
@@ -339,7 +348,7 @@ def test_prunes_never_raise_degree():
     pairs[flip] = pairs[flip, ::-1]
     h = graph.RadiusGraph(40, pairs[:, 0], pairs[:, 1])
     for _ in range(5):
-        before = g.out_degree
+        before = g.out_degree.copy()
         assert np.array_equal(h.out_degree, before)
         for v in range(40):
             assert np.array_equal(np.sort(h.ball_members(v)), g.ball_members(v))
@@ -567,9 +576,9 @@ def test_gram_keys_stay_within_the_stated_bound(monkeypatch, kind):
     n, d = points.shape
     blocks = []
 
-    def record(lo, part, keys, scratch):
+    def record(lo, part, keys, mask):
         blocks.append(keys.astype(np.float64))
-        return keys.dtype.type(np.inf)
+        mask[...] = False
 
     for _ in _gram_pairs(inputs, np.arange(n), np.arange(n), record):
         pass
@@ -680,10 +689,9 @@ def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatc
         inputs = _gram_inputs(s, delta * delta)
         floor = inputs[1].dtype.type(-(delta * delta + float(inputs[2])) / 2)
         everything = np.arange(n)
-        rect = [
-            np.column_stack((i, j))[(i != j) & (sq <= delta * delta)]
-            for _, i, j, sq in _gram_pairs(inputs, everything, everything.copy(), lambda *_: floor)
-        ]
+        pairs = _gram_pairs(inputs, everything, everything.copy(),
+                            lambda lo, part, keys, mask: np.greater_equal(keys, floor, out=mask))
+        rect = [np.column_stack((i, j))[(i != j) & (sq <= delta * delta)] for _, i, j, sq in pairs]
         assert np.array_equal(got, np.concatenate(rect))
         cold = build_radius_graph(s, delta, points=rng.permutation(n))
         assert np.array_equal(oracles.edges(cold), got)
