@@ -276,22 +276,24 @@ def _gram_inputs(embedding_set, extent=0.0):
 
 
 def _gram_pairs(inputs, rows, cols, keep):
-    """The package's one Gram pass: the pairs of rows x cols a hook marks, refined exactly.
+    """The package's one Gram pass: the pairs of rows x cols a hook marks, with their keys.
 
     inputs is _gram_inputs(...); rows are point indices in any order, cols
     sorted and duplicate-free, so cols holding every point is arange(n) and
     gram itself is the column side. For each strip part = rows[lo : lo + _GRAM_ROWS],
     the keys fill a reused len(part) x len(cols) buffer, and the hook
     keep(lo, part, keys, mask) fills mask, a boolean buffer of the keys'
-    shape, with the pairs to refine; it may overwrite keys. Each marked pair
-    is yielded, a strip at a time in (rows, cols) order, as (k, i, j, sq):
-    the position k in rows, i = rows[k], j in cols and the exact refine
-    sq = _sq_dists(x_i, x_j). The pass compares no keys; each client proves
-    from the key error E of _gram_inputs that it marks every pair it needs.
+    shape, with the pairs it wants; it may overwrite keys. Each marked pair
+    is yielded, a strip at a time in (rows, cols) order, as (k, i, j, key):
+    the position k in rows, i = rows[k], j in cols and the key as the hook
+    left it. The pass neither compares keys nor refines; each client proves
+    from the key error E of _gram_inputs that it marks every pair it needs,
+    and refines with _pair_sq_dists the pairs its keys do not decide.
     graph.build_radius_graph and graph.covered_set mark the keys at or above
-    a floor at the radius, purity.min_impure_distance those within the slack
-    of either endpoint's running largest differently-labeled key, and
-    engine._ball_counts those in a band around a grid radius.
+    a floor at the radius and refine those below an upper floor,
+    purity.min_impure_distance marks and refines those within the slack of
+    either endpoint's running largest differently-labeled key, and
+    engine._ball_counts marks and refines those in a band around a grid radius.
 
     Upper-triangle mode runs when rows is cols, the way a caller passes one
     set of points for both sides. Then part meets only cols[lo:], so keys is
@@ -326,9 +328,9 @@ def _gram_pairs(inputs, rows, cols, keep):
         keep(lo, part, keys, mask)
         if upper:
             mask[:, : part.size] &= tile[: part.size, : part.size]
-        cand_row, cand_col = np.divmod(np.flatnonzero(mask), width)
-        src, dst = part[cand_row], cols[first + cand_col]
-        yield lo + cand_row, src, dst, _pair_sq_dists(points, src, dst)
+        marked = np.flatnonzero(mask)
+        cand_row, cand_col = np.divmod(marked, width)
+        yield lo + cand_row, part[cand_row], cols[first + cand_col], keys_buf.take(marked)
 
 
 def gen_gaussian_mixture(spec: MixtureSpec) -> EmbeddingSet:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNKNOWN_LABEL, EmbeddingSet, _gram_inputs, _gram_pairs
+from .data import UNKNOWN_LABEL, EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists
 from .errors import ConfigError, PoolInvariantError
-from .graph import _indices, build_radius_graph, covered_set
+from .graph import _index_array, _indices, build_radius_graph, covered_set
 from .learners import (
     LearnerSpec,
     normalize_unit_interval,
@@ -227,11 +227,11 @@ def _ball_counts(embedding_set, centers, labels, grid):
     or below each band, so its pairs are outside exactly the radii whose
     marked range ends below it: beta of them, the first beta radii. A pair
     in an unmarked bucket is counted in its row's histogram at beta, with
-    its label match; a pair in a marked one is marked for the pass's exact
-    refine and lands at beta = searchsorted(g, sq, "left"), the radii i with
-    g_i < sq. A cumulative sum over beta then counts each ball. The center
-    itself, at exact distance 0 and of its own label, lands at beta = 0
-    either way, so one is taken off both counts.
+    its label match; a pair in a marked one is marked, refined exactly with
+    data._pair_sq_dists and lands at beta = searchsorted(g, sq, "left"), the
+    radii i with g_i < sq. A cumulative sum over beta then counts each ball.
+    The center itself, at exact distance 0 and of its own label, lands at
+    beta = 0 either way, so one is taken off both counts.
     """
     inputs = _gram_inputs(embedding_set)
     dtype, slack = inputs[1].dtype, float(inputs[2])
@@ -264,8 +264,8 @@ def _ball_counts(embedding_set, centers, labels, grid):
             slot += slots * np.arange(at, at + part.size)[:, None]
             hist[:] += np.bincount(slot.ravel(), minlength=hist.size)
 
-        for k, c, j, sq in _gram_pairs(inputs, block, everything, keep):
-            beta = np.searchsorted(sq_radii, sq, "left")
+        for k, c, j, _ in _gram_pairs(inputs, block, everything, keep):
+            beta = np.searchsorted(sq_radii, _pair_sq_dists(inputs[0], c, j), "left")
             hist += np.bincount(slots * k + 2 * beta + (labels[j] == labels[c]),
                                 minlength=hist.size)
         counts = hist.reshape(block.size, size + 2, 2)[:, :size].cumsum(axis=1)
@@ -315,8 +315,8 @@ def dcom_select(
 
 
 def _check_budget(pool, q):
-    """Every selector's pool and budget rule: distinct indices >= 0, 1 <= q <= their count."""
-    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
+    """Every selector's pool and budget rule: distinct integers >= 0, 1 <= q <= their count."""
+    unlabeled = _index_array("pool.unlabeled", pool.unlabeled, PoolInvariantError)
     negative = np.flatnonzero(unlabeled < 0)
     if negative.size:
         raise PoolInvariantError(f"pool.unlabeled[{negative[0]}] is {unlabeled[negative[0]]}, "

@@ -6,20 +6,22 @@ degrees, so out-degrees count uncovered neighbours, as do ball_members. The
 greedy kernel in engine (shared by dcom_select and select_probcover) builds
 over the unlabeled points with the pool's covered mask, then only covers.
 Candidates come from data._gram_pairs, the package's one float32 Gram pass,
-marked at a floor derived from the key error bound of data._gram_inputs; every
-candidate is confirmed with the package's exact float64 distance, so the edge
-set matches a brute-force O(n^2) scan bit for bit. The build runs the pass's
+marked at a floor derived from the key error bound of data._gram_inputs. A
+candidate whose key clears an upper floor, as almost all do, is within the
+radius by the same bound; only the band between the two floors is confirmed
+with the package's exact float64 distance. So the edge set matches a
+brute-force O(n^2) scan bit for bit. The build runs the pass's
 upper-triangle mode over the uncovered points, the whole of a cold start, and
 its rectangular mode from the covered points to them: a pair of covered points
-is never alive, so never built. covered_set runs the same pass with a radius
-per labeled point.
+is never alive, so never built. covered_set runs the same pass with a radius,
+and so a pair of floors, per labeled point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import EmbeddingSet, _gram_inputs, _gram_pairs
+from .data import EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists
 from .errors import DenseRadiusGraph
 
 # Labeled points per coverage block.
@@ -81,12 +83,22 @@ def build_radius_graph(
     data._gram_inputs(embedding_set, delta^2), off by at most the E derived
     there, is at least the floor f = -(r^2 + s)/2 rounded to the keys' dtype,
     with r = delta and s its slack. Each candidate is then confirmed with the
-    exact float64 distance sum((x_i - x_j)^2) <= r^2, the same refine as a
-    full build. The floor is off by at most 1.01 u (r^2 + s). An edge's exact
+    exact float64 distance sum((x_i - x_j)^2) <= r^2, unless its key decides
+    it. The floor is off by at most 1.01 u (r^2 + s). An edge's exact
     distance is at most r^2 (1 + 1.1 (d + 2) u), so its key is at least
     -r^2/2 - 0.55 (d + 2) u r^2 - E, which clears the floor when
     s (1 - 2.02 u) >= 2 E + 1.1 (d + 4) u r^2. As 2 E <= (6.6 d + 11) u M,
     s = 12 (d + 4) u (1 + M + r^2) covers it.
+
+    A candidate whose key is at least the upper floor g = -(r^2 - s)/2,
+    rounded to the keys' dtype like f, is an edge with no refine; only the
+    band f <= K < g is refined. g is off by at most 1.01 u (r^2 + s), so
+    K >= g gives -2 K <= r^2 - s + 2.02 u (r^2 + s). The refine sq lies within
+    T = 2 E + 4.4 (d + 2) v M <= (11 d + 20) u M of -2 K, as
+    engine._ball_counts derives, in float32 and in float64 keys alike. So
+    sq <= r^2 - s (1 - 2.02 u) + 2.02 u r^2 + T, which is at most r^2 when
+    s (1 - 2.02 u) >= (11 d + 20) u M + 2.02 u r^2: the same s covers it,
+    its r^2 term the floors' rounding, as stored in the keys' dtype too.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -104,8 +116,7 @@ def build_radius_graph(
     if open_points.size == 0:
         return RadiusGraph(n, open_points, open_points, covered)
     inputs = _gram_inputs(embedding_set, thresh)
-    _, gram, slack = inputs
-    floor = gram.dtype.type(-(thresh + float(slack)) / 2)
+    floor, upper = _floors(thresh, inputs)
     a_parts, b_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     edges = 0
     # The upper-triangle pass yields each uncovered pair once, as a < b; then
@@ -113,8 +124,10 @@ def build_radius_graph(
     for rows in (open_points, shut_points):
         pairs = _gram_pairs(inputs, rows, open_points,
                             lambda lo, part, keys, mask: np.greater_equal(keys, floor, out=mask))
-        for _, a, b, sq in pairs:
-            keep = sq <= thresh
+        for _, a, b, key in pairs:
+            keep = key >= upper
+            band = np.flatnonzero(~keep)
+            keep[band] = _pair_sq_dists(inputs[0], a[band], b[band]) <= thresh
             a_parts.append(a[keep])
             b_parts.append(b[keep])
             edges += 2 * a_parts[-1].size
@@ -124,13 +137,34 @@ def build_radius_graph(
     return RadiusGraph(n, np.concatenate(a_parts), np.concatenate(b_parts), covered)
 
 
-def _indices(name, values, n):
-    """values as int64 point indices; ValueError names a non-integer dtype or an outside index."""
-    values = np.asarray(values)
+def _floors(sq_radii, inputs):
+    """build_radius_graph's floor f and upper floor g at each squared radius, in the keys' dtype.
+
+    An infinite radius makes the slack infinite, and g NaN or +inf, so no
+    key clears g and every marked pair is refined.
+    """
+    _, gram, slack = inputs
+    sq_radii = np.asarray(sq_radii, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        floors, uppers = -(sq_radii + slack) / 2, -(sq_radii - slack) / 2
+    return floors.astype(gram.dtype), uppers.astype(gram.dtype)
+
+
+def _index_array(name, values, error=ValueError):
+    """values as an int64 array; error names a float or a bool, even a bool among ints."""
+    array = np.asarray(values)
     # An empty list's dtype is float64; bool is not an integer dtype.
-    if values.size and not np.issubdtype(values.dtype, np.integer):
-        raise ValueError(f"{name} must hold integer indices, got dtype {values.dtype}")
-    values = values.astype(np.int64, copy=False)
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        raise error(f"{name} must hold integer indices, got dtype {array.dtype}")
+    # Among ints a bool casts up to an int, so a list is checked element by element.
+    if array is not values and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise error(f"{name} must hold integer indices, got a bool")
+    return array.astype(np.int64, copy=False)
+
+
+def _indices(name, values, n):
+    """values as int64 point indices; ValueError names a non-integer value or an outside index."""
+    values = _index_array(name, values)
     bad = np.flatnonzero((values < 0) | (values >= n))
     if bad.size:
         raise ValueError(f"{name}[{bad[0]}] is {values[bad[0]]}, outside [0, {n})")
@@ -142,9 +176,11 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
 
     Each block of _COVER_ROWS labeled points runs the Gram pass against only
     the points no earlier block covered, as a union has no order, with row
-    k's floor and refine at its own radius r_k. The floor and the bound are
+    k's floor, upper floor and refine at its own radius r_k: a key at or
+    above row k's upper floor covers its point with no refine, and only the
+    band between the two floors is refined. The floors and their proofs are
     build_radius_graph's: the slack is computed for the largest radius and
-    only grows with it, so the bound holds row by row.
+    only grows with it, so s >= 12 (d + 4) u (1 + M + r_k^2) row by row.
     """
     labeled = _indices("labeled", labeled, embedding_set.count)
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -158,7 +194,7 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
         raise ValueError(f"deltas must not be negative: deltas[{bad}] is {deltas[bad]}")
     sq_radii = deltas * deltas
     inputs = _gram_inputs(embedding_set, float(sq_radii.max(initial=0.0)))
-    floors = -((sq_radii + float(inputs[2])) / 2).astype(inputs[1].dtype)
+    floors, uppers = _floors(sq_radii, inputs)
     covered = np.zeros(embedding_set.count, dtype=bool)
     covered[labeled] = True
     for lo in range(0, labeled.size, _COVER_ROWS):
@@ -166,6 +202,10 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
         pairs = _gram_pairs(inputs, labeled[lo : lo + _COVER_ROWS], np.flatnonzero(~covered),
                             lambda at, part, keys, mask: np.greater_equal(
                                 keys, floors[lo + at : lo + at + part.size, None], out=mask))
-        for k, _, j, sq in pairs:
-            covered[j[sq <= sq_radii[lo + k]]] = True
+        for k, i, j, key in pairs:
+            row = lo + k
+            inside = key >= uppers[row]
+            band = np.flatnonzero(~inside)
+            inside[band] = _pair_sq_dists(inputs[0], i[band], j[band]) <= sq_radii[row[band]]
+            covered[j[inside]] = True
     return covered

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingSet, _gram_inputs, _gram_pairs, _sq_dists
+from .data import EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists, _sq_dists
 from .errors import DimensionMismatch, NoDeltaMeetsAlpha
 
 DEFAULT_ALPHA = 0.95
@@ -117,11 +117,11 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
 
     The largest key of a point is known only once every strip has passed it,
     so each point keeps a running maximum of its differently-labeled keys,
-    over its row in its own strip and its column in earlier ones. A pair
-    goes through the exact refine, data._pair_sq_dists, when its key is at
-    least either endpoint's running maximum minus s. A running maximum never
-    exceeds the final one, so every exact minimiser of either endpoint is
-    refined, and the refine's minimum is taken at both endpoints.
+    over its row in its own strip and its column in earlier ones. A pair is
+    marked, and so goes through the exact refine, data._pair_sq_dists, when
+    its key is at least either endpoint's running maximum minus s. A running
+    maximum never exceeds the final one, so every exact minimiser of either
+    endpoint is refined, and the refine's minimum is taken at both endpoints.
     """
     n = embedding_set.count
     labels = np.asarray(labels)
@@ -147,7 +147,8 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
 
     best = np.full(n, np.inf)
     everything = np.arange(n)
-    for _, i, j, sq in _gram_pairs(inputs, everything, everything, keep):
+    for _, i, j, _ in _gram_pairs(inputs, everything, everything, keep):
+        sq = _pair_sq_dists(inputs[0], i, j)
         np.minimum.at(best, i, sq)
         np.minimum.at(best, j, sq)
     return np.sqrt(best)

@@ -1,8 +1,9 @@
-"""Brute-force reference oracles that the tests compare the package against."""
+"""Brute-force reference oracles the tests compare the package against, and the Gram-pass cases."""
 
 import numpy as np
 
-from dcom.data import _sq_dists
+from dcom import data
+from dcom.data import EmbeddingSet, _sq_dists
 from dcom.engine import PoolState, compute_tau, delta_grid
 
 
@@ -190,3 +191,93 @@ def ball_counts(embedding_set, centers, labels, grid):
         total[k] = inside.sum(axis=1)
         same[k] = (inside & (labels == labels[c])).sum(axis=1)
     return total, same
+
+
+# The adversarial families that every client of the Gram pass (data._gram_pairs)
+# runs: the radius graph, coverage, the ball counts and the purity pass.
+GRAM_FAMILIES = ("lattice", "duplicates", "scale_1e20", "d4096", "partial_strips", "shell")
+
+
+def gram_case(family, rng):
+    """One case of a Gram-pass family: (embedding set, centres, radius).
+
+    centres are distinct point indices. radius ties with exact distances:
+    it is sqrt(k) on the integer lattice, the exact distance from centres[0]
+    to some point in the random families, and in "shell" every centre has
+    points at exact float64 squared distance radius^2 and at its float
+    neighbours on both sides. "partial_strips" has a partial last strip of
+    data._GRAM_ROWS rows, read when the case is made.
+    """
+    if family == "shell":
+        return _shell(rng)
+    if family == "lattice":
+        # Integer points and radii sqrt(k): many distances fall exactly on the radius.
+        pts = rng.integers(-2, 3, size=(int(rng.integers(2, 60)), 3)).astype(np.float64)
+        s = EmbeddingSet(pts)
+        return s, _centres(rng, s.count), float(np.sqrt(rng.integers(1, 6)))
+    if family == "d4096":
+        pts = rng.choice([0.0, 1e2]) + rng.normal(size=(int(rng.integers(2, 14)), 4096))
+    elif family == "partial_strips":
+        rows = data._GRAM_ROWS
+        pts = rng.normal(size=(2 * rows + int(rng.integers(1, max(rows, 2))), 3))
+    else:
+        pts = rng.normal(size=(int(rng.integers(2, 50)), 4))
+        if family == "scale_1e20":
+            # |x|^2 overflows float32, so the keys are float64.
+            pts *= 1e20
+        else:
+            # Copies of the first rows: zero distances and ties across strips.
+            pts = np.concatenate([pts, pts[: len(pts) // 2]])
+    s = EmbeddingSet(pts)
+    centres = _centres(rng, s.count)
+    exact = s.vectors.astype(np.float64)
+    sq = _sq_dists(exact, exact[centres[0]])
+    return s, centres, float(np.sqrt(np.quantile(sq, rng.uniform(0.1, 0.9), method="lower"))) or 1.0
+
+
+def _centres(rng, n):
+    return rng.choice(n, size=min(n, 4), replace=False)
+
+
+def _shell(rng):
+    """Three centres, far apart, each with points at squared distance r^2 and one float off it.
+
+    Each shell point starts just inside the ball and is moved out along two
+    coordinates in which every centre is 0, a coarse one and a fine one,
+    each set to the least float32 that reaches its target: the previous
+    float64 of r^2, r^2 itself or the next. Points that miss their target
+    exactly are dropped.
+    """
+    d = 6
+    scale = float(rng.choice([1.0, 1e20]))  # float32 keys, then float64 ones
+    radius = float(rng.uniform(0.5, 2.0)) * scale
+    sq = radius * radius
+    centres = np.zeros((3, d), dtype=np.float32)
+    centres[:, : d - 2] = (rng.normal(size=(3, d - 2)) + 10 * np.arange(3)[:, None]) * scale
+    rows = [centres]
+    for centre in centres:
+        for target in np.repeat(np.nextafter(sq, [0.0, sq, np.inf]), 4):
+            point = centre.copy()
+            direction = rng.normal(size=d - 2)
+            point[: d - 2] += direction * (radius * (1 - 1e-4) / np.linalg.norm(direction))
+            # The coarse coordinate stops one float short of the target, the fine one reaches it.
+            coarse = _least_float32_reaching(point, centre, d - 2, target)
+            point[d - 2] = np.nextafter(coarse, np.float32(0))
+            point[d - 1] = _least_float32_reaching(point, centre, d - 1, target)
+            if _sq_dists(point.astype(np.float64), centre.astype(np.float64)) == target:
+                rows.append(point[None])
+    return EmbeddingSet(np.concatenate(rows)), np.arange(3), radius
+
+
+def _least_float32_reaching(point, centre, k, target):
+    """The least float32 point[k] >= 0 whose exact squared distance to centre is >= target."""
+    trial, centre = point.copy(), centre.astype(np.float64)
+    lo, hi = 0, int(np.float32(np.finfo(np.float32).max).view(np.int32))
+    while lo < hi:  # non-negative float32 values order as their bit patterns
+        mid = (lo + hi) // 2
+        trial[k] = np.int32(mid).view(np.float32)
+        if _sq_dists(trial.astype(np.float64), centre) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return np.int32(lo).view(np.float32)

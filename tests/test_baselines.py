@@ -58,10 +58,15 @@ SELECTORS = {
 
 
 # Each selector used to pick a repeated index again, and -1 as the last point;
-# coreset and probcover, which hold the points, also name an index past them.
+# random and uncertainty read 1.7 as point 1 and True as point 1. Coreset and
+# probcover, which hold the points, also name an index past them.
 BROKEN_POOLS = {
     "repeated": ([1, 1, 1, 2], PoolInvariantError, "pool.unlabeled must not repeat an index"),
     "negative": ([1, 2, -1], PoolInvariantError, r"pool.unlabeled\[2\] is -1, a negative index"),
+    "fraction": ([0.5, 1.7, 2.2], PoolInvariantError,
+                 r"^pool.unlabeled must hold integer indices, got dtype float64$"),
+    "bool": ([True, 2, 3], PoolInvariantError,
+             r"^pool.unlabeled must hold integer indices, got a bool$"),
     "past-n": ([1, 2, 4], ValueError, r"pool.unlabeled\[2\] is 4, outside \[0, 4\)"),
 }
 

@@ -183,15 +183,16 @@ def test_gram_pairs_yields_each_marked_pair_once_in_order(monkeypatch, block, ev
         assert keys.shape == mask.shape == (part.size, cols.size) and mask.dtype == bool
         assert part.size <= data._GRAM_ROWS
         mask[...] = marks[lo : lo + part.size]
-        keys[...] = np.nan  # the hook may overwrite keys; the pass compares none
+        # The hook may overwrite keys, and the pass, which compares none, yields them as left.
+        keys[...] = np.arange(lo * cols.size, (lo + part.size) * cols.size).reshape(keys.shape)
 
-    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, cols, keep)))
+    k, i, j, key = map(np.concatenate, zip(*_gram_pairs(inputs, rows, cols, keep)))
     want_k, want_c = np.nonzero(marks)
     assert 0 < want_k.size < marks.size
     assert np.array_equal(k, want_k) and np.array_equal(i, rows[want_k])
     assert np.array_equal(j, cols[want_c])
-    points = inputs[0]
-    assert np.array_equal(sq, _sq_dists(points[i], points[j]))
+    assert key.dtype == inputs[1].dtype
+    assert np.array_equal(key, want_k * cols.size + want_c)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -205,17 +206,22 @@ def test_gram_pairs_upper_mode_yields_each_marked_pair_once_past_the_diagonal(mo
     rows = np.arange(40)
     marks = rng.uniform(size=(40, 40)) < 0.3
 
+    every_key = np.full((40, 40), np.nan)
+
     def keep(lo, part, keys, mask):
         assert keys.shape == mask.shape == (part.size, 40 - lo)
         assert part.size == min(block, 40 - lo) <= data._GRAM_ROWS
         mask[...] = marks[lo : lo + part.size, lo:]
+        every_key[lo : lo + part.size, lo:] = keys
 
-    k, i, j, sq = map(np.concatenate, zip(*_gram_pairs(inputs, rows, rows, keep)))
+    k, i, j, key = map(np.concatenate, zip(*_gram_pairs(inputs, rows, rows, keep)))
     want_i, want_j = np.nonzero(np.triu(marks, 1))
     assert 0 < want_i.size < 40 * 39 // 2
     assert np.array_equal(i, want_i) and np.array_equal(j, want_j) and np.array_equal(k, i)
+    # The keys as the GEMM left them, -|x_i - x_j|^2/2 up to rounding.
+    assert np.array_equal(key, every_key[i, j])
     points = inputs[0]
-    assert np.array_equal(sq, _sq_dists(points[i], points[j]))
+    assert np.allclose(-2 * key, _sq_dists(points[i], points[j]), rtol=1e-5, atol=1e-5)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4, 1e20])

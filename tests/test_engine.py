@@ -338,6 +338,21 @@ def test_ball_counts_equal_brute_force_on_a_non_uniform_grid(monkeypatch, family
     np.testing.assert_array_equal(same, want_same)
 
 
+@pytest.mark.parametrize("family", oracles.GRAM_FAMILIES)
+def test_ball_counts_equal_brute_force_on_the_gram_corpus(monkeypatch, family):
+    # The radius graph's adversarial cases, each with its radius on the grid.
+    rng = np.random.default_rng(sum(map(ord, family)))
+    for rows in (data._GRAM_ROWS, 7):
+        monkeypatch.setattr(data, "_GRAM_ROWS", rows)
+        s, centres, radius = oracles.gram_case(family, rng)
+        grid = np.unique(np.append(radius * rng.uniform(0.05, 2.0, size=6), radius))
+        labels = rng.integers(0, 3, size=s.count)
+        blocks = list(engine._ball_counts(s, centres, labels, grid))
+        want_total, want_same = oracles.ball_counts(s, centres, labels, grid)
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), want_total)
+        np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), want_same)
+
+
 def test_dcom_select_empty_pool_is_degree_greedy():
     s = one_d(0.0, 0.4, 0.8, 5.0)
     pool = PoolState([], list(range(4)), [])

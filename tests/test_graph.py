@@ -8,6 +8,7 @@ from dcom.data import (
     MixtureSpec,
     _gram_inputs,
     _gram_pairs,
+    _pair_sq_dists,
     _sq_dists,
     gen_gaussian_mixture,
 )
@@ -191,12 +192,15 @@ def test_indices_outside_the_points_are_named(call, message):
         (lambda s: build_radius_graph(s, 3.0, covered=np.zeros(29, dtype=bool)),
          r"^covered must be a boolean mask .* shape \(29,\)$"),
         (lambda s: build_radius_graph(s, 3.0, covered=[0, 1]), r"^covered must be .* dtype int64"),
+        (lambda s: covered_set(s, [True, 2], [0.5, 0.5]), r"^labeled must hold .*, got a bool$"),
+        (lambda s: build_radius_graph(s, 3.0, points=[3, np.True_]), r"^points must .* a bool$"),
     ],
     ids=["covered-fraction", "covered-bool", "points-fraction", "prune-bool", "mask-float",
-         "mask-short", "mask-indices"],
+         "mask-short", "mask-indices", "covered-bool-among-ints", "points-bool-among-ints"],
 )
 def test_indices_of_another_dtype_are_named(call, message):
-    # A cast to int64 would read 1.7 as point 1 and [True, False] as points 1 and 0.
+    # A cast to int64 would read 1.7 as point 1, [True, False] as points 1 and
+    # 0, and [True, 2] as points 1 and 2.
     s = gen_gaussian_mixture(MixtureSpec(3, 10, 4, 6.0, 1.0, seed=5))
     with pytest.raises(ValueError, match=message):
         call(s)
@@ -272,7 +276,31 @@ def test_covered_set_matches_per_point_passes(kind):
         assert covered.mean() == int(expected.sum()) / s.count
 
 
+def band_pairs(inputs, rows, cols, sq_radii):
+    """How many keys of the Gram pass over rows x cols lie in [floor, upper floor) at their radius.
+
+    The keys are made strip by strip with the pass's own products, from
+    _gram_inputs alone; rows is cols runs the upper-triangle mode.
+    """
+    points, gram, slack = inputs
+    swap = np.r_[: points.shape[1], -1, -2]
+    floors = (-(sq_radii + float(slack)) / 2).astype(gram.dtype)
+    uppers = (-(sq_radii - float(slack)) / 2).astype(gram.dtype)
+    count = 0
+    for lo in range(0, rows.size, data._GRAM_ROWS):
+        part = slice(lo, lo + data._GRAM_ROWS)
+        first = lo if rows is cols else 0
+        keys = gram[rows[part]].take(swap, axis=1) @ gram[cols[first:]].T
+        band = (keys >= floors[part, None]) & (keys < uppers[part, None])
+        if rows is cols:
+            band &= np.arange(first, cols.size) > np.arange(lo, lo + band.shape[0])[:, None]
+        count += int(band.sum())
+    return count
+
+
 def test_refine_gathers_at_most_1024_pairs(monkeypatch):
+    # Far from the origin the slack is wide, so the band between the floors
+    # holds thousands of pairs; a key above the band needs no refine.
     pairs, exact = [], data._sq_dists
 
     def recording(points, center):
@@ -281,16 +309,21 @@ def test_refine_gathers_at_most_1024_pairs(monkeypatch):
 
     monkeypatch.setattr(data, "_sq_dists", recording)
     rng = np.random.default_rng(40)
-    s = EmbeddingSet(rng.normal(size=(600, 3)))
-    # Dense: one 512-row block holds far more than 1,024 candidates.
+    s = EmbeddingSet(100 + rng.normal(size=(600, 3)))
+    everything = np.arange(600)
     edges = oracles.edges(build_radius_graph(s, 2.0)).shape[0]
-    assert edges > 50_000
-    # The symmetric pass refines each unordered pair once, for two edges.
-    assert 2 * sum(pairs) >= edges and max(pairs) <= 1024
+    band = band_pairs(_gram_inputs(s, 4.0), everything, everything, np.full(600, 4.0))
+    assert sum(pairs) == band > 1024 and max(pairs) <= 1024
+    assert edges > 20 * band
     pairs.clear()
-    covered = covered_set(s, rng.choice(600, size=100, replace=False), np.full(100, 1.5))
-    assert covered.sum() > 100
-    assert sum(pairs) > 1024 and max(pairs) <= 1024
+    # One coverage block, so the pass's columns are every unlabeled point.
+    monkeypatch.setattr(graph, "_COVER_ROWS", 100)
+    labeled = np.sort(rng.choice(600, size=100, replace=False))
+    covered = covered_set(s, labeled, np.full(100, 1.5))
+    assert covered.sum() > 500
+    band = band_pairs(_gram_inputs(s, 2.25), labeled, np.setdiff1d(everything, labeled),
+                      np.full(100, 2.25))
+    assert sum(pairs) == band > 1024 and max(pairs) <= 1024
 
 
 def test_coverage_monotone_under_pool_growth():
@@ -456,49 +489,34 @@ def test_builds_with_a_partial_last_row_block_match_per_row_passes(kind):
         assert np.array_equal(oracles.edges(g), per_row_edges(s, delta, points, covered))
 
 
-def block_case(rng, kind):
-    """Points and a radius for the block-size test: ties, duplicates, 1e20, d = 64 or 2."""
-    n = int(rng.integers(2, 60))
-    if kind == "row_radii":
-        return rng.normal(size=(n, 2)), float(rng.uniform(0.1, 0.5))
-    if kind == "lattice":
-        pts = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
-        return pts, float(rng.choice([1.0, np.sqrt(2.0), 2.0]))
-    d = 64 if kind == "d64" else 4
-    pts = rng.normal(size=(n, d)) * (1e20 if kind == "scale_1e20" else 1.0)
-    if kind == "duplicates":
-        pts = np.concatenate([pts, pts[: n // 2]])
-    # A radius equal to the exact distance between two points.
-    exact = EmbeddingSet(pts).vectors.astype(np.float64)
-    u, v = rng.integers(0, len(pts), size=2)
-    return pts, float(np.sqrt(_sq_dists(exact[u], exact[v]))) or 1.0
-
-
 @pytest.mark.parametrize("block", [1, 7])
-@pytest.mark.parametrize("kind", ["lattice", "duplicates", "scale_1e20", "d64", "row_radii"])
-def test_builds_and_coverage_match_oracles_at_any_block_size(monkeypatch, kind, block):
+@pytest.mark.parametrize("family", oracles.GRAM_FAMILIES)
+def test_builds_and_coverage_match_oracles_at_any_block_size(monkeypatch, family, block):
     # Strips of 1 or 7 rows under coverage blocks of 5 or 17 labeled points,
     # so each coverage block's per-row radii cross strips; at 7 the last is partial.
     monkeypatch.setattr(data, "_GRAM_ROWS", block)
     monkeypatch.setattr(graph, "_COVER_ROWS", 2 * block + 3)
-    rng = np.random.default_rng(sum(map(ord, kind)) + block)
+    rng = np.random.default_rng(sum(map(ord, family)) + block)
     for _ in range(6):
-        pts, delta = block_case(rng, kind)
-        s = EmbeddingSet(pts)
+        s, centres, delta = oracles.gram_case(family, rng)
         n = s.count
         expected = per_row_edges(s, delta, np.arange(n))
         assert np.array_equal(oracles.edges(build_radius_graph(s, delta)), expected)
         points, covered = random_indices(rng, n), random_covered(rng, n)
         restricted = build_radius_graph(s, delta, points, covered)
         assert np.array_equal(oracles.edges(restricted), per_row_edges(s, delta, points, covered))
+        # The centres' balls at the case's radius alone, then with more balls
+        # at exact distances between points (ties on the boundary) or small radii.
+        deltas = np.full(centres.size, delta)
+        assert np.array_equal(covered_set(s, centres, deltas),
+                              oracles.covered_set(s, centres, deltas))
         labeled = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
         exact = s.vectors.astype(np.float64)
-        if kind == "row_radii":
-            deltas = np.sqrt(rng.uniform(0.0, 0.1, size=labeled.size))
-        else:
-            # Radii at exact distances between points: ties on the boundary.
-            far = exact[rng.integers(0, n, size=labeled.size)]
-            deltas = np.sqrt(_sq_dists(far, exact[labeled]))
+        far = exact[rng.integers(0, n, size=labeled.size)]
+        small = delta * np.sqrt(rng.uniform(0.0, 0.1, size=labeled.size))
+        tied = np.sqrt(_sq_dists(far, exact[labeled]))
+        labeled = np.concatenate((centres, labeled))
+        deltas = np.concatenate((deltas, np.where(rng.random(tied.size) < 0.5, tied, small)))
         covered = covered_set(s, labeled, deltas)
         assert np.array_equal(covered, oracles.covered_set(s, labeled, deltas))
 
@@ -651,36 +669,17 @@ def test_candidate_slack_holds_at_large_d_and_offset(kind):
         ]
 
 
-def symmetric_case(rng, kind, block):
-    """Points and a radius for the symmetric build test; n is not a multiple of a block over 1."""
-    n = int(rng.integers(2, 4)) * block + int(rng.integers(1, max(block, 2)))
-    if kind == "lattice":
-        # Integer points and radii sqrt(k): many distances fall exactly on delta.
-        pts = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
-        return pts, float(np.sqrt(rng.integers(1, 6)))
-    d = int(rng.integers(1024, 4097)) if kind == "large_d" else 4
-    pts = rng.normal(size=(n, d)) * (1e20 if kind == "scale_1e20" else 1.0)
-    if kind == "duplicates":
-        # Copies of the first rows land in later strips.
-        pts[n // 2 :] = pts[: n - n // 2]
-    # A radius equal to the exact distance from some point to another.
-    exact = EmbeddingSet(pts).vectors.astype(np.float64)
-    dists = np.sqrt(_sq_dists(exact, exact[rng.integers(0, n)]))
-    return pts, float(np.quantile(dists, rng.uniform(0.1, 0.9), method="lower")) or 1.0
-
-
-# Strips of 1 and 7 rows put strip boundaries everywhere; with 512, every
-# case (n < 4 * 64) fits in one strip, as at the default _GRAM_ROWS.
+# Strips of 1 and 7 rows put strip boundaries everywhere; with 512, most
+# cases fit in one strip, as at the default _GRAM_ROWS.
 @pytest.mark.parametrize("block", [1, 7, 512])
-@pytest.mark.parametrize("kind", ["gaussian", "lattice", "duplicates", "scale_1e20", "large_d"])
-def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatch, kind, block):
+@pytest.mark.parametrize("family", oracles.GRAM_FAMILIES)
+def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatch, family, block):
     # A full build, or a cold start whose points are every point in any
     # order, tests each unordered pair once on the diagonal tile and above it.
     monkeypatch.setattr(data, "_GRAM_ROWS", block)
-    rng = np.random.default_rng(sum(map(ord, kind)) + block)
-    for _ in range(1 if kind == "large_d" else 3):
-        pts, delta = symmetric_case(rng, kind, min(block, 64))
-        s = EmbeddingSet(pts)
+    rng = np.random.default_rng(sum(map(ord, family)) + block)
+    for _ in range(3):
+        s, _, delta = oracles.gram_case(family, rng)
         n = s.count
         g = build_radius_graph(s, delta)
         got = oracles.edges(g)
@@ -691,12 +690,17 @@ def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatc
         everything = np.arange(n)
         pairs = _gram_pairs(inputs, everything, everything.copy(),
                             lambda lo, part, keys, mask: np.greater_equal(keys, floor, out=mask))
-        rect = [np.column_stack((i, j))[(i != j) & (sq <= delta * delta)] for _, i, j, sq in pairs]
+        # It refines every marked pair, the band and above it alike.
+        points = inputs[0]
+        rect = [np.column_stack((i, j))[(i != j) & (_pair_sq_dists(points, i, j) <= delta * delta)]
+                for _, i, j, _ in pairs]
         assert np.array_equal(got, np.concatenate(rect))
         cold = build_radius_graph(s, delta, points=rng.permutation(n))
         assert np.array_equal(oracles.edges(cold), got)
-        # Every edge's reverse is an edge, and the CSR agrees with the list.
-        assert np.array_equal(np.unique(got[:, ::-1], axis=0), got)
+        # Every edge's reverse is an edge, and the CSR agrees with the list,
+        # whose (point, neighbour) order concatenates the balls.
+        reverse = got[:, ::-1]
+        assert np.array_equal(reverse[np.lexsort((reverse[:, 1], reverse[:, 0]))], got)
         assert g.out_degree.tolist() == np.bincount(got[:, 0], minlength=n).tolist()
-        for u in range(n):
-            assert g.ball_members(u).tolist() == got[got[:, 0] == u, 1].tolist()
+        balls = [g.ball_members(u) for u in range(n)]
+        assert np.array_equal(np.concatenate(balls), got[:, 1])

@@ -204,6 +204,23 @@ def test_min_impure_distance_matches_loop_oracle(monkeypatch, case):
         assert (got[:10] == 0.0).all()
 
 
+@pytest.mark.parametrize("family", oracles.GRAM_FAMILIES)
+def test_min_impure_distance_matches_loop_oracle_on_the_gram_corpus(monkeypatch, family):
+    # The radius graph's adversarial cases. Each centre has a label of its
+    # own, so its nearest other point decides its distance: in "shell", the
+    # point one float inside the radius.
+    rng = np.random.default_rng(sum(map(ord, family)))
+    for _ in range(3):
+        s, centres, _ = oracles.gram_case(family, rng)
+        labels = rng.integers(0, 3, size=s.count)
+        labels[centres] = 3 + np.arange(centres.size)
+        expected = oracles.min_impure_distance(s, labels)
+        for block in (_GRAM_ROWS, 1, 7):
+            monkeypatch.setattr(data, "_GRAM_ROWS", block)
+            assert np.array_equal(min_impure_distance(s, labels), expected)
+        monkeypatch.setattr(data, "_GRAM_ROWS", _GRAM_ROWS)
+
+
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_purity_sample_is_the_full_pass_at_unsorted_repeated_indices(case):
     grid = np.linspace(0.05, 3.0, 12)
