@@ -45,6 +45,7 @@ from .learners import (
     normalize_unit_interval,
     predict_softmax,
     train_learner,
+    train_learners,
     uncertainty_scores,
 )
 from .purity import (

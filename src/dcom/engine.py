@@ -27,6 +27,7 @@ from .learners import (
     normalize_unit_interval,
     predict_softmax,
     train_learner,
+    train_learners,
     uncertainty_scores,
 )
 
@@ -414,13 +415,34 @@ def _label_step(embedding_set, pool, new_points, coverage_before, learner_spec, 
     return learner, radii
 
 
-def _learner_or_none(embedding_set, labeled, spec, learner=None):
-    """learner, or one trained on the labeled points; None below two known classes."""
+def _trains(embedding_set, labeled):
+    """Whether a learner trains on the labeled points: two known classes, or a -1 to name."""
     if not len(labeled):
-        return None
+        return False
     if embedding_set.labels is None:
         raise ConfigError("labeled points need labels, and data.labels gives none")
     classes = np.unique(embedding_set.labels[labeled])
-    if classes.size < 2 and UNKNOWN_LABEL not in classes:  # train_learner names -1 points
+    return classes.size >= 2 or UNKNOWN_LABEL in classes  # train_learners names -1 points
+
+
+def _learner_or_none(embedding_set, labeled, spec, learner=None):
+    """learner, or one trained on the labeled points; None below two known classes.
+
+    The batch of one of _learners_or_none.
+    """
+    if not _trains(embedding_set, labeled):
         return None
     return learner if learner is not None else train_learner(embedding_set, labeled, spec)
+
+
+def _learners_or_none(embedding_set, labeled_sets, spec):
+    """One learner per labeled set, all trained in one batch; None below two known classes.
+
+    The sets must hold the same number of points.
+    """
+    learners = [None] * len(labeled_sets)
+    batch = [i for i, labeled in enumerate(labeled_sets) if _trains(embedding_set, labeled)]
+    trained = train_learners(embedding_set, [labeled_sets[i] for i in batch], spec)
+    for i, learner in zip(batch, trained):
+        learners[i] = learner
+    return learners

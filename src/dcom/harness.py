@@ -16,7 +16,6 @@ import csv
 import json
 import time
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import partial
 from math import isfinite
 from numbers import Real
 from pathlib import Path
@@ -41,7 +40,14 @@ from .data import (
     read_embedding_file,
     read_label_file,
 )
-from .engine import DComConfig, PoolState, _learner_or_none, _query, run_iteration
+from .engine import (
+    DComConfig,
+    PoolState,
+    _learner_or_none,
+    _learners_or_none,
+    _query,
+    run_iteration,
+)
 from .errors import ConfigError, EmptyTestSet, PoolInvariantError
 from .learners import LearnerSpec, predict_softmax
 from .purity import (
@@ -265,51 +271,74 @@ def select_step(dataset, pool, kind, q, setting, spec, learner=None, seed=0):
     return select_by_uncertainty(pool, probs, kind, q)
 
 
-def _run_single_repetition(pool_set, test_set, kind, spec, setting, config, run_seed):
+# A baseline record's dcom metrics.
+_NO_METRICS = dict.fromkeys(("coverage", "competence", "delta_mean", "delta_std"), 0.0)
+
+
+def _run_repetitions(pool_set, test_set, kind, spec, setting, config, seeds):
+    """One repetition per run seed, all stepped through the schedule in lockstep.
+
+    At each iteration every repetition selects with its own seed and learner;
+    then the repetitions whose labeled sets hold two classes, all of one size,
+    train in one _learners_or_none batch, and each evaluates its own learner.
+    A dcom round trains inside run_iteration. Records come in (seed,
+    iteration) order, their seconds as run_al_loop describes.
+    """
     test_local = np.arange(test_set.count)
-    oracle = LabelOracle(pool_set.labels)
-    pool = PoolState(labeled=[], unlabeled=list(range(pool_set.count)), deltas=[])
     timing = config.get("record_timing", False)
-
-    records, learner, budget = [], None, 0
+    reps = range(len(seeds))
+    oracles = [LabelOracle(pool_set.labels) for _ in reps]
+    pools = [PoolState(labeled=[], unlabeled=list(range(pool_set.count)), deltas=[]) for _ in reps]
+    learners, records = [None for _ in reps], [[] for _ in reps]
+    budget = 0
     for iteration, q in enumerate(config["schedule"]):
-        started = time.perf_counter()
-        if kind == "dcom":
-            query, pool, learner, metrics = run_iteration(
-                pool_set, pool, spec, q, setting, learner
-            )
-            picks = query.selected
-        else:
-            metrics = dict.fromkeys(("coverage", "competence", "delta_mean", "delta_std"), 0.0)
-            picks = select_step(
-                pool_set, pool, kind, q, setting, spec, learner, run_seed + iteration
-            )
-            pool = pool.with_labeled(picks)
-            learner = _learner_or_none(pool_set, pool.labeled, spec)
-        oracle.reveal(picks)
         budget += q
-
-        if learner is None:
-            accuracy = _majority_accuracy(pool_set, pool, test_set)
-        else:
-            accuracy = evaluate_accuracy(learner, test_set, test_local)
-        seconds = time.perf_counter() - started if timing else 0.0
-        records.append(
-            ExperimentRecord(
-                run_seed=run_seed,
-                strategy=kind,
-                iteration=iteration,
-                budget=budget,
-                accuracy=accuracy,
-                seconds=seconds,
-                **metrics,
+        seconds, metrics = [0.0 for _ in reps], [_NO_METRICS for _ in reps]
+        for r in reps:
+            started = time.perf_counter()
+            if kind == "dcom":
+                query, pools[r], learners[r], metrics[r] = run_iteration(
+                    pool_set, pools[r], spec, q, setting, learners[r]
+                )
+                picks = query.selected
+            else:
+                picks = select_step(
+                    pool_set, pools[r], kind, q, setting, spec, learners[r], seeds[r] + iteration
+                )
+                pools[r] = pools[r].with_labeled(picks)
+            oracles[r].reveal(picks)
+            seconds[r] += time.perf_counter() - started
+        if kind != "dcom":
+            started = time.perf_counter()
+            learners = _learners_or_none(pool_set, [pool.labeled for pool in pools], spec)
+            elapsed = time.perf_counter() - started
+            batch = [r for r in reps if learners[r] is not None] or reps
+            for r in batch:
+                seconds[r] += elapsed / len(batch)
+        for r in reps:
+            started = time.perf_counter()
+            if learners[r] is None:
+                accuracy = _majority_accuracy(pool_set, pools[r], test_set)
+            else:
+                accuracy = evaluate_accuracy(learners[r], test_set, test_local)
+            seconds[r] += time.perf_counter() - started
+            records[r].append(
+                ExperimentRecord(
+                    run_seed=seeds[r],
+                    strategy=kind,
+                    iteration=iteration,
+                    budget=budget,
+                    accuracy=accuracy,
+                    seconds=seconds[r] if timing else 0.0,
+                    **metrics[r],
+                )
             )
-        )
     # Label reads stay confined to the queried points.
-    stray = sorted(oracle.revealed ^ set(pool.labeled))
-    if stray:
-        raise PoolInvariantError(f"label reads outside the query sets at indices {stray}")
-    return records
+    for oracle, pool in zip(oracles, pools):
+        stray = sorted(oracle.revealed ^ set(pool.labeled))
+        if stray:
+            raise PoolInvariantError(f"label reads outside the query sets at indices {stray}")
+    return [record for rows in records for record in rows]
 
 
 def _majority_accuracy(pool_set, pool, test_set):
@@ -323,8 +352,13 @@ def run_al_loop(config) -> list:
     """Run every repetition of the configured experiment and return the records.
 
     Records are ordered by run seed, then iteration. Only the kinds in
-    SEEDED_KINDS read the run seed; any other kind runs its first repetition
-    once, and every run seed gets a copy of its records, seconds included.
+    SEEDED_KINDS read the run seed; their repetitions run in lockstep, and at
+    each iteration the ones with two labeled classes train as one batch. Any
+    other kind runs its first repetition once, and every run seed gets a copy
+    of its records, seconds included. With record_timing, a record's seconds
+    is its own select and evaluate time plus an equal 1/k share of the
+    training batch of k repetitions it took part in; the records of one
+    iteration sum to that iteration's wall time.
     """
     _validate_config(config)
     dataset = load_dataset(config["data"])
@@ -354,12 +388,12 @@ def run_al_loop(config) -> list:
     setting = strategy_setting(pool_set, kind, config.get("dcom", {}), split_seed)
 
     seeds = [base_seed + i for i in range(config.get("repetitions", 1))]
-    repetition = partial(
-        _run_single_repetition, pool_set, test_set, kind, spec, setting, config
+    seeded = kind in SEEDED_KINDS
+    records = _run_repetitions(
+        pool_set, test_set, kind, spec, setting, config, seeds if seeded else seeds[:1]
     )
-    if kind in SEEDED_KINDS:
-        return [record for seed in seeds for record in repetition(seed)]
-    records = repetition(seeds[0])
+    if seeded:
+        return records
     return [replace(record, run_seed=seed) for seed in seeds for record in records]
 
 

@@ -3,7 +3,9 @@
 Two learner kinds are provided: a multinomial logistic regression trained by
 full-batch gradient descent (linear_probe) and a nearest-class-mean classifier
 whose softmax is taken over negative distances scaled by a temperature.
-Training computes only what prediction reads: no loss is kept.
+Training computes only what prediction reads: no loss is kept. train_learners
+fits several labeled sets of one size as one batch, the linear probes on
+stacked arrays; train_learner is its batch of one.
 """
 
 from __future__ import annotations
@@ -48,47 +50,75 @@ class Learner:
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _probe_grad(weights, features_bias, onehot, l2_penalty):
     """Gradient of the mean cross-entropy plus 0.5 * l2_penalty * |weights|^2.
 
-    features_bias is (m, d+1) with the constant column appended; the bias row
+    features_bias is (m, d+1), or a stack (R, m, d+1), with the constant
+    column appended; weights is (d+1, C) or (R, d+1, C) to match. The bias row
     of the weights is excluded from the penalty.
     """
-    probs = _softmax(features_bias @ weights)
+    logits = features_bias @ weights
+    probs = _softmax(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
     penalized = weights.copy()
-    penalized[-1] = 0.0
-    return features_bias.T @ (probs - onehot) / features_bias.shape[0] + l2_penalty * penalized
+    penalized[..., -1, :] = 0.0
+    m = features_bias.shape[-2]
+    return np.swapaxes(features_bias, -1, -2) @ (probs - onehot) / m + l2_penalty * penalized
 
 
 def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Learner:
-    """Fit on the labeled indices, in order, with their embedding_set labels; deterministic."""
-    indices = np.asarray(labeled, dtype=np.int64)
+    """Fit on the labeled indices, in order, with their embedding_set labels; deterministic.
+
+    The batch of one of train_learners.
+    """
+    return train_learners(embedding_set, [labeled], spec)[0]
+
+
+def train_learners(embedding_set: EmbeddingSet, labeled_sets, spec: LearnerSpec) -> list:
+    """One learner per labeled set, each fit as train_learner fits it alone.
+
+    Every set must hold the same number of points. The linear probes descend
+    together, one _probe_grad per epoch on (R, m, d+1) stacks, and each
+    slice's weights equal those of its own fit; the nearest-class-mean kind
+    fits set by set.
+    """
+    if not len(labeled_sets):
+        return []
+    if len({len(labeled) for labeled in labeled_sets}) > 1:
+        raise ValueError("labeled sets must all hold the same number of points")
+    indices = np.asarray(labeled_sets, dtype=np.int64)
     labels = embedding_set.labels[indices]
-    if (labels == UNKNOWN_LABEL).any():
-        raise UnknownLabel(f"points {indices[labels == UNKNOWN_LABEL].tolist()} have label -1")
-    if np.unique(labels).size < 2:
-        raise SingleClass("training requires at least two distinct labels")
-    class_count = embedding_set.num_classes
-    features = embedding_set.vectors[indices].astype(np.float64)
+    for row, row_labels in zip(indices, labels):
+        if (row_labels == UNKNOWN_LABEL).any():
+            raise UnknownLabel(f"points {row[row_labels == UNKNOWN_LABEL].tolist()} have label -1")
+        if np.unique(row_labels).size < 2:
+            raise SingleClass("training requires at least two distinct labels")
+    dim, class_count = embedding_set.dim, embedding_set.num_classes
 
     if spec.kind == "nearest_class_mean":
-        means = np.full((class_count, embedding_set.dim), np.nan)
-        for c in np.unique(labels):
-            means[c] = features[labels == c].mean(axis=0)
-        return Learner(spec, embedding_set.dim, class_count, class_means=means)
+        learners = []
+        for row, row_labels in zip(indices, labels):
+            features = embedding_set.vectors[row].astype(np.float64)
+            means = np.full((class_count, dim), np.nan)
+            for c in np.unique(row_labels):
+                means[c] = features[row_labels == c].mean(axis=0)
+            learners.append(Learner(spec, dim, class_count, class_means=means))
+        return learners
 
-    features_bias = np.hstack((features, np.ones((features.shape[0], 1))))
+    # The float64 features with the constant column appended, built in place.
+    features_bias = np.ones((*indices.shape, dim + 1))
+    features_bias[..., :dim] = embedding_set.vectors[indices]
     onehot = np.eye(class_count)[labels]
-    weights = np.zeros((embedding_set.dim + 1, class_count))
+    weights = np.zeros((len(indices), dim + 1, class_count))
     for _ in range(spec.epochs):
         grad = _probe_grad(weights, features_bias, onehot, spec.l2_penalty)
         weights = weights - spec.learning_rate * grad
-    return Learner(spec, embedding_set.dim, class_count, weights=weights)
+    return [Learner(spec, dim, class_count, weights=w) for w in weights]
 
 
 def predict_softmax(learner: Learner, embedding_set, targets) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from dcom import data
+from dcom import data, harness
 from dcom.data import EmbeddingSet, _sq_dists
 from dcom.engine import PoolState, compute_tau, delta_grid
+from dcom.learners import train_learner
 
 
 def is_pure_ball(embedding_set, labels, center: int, delta: float) -> bool:
@@ -124,6 +125,37 @@ def train_probe(embedding_set, labeled, spec):
         history.append(loss)
         weights = weights - spec.learning_rate * grad
     return weights, history
+
+
+def seeded_accuracies(config, seed):
+    """Reference for one repetition of run_al_loop on a seeded kind: each iteration's accuracy.
+
+    Picks with select_step and the run seed, fits train_learner on the labeled
+    points alone, and scores it on the test split; while one class is
+    labeled, the accuracy is that of predicting it everywhere.
+    """
+    dataset = harness.load_dataset(config["data"])
+    split = config.get("split", {})
+    train, test = harness.stratified_split(
+        dataset, split.get("test_fraction", 0.25), split.get("seed", 0)
+    )
+    pool_set = EmbeddingSet(dataset.vectors[train], dataset.labels[train])
+    test_set = EmbeddingSet(dataset.vectors[test], dataset.labels[test])
+    kind, spec = config["strategy"]["kind"], harness.learner_spec(config)
+    pool, learner, accuracies = PoolState([], list(range(pool_set.count)), []), None, []
+    for iteration, q in enumerate(config["schedule"]):
+        picks = harness.select_step(pool_set, pool, kind, q, None, spec, learner, seed + iteration)
+        pool = pool.with_labeled(picks)
+        labels = pool_set.labels[pool.labeled]
+        if np.unique(labels).size < 2:
+            learner = None
+            accuracies.append(float((test_set.labels == labels[0]).mean()))
+        else:
+            learner = train_learner(pool_set, pool.labeled, spec)
+            accuracies.append(
+                harness.evaluate_accuracy(learner, test_set, np.arange(test_set.count))
+            )
+    return accuracies
 
 
 def largest_passing_index(size: int, predicate) -> int:

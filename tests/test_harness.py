@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
-from dcom import harness
+from dcom import engine, harness
 from dcom.baselines import SEEDED_KINDS, STRATEGY_KINDS
 from dcom.errors import ConfigError, EmptyTestSet, PoolInvariantError
 from dcom.harness import (
@@ -23,7 +24,7 @@ from dcom.harness import (
     summarize,
     write_report,
 )
-from dcom.learners import LearnerSpec, train_learner
+from dcom.learners import LearnerSpec, train_learner, train_learners
 
 
 def base_config(strategy="dcom", **overrides):
@@ -167,20 +168,78 @@ def test_declared_seedless_kinds_ignore_the_run_seed(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind, computed", [("dcom", 1), ("coreset", 1), ("random", 3)])
 def test_seedless_kinds_compute_one_repetition(monkeypatch, kind, computed):
-    calls = []
-    original = harness._run_single_repetition
+    # Each computed repetition makes one LabelOracle, which logs its picks.
+    made = []
 
-    def counted(*args):
-        calls.append(args[-1])
-        return original(*args)
+    class PickLog(LabelOracle):
+        def __init__(self, labels):
+            super().__init__(labels)
+            self.picks = []
+            made.append(self)
 
-    monkeypatch.setattr(harness, "_run_single_repetition", counted)
-    config = base_config(strategy=kind, repetitions=3, dcom={"delta0": 0.4})
-    config["strategy"]["seed"] = 4
-    records = run_al_loop(config)
-    assert calls == [4, 5, 6][:computed]
+        def reveal(self, indices):
+            self.picks.append(list(indices))
+            return super().reveal(indices)
+
+    monkeypatch.setattr(harness, "LabelOracle", PickLog)
+
+    def run(seed, repetitions):
+        made.clear()
+        config = base_config(strategy=kind, repetitions=repetitions, dcom={"delta0": 0.4})
+        config["strategy"]["seed"] = seed
+        return run_al_loop(config), [oracle.picks for oracle in made]
+
+    records, picks = run(4, 3)
+    # The computed repetitions are those of run seeds [4, 5, 6][:computed].
+    assert picks == [run(seed, 1)[1][0] for seed in [4, 5, 6][:computed]]
     assert [r.run_seed for r in records] == [4, 4, 5, 5, 6, 6]
     assert [r.iteration for r in records] == [0, 1] * 3
+
+
+@pytest.mark.parametrize("learner", ["linear_probe", "nearest_class_mean"])
+@pytest.mark.parametrize("kind", SEEDED_KINDS)
+def test_lockstep_repetitions_equal_one_seed_at_a_time(monkeypatch, tmp_path, kind, learner):
+    from dcom.data import write_embedding_file, write_label_file
+
+    # Classes of 40, 20 and 8 points: while one class is labeled, the
+    # majority accuracy depends on which one it is.
+    s = gen_gaussian_mixture(MixtureSpec(3, 40, 8, 6.0, 1.0, seed=5))
+    keep = np.flatnonzero(np.arange(s.count) % 40 < np.array([40, 20, 8])[s.labels])
+    write_embedding_file(EmbeddingSet(s.vectors[keep]), tmp_path / "e.dcm")
+    write_label_file(s.labels[keep], tmp_path / "l.dcl")
+    batches = []
+
+    def logged(embedding_set, labeled_sets, spec):
+        batches.append(len(labeled_sets))
+        return train_learners(embedding_set, labeled_sets, spec)
+
+    monkeypatch.setattr(engine, "train_learners", logged)
+
+    def config(seed, repetitions):
+        # One point per round at first: some repetitions stay single-class
+        # for a round or two, so a batch trains only some of them.
+        config = base_config(strategy=kind, repetitions=repetitions, schedule=[1, 1, 2, 4],
+                             learner={"kind": learner, "epochs": 40})
+        config["data"] = {"embeddings": str(tmp_path / "e.dcm"), "labels": str(tmp_path / "l.dcl")}
+        config["strategy"]["seed"] = seed
+        return config
+
+    def untimed(records):
+        return [dataclasses.replace(r, seconds=0.0) for r in records]
+
+    lockstep = untimed(run_al_loop(config(0, 6)))
+    assert any(0 < size < 6 for size in batches)
+    one_at_a_time = [r for i in range(6) for r in untimed(run_al_loop(config(i, 1)))]
+    assert lockstep == one_at_a_time
+    reference = [a for i in range(6) for a in oracles.seeded_accuracies(config(0, 6), i)]
+    assert [r.accuracy for r in lockstep] == reference
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_every_timed_record_takes_time(kind):
+    config = base_config(strategy=kind, repetitions=3, schedule=[1, 2, 6], dcom={"delta0": 0.4},
+                         record_timing=True)
+    assert all(r.seconds > 0.0 for r in run_al_loop(config))
 
 
 def test_copied_records_keep_the_computed_seconds():
@@ -333,7 +392,6 @@ def test_report_round_trip_and_summary(tmp_path):
 
 
 def test_select_step_dcom_only_selects(monkeypatch):
-    from dcom import engine
     from dcom.engine import DComConfig, PoolState, run_iteration
 
     s = l2_normalize(gen_gaussian_mixture(MixtureSpec(3, 20, 4, 6.0, 1.0, seed=2)))

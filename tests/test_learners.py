@@ -5,11 +5,13 @@ import oracles
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
 from dcom.errors import DimensionMismatch, SingleClass, UnknownLabel
 from dcom.learners import (
+    LEARNER_KINDS,
     LearnerSpec,
     _probe_grad,
     normalize_unit_interval,
     predict_softmax,
     train_learner,
+    train_learners,
     uncertainty_scores,
 )
 
@@ -70,6 +72,96 @@ def test_probe_weights_equal_loss_tracking_loop(case):
     order = rng.permutation(m)
     weights, _ = oracles.train_probe(s, order, spec)
     assert np.array_equal(train_learner(s, order, spec).weights, weights)
+
+
+def _training_error(embedding_set, labeled, spec):
+    """The (type, message) train_learner raises on labeled, or None if it trains."""
+    try:
+        train_learner(embedding_set, labeled, spec)
+    except (SingleClass, UnknownLabel) as error:
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_batched_trainer_equals_single_trainer_and_oracle(case):
+    rng = np.random.default_rng(700 + case)
+    # m is log-uniform on [2, 600], so small sets come up as often as large ones.
+    r, m = int(rng.integers(1, 13)), int(2 * 300 ** rng.random())
+    d, c = int(rng.integers(1, 65)), int(rng.integers(2, 11))
+    # The first m points are all class 0, so a set drawn from them is
+    # single-class; three of the rest are unknown (-1).
+    n = 2 * m + 10
+    labels = np.concatenate((np.zeros(m, dtype=np.int64), rng.integers(0, c, size=n - m)))
+    labels[-1] = c - 1
+    unknown = rng.choice(np.arange(m, n - 1), size=3, replace=False)
+    labels[unknown] = -1
+    s = EmbeddingSet(rng.normal(scale=(0.1, 1.0, 5.0)[case % 3], size=(n, d)), labels)
+    known = np.flatnonzero(labels >= 0)
+    sets = []
+    for _ in range(r):
+        draw = int(rng.integers(0, 6))
+        if draw == 0:
+            sets.append(rng.permutation(m).tolist())
+        elif draw == 1:
+            picks = rng.choice(known, size=m - 1, replace=False)
+            sets.append(rng.permutation(np.append(picks, unknown[0])).tolist())
+        else:
+            sets.append(rng.choice(known, size=m, replace=False).tolist())
+    kind = LEARNER_KINDS[case % 4 == 3]
+    spec = LearnerSpec(kind=kind, learning_rate=(0.05, 0.5, 2.0)[case % 3],
+                       epochs=(1, 2, 30)[case // 3 % 3], l2_penalty=(0.0, 1e-4)[case % 2])
+
+    errors = [_training_error(s, labeled, spec) for labeled in sets]
+    # The messages stay as they were, the -1 point named.
+    assert set(errors) <= {
+        None,
+        (SingleClass, "training requires at least two distinct labels"),
+        (UnknownLabel, f"points [{unknown[0]}] have label -1"),
+    }
+    first = next((e for e in errors if e is not None), None)
+    if first is not None:
+        with pytest.raises(first[0]) as raised:
+            train_learners(s, sets, spec)
+        assert str(raised.value) == first[1]
+    good = [labeled for labeled, e in zip(sets, errors) if e is None]
+    batch = train_learners(s, good, spec)
+    assert len(batch) == len(good)
+    for labeled, learner in zip(good, batch):
+        alone = train_learner(s, labeled, spec)
+        if kind == "nearest_class_mean":
+            assert np.array_equal(learner.class_means, alone.class_means, equal_nan=True)
+            continue
+        assert np.array_equal(learner.weights, alone.weights)
+        assert np.array_equal(learner.weights, oracles.train_probe(s, labeled, spec)[0])
+
+
+def test_batched_trainer_error_messages():
+    s = EmbeddingSet([[0.0], [1.0], [2.0], [3.0]], labels=[0, 1, -1, 0])
+    spec = LearnerSpec(epochs=2)
+    with pytest.raises(SingleClass) as single:
+        train_learners(s, [[0, 1], [0, 3]], spec)
+    assert str(single.value) == "training requires at least two distinct labels"
+    with pytest.raises(UnknownLabel) as unknown:
+        train_learners(s, [[0, 1, 3], [2, 0, 1]], spec)
+    assert str(unknown.value) == "points [2] have label -1"
+    with pytest.raises(ValueError, match="same number of points"):
+        train_learners(s, [[0, 1], [0, 1, 3]], spec)
+    assert train_learners(s, [], spec) == []
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_stacked_probe_grad_matches_oracle_per_slice(case):
+    rng = np.random.default_rng(900 + case)
+    r, m = int(rng.integers(1, 13)), int(2 * 300 ** rng.random())
+    d, c = int(rng.integers(1, 65)), int(rng.integers(2, 11))
+    features = np.concatenate((rng.normal(size=(r, m, d)), np.ones((r, m, 1))), axis=-1)
+    onehot = np.eye(c)[rng.integers(0, c, size=(r, m))]
+    weights = rng.normal(scale=0.5, size=(r, d + 1, c))
+    grad = _probe_grad(weights, features, onehot, 1e-4)
+    for i in range(r):
+        _, expected = oracles.probe_loss_and_grad(weights[i], features[i], onehot[i], 1e-4)
+        assert np.array_equal(grad[i], expected)
 
 
 def test_probe_deterministic():
