@@ -6,6 +6,11 @@ whose softmax is taken over negative distances scaled by a temperature.
 Training computes only what prediction reads: no loss is kept. train_learners
 fits several labeled sets of one size as one batch, the linear probes on
 stacked arrays; train_learner is its batch of one.
+
+Training and prediction share one softmax, computed classes-major: on a
+(C, N) copy of the logits each step is a pass along N, not one short inner
+loop per row. _row_sums adds each row in NumPy's own pairwise order, so the
+result is bit-identical to the row-major softmax.
 """
 
 from __future__ import annotations
@@ -49,26 +54,67 @@ class Learner:
     class_means: np.ndarray = None  # (C, dim), nearest-class-mean only
 
 
+def _row_sums(columns):
+    """x.sum(axis=1), bit-identical, from the (C, N) array columns = x.T.
+
+    NumPy adds a row of C values in order for C < 8; for C up to 128 in eight
+    accumulators strided by 8, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the tail in order; above 128 as two halves
+    split at a multiple of 8. Each step here is one pass along N.
+    """
+    count = columns.shape[0]
+    if count < 8:
+        return columns.sum(axis=0)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _row_sums(columns[:half]) + _row_sums(columns[half:])
+    body = count - count % 8
+    acc = columns[:8]
+    for start in range(8, body, 8):
+        acc = acc + columns[start : start + 8]
+    pairs = acc[0::2] + acc[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    total = quads[0] + quads[1]
+    for row in columns[body:]:
+        total += row
+    return total
+
+
 def _softmax(logits):
-    e = logits - logits.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    """Row softmax of (N, C) logits, returned as a contiguous (N, C) array.
+
+    The max is an exact selection, the subtract, exp and divide are
+    elementwise and _row_sums keeps NumPy's order, so computing on the
+    (C, N) copy gives the row-major softmax's bits.
+    """
+    columns = logits.T.copy()
+    columns -= columns.max(axis=0)
+    np.exp(columns, out=columns)
+    columns /= _row_sums(columns)
+    return columns.T.copy()
 
 
-def _probe_grad(weights, features_bias, onehot, l2_penalty):
+def _probe_grad(features_bias, onehot, l2_penalty):
     """Gradient of the mean cross-entropy plus 0.5 * l2_penalty * |weights|^2.
 
-    features_bias is (m, d+1), or a stack (R, m, d+1), with the constant
-    column appended; weights is (d+1, C) or (R, d+1, C) to match. The bias row
-    of the weights is excluded from the penalty.
+    Returned as a function of the weights. features_bias is (m, d+1), or a
+    stack (R, m, d+1), with the constant column appended; onehot is (m, C) or
+    (R, m, C), and the weights (d+1, C) or (R, d+1, C) to match. The bias row
+    of the weights is excluded from the penalty. The epoch loop's invariants,
+    the transposed features and the penalty's zero bias row, are made once.
     """
-    logits = features_bias @ weights
-    probs = _softmax(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
-    penalized = weights.copy()
-    penalized[..., -1, :] = 0.0
-    m = features_bias.shape[-2]
-    return np.swapaxes(features_bias, -1, -2) @ (probs - onehot) / m + l2_penalty * penalized
+    features_t = np.swapaxes(features_bias, -1, -2)
+    m, class_count = features_bias.shape[-2], onehot.shape[-1]
+    penalty = np.zeros((*features_t.shape[:-1], class_count))
+    penalized_rows = penalty[..., :-1, :]
+
+    def grad(weights):
+        logits = features_bias @ weights
+        probs = _softmax(logits.reshape(-1, class_count)).reshape(logits.shape)
+        np.multiply(l2_penalty, weights[..., :-1, :], out=penalized_rows)
+        return features_t @ (probs - onehot) / m + penalty
+
+    return grad
 
 
 def train_learner(embedding_set: EmbeddingSet, labeled, spec: LearnerSpec) -> Learner:
@@ -115,9 +161,9 @@ def train_learners(embedding_set: EmbeddingSet, labeled_sets, spec: LearnerSpec)
     features_bias[..., :dim] = embedding_set.vectors[indices]
     onehot = np.eye(class_count)[labels]
     weights = np.zeros((len(indices), dim + 1, class_count))
+    grad = _probe_grad(features_bias, onehot, spec.l2_penalty)
     for _ in range(spec.epochs):
-        grad = _probe_grad(weights, features_bias, onehot, spec.l2_penalty)
-        weights = weights - spec.learning_rate * grad
+        weights = weights - spec.learning_rate * grad(weights)
     return [Learner(spec, dim, class_count, weights=w) for w in weights]
 
 

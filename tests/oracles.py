@@ -88,6 +88,12 @@ def nnn_classify(embedding_set, labeled, deltas, query: int) -> int:
     return int(embedding_set.labels[indices[int(np.argmin(ratios))]])
 
 
+def softmax(logits):
+    """Reference for learners._softmax: the row-major softmax of (N, C) logits."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def probe_loss_and_grad(weights, features_bias, onehot, l2_penalty):
     """Reference for learners._probe_grad: the loss it descends, and its gradient.
 
@@ -95,9 +101,7 @@ def probe_loss_and_grad(weights, features_bias, onehot, l2_penalty):
     the weights excluded, written out apart from learners. features_bias is
     (m, d+1) with the constant column appended.
     """
-    logits = features_bias @ weights
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = softmax(features_bias @ weights)
     penalized = weights.copy()
     penalized[-1] = 0.0
     grad = features_bias.T @ (probs - onehot) / features_bias.shape[0] + l2_penalty * penalized

@@ -364,7 +364,7 @@ def test_criterion_12_probe_gradient_matches_central_differences():
     onehot = np.zeros((m, c))
     onehot[np.arange(m), rng.integers(0, c, size=m)] = 1.0
     weights = rng.normal(scale=0.5, size=(d + 1, c))
-    grad = _probe_grad(weights, features, onehot, 1e-4)
+    grad = _probe_grad(features, onehot, 1e-4)(weights)
     h = 1e-5
     numeric = np.zeros_like(weights)
     for i in range(d + 1):

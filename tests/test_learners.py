@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import oracles
-from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
+from dcom.data import EmbeddingSet, MixtureSpec, _sq_dists, gen_gaussian_mixture
 from dcom.errors import DimensionMismatch, SingleClass, UnknownLabel
 from dcom.learners import (
     LEARNER_KINDS,
     LearnerSpec,
     _probe_grad,
+    _row_sums,
+    _softmax,
     normalize_unit_interval,
     predict_softmax,
     train_learner,
@@ -83,16 +85,35 @@ def _training_error(embedding_set, labeled, spec):
     return None
 
 
-@pytest.mark.parametrize("case", range(20))
+def _logits(learner, embedding_set, targets):
+    """The logits predict_softmax takes the softmax of, written out per learner kind."""
+    features = embedding_set.vectors[targets].astype(np.float64)
+    if learner.spec.kind == "linear_probe":
+        return np.hstack((features, np.ones((len(targets), 1)))) @ learner.weights
+    logits = np.full((len(targets), learner.class_count), -np.inf)
+    for c, mean in enumerate(learner.class_means):
+        if not np.isnan(mean).any():
+            logits[:, c] = -np.sqrt(_sq_dists(features, mean)) / learner.spec.temperature
+    return logits
+
+
+@pytest.mark.parametrize("case", range(30))
 def test_batched_trainer_equals_single_trainer_and_oracle(case):
     rng = np.random.default_rng(700 + case)
     # m is log-uniform on [2, 600], so small sets come up as often as large ones.
     r, m = int(rng.integers(1, 13)), int(2 * 300 ** rng.random())
     d, c = int(rng.integers(1, 65)), int(rng.integers(2, 11))
+    # Cases 20-29 take class counts that run every branch of _row_sums (the
+    # 8-accumulator body, its tail, the split above 128), with the three
+    # classes below c - 1 drawn by no point, so no labeled set holds them.
+    present = c
+    if case >= 20:
+        c = (8, 9, 16, 17, 129)[case % 5]
+        present = c - 4
     # The first m points are all class 0, so a set drawn from them is
     # single-class; three of the rest are unknown (-1).
     n = 2 * m + 10
-    labels = np.concatenate((np.zeros(m, dtype=np.int64), rng.integers(0, c, size=n - m)))
+    labels = np.concatenate((np.zeros(m, dtype=np.int64), rng.integers(0, present, size=n - m)))
     labels[-1] = c - 1
     unknown = rng.choice(np.arange(m, n - 1), size=3, replace=False)
     labels[unknown] = -1
@@ -108,7 +129,7 @@ def test_batched_trainer_equals_single_trainer_and_oracle(case):
             sets.append(rng.permutation(np.append(picks, unknown[0])).tolist())
         else:
             sets.append(rng.choice(known, size=m, replace=False).tolist())
-    kind = LEARNER_KINDS[case % 4 == 3]
+    kind = LEARNER_KINDS[case % 4 == 3 if case < 20 else case >= 25]
     spec = LearnerSpec(kind=kind, learning_rate=(0.05, 0.5, 2.0)[case % 3],
                        epochs=(1, 2, 30)[case // 3 % 3], l2_penalty=(0.0, 1e-4)[case % 2])
 
@@ -127,13 +148,77 @@ def test_batched_trainer_equals_single_trainer_and_oracle(case):
     good = [labeled for labeled, e in zip(sets, errors) if e is None]
     batch = train_learners(s, good, spec)
     assert len(batch) == len(good)
+    targets = np.arange(s.count)
     for labeled, learner in zip(good, batch):
+        probs = predict_softmax(learner, s, targets)
+        assert np.array_equal(probs, oracles.softmax(_logits(learner, s, targets)))
         alone = train_learner(s, labeled, spec)
         if kind == "nearest_class_mean":
             assert np.array_equal(learner.class_means, alone.class_means, equal_nan=True)
             continue
         assert np.array_equal(learner.weights, alone.weights)
         assert np.array_equal(learner.weights, oracles.train_probe(s, labeled, spec)[0])
+
+
+@pytest.fixture(scope="module")
+def mixed_rows():
+    """(4096, 300) values whose row sums depend on the order of addition.
+
+    Rows cycle through eight kinds: magnitudes log-uniform on 1e-300..1e300;
+    one magnitude per row, drawn from the same range; positive values near
+    1, as exp gives; half zeros of either sign; subnormals among values
+    near the smallest normal; and one inf, one nan or one -inf among values
+    of one magnitude.
+    """
+    rng = np.random.default_rng(28)
+    n, c = 4096, 300
+    signs = rng.choice((-1.0, 1.0), size=(n, c))
+    rows = signs * 10.0 ** rng.uniform(-300, 300, size=(n, c))
+    rows[1::8] = signs[1::8] * rng.random((n // 8, c)) * 10.0 ** rng.uniform(-300, 300, (n // 8, 1))
+    rows[2::8] = rng.random((n // 8, c))
+    rows[3::8] *= rng.random((n // 8, c)) < 0.5
+    rows[4::8] = signs[4::8] * rng.random((n // 8, c)) * 1e-306
+    rows[4::8, ::3] = signs[4::8, ::3] * rng.integers(1, 2**52, (n // 8, 100)) * 5e-324
+    for kind, special in ((5, np.inf), (6, np.nan), (7, -np.inf)):
+        rows[kind::8] = signs[kind::8] * rng.random((n // 8, c))
+        rows[kind::8][np.arange(n // 8), rng.integers(0, c, n // 8)] = special
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 4096])
+def test_row_sums_keep_numpys_order(mixed_rows, n):
+    # C = 1-7 runs the sequential sum, 8-128 the eight accumulators and the
+    # tail, and 129-300 the split. If NumPy's summation order changes, the
+    # softmax's row sum must follow it: mend _row_sums, not this test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(1, 301):
+            x = np.ascontiguousarray(mixed_rows[:n, :c])
+            assert np.array_equal(_row_sums(x.T.copy()), x.sum(axis=1), equal_nan=True), c
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_softmax_equals_oracle(case):
+    rng = np.random.default_rng(1200 + case)
+    # The (R*m, C) logits _probe_grad takes the softmax of; m is 0 in case 0.
+    r, m = int(rng.integers(1, 13)), int(rng.integers(1, 300)) * (case > 0)
+    d, c = int(rng.integers(1, 65)), (2, 3, 5, 7, 8, 9, 10, 16, 17, 33, 129, 300)[case]
+    features = np.concatenate((rng.normal(size=(r, m, d)), np.ones((r, m, 1))), axis=-1)
+    weights = rng.normal(scale=(0.1, 1.0, 10.0)[case % 3], size=(r, d + 1, c))
+    logits = (features @ weights).reshape(-1, c)
+    probs = _softmax(logits)
+    assert probs.shape == logits.shape and probs.flags.c_contiguous
+    assert np.array_equal(probs, oracles.softmax(logits))
+    # A nearest-class-mean learner gives its absent classes -inf logits.
+    logits[:, rng.choice(c, size=c // 2, replace=False)] = -np.inf
+    assert np.array_equal(_softmax(logits), oracles.softmax(logits))
+
+
+def test_predict_softmax_of_no_targets():
+    s = EmbeddingSet([[0.0], [1.0], [2.0]], labels=[0, 1, 2])
+    for kind in LEARNER_KINDS:
+        learner = train_learner(s, [0, 1], LearnerSpec(kind=kind, epochs=3))
+        probs = predict_softmax(learner, s, [])
+        assert probs.shape == (0, 3) and probs.flags.c_contiguous
 
 
 def test_batched_trainer_error_messages():
@@ -158,7 +243,7 @@ def test_stacked_probe_grad_matches_oracle_per_slice(case):
     features = np.concatenate((rng.normal(size=(r, m, d)), np.ones((r, m, 1))), axis=-1)
     onehot = np.eye(c)[rng.integers(0, c, size=(r, m))]
     weights = rng.normal(scale=0.5, size=(r, d + 1, c))
-    grad = _probe_grad(weights, features, onehot, 1e-4)
+    grad = _probe_grad(features, onehot, 1e-4)(weights)
     for i in range(r):
         _, expected = oracles.probe_loss_and_grad(weights[i], features[i], onehot[i], 1e-4)
         assert np.array_equal(grad[i], expected)
@@ -178,7 +263,7 @@ def test_probe_gradient_matches_central_differences():
     onehot = np.zeros((m, c))
     onehot[np.arange(m), rng.integers(0, c, size=m)] = 1.0
     weights = rng.normal(scale=0.5, size=(d + 1, c))
-    grad = _probe_grad(weights, features, onehot, 1e-4)
+    grad = _probe_grad(features, onehot, 1e-4)(weights)
     h = 1e-5
     numeric = np.zeros_like(weights)
     for i in range(d + 1):
