@@ -33,7 +33,10 @@ UNKNOWN_LABEL = -1
 # n and d are u32 on disk; reject payloads whose product cannot be indexed.
 _MAX_ELEMENTS = 2**31
 _REFINE_PAIRS = 1024  # pairs per exact float64 gather: bounds memory, not results
-_GRAM_ROWS = 256  # rows per Gram-pass strip; its keys and mask take 5 bytes per row per column
+# The Gram pass's tile: rows x columns of keys per GEMM. Its float32 keys and
+# mask, 5 bytes per cell, are about 5 MB whatever the number of points.
+_TILE_ROWS = 256
+_TILE_COLS = 4096
 
 
 class EmbeddingSet:
@@ -280,15 +283,20 @@ def _gram_pairs(inputs, rows, cols, keep):
 
     inputs is _gram_inputs(...); rows are point indices in any order, cols
     sorted and duplicate-free, so cols holding every point is arange(n) and
-    gram itself is the column side. For each strip part = rows[lo : lo + _GRAM_ROWS],
-    the keys fill a reused len(part) x len(cols) buffer, and the hook
-    keep(lo, part, keys, mask) fills mask, a boolean buffer of the keys'
-    shape, with the pairs it wants; it may overwrite keys. Each marked pair
-    is yielded, a strip at a time in (rows, cols) order, as (k, i, j, key):
-    the position k in rows, i = rows[k], j in cols and the key as the hook
-    left it. The pass neither compares keys nor refines; each client proves
-    from the key error E of _gram_inputs that it marks every pair it needs,
-    and refines with _pair_sq_dists the pairs its keys do not decide.
+    gram itself is the column side. Each row block part = rows[lo : lo + _TILE_ROWS]
+    meets cols in tiles of at most _TILE_COLS columns: the tile starting at
+    position c0 of cols fills a len(part) x width keys array with the keys of
+    part x cols[c0 : c0 + width], and the hook keep(lo, part, c0, keys, mask)
+    fills mask, a boolean array of the keys' shape, with the pairs it wants;
+    it may overwrite keys. Every tile's keys and mask are contiguous views of
+    one keys buffer and one mask buffer of at most _TILE_ROWS x _TILE_COLS
+    cells, allocated once per call. Each marked pair is yielded, a tile at a
+    time in (row block, tile, row, column) order, as (k, i, j, key): the
+    position k in rows, i = rows[k], j in cols and the key as the hook left
+    it. So a row's pairs come in ascending cols order, and a column's in
+    rows order. The pass neither compares keys nor refines; each client
+    proves from the key error E of _gram_inputs that it marks every pair it
+    needs, and refines with _pair_sq_dists the pairs its keys do not decide.
     graph.build_radius_graph and graph.covered_set mark the keys at or above
     a floor at the radius and refine those below an upper floor,
     purity.min_impure_distance marks and refines those within the slack of
@@ -296,41 +304,44 @@ def _gram_pairs(inputs, rows, cols, keep):
     engine._ball_counts marks and refines those in a band around a grid radius.
 
     Upper-triangle mode runs when rows is cols, the way a caller passes one
-    set of points for both sides. Then part meets only cols[lo:], so keys is
-    len(part) x (len(cols) - lo) and column c holds cols[lo + c]; of the
-    leading len(part) columns, the diagonal tile, only marked pairs past the
-    diagonal are yielded. Each unordered pair {i, j} then comes once, as
-    i < j, sorted by (i, j). One key per pair is enough: the bound of
-    _gram_inputs holds for any summation order, so for either orientation.
-    One refine is enough: _sq_dists is exactly symmetric, as (a - b)^2 and
-    (b - a)^2 are equal in IEEE arithmetic.
+    set of points for both sides. Then a row block's tiles start at its own
+    first column, c0 = lo, so the tiles left of the diagonal are never made,
+    and of the tile columns that overlap the block's rows only marked pairs
+    past the diagonal are yielded. Each unordered pair {i, j} then comes
+    once, as i < j. One key per pair is enough: the bound of _gram_inputs
+    holds for any summation order, so for either orientation and any tile
+    shape. One refine is enough: _sq_dists is exactly symmetric, as
+    (a - b)^2 and (b - a)^2 are equal in IEEE arithmetic.
 
     The keys are gram[part].take(swap, axis=1) @ gram[cols].T, whose left rows
     are [x_i, 1, -|x_i|^2/2]. take keeps that side C-contiguous; [:, swap] makes
     an F-ordered copy, which slowed the covered-iter bench by about 15% (2 cores).
-    Each strip's keys and mask are contiguous views of flat reused buffers.
     """
     points, gram, _ = inputs
     swap = np.r_[: points.shape[1], -1, -2]
     upper = rows is cols
     tgt = gram if cols.size == gram.shape[0] else gram[cols]
-    rows_max = min(_GRAM_ROWS, rows.size)
-    keys_buf = np.empty(rows_max * cols.size, dtype=gram.dtype)
+    rows_max, cols_max = min(_TILE_ROWS, rows.size), min(_TILE_COLS, cols.size)
+    keys_buf = np.empty(rows_max * cols_max, dtype=gram.dtype)
     mask_buf = np.empty(keys_buf.size, dtype=bool)
-    tile = np.triu(np.ones((rows_max, rows_max), dtype=bool), 1) if upper else None
-    for lo in range(0, rows.size if cols.size else 0, _GRAM_ROWS):
-        part = rows[lo : lo + _GRAM_ROWS]
-        first = lo if upper else 0
-        width = cols.size - first
-        keys = keys_buf[: part.size * width].reshape(part.size, width)
-        mask = mask_buf[: keys.size].reshape(keys.shape)
-        np.matmul(gram[part].take(swap, axis=1), tgt[first:].T, out=keys)
-        keep(lo, part, keys, mask)
-        if upper:
-            mask[:, : part.size] &= tile[: part.size, : part.size]
-        marked = np.flatnonzero(mask)
-        cand_row, cand_col = np.divmod(marked, width)
-        yield lo + cand_row, part[cand_row], cols[first + cand_col], keys_buf.take(marked)
+    # past[r, c]: position c is past position r, for the tiles on the diagonal.
+    past = np.triu(np.ones((rows_max, rows_max), dtype=bool), 1) if upper else None
+    for lo in range(0, rows.size if cols.size else 0, _TILE_ROWS):
+        part = rows[lo : lo + _TILE_ROWS]
+        hi = lo + part.size
+        left = gram[part].take(swap, axis=1)
+        for c0 in range(lo if upper else 0, cols.size, _TILE_COLS):
+            width = min(_TILE_COLS, cols.size - c0)
+            keys = keys_buf[: part.size * width].reshape(part.size, width)
+            mask = mask_buf[: keys.size].reshape(keys.shape)
+            np.matmul(left, tgt[c0 : c0 + width].T, out=keys)
+            keep(lo, part, c0, keys, mask)
+            if upper and c0 < hi:
+                overlap = min(width, hi - c0)
+                mask[:, :overlap] &= past[: part.size, c0 - lo : c0 - lo + overlap]
+            marked = np.flatnonzero(mask)
+            cand_row, cand_col = np.divmod(marked, width)
+            yield lo + cand_row, part[cand_row], cols[c0 + cand_col], keys_buf.take(marked)
 
 
 def gen_gaussian_mixture(spec: MixtureSpec) -> EmbeddingSet:

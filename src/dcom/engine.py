@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data
 from .data import UNKNOWN_LABEL, EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists
 from .errors import ConfigError, PoolInvariantError
 from .graph import _index_array, _indices, build_radius_graph, covered_set
@@ -34,7 +35,8 @@ from .learners import (
 # Buckets of _ball_counts' table, which spans squared distances up to the largest
 # squared grid radius; more buckets mean narrower bands and fewer exact refines.
 _BUCKETS = 2**14
-# Keys, centres x points, and histogram slots per _ball_counts block: bounds memory.
+# Keys of one tile, centres x tile columns, and histogram slots per _ball_counts
+# block: bounds memory.
 _BALL_CELLS = 2**16
 # Most radii in a DComConfig's grid: expand_delta's count tables grow with it, not the data.
 _MAX_RADII = 2**16
@@ -204,11 +206,14 @@ def _ball_counts(embedding_set, centers, labels, grid):
     of them with labels[j] == labels[c]; both are int64 of shape
     (block, len(grid)). grid must be positive and non-decreasing.
 
-    The centers run through data._gram_pairs against every point, a block of
-    at most _BALL_CELLS keys at a time. A pair's key K ~ -D/2, D the exact
-    squared distance, is off by at most the E of data._gram_inputs, so
-    sq' = -2 K is within 2 E of D. The exact refine sq is within
-    1.1 (d + 2) v D <= 4.4 (d + 2) v M of D, as D <= 4 M. So
+    The centers run through data._gram_pairs against every point in blocks of
+    _BALL_CELLS // max(min(n, data._TILE_COLS), 2 (len(grid) + 2)) centers,
+    at least one. So a tile's keys and int64 slots, and a block's
+    histograms of 2 (len(grid) + 2) slots per center, hold at most
+    _BALL_CELLS cells unless one center needs more. A pair's key K ~ -D/2,
+    D the exact squared distance, is off by at most the E of
+    data._gram_inputs, so sq' = -2 K is within 2 E of D. The exact refine sq
+    is within 1.1 (d + 2) v D <= 4.4 (d + 2) v M of D, as D <= 4 M. So
     |sq - sq'| <= T = 2 E + 4.4 (d + 2) v M <= (11 d + 20) u M, which is
     below s (1 - 2 u), s = 12 (d + 4) u (1 + M) the pass's slack before it
     is stored in the keys' dtype. Call
@@ -250,16 +255,16 @@ def _ball_counts(embedding_set, centers, labels, grid):
     scale = dtype.type(-2.0 / width)
     slots = 2 * (size + 2)
     everything = np.arange(embedding_set.count)
-    step = max(1, _BALL_CELLS // max(everything.size, slots))
+    step = max(1, _BALL_CELLS // max(min(everything.size, data._TILE_COLS), slots))
     for lo in range(0, centers.size, step):
         block = centers[lo : lo + step]
         hist = np.zeros(block.size * slots, dtype=np.int64)
 
-        def keep(at, part, keys, mask):
+        def keep(at, part, c0, keys, mask):
             np.multiply(keys, scale, out=keys)
             np.clip(keys, 0, _BUCKETS, out=keys)
             slot = table.take(keys.astype(np.intp))
-            np.equal(labels[part][:, None], labels, out=mask)
+            np.equal(labels[part][:, None], labels[c0 : c0 + keys.shape[1]], out=mask)
             slot += mask
             np.greater_equal(slot, 2 * (size + 1), out=mask)
             slot += slots * np.arange(at, at + part.size)[:, None]

@@ -6,26 +6,28 @@ degrees, so out-degrees count uncovered neighbours, as do ball_members. The
 greedy kernel in engine (shared by dcom_select and select_probcover) builds
 over the unlabeled points with the pool's covered mask, then only covers.
 Candidates come from data._gram_pairs, the package's one float32 Gram pass,
+which makes its keys one data._TILE_ROWS x data._TILE_COLS tile at a time, in
+one reused buffer of about 5 MB whatever the number of points. They are
 marked at a floor derived from the key error bound of data._gram_inputs. A
 candidate whose key clears an upper floor, as almost all do, is within the
 radius by the same bound; only the band between the two floors is confirmed
 with the package's exact float64 distance. So the edge set matches a
-brute-force O(n^2) scan bit for bit. The build runs the pass's
-upper-triangle mode over the uncovered points, the whole of a cold start, and
-its rectangular mode from the covered points to them: a pair of covered points
-is never alive, so never built. covered_set runs the same pass with a radius,
-and so a pair of floors, per labeled point.
+brute-force O(n^2) scan bit for bit, and the CSR does not depend on the tile
+shape. The build runs the pass's upper-triangle mode over the uncovered
+points, the whole of a cold start, and its rectangular mode from the covered
+points to them: a pair of covered points is never alive, so never built.
+covered_set runs the same pass with a radius, and so a pair of floors, per
+labeled point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import data
 from .data import EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists
 from .errors import DenseRadiusGraph
 
-# Labeled points per coverage block.
-_COVER_ROWS = 32
 # Stored entries, 2 per confirmed pair, past which a build stops; about ten times
 # a 100k-point select's 5.6M.
 _MAX_EDGES = 60_000_000
@@ -119,11 +121,14 @@ def build_radius_graph(
     floor, upper = _floors(thresh, inputs)
     a_parts, b_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     edges = 0
+
+    def at_floor(lo, part, c0, keys, mask):
+        np.greater_equal(keys, floor, out=mask)
+
     # The upper-triangle pass yields each uncovered pair once, as a < b; then
     # covered x uncovered. No pair comes twice and no point meets itself.
     for rows in (open_points, shut_points):
-        pairs = _gram_pairs(inputs, rows, open_points,
-                            lambda lo, part, keys, mask: np.greater_equal(keys, floor, out=mask))
+        pairs = _gram_pairs(inputs, rows, open_points, at_floor)
         for _, a, b, key in pairs:
             keep = key >= upper
             band = np.flatnonzero(~keep)
@@ -174,9 +179,12 @@ def _indices(name, values, n):
 def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
     """Covered flags of the union of closed per-point balls around the labeled points.
 
-    Each block of _COVER_ROWS labeled points runs the Gram pass against only
-    the points no earlier block covered, as a union has no order, with row
-    k's floor, upper floor and refine at its own radius r_k: a key at or
+    Each block of labeled points runs the Gram pass against only the points
+    no earlier block covered, as a union has no order. A block is an eighth
+    of the pass's data._TILE_ROWS, so a pool that its first balls cover
+    skips the rest: on the covered-iter bench's 8k points a call took 6 ms
+    in blocks of 32 and 18 ms in blocks of 256 (2 cores). Row k gets its
+    floor, upper floor and refine at its own radius r_k: a key at or
     above row k's upper floor covers its point with no refine, and only the
     band between the two floors is refined. The floors and their proofs are
     build_radius_graph's: the slack is computed for the largest radius and
@@ -197,10 +205,11 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
     floors, uppers = _floors(sq_radii, inputs)
     covered = np.zeros(embedding_set.count, dtype=bool)
     covered[labeled] = True
-    for lo in range(0, labeled.size, _COVER_ROWS):
+    step = max(1, data._TILE_ROWS // 8)
+    for lo in range(0, labeled.size, step):
         # A labeled point is covered, so it never meets itself among the columns.
-        pairs = _gram_pairs(inputs, labeled[lo : lo + _COVER_ROWS], np.flatnonzero(~covered),
-                            lambda at, part, keys, mask: np.greater_equal(
+        pairs = _gram_pairs(inputs, labeled[lo : lo + step], np.flatnonzero(~covered),
+                            lambda at, part, c0, keys, mask: np.greater_equal(
                                 keys, floors[lo + at : lo + at + part.size, None], out=mask))
         for k, i, j, key in pairs:
             row = lo + k

@@ -13,6 +13,7 @@ import numpy as np
 
 from .data import EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists, _sq_dists
 from .errors import DimensionMismatch, NoDeltaMeetsAlpha
+from .graph import _indices
 
 DEFAULT_ALPHA = 0.95
 # 0.05 steps from 0.05 to 2.0, suited to L2-normalized embeddings.
@@ -40,7 +41,7 @@ class PurityCurve:
             raise ValueError("grid and purity must be non-empty and equal length")
         if not (np.diff(grid) > 0).all():
             raise ValueError("grid must be strictly increasing")
-        if purity.min() < 0.0 or purity.max() > 1.0:
+        if not ((purity >= 0.0) & (purity <= 1.0)).all():  # NaN fails both
             raise ValueError("purity values must lie in [0, 1]")
         if (np.diff(purity) > _MONOTONE_JITTER).any():
             raise ValueError("purity curve increases beyond estimation jitter")
@@ -115,13 +116,18 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
     2 E + (4.4 d + 11) u M + u s <= (11 d + 22) u M + u s of the largest one,
     and s = 12 (d + 4) u (1 + M), data._gram_inputs's slack, covers that.
 
-    The largest key of a point is known only once every strip has passed it,
-    so each point keeps a running maximum of its differently-labeled keys,
-    over its row in its own strip and its column in earlier ones. A pair is
-    marked, and so goes through the exact refine, data._pair_sq_dists, when
-    its key is at least either endpoint's running maximum minus s. A running
-    maximum never exceeds the final one, so every exact minimiser of either
-    endpoint is refined, and the refine's minimum is taken at both endpoints.
+    The largest key of a point is known only once the whole pass has passed
+    it, so each point keeps a running maximum of its differently-labeled
+    keys. Each tile raises it over the tile's row for each row of its row
+    block, and over the tile's column for each column past the block's rows,
+    as those meet the block only as columns. A pair is marked, and so goes
+    through the exact refine, data._pair_sq_dists, when its key is at least
+    either endpoint's running maximum minus s: its column's, then its row's,
+    as the row's maximum so far. A running maximum never exceeds the final
+    one, so every exact minimiser of either endpoint is refined, and the
+    refine's minimum is taken at both endpoints. Tiles make the row maxima
+    grow tile by tile, so a few more pairs may be refined than with whole
+    rows: 19,050 instead of 18,793 on the init-delta bench's 6,000 points.
     """
     n = embedding_set.count
     labels = np.asarray(labels)
@@ -131,19 +137,24 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
     slack = inputs[2]
     top = np.full(n, -np.inf, dtype=inputs[1].dtype)
 
-    def keep(lo, part, keys, mask):
-        hi = lo + part.size
-        np.equal(labels[part][:, None], labels[lo:], out=mask)
-        np.copyto(keys, -np.inf, where=mask)
-        np.maximum(top[lo:hi], keys.max(axis=1), out=top[lo:hi])
-        np.maximum(top[hi:], keys[:, part.size :].max(axis=0), out=top[hi:])
-        floor = top[lo:] - slack
+    def floors(maxima):
+        floor = maxima - slack
         # A point with no other label so far has nothing to refine.
         floor[floor == -np.inf] = np.inf
+        return floor
+
+    def keep(lo, part, c0, keys, mask):
+        hi, c1 = lo + part.size, c0 + keys.shape[1]
+        np.equal(labels[part][:, None], labels[c0:c1], out=mask)
+        np.copyto(keys, -np.inf, where=mask)
+        np.maximum(top[lo:hi], keys.max(axis=1), out=top[lo:hi])
+        # Columns past the block's rows meet it only as columns; its rows took their maxima above.
+        after = max(hi, c0)
+        np.maximum(top[after:c1], keys[:, after - c0 :].max(axis=0), out=top[after:c1])
         # Keep the pairs within the slack of their column's maximum, as +inf keys, or their row's.
-        np.greater_equal(keys, floor, out=mask)
+        np.greater_equal(keys, floors(top[c0:c1]), out=mask)
         np.copyto(keys, np.inf, where=mask)
-        np.greater_equal(keys, floor[: part.size, None], out=mask)
+        np.greater_equal(keys, floors(top[lo:hi])[:, None], out=mask)
 
     best = np.full(n, np.inf)
     everything = np.arange(n)
@@ -157,16 +168,22 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
 def estimate_purity_curve(embedding_set, labels, grid, sample=None) -> PurityCurve:
     """Fraction of centers whose ball stays pure, for each grid radius.
 
-    All points act as centers unless a sample of indices (any order, repeats allowed) is given.
+    All points act as centers unless a non-empty sample of point indices (any
+    order, repeats allowed) is given; a fraction, a bool or an index outside
+    [0, n) raises ValueError naming it.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
     if not (np.diff(grid) > 0).all():
         raise ValueError("grid must be strictly increasing")
+    if sample is not None:
+        sample = _indices("sample", sample, embedding_set.count)
+        if sample.size == 0:
+            raise ValueError("sample must hold at least one center")
     thresholds = min_impure_distance(embedding_set, labels)
     if sample is not None:
-        thresholds = thresholds[np.asarray(sample, dtype=np.int64)]
+        thresholds = thresholds[sample]
     purity = (thresholds[None, :] > grid[:, None]).mean(axis=1)
     return PurityCurve(grid, purity)
 

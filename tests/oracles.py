@@ -61,6 +61,23 @@ def edges(graph) -> np.ndarray:
     return np.column_stack((src[alive], graph._nbrs[alive]))
 
 
+def radius_edges(embedding_set, delta, points, covered=None) -> np.ndarray:
+    """Reference for graph.build_radius_graph: its alive edges, one exact pass per point.
+
+    The (point, neighbour) pairs of points x (points minus covered) within
+    delta, sorted, as an (m, 2) array, as edges gives them for the build.
+    """
+    pts = embedding_set.vectors.astype(np.float64)
+    points = np.unique(points)
+    targets = points if covered is None else points[~covered[points]]
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for u in points:
+        near = targets[_sq_dists(pts[targets], pts[u]) <= delta * delta]
+        near = near[near != u]
+        parts.append(np.column_stack((np.full(near.size, u), near)))
+    return np.concatenate(parts)
+
+
 def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
     """Reference for graph.covered_set: one full float64 pass per labeled point."""
     labeled = np.asarray(labeled, dtype=np.int64)
@@ -231,7 +248,13 @@ def ball_counts(embedding_set, centers, labels, grid):
 
 # The adversarial families that every client of the Gram pass (data._gram_pairs)
 # runs: the radius graph, coverage, the ball counts and the purity pass.
-GRAM_FAMILIES = ("lattice", "duplicates", "scale_1e20", "d4096", "partial_strips", "shell")
+GRAM_FAMILIES = ("lattice", "duplicates", "scale_1e20", "d4096", "partial_tiles", "shell")
+
+
+def set_tile(monkeypatch, shape):
+    """Run the Gram pass in tiles of shape = (rows, columns) for the rest of a test."""
+    monkeypatch.setattr(data, "_TILE_ROWS", shape[0])
+    monkeypatch.setattr(data, "_TILE_COLS", shape[1])
 
 
 def gram_case(family, rng):
@@ -241,8 +264,10 @@ def gram_case(family, rng):
     it is sqrt(k) on the integer lattice, the exact distance from centres[0]
     to some point in the random families, and in "shell" every centre has
     points at exact float64 squared distance radius^2 and at its float
-    neighbours on both sides. "partial_strips" has a partial last strip of
-    data._GRAM_ROWS rows, read when the case is made.
+    neighbours on both sides. "partial_tiles" has two or more row blocks of
+    data._TILE_ROWS rows, read when the case is made, and a number of points
+    that is a multiple of neither tile side above 1, so its last row block
+    and its last column tile are partial.
     """
     if family == "shell":
         return _shell(rng)
@@ -253,16 +278,19 @@ def gram_case(family, rng):
         return s, _centres(rng, s.count), float(np.sqrt(rng.integers(1, 6)))
     if family == "d4096":
         pts = rng.choice([0.0, 1e2]) + rng.normal(size=(int(rng.integers(2, 14)), 4096))
-    elif family == "partial_strips":
-        rows = data._GRAM_ROWS
-        pts = rng.normal(size=(2 * rows + int(rng.integers(1, max(rows, 2))), 3))
+    elif family == "partial_tiles":
+        rows = data._TILE_ROWS
+        n = 2 * rows + int(rng.integers(1, max(rows, 2)))
+        while any(side > 1 and n % side == 0 for side in (rows, data._TILE_COLS)):
+            n += 1
+        pts = rng.normal(size=(n, 3))
     else:
         pts = rng.normal(size=(int(rng.integers(2, 50)), 4))
         if family == "scale_1e20":
             # |x|^2 overflows float32, so the keys are float64.
             pts *= 1e20
         else:
-            # Copies of the first rows: zero distances and ties across strips.
+            # Copies of the first rows: zero distances and ties across row blocks and tiles.
             pts = np.concatenate([pts, pts[: len(pts) // 2]])
     s = EmbeddingSet(pts)
     centres = _centres(rng, s.count)

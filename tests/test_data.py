@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from dcom import data
 from dcom.data import (
     EmbeddingSet,
@@ -168,60 +169,108 @@ def test_sq_dists_equals_inline_difference_rule(offset):
     assert np.array_equal(_sq_dists(points, pairs), (diff * diff).sum(axis=1))
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
+# One-cell tiles, tiles narrower or wider than they are tall, and the default.
+TILES = [(1, 1), (7, 3), (3, 7), (data._TILE_ROWS, data._TILE_COLS)]
+
+
+@pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("every_column", [False, True])
-def test_gram_pairs_yields_each_marked_pair_once_in_order(monkeypatch, block, every_column):
-    monkeypatch.setattr(data, "_GRAM_ROWS", block)
-    rng = np.random.default_rng(block + 100 * every_column)
+def test_gram_pairs_yields_each_marked_pair_once_in_order(monkeypatch, tile, every_column):
+    oracles.set_tile(monkeypatch, tile)
+    rows_per, cols_per = tile
+    rng = np.random.default_rng(rows_per + 10 * cols_per + 100 * every_column)
     inputs = _gram_inputs(EmbeddingSet(rng.normal(size=(40, 5))))
     rows = rng.integers(0, 40, size=30)  # unsorted, with repeats
     cols = np.arange(40) if every_column else np.sort(rng.choice(40, size=25, replace=False))
     marks = rng.uniform(size=(rows.size, cols.size)) < 0.3
+    tiles = []
 
-    def keep(lo, part, keys, mask):
-        assert np.array_equal(part, rows[lo : lo + block])
-        assert keys.shape == mask.shape == (part.size, cols.size) and mask.dtype == bool
-        assert part.size <= data._GRAM_ROWS
-        mask[...] = marks[lo : lo + part.size]
+    def keep(lo, part, c0, keys, mask):
+        assert np.array_equal(part, rows[lo : lo + rows_per])
+        width = min(cols_per, cols.size - c0)
+        assert keys.shape == mask.shape == (part.size, width) and mask.dtype == bool
+        tiles.append((lo, c0))
+        mask[...] = marks[lo : lo + part.size, c0 : c0 + width]
         # The hook may overwrite keys, and the pass, which compares none, yields them as left.
-        keys[...] = np.arange(lo * cols.size, (lo + part.size) * cols.size).reshape(keys.shape)
+        keys[...] = np.arange(lo, lo + part.size)[:, None] * cols.size + np.arange(c0, c0 + width)
 
     k, i, j, key = map(np.concatenate, zip(*_gram_pairs(inputs, rows, cols, keep)))
-    want_k, want_c = np.nonzero(marks)
-    assert 0 < want_k.size < marks.size
+    assert tiles == [(lo, c0) for lo in range(0, rows.size, rows_per)
+                     for c0 in range(0, cols.size, cols_per)]
+    # (row block, tile, row, column) order.
+    want_k, want_c = [], []
+    for lo, c0 in tiles:
+        r, c = np.nonzero(marks[lo : lo + rows_per, c0 : c0 + cols_per])
+        want_k.append(lo + r)
+        want_c.append(c0 + c)
+    want_k, want_c = np.concatenate(want_k), np.concatenate(want_c)
+    assert 0 < want_k.size < marks.size and want_k.size == marks.sum()
     assert np.array_equal(k, want_k) and np.array_equal(i, rows[want_k])
     assert np.array_equal(j, cols[want_c])
     assert key.dtype == inputs[1].dtype
     assert np.array_equal(key, want_k * cols.size + want_c)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("tile", TILES)
 def test_gram_pairs_upper_mode_yields_each_marked_pair_once_past_the_diagonal(monkeypatch,
-                                                                              block):
-    # rows is cols: strip k meets only the columns from its first row onward,
-    # and marks on or below the diagonal are dropped.
-    monkeypatch.setattr(data, "_GRAM_ROWS", block)
-    rng = np.random.default_rng(200 + block)
+                                                                              tile):
+    # rows is cols: a row block's tiles start at its first row's column, and
+    # marks on or below the diagonal are dropped.
+    oracles.set_tile(monkeypatch, tile)
+    rows_per, cols_per = tile
+    rng = np.random.default_rng(200 + rows_per + 10 * cols_per)
     inputs = _gram_inputs(EmbeddingSet(rng.normal(size=(40, 5))))
     rows = np.arange(40)
     marks = rng.uniform(size=(40, 40)) < 0.3
-
     every_key = np.full((40, 40), np.nan)
+    tiles = []
 
-    def keep(lo, part, keys, mask):
-        assert keys.shape == mask.shape == (part.size, 40 - lo)
-        assert part.size == min(block, 40 - lo) <= data._GRAM_ROWS
-        mask[...] = marks[lo : lo + part.size, lo:]
-        every_key[lo : lo + part.size, lo:] = keys
+    def keep(lo, part, c0, keys, mask):
+        assert part.size == min(rows_per, 40 - lo)
+        assert keys.shape == mask.shape == (part.size, min(cols_per, 40 - c0))
+        tiles.append((lo, c0))
+        c1 = c0 + keys.shape[1]
+        mask[...] = marks[lo : lo + part.size, c0:c1]
+        every_key[lo : lo + part.size, c0:c1] = keys
 
     k, i, j, key = map(np.concatenate, zip(*_gram_pairs(inputs, rows, rows, keep)))
-    want_i, want_j = np.nonzero(np.triu(marks, 1))
-    assert 0 < want_i.size < 40 * 39 // 2
-    assert np.array_equal(i, want_i) and np.array_equal(j, want_j) and np.array_equal(k, i)
+    assert tiles == [(lo, c0) for lo in range(0, 40, rows_per) for c0 in range(lo, 40, cols_per)]
+    want = []
+    for lo, c0 in tiles:
+        r, c = np.nonzero(np.triu(marks, 1)[lo : lo + rows_per, c0 : c0 + cols_per])
+        want.append(np.column_stack((lo + r, c0 + c)))
+    want = np.concatenate(want)
+    assert 0 < want.shape[0] < 40 * 39 // 2 and want.shape[0] == np.triu(marks, 1).sum()
+    assert np.array_equal(np.column_stack((i, j)), want) and np.array_equal(k, i)
     # The keys as the GEMM left them, -|x_i - x_j|^2/2 up to rounding.
     assert np.array_equal(key, every_key[i, j])
     points = inputs[0]
     assert np.allclose(-2 * key, _sq_dists(points[i], points[j]), rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("upper", [False, True])
+def test_gram_pairs_reuses_one_tile_sized_buffer(monkeypatch, upper):
+    # Every tile's keys and mask are views of one buffer of _TILE_ROWS x
+    # _TILE_COLS cells, whatever the number of points: the pass's memory bound.
+    oracles.set_tile(monkeypatch, (8, 16))
+    rng = np.random.default_rng(300 + upper)
+    inputs = _gram_inputs(EmbeddingSet(rng.normal(size=(200, 5))))
+    rows = np.arange(200)
+    seen = []
+
+    def keep(lo, part, c0, keys, mask):
+        assert keys.size <= 8 * 16 and mask.size == keys.size
+        assert keys.flags.c_contiguous and mask.flags.c_contiguous
+        seen.append((keys, mask))
+        np.greater_equal(keys, np.median(keys), out=mask)
+
+    pairs = list(_gram_pairs(inputs, rows, rows if upper else rows.copy(), keep))
+    assert len(seen) == sum(len(range(lo if upper else 0, 200, 16)) for lo in range(0, 200, 8))
+    assert sum(i.size for _, i, _, _ in pairs) > 0
+    first_keys, first_mask = seen[0]
+    for keys, mask in seen:
+        assert keys.base is first_keys.base and mask.base is first_mask.base
+        assert np.shares_memory(keys, first_keys) and np.shares_memory(mask, first_mask)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4, 1e20])

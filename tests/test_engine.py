@@ -315,14 +315,16 @@ def test_expand_delta_ball_of_only_unlabeled_points():
 
 
 @pytest.mark.parametrize("family", ["lattice", "duplicates", "large-norm", "huge-norm", "d1", "d64"])
-@pytest.mark.parametrize("buckets, cells, rows", [(2**14, 2**16, 256), (16, 1, 256), (64, 2**20, 3)])
+@pytest.mark.parametrize("buckets, cells, tile",
+                         [(2**14, 2**16, (256, 4096)), (16, 1, (256, 7)), (64, 2**20, (3, 5))])
 def test_ball_counts_equal_brute_force_on_a_non_uniform_grid(monkeypatch, family, buckets,
-                                                             cells, rows):
+                                                             cells, tile):
     # Few buckets mark most pairs for the refine; one cell runs a block per
-    # centre; three-row strips split a block across several strips.
+    # centre; three-row blocks split a block of centres across several row
+    # blocks. The narrow tiles split every row into several.
     monkeypatch.setattr(engine, "_BUCKETS", buckets)
     monkeypatch.setattr(engine, "_BALL_CELLS", cells)
-    monkeypatch.setattr(data, "_GRAM_ROWS", rows)
+    oracles.set_tile(monkeypatch, tile)
     rng = np.random.default_rng(11)
     s, config, _ = _family(family, rng)
     top = config.delta_max
@@ -342,8 +344,8 @@ def test_ball_counts_equal_brute_force_on_a_non_uniform_grid(monkeypatch, family
 def test_ball_counts_equal_brute_force_on_the_gram_corpus(monkeypatch, family):
     # The radius graph's adversarial cases, each with its radius on the grid.
     rng = np.random.default_rng(sum(map(ord, family)))
-    for rows in (data._GRAM_ROWS, 7):
-        monkeypatch.setattr(data, "_GRAM_ROWS", rows)
+    for tile in ((data._TILE_ROWS, data._TILE_COLS), (7, 3)):
+        oracles.set_tile(monkeypatch, tile)
         s, centres, radius = oracles.gram_case(family, rng)
         grid = np.unique(np.append(radius * rng.uniform(0.05, 2.0, size=6), radius))
         labels = rng.integers(0, 3, size=s.count)

@@ -77,16 +77,18 @@ def test_dense_build_fails_naming_n_delta_and_edges(monkeypatch):
     s = gen_gaussian_mixture(MixtureSpec(2, 600, 3, 1.0, 1.0, seed=0))
     pairs = oracles.edges(build_radius_graph(s, 1.5))
     edges = pairs.shape[0]
-    # The symmetric pass's first strip holds every pair with an end among its
-    # rows, and counts it in both orders.
-    first_block = int((pairs.min(axis=1) < data._GRAM_ROWS).sum())
+    # The symmetric pass's first tile is its first row block against every
+    # column, as 1200 points fit in one tile's width. It holds every pair
+    # with an end among those rows, and counts it in both orders.
+    assert s.count <= data._TILE_COLS
+    first_block = int((pairs.min(axis=1) < data._TILE_ROWS).sum())
     assert first_block < edges
     monkeypatch.setattr(graph, "_MAX_EDGES", edges)
     assert build_radius_graph(s, 1.5).out_degree.sum() == edges
     monkeypatch.setattr(graph, "_MAX_EDGES", edges - 1)
     with pytest.raises(DenseRadiusGraph):
         build_radius_graph(s, 1.5)
-    # The build stops after its first strip, which passes the limit.
+    # The build stops after its first tile, which passes the limit.
     monkeypatch.setattr(graph, "_MAX_EDGES", first_block - 1)
     with pytest.raises(DenseRadiusGraph) as err:
         build_radius_graph(s, 1.5)
@@ -279,7 +281,7 @@ def test_covered_set_matches_per_point_passes(kind):
 def band_pairs(inputs, rows, cols, sq_radii):
     """How many keys of the Gram pass over rows x cols lie in [floor, upper floor) at their radius.
 
-    The keys are made strip by strip with the pass's own products, from
+    The keys are made tile by tile with the pass's own products, from
     _gram_inputs alone; rows is cols runs the upper-triangle mode.
     """
     points, gram, slack = inputs
@@ -287,14 +289,15 @@ def band_pairs(inputs, rows, cols, sq_radii):
     floors = (-(sq_radii + float(slack)) / 2).astype(gram.dtype)
     uppers = (-(sq_radii - float(slack)) / 2).astype(gram.dtype)
     count = 0
-    for lo in range(0, rows.size, data._GRAM_ROWS):
-        part = slice(lo, lo + data._GRAM_ROWS)
-        first = lo if rows is cols else 0
-        keys = gram[rows[part]].take(swap, axis=1) @ gram[cols[first:]].T
-        band = (keys >= floors[part, None]) & (keys < uppers[part, None])
-        if rows is cols:
-            band &= np.arange(first, cols.size) > np.arange(lo, lo + band.shape[0])[:, None]
-        count += int(band.sum())
+    for lo in range(0, rows.size, data._TILE_ROWS):
+        part = slice(lo, lo + data._TILE_ROWS)
+        for c0 in range(lo if rows is cols else 0, cols.size, data._TILE_COLS):
+            tile = np.arange(c0, min(c0 + data._TILE_COLS, cols.size))
+            keys = gram[rows[part]].take(swap, axis=1) @ gram[cols[tile]].T
+            band = (keys >= floors[part, None]) & (keys < uppers[part, None])
+            if rows is cols:
+                band &= tile > np.arange(lo, lo + band.shape[0])[:, None]
+            count += int(band.sum())
     return count
 
 
@@ -316,8 +319,9 @@ def test_refine_gathers_at_most_1024_pairs(monkeypatch):
     assert sum(pairs) == band > 1024 and max(pairs) <= 1024
     assert edges > 20 * band
     pairs.clear()
-    # One coverage block, so the pass's columns are every unlabeled point.
-    monkeypatch.setattr(graph, "_COVER_ROWS", 100)
+    # One coverage block, an eighth of a row block, so the pass's columns are
+    # every unlabeled point.
+    monkeypatch.setattr(data, "_TILE_ROWS", 8 * 100)
     labeled = np.sort(rng.choice(600, size=100, replace=False))
     covered = covered_set(s, labeled, np.full(100, 1.5))
     assert covered.sum() > 500
@@ -459,52 +463,40 @@ def test_build_with_none_all_or_all_but_one_point_covered(cover):
         assert_matches_filtered_brute_force(s, delta, points, covered)
 
 
-def per_row_edges(s, delta, points, covered=None):
-    """The filtered brute-force edges as an (m, 2) array, one exact pass per point."""
-    pts = s.vectors.astype(np.float64)
-    points = np.unique(points)
-    targets = points if covered is None else points[~covered[points]]
-    parts = [np.empty((0, 2), dtype=np.int64)]
-    for u in points:
-        near = targets[_sq_dists(pts[targets], pts[u]) <= delta * delta]
-        near = near[near != u]
-        parts.append(np.column_stack((np.full(near.size, u), near)))
-    return np.concatenate(parts)
-
-
 @pytest.mark.parametrize("kind", ["gaussian", "lattice", "large_norm"])
 def test_builds_with_a_partial_last_row_block_match_per_row_passes(kind):
-    # n is never a multiple of _GRAM_ROWS, so the last strip is partial.
+    # n is never a multiple of _TILE_ROWS, so the last row block is partial.
     # The restricted build covers some of its points, as in the greedy kernel,
     # whose points are unlabeled and some of them covered.
     rng = np.random.default_rng({"gaussian": 44, "lattice": 45, "large_norm": 46}[kind])
     for _ in range(3):
-        n = int(rng.integers(1, 3)) * data._GRAM_ROWS + int(rng.integers(1, data._GRAM_ROWS))
+        n = int(rng.integers(1, 3)) * data._TILE_ROWS + int(rng.integers(1, data._TILE_ROWS))
         s, delta = random_case(rng, kind, n)
-        expected = per_row_edges(s, delta, np.arange(n))
+        expected = oracles.radius_edges(s, delta, np.arange(n))
         assert np.array_equal(oracles.edges(build_radius_graph(s, delta)), expected)
-        points = rng.permutation(n)[: int(rng.integers(data._GRAM_ROWS + 1, n + 1))]
+        points = rng.permutation(n)[: int(rng.integers(data._TILE_ROWS + 1, n + 1))]
         covered = random_covered(rng, n)
         g = build_radius_graph(s, delta, points, covered)
-        assert np.array_equal(oracles.edges(g), per_row_edges(s, delta, points, covered))
+        assert np.array_equal(oracles.edges(g), oracles.radius_edges(s, delta, points, covered))
 
 
 @pytest.mark.parametrize("block", [1, 7])
 @pytest.mark.parametrize("family", oracles.GRAM_FAMILIES)
 def test_builds_and_coverage_match_oracles_at_any_block_size(monkeypatch, family, block):
-    # Strips of 1 or 7 rows under coverage blocks of 5 or 17 labeled points,
-    # so each coverage block's per-row radii cross strips; at 7 the last is partial.
-    monkeypatch.setattr(data, "_GRAM_ROWS", block)
-    monkeypatch.setattr(graph, "_COVER_ROWS", 2 * block + 3)
+    # Row blocks of 1 or 7 rows in tiles of 5 or 17 columns, so tiles start
+    # off the diagonal and most cases have a partial last row block and tile.
+    # Coverage runs one labeled point per block.
+    oracles.set_tile(monkeypatch, (block, 2 * block + 3))
     rng = np.random.default_rng(sum(map(ord, family)) + block)
     for _ in range(6):
         s, centres, delta = oracles.gram_case(family, rng)
         n = s.count
-        expected = per_row_edges(s, delta, np.arange(n))
+        expected = oracles.radius_edges(s, delta, np.arange(n))
         assert np.array_equal(oracles.edges(build_radius_graph(s, delta)), expected)
         points, covered = random_indices(rng, n), random_covered(rng, n)
         restricted = build_radius_graph(s, delta, points, covered)
-        assert np.array_equal(oracles.edges(restricted), per_row_edges(s, delta, points, covered))
+        assert np.array_equal(oracles.edges(restricted),
+                              oracles.radius_edges(s, delta, points, covered))
         # The centres' balls at the case's radius alone, then with more balls
         # at exact distances between points (ties on the boundary) or small radii.
         deltas = np.full(centres.size, delta)
@@ -585,22 +577,22 @@ def gram_key_points(kind, rng):
      "above_float32_limit", "scale_1e20"],
 )
 def test_gram_keys_stay_within_the_stated_bound(monkeypatch, kind):
-    monkeypatch.setattr(data, "_GRAM_ROWS", 7)
+    # Partial tiles at every size here, so the GEMM runs at many shapes.
+    oracles.set_tile(monkeypatch, (7, 9))
     rng = np.random.default_rng(sum(map(ord, kind)))
     pts, dtype = gram_key_points(kind, rng)
     inputs = _gram_inputs(EmbeddingSet(pts))
     points, gram, slack = inputs
     assert gram.dtype == dtype and slack.dtype == dtype
     n, d = points.shape
-    blocks = []
+    keys = np.full((n, n), np.nan)
 
-    def record(lo, part, keys, mask):
-        blocks.append(keys.astype(np.float64))
+    def record(lo, part, c0, tile, mask):
+        keys[lo : lo + part.size, c0 : c0 + tile.shape[1]] = tile
         mask[...] = False
 
     for _ in _gram_pairs(inputs, np.arange(n), np.arange(n), record):
         pass
-    keys = np.concatenate(blocks)
     diff = points[:, None, :] - points[None, :, :]
     exact = -0.5 * (diff * diff).sum(axis=2)
     # E from _gram_inputs's docstring; the float64 reference is itself off by
@@ -669,32 +661,35 @@ def test_candidate_slack_holds_at_large_d_and_offset(kind):
         ]
 
 
-# Strips of 1 and 7 rows put strip boundaries everywhere; with 512, most
-# cases fit in one strip, as at the default _GRAM_ROWS.
+# Row blocks of 1 and 7 rows in tiles of 5 and 17 columns put tile boundaries
+# everywhere; at 512 x 1027, most cases fit in one tile, as at the default shape.
 @pytest.mark.parametrize("block", [1, 7, 512])
 @pytest.mark.parametrize("family", oracles.GRAM_FAMILIES)
 def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatch, family, block):
     # A full build, or a cold start whose points are every point in any
     # order, tests each unordered pair once on the diagonal tile and above it.
-    monkeypatch.setattr(data, "_GRAM_ROWS", block)
+    oracles.set_tile(monkeypatch, (block, 2 * block + 3))
     rng = np.random.default_rng(sum(map(ord, family)) + block)
     for _ in range(3):
         s, _, delta = oracles.gram_case(family, rng)
         n = s.count
         g = build_radius_graph(s, delta)
         got = oracles.edges(g)
-        assert np.array_equal(got, per_row_edges(s, delta, np.arange(n)))
+        assert np.array_equal(got, oracles.radius_edges(s, delta, np.arange(n)))
         # The rectangular pass: rows and cols are equal but not one array.
         inputs = _gram_inputs(s, delta * delta)
         floor = inputs[1].dtype.type(-(delta * delta + float(inputs[2])) / 2)
         everything = np.arange(n)
         pairs = _gram_pairs(inputs, everything, everything.copy(),
-                            lambda lo, part, keys, mask: np.greater_equal(keys, floor, out=mask))
-        # It refines every marked pair, the band and above it alike.
+                            lambda lo, part, c0, keys, mask: np.greater_equal(keys, floor,
+                                                                              out=mask))
+        # It refines every marked pair, the band and above it alike, and
+        # yields them in (row block, tile) order.
         points = inputs[0]
-        rect = [np.column_stack((i, j))[(i != j) & (_pair_sq_dists(points, i, j) <= delta * delta)]
-                for _, i, j, _ in pairs]
-        assert np.array_equal(got, np.concatenate(rect))
+        rect = np.concatenate([
+            np.column_stack((i, j))[(i != j) & (_pair_sq_dists(points, i, j) <= delta * delta)]
+            for _, i, j, _ in pairs])
+        assert np.array_equal(got, rect[np.lexsort((rect[:, 1], rect[:, 0]))])
         cold = build_radius_graph(s, delta, points=rng.permutation(n))
         assert np.array_equal(oracles.edges(cold), got)
         # Every edge's reverse is an edge, and the CSR agrees with the list,

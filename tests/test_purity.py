@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from dcom import data, purity
-from dcom.data import _GRAM_ROWS, EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
+from dcom.data import (
+    _TILE_COLS,
+    _TILE_ROWS,
+    EmbeddingSet,
+    MixtureSpec,
+    gen_gaussian_mixture,
+    l2_normalize,
+)
 from dcom.errors import DimensionMismatch, NoDeltaMeetsAlpha
 from dcom.purity import (
     PurityCurve,
@@ -181,11 +188,15 @@ _CASES = {
     "duplicates": _duplicates,
     "n1": lambda seed: _gaussian(1, 3, seed),
     "n_below_block": lambda seed: _gaussian(7, 3, seed),
-    "n_block": lambda seed: _gaussian(_GRAM_ROWS, 3, seed),
+    "n_block": lambda seed: _gaussian(_TILE_ROWS, 3, seed),
     "n_not_block_multiple": lambda seed: _gaussian(97, 3, seed),
-    # Several strips and a partial last one, at a width the GEMM tiles.
-    "d64_partial_block": lambda seed: _gaussian(3 * _GRAM_ROWS + 5, 64, seed),
+    # Several row blocks and a partial last one, at a width the GEMM tiles.
+    "d64_partial_block": lambda seed: _gaussian(3 * _TILE_ROWS + 5, 64, seed),
 }
+
+
+# The default tile, one-row blocks, and 7-row blocks in 5-column tiles.
+_TILES = ((_TILE_ROWS, _TILE_COLS), (1, 64), (7, 5))
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))
@@ -193,9 +204,9 @@ def test_min_impure_distance_matches_loop_oracle(monkeypatch, case):
     for seed in range(3):
         s, labels = _CASES[case](seed)
         expected = oracles.min_impure_distance(s, labels)
-        # The default strip and two that put strip boundaries everywhere.
-        for block in (_GRAM_ROWS, 1, 7):
-            monkeypatch.setattr(data, "_GRAM_ROWS", block)
+        # The default tile and two that put tile boundaries everywhere.
+        for tile in _TILES:
+            oracles.set_tile(monkeypatch, tile)
             got = min_impure_distance(s, labels)
             assert np.array_equal(got, expected)
     if case == "single_class":
@@ -215,10 +226,10 @@ def test_min_impure_distance_matches_loop_oracle_on_the_gram_corpus(monkeypatch,
         labels = rng.integers(0, 3, size=s.count)
         labels[centres] = 3 + np.arange(centres.size)
         expected = oracles.min_impure_distance(s, labels)
-        for block in (_GRAM_ROWS, 1, 7):
-            monkeypatch.setattr(data, "_GRAM_ROWS", block)
+        for tile in _TILES:
+            oracles.set_tile(monkeypatch, tile)
             assert np.array_equal(min_impure_distance(s, labels), expected)
-        monkeypatch.setattr(data, "_GRAM_ROWS", _GRAM_ROWS)
+        oracles.set_tile(monkeypatch, _TILES[0])
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))
@@ -244,8 +255,8 @@ def _other_label_in_an_earlier_strip(block, rng):
 
 
 def _same_label_strips_first(block, rng):
-    # Two strips of label 0 before mixed labels: a later point's running
-    # maximum over those strips' rows is -inf, so its floor must be +inf.
+    # Two row blocks (strips) of label 0 before mixed labels: a later point's
+    # running maximum over those blocks' rows is -inf, so its floor must be +inf.
     s, _ = _gaussian(4 * block + 3, 4, int(rng.integers(1000)))
     labels = np.zeros(s.count, dtype=np.int64)
     labels[2 * block :] = rng.integers(0, 2, s.count - 2 * block)
@@ -253,8 +264,9 @@ def _same_label_strips_first(block, rng):
 
 
 def _ties_across_strip_boundaries(block, rng):
-    # Lattice points, and a copy of the last row of each strip as the first
-    # row of the next, so exact ties and zero distances straddle every boundary.
+    # Lattice points, and a copy of the last row of each row block (strip) as
+    # the first row of the next, so exact ties and zero distances straddle
+    # every row block boundary, and the tiles' column boundaries near them.
     n = 3 * block + 5
     pts = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
     starts = np.arange(block, n, block)
@@ -262,13 +274,14 @@ def _ties_across_strip_boundaries(block, rng):
     return EmbeddingSet(pts), rng.integers(0, 3, n)
 
 
-@pytest.mark.parametrize("block", [1, 7, _GRAM_ROWS])
+@pytest.mark.parametrize("block", [1, 7, _TILE_ROWS])
 @pytest.mark.parametrize(
     "make",
     [_other_label_in_an_earlier_strip, _same_label_strips_first, _ties_across_strip_boundaries],
 )
 def test_symmetric_purity_pass_matches_loop_oracle_across_strips(monkeypatch, make, block):
-    monkeypatch.setattr(data, "_GRAM_ROWS", block)
+    # Tiles two columns wider than a row block, so a block's rows straddle tiles.
+    oracles.set_tile(monkeypatch, (block, block + 2))
     rng = np.random.default_rng(block)
     for _ in range(3):
         s, labels = make(block, rng)
@@ -366,3 +379,25 @@ def test_curve_validation():
         PurityCurve([0.2, 0.1], [1.0, 1.0])
     with pytest.raises(ValueError):
         PurityCurve([0.1, 0.2], [0.5, 0.9])
+
+
+@pytest.mark.parametrize("purity", [[np.nan, 0.5], [1.0, np.nan], [1.5, 1.0], [0.5, -0.1],
+                                    [np.inf, 0.5]])
+def test_curve_rejects_purity_outside_the_unit_interval_nan_included(purity):
+    with pytest.raises(ValueError, match=r"purity values must lie in \[0, 1\]"):
+        PurityCurve([0.5, 1.0], purity)
+
+
+@pytest.mark.parametrize("sample, message", [
+    ([0.5, 1.7, 2.2], "sample must hold integer indices, got dtype float64"),
+    ([-1, True], "sample must hold integer indices, got a bool"),
+    (np.array([True, False]), "sample must hold integer indices, got dtype bool"),
+    ([3, -1], r"sample\[1\] is -1, outside \[0, 20\)"),
+    ([0, 20], r"sample\[1\] is 20, outside \[0, 20\)"),
+    ([], "sample must hold at least one center"),
+    (np.empty(0, dtype=np.int64), "sample must hold at least one center"),
+])
+def test_purity_sample_names_a_bad_index_or_an_empty_sample(sample, message):
+    s = gen_gaussian_mixture(MixtureSpec(2, 10, 3, 6.0, 1.0, seed=3))
+    with pytest.raises(ValueError, match=message):
+        estimate_purity_curve(s, s.labels, [0.5, 1.0], sample=sample)

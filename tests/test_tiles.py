@@ -1,0 +1,83 @@
+"""Every client of the Gram pass gives the same results at any tile shape.
+
+data._gram_pairs walks each row block in column tiles. The radius graph,
+coverage, the purity pass and the ball counts must match their brute-force
+oracles at every shape, and the graph's CSR must not depend on the shape.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from dcom import data, engine
+from dcom.data import EmbeddingSet, _sq_dists
+from dcom.graph import build_radius_graph, covered_set
+from dcom.purity import min_impure_distance
+
+# The default first, then one-cell tiles, square ones, and tiles wider and
+# narrower than they are tall.
+SHAPES = ((data._TILE_ROWS, data._TILE_COLS), (1, 1), (7, 7), (3, 7), (7, 3))
+_SIDES = sorted({side for shape in SHAPES for side in shape if side > 1})
+
+
+def _case(family, rng):
+    """A Gram-corpus case padded with copies of its points to a count no tile side divides.
+
+    So every shape above but (1, 1) has a partial last row block and tile.
+    A copy is a zero distance, one more tie for the exact refine.
+    """
+    s, centres, radius = oracles.gram_case(family, rng)
+    pts = s.vectors
+    while any(pts.shape[0] % side == 0 for side in _SIDES):
+        pts = np.concatenate((pts, pts[rng.integers(pts.shape[0])][None]))
+    return EmbeddingSet(pts), centres, radius
+
+
+def _balls(rng, s, centres, delta):
+    """The centres' balls at delta, then balls at exact distances between points or small radii."""
+    n = s.count
+    labeled = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+    exact = s.vectors.astype(np.float64)
+    far = exact[rng.integers(0, n, size=labeled.size)]
+    tied = np.sqrt(_sq_dists(far, exact[labeled]))
+    small = delta * np.sqrt(rng.uniform(0.0, 0.1, size=labeled.size))
+    deltas = np.concatenate((np.full(centres.size, delta),
+                             np.where(rng.random(labeled.size) < 0.5, tied, small)))
+    return np.concatenate((centres, labeled)), deltas
+
+
+@pytest.mark.parametrize("family", oracles.GRAM_FAMILIES)
+def test_gram_clients_match_their_oracles_at_every_tile_shape(monkeypatch, family):
+    rng = np.random.default_rng(sum(map(ord, family)) + 29)
+    for _ in range(4):
+        # "partial_tiles" sizes itself by the row blocks in force: 7 rows here.
+        oracles.set_tile(monkeypatch, (7, 7))
+        s, centres, delta = _case(family, rng)
+        n = s.count
+        points = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+        covered = rng.random(n) < rng.uniform(0.0, 1.0)
+        labeled, deltas = _balls(rng, s, centres, delta)
+        # Each centre has a label of its own, so its nearest other point decides its distance.
+        labels = rng.integers(0, 3, size=n)
+        labels[centres] = 3 + np.arange(centres.size)
+        grid = np.unique(np.append(delta * rng.uniform(0.05, 2.0, size=6), delta))
+        want_cold = oracles.radius_edges(s, delta, np.arange(n))
+        want_restricted = oracles.radius_edges(s, delta, points, covered)
+        want_covered = oracles.covered_set(s, labeled, deltas)
+        want_impure = oracles.min_impure_distance(s, labels)
+        want_total, want_same = oracles.ball_counts(s, centres, labels, grid)
+        default = None
+        for shape in SHAPES:
+            oracles.set_tile(monkeypatch, shape)
+            graphs = (build_radius_graph(s, delta), build_radius_graph(s, delta, points, covered))
+            assert np.array_equal(oracles.edges(graphs[0]), want_cold)
+            assert np.array_equal(oracles.edges(graphs[1]), want_restricted)
+            default = default or graphs
+            for got, ref in zip(graphs, default):
+                assert np.array_equal(got._nbrs, ref._nbrs)
+                assert np.array_equal(got._indptr, ref._indptr)
+            assert np.array_equal(covered_set(s, labeled, deltas), want_covered)
+            assert np.array_equal(min_impure_distance(s, labels), want_impure)
+            blocks = list(engine._ball_counts(s, centres, labels, grid))
+            assert np.array_equal(np.concatenate([b[0] for b in blocks]), want_total)
+            assert np.array_equal(np.concatenate([b[1] for b in blocks]), want_same)
