@@ -1,8 +1,10 @@
 """Purity-curve estimation with k-means pseudo-labels and initial radius selection.
 
-The curve runs data._gram_pairs, the radius graph's Gram pass, in its
-upper-triangle mode with its own marks; both clients' marks start from the key
-error bound of data._gram_inputs.
+k-means assigns each round from one float64 product of the points and the
+centroids, refining exactly only the points its keys leave undecided. The
+curve runs data._gram_pairs, the radius graph's Gram pass, in its
+upper-triangle mode on the points sorted by label, with its own marks; both
+clients' marks start from the key error bound of data._gram_inputs.
 """
 
 from __future__ import annotations
@@ -27,9 +29,22 @@ _MONOTONE_JITTER = 0.02
 _KMEANS_ITERS = 100
 
 
+def _check_grid(grid):
+    """ValueError unless the radii are finite, positive and strictly increasing; names a bad radius."""
+    bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0)))
+    if bad.size:
+        raise ValueError(f"grid radius {grid[bad[0]]} at index {bad[0]} is not finite and positive")
+    if not (np.diff(grid) > 0).all():
+        raise ValueError("grid must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class PurityCurve:
-    """Estimated fraction of pure balls for each radius on a grid."""
+    """Estimated fraction of pure balls for each radius on a grid.
+
+    The grid holds finite, positive, strictly increasing radii; a radius
+    that is not finite and positive raises ValueError naming it.
+    """
 
     grid: np.ndarray
     purity: np.ndarray
@@ -39,8 +54,7 @@ class PurityCurve:
         purity = np.asarray(self.purity, dtype=np.float64)
         if grid.size == 0 or grid.size != purity.size:
             raise ValueError("grid and purity must be non-empty and equal length")
-        if not (np.diff(grid) > 0).all():
-            raise ValueError("grid must be strictly increasing")
+        _check_grid(grid)
         if not ((purity >= 0.0) & (purity <= 1.0)).all():  # NaN fails both
             raise ValueError("purity values must lie in [0, 1]")
         if (np.diff(purity) > _MONOTONE_JITTER).any():
@@ -54,11 +68,35 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
 
     The first center is drawn uniformly with the seeded generator; each
     subsequent center is the point farthest from the chosen set (lowest index
-    on ties). Empty clusters are repaired by moving the point currently
-    farthest from its own centroid. Iteration stops at an assignment fixpoint
-    or after _KMEANS_ITERS rounds.
+    on ties). Each round gives every point the centroid at the least exact
+    float64 distance _sq_dists, lowest index on ties. Empty clusters are
+    repaired by moving the point currently farthest from its own centroid.
+    Iteration stops at an assignment fixpoint or after _KMEANS_ITERS rounds.
+    k must be a Python or NumPy integer in [1, n], not a bool.
+
+    A round assigns by keys, one float64 product centroids @ points.T: the
+    key of point x and centroid c is sq' = (|x|^2 + |c|^2) - 2 x.c, against
+    the exact e = _sq_dists(x, c). Let M be the largest squared norm measured
+    that round, over the points and the centroids, u = 2^-53, and
+    gamma_k = k u / (1 - k u). In any summation order each norm is off by at
+    most gamma_d M and the product x.c by gamma_d |x| |c| <= gamma_d M
+    (Higham, Thm 3.1); the sum of the norms rounds by at most 2.01 u M, and
+    the final difference, at most 4.01 M as d u is tiny, by 4.01 u M. e sums d rounded
+    squares of rounded differences, so it is off the real |x - c|^2 <= 4 M by
+    at most gamma_{d+2} 4 M. So |sq' - e| <= (8 d + 14.1) u M, and
+    T = (9 d + 16) u M bounds it with room for the rounding of M, of T and of
+    the gap below. Float32 points keep every term far from float64's
+    overflow and underflow. A point whose second-least key exceeds its least
+    by more than 2 T takes the least key's centroid: every other centroid is
+    then strictly farther in e. Every other point is refined by the exact
+    rule, e against all k centroids, on its own rows; _sq_dists sums each row
+    on its own, so a row's e has the same bits in any batch. On the
+    init-delta bench's 6,000 points 2 T is about 1.3e-13, the least gap about
+    0.009, and none of the 4 rounds refines a row.
     """
     n = embedding_set.count
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k <= 0:
         raise ValueError("k must be positive")
     if k > n:
@@ -74,17 +112,32 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
         min_sq = np.minimum(min_sq, _sq_dists(points, points[nxt]))
     centroids = points[centers_idx].copy()
 
+    point_norms = np.einsum("ij,ij->i", points, points)
+    top_norm = float(point_norms.max())
     labels = None
     for _ in range(_KMEANS_ITERS):
-        sq = np.array([_sq_dists(points, c) for c in centroids])
-        new_labels = sq.argmin(axis=0)
-        assigned_sq = sq[new_labels, np.arange(n)]
+        centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
+        # k x n: the GEMM centroids @ points.T touches fewer BLAS buffer pages
+        # than points @ centroids.T, about 3 MB less peak RSS with 2 threads.
+        keys = np.add.outer(centroid_norms, point_norms)
+        keys -= 2.0 * (centroids @ points.T)
+        new_labels = keys.argmin(axis=0)
+        if k > 1:
+            bound = (9 * points.shape[1] + 16) * 2.0**-53 * max(top_norm, centroid_norms.max())
+            least = np.partition(keys, 1, axis=0)
+            # Negated, so a point whose gap is NaN goes to the exact rule too.
+            unsure = np.flatnonzero(~(least[1] - least[0] > 2.0 * bound))
+            if unsure.size:
+                near = points[unsure]
+                new_labels[unsure] = np.array([_sq_dists(near, c) for c in centroids]).argmin(axis=0)
 
-        for c in range(k):
-            if not (new_labels == c).any():
-                worst = int(np.argmax(assigned_sq))
-                new_labels[worst] = c
-                assigned_sq[worst] = 0.0
+        if np.bincount(new_labels, minlength=k).min() == 0:
+            assigned_sq = _sq_dists(points, centroids[new_labels])
+            for c in range(k):
+                if not (new_labels == c).any():
+                    worst = int(np.argmax(assigned_sq))
+                    new_labels[worst] = c
+                    assigned_sq[worst] = 0.0
 
         if labels is not None and np.array_equal(labels, new_labels):
             break
@@ -116,6 +169,12 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
     2 E + (4.4 d + 11) u M + u s <= (11 d + 22) u M + u s of the largest one,
     and s = 12 (d + 4) u (1 + M), data._gram_inputs's slack, covers that.
 
+    The pass runs on the points sorted by label (a stable argsort), and best
+    goes back through the permutation: the proof holds in any point order,
+    and a pair's refine has the same bits in either. Sorted, a label
+    is one run of positions, so a tile excludes its same-label pairs with one
+    -inf fill per label run that meets both its rows and its columns.
+
     The largest key of a point is known only once the whole pass has passed
     it, so each point keeps a running maximum of its differently-labeled
     keys. Each tile raises it over the tile's row for each row of its row
@@ -127,15 +186,19 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
     one, so every exact minimiser of either endpoint is refined, and the
     refine's minimum is taken at both endpoints. Tiles make the row maxima
     grow tile by tile, so a few more pairs may be refined than with whole
-    rows: 19,050 instead of 18,793 on the init-delta bench's 6,000 points.
+    rows: 19,080 on the init-delta bench's 6,000 points in label order
+    (19,050 in point order, 18,793 with whole rows).
     """
     n = embedding_set.count
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimensionMismatch(f"labels length {labels.size} does not match {n} points")
-    inputs = _gram_inputs(embedding_set)
-    slack = inputs[2]
-    top = np.full(n, -np.inf, dtype=inputs[1].dtype)
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    # Label run r holds the sorted positions [starts[r], starts[r + 1]).
+    starts = np.r_[0, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, n]
+    points, gram, slack = inputs = _gram_inputs(EmbeddingSet(embedding_set.vectors[order]))
+    top = np.full(n, -np.inf, dtype=gram.dtype)
 
     def floors(maxima):
         floor = maxima - slack
@@ -145,8 +208,11 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
 
     def keep(lo, part, c0, keys, mask):
         hi, c1 = lo + part.size, c0 + keys.shape[1]
-        np.equal(labels[part][:, None], labels[c0:c1], out=mask)
-        np.copyto(keys, -np.inf, where=mask)
+        # The runs that start before both ranges end and end after both start.
+        first = np.searchsorted(starts, max(lo, c0), side="right") - 1
+        for r in range(first, np.searchsorted(starts, min(hi, c1))):
+            s, e = starts[r], starts[r + 1]
+            keys[max(s - lo, 0) : e - lo, max(s - c0, 0) : e - c0] = -np.inf
         np.maximum(top[lo:hi], keys.max(axis=1), out=top[lo:hi])
         # Columns past the block's rows meet it only as columns; its rows took their maxima above.
         after = max(hi, c0)
@@ -159,10 +225,12 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
     best = np.full(n, np.inf)
     everything = np.arange(n)
     for _, i, j, _ in _gram_pairs(inputs, everything, everything, keep):
-        sq = _pair_sq_dists(inputs[0], i, j)
+        sq = _pair_sq_dists(points, i, j)
         np.minimum.at(best, i, sq)
         np.minimum.at(best, j, sq)
-    return np.sqrt(best)
+    out = np.empty(n)
+    out[order] = np.sqrt(best)
+    return out
 
 
 def estimate_purity_curve(embedding_set, labels, grid, sample=None) -> PurityCurve:
@@ -170,13 +238,13 @@ def estimate_purity_curve(embedding_set, labels, grid, sample=None) -> PurityCur
 
     All points act as centers unless a non-empty sample of point indices (any
     order, repeats allowed) is given; a fraction, a bool or an index outside
-    [0, n) raises ValueError naming it.
+    [0, n) raises ValueError naming it, and so does a grid radius that is not
+    finite and positive.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
-    if not (np.diff(grid) > 0).all():
-        raise ValueError("grid must be strictly increasing")
+    _check_grid(grid)
     if sample is not None:
         sample = _indices("sample", sample, embedding_set.count)
         if sample.size == 0:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dcom import data, harness
+from dcom import data, harness, purity
 from dcom.data import EmbeddingSet, _sq_dists
 from dcom.engine import PoolState, compute_tau, delta_grid
 from dcom.learners import train_learner
@@ -37,6 +37,46 @@ def ball_purity_predicted(
         return 1.0
     matches = int((effective[inside] == effective[center]).sum())
     return matches / total
+
+
+def kmeans_cluster(embedding_set, k, seed=0) -> np.ndarray:
+    """Reference for purity.kmeans_cluster: k full float64 passes per Lloyd round.
+
+    The same farthest-first seeding, empty-cluster repair and centroid means;
+    each round assigns every point by argmin over its exact distances to all
+    k centroids, lowest index on ties.
+    """
+    n = embedding_set.count
+    points = embedding_set.vectors.astype(np.float64)
+    rng = np.random.default_rng(seed)
+
+    centers_idx = [int(rng.integers(n))]
+    min_sq = _sq_dists(points, points[centers_idx[-1]])
+    for _ in range(1, k):
+        nxt = int(np.argmax(min_sq))
+        centers_idx.append(nxt)
+        min_sq = np.minimum(min_sq, _sq_dists(points, points[nxt]))
+    centroids = points[centers_idx].copy()
+
+    labels = None
+    for _ in range(purity._KMEANS_ITERS):
+        sq = np.array([_sq_dists(points, c) for c in centroids])
+        new_labels = sq.argmin(axis=0)
+        assigned_sq = sq[new_labels, np.arange(n)]
+
+        for c in range(k):
+            if not (new_labels == c).any():
+                worst = int(np.argmax(assigned_sq))
+                new_labels[worst] = c
+                assigned_sq[worst] = 0.0
+
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centroids[c] = points[labels == c].mean(axis=0)
+
+    return labels.astype(np.int64)
 
 
 def min_impure_distance(embedding_set, labels) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,149 @@ def test_kmeans_recovers_planted_partition():
     first_cluster = labels == labels[0]
     first_class = s.labels == s.labels[0]
     assert np.array_equal(first_cluster, first_class)
+
+
+def _kmeans_mixture(separation):
+    def make(rng):
+        spec = MixtureSpec(int(rng.integers(2, 6)), int(rng.integers(5, 40)),
+                           int(rng.integers(2, 20)), separation, 1.0, int(rng.integers(1000)))
+        s = gen_gaussian_mixture(spec)
+        return s, int(rng.integers(1, 2 * spec.num_classes + 1))
+
+    return make
+
+
+def _kmeans_gram_family(family):
+    def make(rng):
+        s, _, _ = oracles.gram_case(family, rng)
+        return s, int(rng.integers(1, s.count + 1))
+
+    return make
+
+
+def _kmeans_duplicates(rng):
+    # Few distinct points, many copies, and k close to n: once the seeding
+    # runs out of distinct points, clusters come out empty and the repair
+    # moves the farthest point into them.
+    pts = rng.normal(size=(int(rng.integers(2, 6)), 3))
+    s = EmbeddingSet(pts[rng.integers(0, len(pts), size=int(rng.integers(6, 30)))])
+    return s, int(rng.integers(max(s.count - 3, 1), s.count + 1))
+
+
+def _kmeans_far_from_origin(rng):
+    # Overlapping clusters 1e7 from the origin in 16 dimensions: |x|^2 is
+    # about 1.6e15, the keys are off the exact distances by up to about 0.25,
+    # and many points lie within the keys' bound of a second centroid.
+    s = gen_gaussian_mixture(MixtureSpec(3, 40, 16, 1.0, 1.0, int(rng.integers(1000))))
+    return EmbeddingSet(s.vectors.astype(np.float64) + 1e7), int(rng.integers(2, 6))
+
+
+def _kmeans_symmetric_line(rng):
+    # x, -x and 0 on a line: with two centroids at +-c, 0 is exactly equidistant.
+    half = np.sort(rng.uniform(0.1, 3.0, size=int(rng.integers(1, 6))))
+    s = one_d(*np.concatenate((-half, [0.0], half)))
+    return s, int(rng.integers(2, 4))
+
+
+def _kmeans_k_is_n(rng):
+    s = EmbeddingSet(rng.normal(size=(int(rng.integers(1, 12)), int(rng.integers(1, 5)))))
+    return s, s.count
+
+
+def _kmeans_k_is_one(rng):
+    s, _ = _kmeans_mixture(1.0)(rng)
+    return s, 1
+
+
+_KMEANS_CASES = {
+    "separated": _kmeans_mixture(8.0),
+    "overlapping": _kmeans_mixture(0.5),
+    "lattice": _kmeans_gram_family("lattice"),
+    "scale_1e20": _kmeans_gram_family("scale_1e20"),
+    "d4096": _kmeans_gram_family("d4096"),
+    "duplicates": _kmeans_duplicates,
+    "far_from_origin": _kmeans_far_from_origin,
+    "symmetric_line": _kmeans_symmetric_line,
+    "k_is_n": _kmeans_k_is_n,
+    "k_is_one": _kmeans_k_is_one,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KMEANS_CASES))
+def test_kmeans_matches_the_full_pass_oracle(case):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for _ in range(8):
+        s, k = _KMEANS_CASES[case](rng)
+        seed = int(rng.integers(100))
+        with warnings.catch_warnings():
+            if case == "duplicates":
+                # The repair can leave a cluster empty (both codes alike); its
+                # mean warns and is NaN, and the labels must still agree.
+                warnings.simplefilter("ignore", RuntimeWarning)
+            want = oracles.kmeans_cluster(s, k, seed)
+            assert np.array_equal(kmeans_cluster(s, k, seed), want)
+
+
+def _exact_calls(monkeypatch):
+    """Record (rows, centre ndim) of each _sq_dists call k-means makes from here on."""
+    calls, exact = [], purity._sq_dists
+
+    def counting(points, center):
+        calls.append((len(points), np.ndim(center)))
+        return exact(points, center)
+
+    monkeypatch.setattr(purity, "_sq_dists", counting)
+    return calls
+
+
+def test_kmeans_repairs_empty_clusters_like_the_oracle(monkeypatch):
+    # Two distinct points with copies and k = 3: the third seed repeats a
+    # point, its cluster comes out empty, and the repair, whose one call has
+    # a centroid per row, fills it.
+    calls = _exact_calls(monkeypatch)
+    s = one_d(0.0, 0.0, 5.0)
+    for seed in range(4):
+        calls.clear()
+        labels = kmeans_cluster(s, 3, seed)
+        assert (s.count, 2) in calls
+        assert np.array_equal(labels, oracles.kmeans_cluster(s, 3, seed))
+        assert sorted(labels) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("case", ["far_from_origin", "symmetric_line", "lattice"])
+def test_kmeans_refines_the_rows_its_keys_do_not_decide(monkeypatch, case):
+    # After the k seeding passes, a call on fewer than n rows is a refine;
+    # these cases must reach it, and still match the oracle.
+    calls = _exact_calls(monkeypatch)
+    rng = np.random.default_rng(7)
+    refined = 0
+    for _ in range(8):
+        s, k = _KMEANS_CASES[case](rng)
+        calls.clear()
+        labels = kmeans_cluster(s, k, seed=3)
+        refined += sum(rows for rows, _ in calls[k:] if rows < s.count)
+        assert np.array_equal(labels, oracles.kmeans_cluster(s, k, seed=3))
+    assert refined > 0
+
+
+def test_kmeans_keys_decide_separated_points_without_a_refine(monkeypatch):
+    calls = _exact_calls(monkeypatch)
+    s = l2_normalize(gen_gaussian_mixture(MixtureSpec(10, 60, 64, 6.0, 1.0, seed=0)))
+    kmeans_cluster(s, 10, seed=0)
+    # The ten farthest-first seeding passes and nothing else.
+    assert calls == [(s.count, 1)] * 10
+
+
+@pytest.mark.parametrize("k", [True, np.bool_(True), 2.5, np.float64(2.0), "3", None])
+def test_kmeans_names_a_k_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match=r"k must be an integer, got"):
+        kmeans_cluster(one_d(0.0, 1.0, 2.0), k)
+
+
+def test_kmeans_takes_numpy_integers():
+    s = one_d(0.0, 0.1, 10.0)
+    for k in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert np.array_equal(kmeans_cluster(s, k), kmeans_cluster(s, 2))
 
 
 def test_is_pure_ball_examples():
@@ -379,6 +523,27 @@ def test_curve_validation():
         PurityCurve([0.2, 0.1], [1.0, 1.0])
     with pytest.raises(ValueError):
         PurityCurve([0.1, 0.2], [0.5, 0.9])
+
+
+@pytest.mark.parametrize("grid, bad", [
+    ([np.nan], r"nan at index 0"),
+    ([np.inf], r"inf at index 0"),
+    ([-1.0, 0.5], r"-1\.0 at index 0"),
+    ([0.0], r"0\.0 at index 0"),
+    ([0.5, np.inf], r"inf at index 1"),
+    ([0.1, 0.2, np.nan], r"nan at index 2"),
+])
+def test_grid_radii_must_be_finite_and_positive(grid, bad):
+    message = rf"grid radius {bad} is not finite and positive"
+    with pytest.raises(ValueError, match=message):
+        PurityCurve(grid, [1.0] * len(grid))
+    s = one_d(0.0, 0.2, 0.5)
+    with pytest.raises(ValueError, match=message):
+        estimate_purity_curve(s, [0, 0, 1], grid)
+
+
+def test_the_default_grid_passes_the_radius_check():
+    assert select_initial_delta(PurityCurve(purity.DEFAULT_GRID, np.ones(40))) == 2.0
 
 
 @pytest.mark.parametrize("purity", [[np.nan, 0.5], [1.0, np.nan], [1.5, 1.0], [0.5, -0.1],

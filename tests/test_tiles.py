@@ -81,3 +81,51 @@ def test_gram_clients_match_their_oracles_at_every_tile_shape(monkeypatch, famil
             blocks = list(engine._ball_counts(s, centres, labels, grid))
             assert np.array_equal(np.concatenate([b[0] for b in blocks]), want_total)
             assert np.array_equal(np.concatenate([b[1] for b in blocks]), want_same)
+
+
+def _runs(rng, n, shape):
+    """Labels in runs of the lengths around both tile sides, so runs straddle their edges."""
+    sides = {1, 2} | {side + step for side in shape for step in (-1, 0, 1) if side + step > 0}
+    lengths = rng.choice(sorted(sides), size=n)
+    return np.repeat(np.arange(n), lengths)[:n]
+
+
+# Label layouts: the pass sorts the points by label, so each layout is a set of label runs.
+_LAYOUTS = {
+    "interleaved": lambda rng, n, shape: np.arange(n) % 3,
+    "one_point_runs": lambda rng, n, shape: rng.permutation(n),
+    "single_label": lambda rng, n, shape: np.full(n, 4),
+    "minus_one_and_large": lambda rng, n, shape: rng.choice([-1, 2**62, -(2**40), 5], size=n),
+    "straddling_runs": _runs,
+    "straddling_runs_shuffled": lambda rng, n, shape: rng.permutation(_runs(rng, n, shape)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("family", ["lattice", "duplicates", "partial_tiles"])
+def test_purity_pass_matches_its_oracle_on_every_label_layout(monkeypatch, family, layout):
+    rng = np.random.default_rng(sum(map(ord, family + layout)))
+    for _ in range(2):
+        oracles.set_tile(monkeypatch, (7, 7))
+        s, _, _ = _case(family, rng)
+        for shape in SHAPES:
+            oracles.set_tile(monkeypatch, shape)
+            labels = _LAYOUTS[layout](rng, s.count, shape)
+            got = min_impure_distance(s, labels)
+            assert np.array_equal(got, oracles.min_impure_distance(s, labels))
+            if layout == "single_label":
+                assert np.isinf(got).all()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_permuting_points_and_labels_permutes_the_purity_pass(monkeypatch, shape):
+    oracles.set_tile(monkeypatch, shape)
+    rng = np.random.default_rng(31)
+    for family in ("lattice", "duplicates", "shell"):
+        s, _, _ = _case(family, rng)
+        labels = rng.integers(-1, 3, size=s.count)
+        want = min_impure_distance(s, labels)
+        for _ in range(3):
+            p = rng.permutation(s.count)
+            assert np.array_equal(min_impure_distance(EmbeddingSet(s.vectors[p]), labels[p]),
+                                  want[p])
