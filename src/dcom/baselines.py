@@ -76,12 +76,13 @@ def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:
     """Greedy max-out-degree at a fixed radius (coverage-only selection).
 
     This is DCoM's greedy kernel at competence 0: every labeled point covers
-    a delta0 ball, and the graph counts edges into uncovered points only.
+    a delta0 ball, and the graph counts edges into uncovered points only. At
+    competence 0 the kernel picks by integer degree and reads no margins, so
+    none are passed.
     """
     _check_budget(pool, q)
     unlabeled = np.sort(_indices("pool.unlabeled", pool.unlabeled, embedding_set.count))
     covered = None
     if pool.labeled:
         covered = covered_set(embedding_set, pool.labeled, [delta0] * len(pool.labeled))
-    ones = np.ones(unlabeled.size)
-    return _greedy_select(embedding_set, unlabeled, covered, delta0, 0.0, ones, q)
+    return _greedy_select(embedding_set, unlabeled, covered, delta0, 0.0, None, q)

@@ -5,12 +5,16 @@ uncertainty and out-degree rank over a radius graph; after annotation, each
 new point receives the largest radius whose predicted-label purity still
 clears an adaptive threshold. _greedy_select holds the package's only greedy
 loop: ProbCover's max-coverage selection (baselines.select_probcover) is the
-same loop at competence 0 with a uniform radius. The radii's ball counts come
-from data._gram_pairs, the radius graph's Gram pass: a float32 key bins each
-pair under the grid radii, and the hook marks only the pairs in a band around
-a grid radius for the exact float64 refine. Each block of new points then gets
-its radii from one pass/fail table of its counts, which largest_passing_index
-searches for every row at once.
+same loop at competence 0 with a uniform radius. At competence 0, every
+probcover pick and every pick of a cold start, a step is one argmax over the
+graph's integer out-degrees, which provably gives the float score's pick;
+above 0 it scores every unlabeled point. Either way the pick's ball is
+covered with no re-check, as the graph itself produced its indices. The
+radii's ball counts come from data._gram_pairs, the radius graph's Gram pass:
+a float32 key bins each pair under the grid radii, and the hook marks only
+the pairs in a band around a grid radius for the exact float64 refine. Each
+block of new points then gets its radii from one pass/fail table of its
+counts, which largest_passing_index searches for every row at once.
 """
 
 from __future__ import annotations
@@ -339,26 +343,50 @@ def _greedy_select(embedding_set, unlabeled, covered, radius, competence, margin
 
     Each step takes the highest competence * (1 - margin) + (1 - competence)
     * degree / max degree and covers its ball. Ties go to the first position,
-    the lowest index, as both callers sort unlabeled (margins with it). At
-    competence 0 this orders picks exactly by integer degree.
+    the lowest index, as both callers sort unlabeled (margins with it);
+    unlabeled must be distinct.
+
+    At competence 0 the picks are ordered exactly by integer degree, so that
+    step reads no margins (margins may be None) and makes no float score.
+    For a margin in [0, 1] the first term is 0.0 * (1 - margin) = +0.0. For
+    integers 0 <= d1 < d2 <= top < 2^53 the quotients d1 / top and d2 / top
+    differ by at least 1 / top, far more than an ulp of a value <= 1, so
+    they round in the same order, and at top 0 every score is 0. The step
+    also needs no gather of the degrees of unlabeled, as out_degree over
+    all n points has the same maximum at the same lowest index:
+    - the graph is built over unlabeled only, so every other point has
+      degree 0;
+    - a picked point covered all its uncovered neighbours, so its degree is 0.
+    So while max(out_degree) > 0, argmax(out_degree) is an available point of
+    unlabeled, the lowest index of those with the top degree, and, unlabeled
+    being sorted, the lowest position too. Once the top degree is 0 it stays
+    0, as degrees only fall, and every available point scores the same: the
+    pick is the lowest available position.
     """
     # Only unlabeled points ever pick, and only uncovered ones count toward a degree.
     graph = build_radius_graph(embedding_set, radius, unlabeled, covered)
-
-    uncertainty = competence * (1.0 - margins)
+    degree = graph.out_degree
+    if competence != 0:
+        uncertainty = competence * (1.0 - margins)
     available = np.ones(unlabeled.size, dtype=bool)
     picks = []
     for _ in range(q):
-        degrees = graph.out_degree[unlabeled].astype(np.float64)
-        top = degrees.max()
-        odr = degrees / top if top > 0 else np.zeros_like(degrees)
-        scores = uncertainty + (1.0 - competence) * odr
-        masked = np.where(available, scores, -np.inf)
-        pick_pos = int(np.argmax(masked))  # argmax returns the lowest index on ties
+        if competence == 0:
+            best = int(np.argmax(degree))  # argmax returns the lowest index on ties
+            pick_pos = (int(np.searchsorted(unlabeled, best)) if degree[best]
+                        else int(np.argmax(available)))
+        else:
+            degrees = degree[unlabeled].astype(np.float64)
+            top = degrees.max()
+            odr = degrees / top if top > 0 else np.zeros_like(degrees)
+            scores = uncertainty + (1.0 - competence) * odr
+            pick_pos = int(np.argmax(np.where(available, scores, -np.inf)))
         pick = int(unlabeled[pick_pos])
         picks.append(pick)
         available[pick_pos] = False
-        graph.prune_incoming(np.append(graph.ball_members(pick), pick))
+        # The ball's uncovered members and the pick, if uncovered: distinct, so no re-check.
+        ball = graph.ball_members(pick)
+        graph._cover(ball if graph._covered[pick] else np.append(ball, pick))
     return picks
 
 

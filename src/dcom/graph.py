@@ -4,7 +4,8 @@ RadiusGraph stores each unordered pair both ways in one CSR and starts from
 the caller's covered mask. Covering a point drops it from its neighbours'
 degrees, so out-degrees count uncovered neighbours, as do ball_members. The
 greedy kernel in engine (shared by dcom_select and select_probcover) builds
-over the unlabeled points with the pool's covered mask, then only covers.
+over the unlabeled points with the pool's covered mask, then only covers, each
+picked ball through _cover, prune_incoming without its checks.
 Candidates come from data._gram_pairs, the package's one float32 Gram pass,
 which makes its keys one data._TILE_ROWS x data._TILE_COLS tile at a time, in
 one reused buffer of about 5 MB whatever the number of points. They are
@@ -62,12 +63,18 @@ class RadiusGraph:
         """Cover targets, dropping each from its neighbours' degrees (repeats allowed)."""
         # A repeated target would list its neighbours twice and decrement twice.
         targets = np.unique(_indices("targets", targets, self._covered.size))
-        targets = targets[~self._covered[targets]]
-        if targets.size == 0:
-            return
+        self._cover(targets[~self._covered[targets]])
+
+    def _cover(self, targets):
+        """prune_incoming with no checks: targets must be distinct, in range and uncovered."""
         self._covered[targets] = True
-        nbrs = np.concatenate([self._nbrs[self._indptr[t] : self._indptr[t + 1]] for t in targets])
-        np.subtract.at(self._out_degree, nbrs, 1)
+        starts = self._indptr[targets]
+        counts = self._indptr[targets + 1] - starts
+        ends = np.cumsum(counts)
+        # Entry k of the targets' joined neighbour lists, inside target t's, is
+        # _nbrs[starts[t] + k - (ends[t] - counts[t])].
+        at = np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
+        np.subtract.at(self._out_degree, self._nbrs[at], 1)
 
 
 def build_radius_graph(

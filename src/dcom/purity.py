@@ -69,8 +69,11 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
     The first center is drawn uniformly with the seeded generator; each
     subsequent center is the point farthest from the chosen set (lowest index
     on ties). Each round gives every point the centroid at the least exact
-    float64 distance _sq_dists, lowest index on ties. Empty clusters are
-    repaired by moving the point currently farthest from its own centroid.
+    float64 distance _sq_dists, lowest index on ties. Each empty cluster, in
+    index order, takes the point farthest from its own centroid among the
+    clusters of two or more members, lowest index on ties; as k <= n such a
+    cluster exists while one is empty, and no cluster ends empty, so no
+    centroid is the NaN mean of nothing, even with duplicate points.
     Iteration stops at an assignment fixpoint or after _KMEANS_ITERS rounds.
     k must be a Python or NumPy integer in [1, n], not a bool.
 
@@ -131,13 +134,15 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
                 near = points[unsure]
                 new_labels[unsure] = np.array([_sq_dists(near, c) for c in centroids]).argmin(axis=0)
 
-        if np.bincount(new_labels, minlength=k).min() == 0:
+        sizes = np.bincount(new_labels, minlength=k)
+        if sizes.min() == 0:
             assigned_sq = _sq_dists(points, centroids[new_labels])
-            for c in range(k):
-                if not (new_labels == c).any():
-                    worst = int(np.argmax(assigned_sq))
-                    new_labels[worst] = c
-                    assigned_sq[worst] = 0.0
+            for c in np.flatnonzero(sizes == 0):
+                # Only a cluster of two or more gives up a point, so none is emptied.
+                worst = int(np.argmax(np.where(sizes[new_labels] > 1, assigned_sq, -np.inf)))
+                sizes[new_labels[worst]] -= 1
+                sizes[c] = 1
+                new_labels[worst] = c
 
         if labels is not None and np.array_equal(labels, new_labels):
             break

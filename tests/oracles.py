@@ -5,6 +5,7 @@ import numpy as np
 from dcom import data, harness, purity
 from dcom.data import EmbeddingSet, _sq_dists
 from dcom.engine import PoolState, compute_tau, delta_grid
+from dcom.graph import build_radius_graph
 from dcom.learners import train_learner
 
 
@@ -42,9 +43,10 @@ def ball_purity_predicted(
 def kmeans_cluster(embedding_set, k, seed=0) -> np.ndarray:
     """Reference for purity.kmeans_cluster: k full float64 passes per Lloyd round.
 
-    The same farthest-first seeding, empty-cluster repair and centroid means;
-    each round assigns every point by argmin over its exact distances to all
-    k centroids, lowest index on ties.
+    The same farthest-first seeding, empty-cluster repair (each empty
+    cluster takes the farthest point of a cluster of two or more) and
+    centroid means; each round assigns every point by argmin over its exact
+    distances to all k centroids, lowest index on ties.
     """
     n = embedding_set.count
     points = embedding_set.vectors.astype(np.float64)
@@ -66,9 +68,9 @@ def kmeans_cluster(embedding_set, k, seed=0) -> np.ndarray:
 
         for c in range(k):
             if not (new_labels == c).any():
-                worst = int(np.argmax(assigned_sq))
+                donors = np.bincount(new_labels, minlength=k)[new_labels] >= 2
+                worst = int(np.argmax(np.where(donors, assigned_sq, -np.inf)))
                 new_labels[worst] = c
-                assigned_sq[worst] = 0.0
 
         if labels is not None and np.array_equal(labels, new_labels):
             break
@@ -77,6 +79,31 @@ def kmeans_cluster(embedding_set, k, seed=0) -> np.ndarray:
             centroids[c] = points[labels == c].mean(axis=0)
 
     return labels.astype(np.int64)
+
+
+def greedy_select(embedding_set, unlabeled, covered, radius, competence, margins, q):
+    """Reference for engine._greedy_select: a float score for every unlabeled point per pick.
+
+    Each pick takes the highest competence * (1 - margin) + (1 - competence)
+    * degree / max degree among the available positions of unlabeled, sorted
+    and distinct, lowest position on ties, then covers its ball through the
+    checked RadiusGraph.prune_incoming.
+    """
+    graph = build_radius_graph(embedding_set, radius, unlabeled, covered)
+    uncertainty = competence * (1.0 - margins)
+    available = np.ones(unlabeled.size, dtype=bool)
+    picks = []
+    for _ in range(q):
+        degrees = graph.out_degree[unlabeled].astype(np.float64)
+        top = degrees.max()
+        odr = degrees / top if top > 0 else np.zeros_like(degrees)
+        scores = uncertainty + (1.0 - competence) * odr
+        pick_pos = int(np.argmax(np.where(available, scores, -np.inf)))
+        pick = int(unlabeled[pick_pos])
+        picks.append(pick)
+        available[pick_pos] = False
+        graph.prune_incoming(np.append(graph.ball_members(pick), pick))
+    return picks
 
 
 def min_impure_distance(embedding_set, labels) -> np.ndarray:

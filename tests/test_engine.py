@@ -605,3 +605,42 @@ def test_probcover_matches_full_build_then_prune(lattice):
         pool = PoolState(list(labeled), list(unlabeled), [])
         expected = pruned_graph_probcover_oracle(s, labeled, unlabeled, delta0, q)
         assert select_probcover(s, pool, delta0, q) == expected
+
+
+def greedy_case(rng):
+    """A pool for _greedy_select: points, sorted distinct unlabeled, covered mask, radius, q.
+
+    Lattice points tie exactly in distance and degree; unlabeled may be a
+    subset with points in neither list; a third of the cases pick every
+    unlabeled point, so the top degree reaches 0 and the tail picks run.
+    """
+    n, d = int(rng.integers(5, 401)), int(rng.integers(1, 9))
+    if rng.random() < 0.5:
+        s = EmbeddingSet(rng.integers(-3, 4, size=(n, d)).astype(np.float64))
+        radius = float(np.sqrt(rng.integers(1, d + 3)))
+    else:
+        s = EmbeddingSet(rng.normal(size=(n, d)))
+        exact = s.vectors.astype(np.float64)
+        sq = data._sq_dists(exact, exact[int(rng.integers(n))])
+        radius = float(np.sqrt(np.quantile(sq, rng.uniform(0.02, 0.3), method="lower"))) or 1.0
+    size = n if rng.random() < 0.5 else int(rng.integers(1, n + 1))
+    unlabeled = np.sort(rng.choice(n, size=size, replace=False))
+    covered = None if rng.random() < 0.3 else rng.random(n) < rng.uniform(0.0, 0.9)
+    q = size if rng.random() < 1 / 3 else int(rng.integers(1, size + 1))
+    return s, unlabeled, covered, radius, q
+
+
+def test_greedy_select_at_competence_zero_equals_the_float_score_oracle():
+    # The integer-degree pick reads no margins; the oracle gets random ones.
+    rng = np.random.default_rng(2205)
+    everything = 0
+    for _ in range(64):
+        s, unlabeled, covered, radius, q = greedy_case(rng)
+        everything += q == unlabeled.size
+        margins = rng.random(unlabeled.size)
+        got = engine._greedy_select(s, unlabeled, covered, radius, 0.0, None, q)
+        assert got == oracles.greedy_select(s, unlabeled, covered, radius, 0.0, margins, q)
+        competence = float(rng.uniform(0.01, 1.0))
+        got = engine._greedy_select(s, unlabeled, covered, radius, competence, margins, q)
+        assert got == oracles.greedy_select(s, unlabeled, covered, radius, competence, margins, q)
+    assert everything >= 15

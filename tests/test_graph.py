@@ -373,6 +373,25 @@ def test_prune_incoming_duplicate_targets_decrement_once():
     assert g.out_degree.sum() == oracles.edges(g).shape[0]
 
 
+def test_cover_equals_prune_incoming_after_the_same_balls():
+    # _cover skips prune_incoming's checks; fed a picked ball's uncovered
+    # members and the pick when uncovered, it must leave the same graph.
+    rng = np.random.default_rng(11)
+    for kind in ("gaussian", "lattice"):
+        for _ in range(6):
+            s, radius = random_case(rng, kind, n=int(rng.integers(5, 45)))
+            points, covered = random_indices(rng, s.count), random_covered(rng, s.count)
+            g = build_radius_graph(s, radius, points, covered)
+            h = build_radius_graph(s, radius, points, covered)
+            for v in rng.permutation(np.unique(points))[: int(rng.integers(1, 30))]:
+                g.prune_incoming(np.append(g.ball_members(v), v))
+                ball = h.ball_members(v)
+                h._cover(ball if h._covered[v] else np.append(ball, v))
+                np.testing.assert_array_equal(h.out_degree, g.out_degree)
+                np.testing.assert_array_equal(h._covered, g._covered)
+            assert np.array_equal(oracles.edges(h), oracles.edges(g))
+
+
 def test_prunes_never_raise_degree():
     rng = np.random.default_rng(4)
     s = EmbeddingSet(rng.normal(size=(40, 2)))

@@ -159,13 +159,8 @@ def test_kmeans_matches_the_full_pass_oracle(case):
     for _ in range(8):
         s, k = _KMEANS_CASES[case](rng)
         seed = int(rng.integers(100))
-        with warnings.catch_warnings():
-            if case == "duplicates":
-                # The repair can leave a cluster empty (both codes alike); its
-                # mean warns and is NaN, and the labels must still agree.
-                warnings.simplefilter("ignore", RuntimeWarning)
-            want = oracles.kmeans_cluster(s, k, seed)
-            assert np.array_equal(kmeans_cluster(s, k, seed), want)
+        want = oracles.kmeans_cluster(s, k, seed)
+        assert np.array_equal(kmeans_cluster(s, k, seed), want)
 
 
 def _exact_calls(monkeypatch):
@@ -192,6 +187,27 @@ def test_kmeans_repairs_empty_clusters_like_the_oracle(monkeypatch):
         assert (s.count, 2) in calls
         assert np.array_equal(labels, oracles.kmeans_cluster(s, 3, seed))
         assert sorted(labels) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("rows, k", [
+    ([[1.0]] * 4, 4),
+    ([[1.0]] * 4, 1),
+    ([[0.0], [0.0], [5.0], [5.0], [5.0]], 2),
+    ([[0.0], [0.0], [5.0], [5.0], [5.0]], 3),
+    ([[0.0], [0.0], [5.0], [5.0], [5.0]], 5),
+    ([[0.0, 1.0], [2.0, 2.0]] * 3 + [[0.0, 1.0]], 6),
+])
+def test_kmeans_on_duplicate_points_leaves_no_cluster_empty(rows, k):
+    # k at and above the distinct count: the seeding repeats a point, and the
+    # repair once moved one zero-distance point from cluster to cluster,
+    # leaving an empty cluster whose mean was NaN ("Mean of empty slice").
+    s = EmbeddingSet(rows)
+    for seed in range(4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = kmeans_cluster(s, k, seed)
+        assert np.array_equal(np.unique(labels), np.arange(k))
+        assert np.array_equal(labels, oracles.kmeans_cluster(s, k, seed))
 
 
 @pytest.mark.parametrize("case", ["far_from_origin", "symmetric_line", "lattice"])
