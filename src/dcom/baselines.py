@@ -7,18 +7,10 @@ import numpy as np
 from .data import _sq_dists
 from .engine import _check_budget, _greedy_select
 from .errors import PoolInvariantError
-from .graph import _indices, covered_set
+from .graph import covered_set
 from .learners import uncertainty_scores
 
-STRATEGY_KINDS = (
-    "random",
-    "margin",
-    "entropy",
-    "maxprob",
-    "coreset",
-    "probcover",
-    "dcom",
-)
+STRATEGY_KINDS = ("random", "margin", "entropy", "maxprob", "coreset", "probcover", "dcom")
 
 # The kinds whose picks read the run seed: random always, the uncertainty
 # kinds until two classes are labeled. The rest are deterministic given the
@@ -41,10 +33,7 @@ def select_by_uncertainty(pool, probs: np.ndarray, kind: str, q: int) -> list:
     if probs.shape[0] != unlabeled.size:
         raise PoolInvariantError("softmax rows must align with the unlabeled pool")
     scores = uncertainty_scores(probs, kind)
-    if kind == "margin":
-        keys = scores  # lowest gap first
-    else:
-        keys = -scores  # highest entropy / maxprob first
+    keys = scores if kind == "margin" else -scores  # lowest gap, highest entropy or maxprob first
     order = np.lexsort((unlabeled, keys))
     return [int(unlabeled[i]) for i in order[:q]]
 
@@ -52,12 +41,12 @@ def select_by_uncertainty(pool, probs: np.ndarray, kind: str, q: int) -> list:
 def select_coreset(embedding_set, pool, q: int) -> list:
     """Greedy k-center: repeatedly take the point farthest from the selected/labeled set."""
     _check_budget(pool, q)
-    n = embedding_set.count
-    unlabeled = np.sort(_indices("pool.unlabeled", pool.unlabeled, n))  # lowest index on ties
+    pool.check_range(embedding_set.count)
+    unlabeled = np.sort(np.asarray(pool.unlabeled, dtype=np.int64))  # lowest index on ties
     points = embedding_set.vectors.astype(np.float64)
     candidates = points[unlabeled]
     min_sq = np.full(unlabeled.size, np.inf)
-    for i in _indices("pool.labeled", pool.labeled, n):
+    for i in pool.labeled:
         min_sq = np.minimum(min_sq, _sq_dists(candidates, points[i]))
 
     selected = []
@@ -81,7 +70,8 @@ def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:
     none are passed.
     """
     _check_budget(pool, q)
-    unlabeled = np.sort(_indices("pool.unlabeled", pool.unlabeled, embedding_set.count))
+    pool.check_range(embedding_set.count)
+    unlabeled = np.sort(np.asarray(pool.unlabeled, dtype=np.int64))
     covered = None
     if pool.labeled:
         covered = covered_set(embedding_set, pool.labeled, [delta0] * len(pool.labeled))

@@ -40,19 +40,12 @@ def _build_parser():
     return parser
 
 
-def _distinct(indices, name, allowed, where):
-    """indices as a list; PoolInvariantError names repeats and any outside allowed."""
-    bad = sorted(i for i, k in Counter(indices).items() if k > 1 or i not in allowed)
-    if bad:
-        raise PoolInvariantError(f"{name} points {bad} are repeated or not {where}")
-    return list(indices)
-
-
 def _load_round(config, expanding=False):
     """Dataset, strategy kind, seed, setting, pool and query of a select or expand-delta config.
 
-    labeled must hold distinct dataset indices, and expand-delta's query
-    distinct labeled ones; expand-delta is always dcom. When deltas is empty,
+    The pool is labeled plus every other dataset index, checked as
+    engine.PoolState checks any pool; expand-delta's query must hold distinct
+    labeled indices, and expand-delta is always dcom. When deltas is empty,
     dcom gives delta0 to every labeled point outside query; given radii must
     not exceed the largest one expand_delta assigns.
     """
@@ -60,8 +53,14 @@ def _load_round(config, expanding=False):
     harness._require(config, ("data", "query" if expanding else "q"))
     dataset = harness.load_dataset(config["data"])
     n = dataset.count
-    labeled = _distinct(config.get("labeled", []), "labeled", range(n), f"in [0, {n})")
-    query = _distinct(config["query"], "query", set(labeled), "labeled") if expanding else []
+    labeled = list(config.get("labeled", []))
+    unlabeled = sorted(set(range(n)) - set(labeled))
+    # The index rules first, as building the setting may derive delta0 with k-means.
+    engine.PoolState(labeled, unlabeled, []).check_range(n)
+    query = list(config["query"]) if expanding else []
+    bad = sorted({i for i, k in Counter(query).items() if k > 1} | (set(query) - set(labeled)))
+    if bad:
+        raise PoolInvariantError(f"query points {bad} are repeated or not labeled")
     kind, seed = harness.strategy_spec(config, "dcom" if expanding else None)
     setting = harness.strategy_setting(dataset, kind, config.get("dcom", {}), seed)
     deltas = [float(d) for d in config.get("deltas", [])]
@@ -72,7 +71,6 @@ def _load_round(config, expanding=False):
         if above:
             raise PoolInvariantError(f"radii {above} exceed {largest!r}, dcom's largest radius")
         deltas = deltas or [setting.delta0] * (len(labeled) - len(query))
-    unlabeled = sorted(set(range(n)) - set(labeled))
     return dataset, kind, seed, setting, engine.PoolState(labeled, unlabeled, deltas), query
 
 

@@ -46,13 +46,34 @@ _BALL_CELLS = 2**16
 _MAX_RADII = 2**16
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoolState:
-    """Labeled/unlabeled index split plus per-labeled-point radii."""
+    """Labeled/unlabeled index split plus per-labeled-point radii.
+
+    Construction checks every rule that needs no dataset size and raises
+    PoolInvariantError: integer indices (a bool is not one), none negative,
+    labeled and unlabeled each distinct and the two disjoint, and every
+    radius finite and positive. Subset pools are valid. The rules that need
+    n are check_range (every index below n) and validate (a partition of
+    range(n) with one radius per labeled point). The fields keep the lists
+    given, so a list changed after construction is not checked again.
+    """
 
     labeled: list
     unlabeled: list
     deltas: list
+
+    def __post_init__(self):
+        arrays = []
+        for name in ("labeled", "unlabeled"):
+            values = _index_array(f"pool.{name}", getattr(self, name), PoolInvariantError)
+            _reject(f"pool.{name}", values, values < 0, "a negative index")
+            _reject_repeats(values, f"pool.{name} must not repeat an index")
+            arrays.append(values)
+        _reject_repeats(np.concatenate(arrays), "pool.labeled and pool.unlabeled must be disjoint")
+        deltas = np.asarray(self.deltas, dtype=np.float64)
+        _reject("pool.deltas", deltas, ~(np.isfinite(deltas) & (deltas > 0)),
+                "but all radii must be positive and finite")
 
     def with_labeled(self, picks):
         """This pool with picks moved from unlabeled to labeled; radii are kept."""
@@ -60,16 +81,42 @@ class PoolState:
         unlabeled = [i for i in self.unlabeled if i not in picked]
         return PoolState(list(self.labeled) + list(picks), unlabeled, list(self.deltas))
 
+    def check_range(self, n):
+        """Raise PoolInvariantError unless every index is below n."""
+        for name in ("labeled", "unlabeled"):
+            values = np.asarray(getattr(self, name), dtype=np.int64)
+            _reject(f"pool.{name}", values, values >= n, f"outside [0, {n})")
+
     def validate(self, n):
+        """Raise PoolInvariantError unless the pool partitions range(n), a radius per labeled point.
+
+        Construction ruled out repeats and overlaps, so once every index is
+        below n, counts adding up to n make a partition.
+        """
+        self.check_range(n)
+        if len(self.labeled) + len(self.unlabeled) != n:
+            held = np.zeros(n, dtype=bool)
+            held[self.labeled] = held[self.unlabeled] = True
+            raise PoolInvariantError(f"labeled and unlabeled must hold each dataset index "
+                                     f"once: {np.argmin(held)} is in neither")
         if len(self.deltas) != len(self.labeled):
-            raise PoolInvariantError(
-                f"{len(self.deltas)} radii for {len(self.labeled)} labeled points"
-            )
-        everyone = set(self.labeled) | set(self.unlabeled)
-        if len(self.labeled) + len(self.unlabeled) != n or everyone != set(range(n)):
-            raise PoolInvariantError("labeled and unlabeled must hold each dataset index once")
-        if not all(d > 0 for d in self.deltas):
-            raise PoolInvariantError("all radii must be positive")
+            raise PoolInvariantError(f"{len(self.deltas)} radii for {len(self.labeled)} "
+                                     f"labeled points")
+
+
+def _reject(name, values, bad, why):
+    """Raise PoolInvariantError naming the first values[k] where the mask bad holds."""
+    at = np.flatnonzero(bad)
+    if at.size:
+        raise PoolInvariantError(f"{name}[{at[0]}] is {values[at[0]]}, {why}")
+
+
+def _reject_repeats(values, rule):
+    """Raise PoolInvariantError naming the smallest index the int64 array values repeats."""
+    ordered = np.sort(values)
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        raise PoolInvariantError(f"{rule}: {repeats[0]} appears more than once")
 
 
 @dataclass(frozen=True)
@@ -155,14 +202,8 @@ def largest_passing_index(passes: np.ndarray) -> np.ndarray:
     return np.where(passes[:, 0], lo, -1)
 
 
-def expand_delta(
-    embedding_set,
-    pool: PoolState,
-    new_points,
-    predicted_unlabeled,
-    coverage_old: float,
-    config: DComConfig,
-) -> list:
+def expand_delta(embedding_set, pool: PoolState, new_points, predicted_unlabeled,
+                 coverage_old: float, config: DComConfig) -> list:
     """Append a radius for each newly labeled point.
 
     For each new point, binary search over the resolution grid finds the
@@ -171,18 +212,23 @@ def expand_delta(
     Purity at radius r is the share of the points other than the new point
     within exact distance r whose effective label, the true label on the
     labeled pool and the prediction elsewhere, is the new point's; an empty
-    ball passes. new_points must be distinct members of pool.labeled, and
+    ball passes. new_points must be distinct members of pool.labeled,
+    pool.deltas must hold a radius for each of its other points, and
     predicted_unlabeled must hold one label per point of pool.unlabeled.
     """
     n = embedding_set.count
     new_points = _indices("new_points", new_points, n)
-    labeled = _indices("pool.labeled", pool.labeled, n)
-    unlabeled = _indices("pool.unlabeled", pool.unlabeled, n)
+    pool.check_range(n)
+    labeled = np.asarray(pool.labeled, dtype=np.int64)
+    unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
     if np.unique(new_points).size != new_points.size:
         raise PoolInvariantError("new_points must be distinct")
     outside = new_points[~np.isin(new_points, labeled)]
     if outside.size:
         raise PoolInvariantError(f"new point {outside[0]} is not in pool.labeled")
+    if len(pool.deltas) + new_points.size != labeled.size:
+        raise PoolInvariantError(f"{len(pool.deltas)} radii for {labeled.size - new_points.size} "
+                                 f"labeled points besides new_points")
     predicted = np.asarray(predicted_unlabeled, dtype=np.int64)
     if predicted.shape != unlabeled.shape:
         raise PoolInvariantError(f"predicted_unlabeled holds {predicted.size} labels for "
@@ -282,13 +328,8 @@ def _ball_counts(embedding_set, centers, labels, grid):
         yield counts.sum(axis=2) - 1, counts[:, :, 1] - 1
 
 
-def dcom_select(
-    embedding_set: EmbeddingSet,
-    pool: PoolState,
-    margins,
-    q: int,
-    config: DComConfig,
-) -> QueryResult:
+def dcom_select(embedding_set: EmbeddingSet, pool: PoolState, margins, q: int,
+                config: DComConfig) -> QueryResult:
     """Greedy selection of q points maximizing the competence-weighted score.
 
     margins, each in [0, 1], are the normalized top-two softmax gaps over the
@@ -307,34 +348,23 @@ def dcom_select(
     order = np.argsort(unlabeled)
     unlabeled, margins = unlabeled[order], margins[order]
 
+    covered, coverage_before, competence, delta_avg = None, 0.0, 0.0, config.delta0
     if pool.labeled:
         covered = covered_set(embedding_set, pool.labeled, pool.deltas)
         coverage_before = float(covered.mean())
-        competence = competence_score(
-            coverage_before, config.logistic_a, config.logistic_k
-        )
+        competence = competence_score(coverage_before, config.logistic_a, config.logistic_k)
         delta_avg = float(np.mean(pool.deltas))
-    else:
-        covered = None
-        coverage_before = 0.0
-        competence = 0.0
-        delta_avg = config.delta0
 
     selected = _greedy_select(embedding_set, unlabeled, covered, delta_avg, competence, margins, q)
     return QueryResult(selected, coverage_before, competence)
 
 
 def _check_budget(pool, q):
-    """Every selector's pool and budget rule: distinct integers >= 0, 1 <= q <= their count."""
-    unlabeled = _index_array("pool.unlabeled", pool.unlabeled, PoolInvariantError)
-    negative = np.flatnonzero(unlabeled < 0)
-    if negative.size:
-        raise PoolInvariantError(f"pool.unlabeled[{negative[0]}] is {unlabeled[negative[0]]}, "
-                                 f"a negative index")
-    if np.unique(unlabeled).size != unlabeled.size:
-        raise PoolInvariantError("pool.unlabeled must not repeat an index")
-    if not 1 <= q <= unlabeled.size:
-        raise PoolInvariantError(f"q={q} must lie in [1, {unlabeled.size}], "
+    """Every selector's budget rule: an integer q, not a bool, in [1, len(pool.unlabeled)]."""
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+        raise PoolInvariantError(f"q must be an integer, got {q!r}")
+    if not 1 <= q <= len(pool.unlabeled):
+        raise PoolInvariantError(f"q={q} must lie in [1, {len(pool.unlabeled)}], "
                                  f"the unlabeled pool size")
 
 
@@ -390,14 +420,8 @@ def _greedy_select(embedding_set, unlabeled, covered, radius, competence, margin
     return picks
 
 
-def run_iteration(
-    embedding_set: EmbeddingSet,
-    pool: PoolState,
-    learner_spec: LearnerSpec,
-    q: int,
-    config: DComConfig,
-    learner=None,
-):
+def run_iteration(embedding_set: EmbeddingSet, pool: PoolState, learner_spec: LearnerSpec,
+                  q: int, config: DComConfig, learner=None):
     """One full active-learning iteration: _query, then _label_step on the picks.
 
     Returns (QueryResult, updated pool, trained learner, metrics dict). If no
@@ -406,10 +430,11 @@ def run_iteration(
     """
     result = _query(embedding_set, pool, learner_spec, q, config, learner)
     new_pool = pool.with_labeled(result.selected)
-    learner, new_pool.deltas = _label_step(
+    learner, radii = _label_step(
         embedding_set, new_pool, result.selected, result.coverage_before, learner_spec, config
     )
-    deltas = np.asarray(new_pool.deltas)
+    new_pool = PoolState(new_pool.labeled, new_pool.unlabeled, radii)
+    deltas = np.asarray(radii)
     metrics = {
         "coverage": result.coverage_before,
         "competence": result.competence,

@@ -1,5 +1,7 @@
 """Brute-force reference oracles the tests compare the package against, and the Gram-pass cases."""
 
+import math
+
 import numpy as np
 
 from dcom import data, harness, purity
@@ -38,6 +40,23 @@ def ball_purity_predicted(
         return 1.0
     matches = int((effective[inside] == effective[center]).sum())
     return matches / total
+
+
+def pool_is_valid(labeled, unlabeled, deltas, n) -> bool:
+    """Whether a pool partitions range(n) with one finite, positive radius per labeled point.
+
+    The set-based check PoolState.validate made before PoolState checked its
+    own indices, plus the index type rule that sets cannot see: 1.0 and True
+    both equal 1.
+    """
+    indices = list(labeled) + list(unlabeled)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in indices):
+        return False
+    if len(deltas) != len(labeled):
+        return False
+    if len(indices) != n or set(indices) != set(range(n)):
+        return False
+    return all(math.isfinite(d) and d > 0 for d in deltas)
 
 
 def kmeans_cluster(embedding_set, k, seed=0) -> np.ndarray:

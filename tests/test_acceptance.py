@@ -224,7 +224,8 @@ def test_criterion_07_error_bounded_by_uncovered_mass_with_pure_balls():
         # threshold only a fully pure ball can clear.
         config = DComConfig(delta0=0.5, delta_max=1.0, tau_slope=0.0, tau_intercept=0.999)
         predicted = s.labels[unlabeled_idx]
-        pool.deltas = expand_delta(s, pool, labeled_idx, predicted, 0.0, config)
+        radii = expand_delta(s, pool, labeled_idx, predicted, 0.0, config)
+        pool = PoolState(labeled_idx, unlabeled_idx, radii)
         ok &= all(
             is_pure_ball(s, s.labels, c, d) for c, d in zip(labeled_idx, pool.deltas)
         )

@@ -33,19 +33,32 @@ def test_budget_overflow_rejected():
         select_coreset(one_d(0.0, 1.0), pool, 3)
 
 
-@pytest.mark.parametrize("q", [0, -1])
+# q=True used to pick one point (random raised a bare TypeError), and q=2.5
+# to fail in range() or in slicing.
+@pytest.mark.parametrize("q", [0, -1, True, 2.5])
 def test_nonpositive_budget_rejected(q):
     s = one_d(0.0, 1.0, 2.0)
     pool = PoolState([], [0, 1, 2], [])
     probs = np.array([[0.6, 0.4]] * 3)
-    with pytest.raises(PoolInvariantError):
+    with pytest.raises(PoolInvariantError, match="^q"):
         select_random(pool, q, seed=0)
-    with pytest.raises(PoolInvariantError):
+    with pytest.raises(PoolInvariantError, match="^q"):
         select_by_uncertainty(pool, probs, "margin", q)
-    with pytest.raises(PoolInvariantError):
+    with pytest.raises(PoolInvariantError, match="^q"):
         select_coreset(s, pool, q)
-    with pytest.raises(PoolInvariantError):
+    with pytest.raises(PoolInvariantError, match="^q"):
         select_probcover(s, pool, 0.5, q)
+
+
+def test_a_numpy_integer_budget_is_accepted():
+    s = one_d(0.0, 1.0, 2.0)
+    pool = PoolState([], [0, 1, 2], [])
+    probs = np.array([[0.6, 0.4]] * 3)
+    q = np.int64(3)
+    assert sorted(select_random(pool, q, seed=0)) == [0, 1, 2]
+    assert select_by_uncertainty(pool, probs, "margin", q) == [0, 1, 2]
+    assert select_coreset(s, pool, q) == [0, 2, 1]  # farthest first
+    assert sorted(select_probcover(s, pool, 0.5, q)) == [0, 1, 2]
 
 
 SELECTORS = {
@@ -58,16 +71,20 @@ SELECTORS = {
 
 
 # Each selector used to pick a repeated index again, and -1 as the last point;
-# random and uncertainty read 1.7 as point 1 and True as point 1. Coreset and
-# probcover, which hold the points, also name an index past them.
+# random and uncertainty read 1.7 as point 1 and True as point 1, and picked
+# the labeled point 0 again. Coreset and probcover, which hold the points, also
+# name an index past them.
 BROKEN_POOLS = {
-    "repeated": ([1, 1, 1, 2], PoolInvariantError, "pool.unlabeled must not repeat an index"),
+    "repeated": ([1, 1, 1, 2], PoolInvariantError,
+                 "pool.unlabeled must not repeat an index: 1 appears more than once"),
     "negative": ([1, 2, -1], PoolInvariantError, r"pool.unlabeled\[2\] is -1, a negative index"),
     "fraction": ([0.5, 1.7, 2.2], PoolInvariantError,
                  r"^pool.unlabeled must hold integer indices, got dtype float64$"),
     "bool": ([True, 2, 3], PoolInvariantError,
              r"^pool.unlabeled must hold integer indices, got a bool$"),
-    "past-n": ([1, 2, 4], ValueError, r"pool.unlabeled\[2\] is 4, outside \[0, 4\)"),
+    "past-n": ([1, 2, 4], PoolInvariantError, r"pool.unlabeled\[2\] is 4, outside \[0, 4\)"),
+    "overlap": ([0, 1, 2, 3], PoolInvariantError,
+                "pool.labeled and pool.unlabeled must be disjoint: 0 appears more than once"),
 }
 
 

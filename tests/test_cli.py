@@ -279,10 +279,6 @@ def thirty_point_expand_config(**overrides):
     return {**config, **overrides}
 
 
-def index_message(bad):
-    return f"labeled points {bad} are repeated or not in [0, 30)"
-
-
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -290,9 +286,10 @@ def index_message(bad):
         ({"query": [21, 21]}, "query points [21] are repeated or not labeled"),
         ({"labeled": [0, 11], "query": [25]}, "query points [25] are repeated or not labeled"),
         ({"labeled": [], "deltas": [], "query": []}, "there are none"),
-        ({"labeled": [0, -1, 21]}, index_message([-1])),
-        ({"labeled": [0, 500, 21]}, index_message([500])),
-        ({"labeled": [0, 0, 11, 21], "deltas": [0.4] * 3}, index_message([0])),
+        ({"labeled": [0, -1, 21]}, "pool.labeled[1] is -1, a negative index"),
+        ({"labeled": [0, 500, 21]}, "pool.labeled[1] is 500, outside [0, 30)"),
+        ({"labeled": [0, 0, 11, 21], "deltas": [0.4] * 3},
+         "pool.labeled must not repeat an index: 0 appears more than once"),
         ({"labeled": 5}, "labeled must be a list of integers, got 5"),
         ({"deltas": [None, 0.4]}, "deltas must be a list of finite numbers, got [None, 0.4]"),
         ({"query": 21}, "query must be a list of integers, got 21"),
@@ -336,9 +333,10 @@ def test_expand_delta_prints_the_radii_of_run_iteration(capsys, tmp_path, labele
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"labeled": [0, -1]}, index_message([-1])),
-        ({"labeled": [0, 500]}, index_message([500])),
-        ({"labeled": [0, 0, 11]}, index_message([0])),
+        ({"labeled": [0, -1]}, "pool.labeled[1] is -1, a negative index"),
+        ({"labeled": [0, 500]}, "pool.labeled[1] is 500, outside [0, 30)"),
+        ({"labeled": [0, 0, 11]},
+         "pool.labeled must not repeat an index: 0 appears more than once"),
         ({"labeled": 5}, "labeled must be a list of integers, got 5"),
         ({"deltas": [None, 0.4]}, "deltas must be a list of finite numbers, got [None, 0.4]"),
         ({"q": None}, "q must be an integer, got None"),
@@ -360,6 +358,20 @@ def test_select_rejects_bad_pool_inputs(capsys, tmp_path, kind, overrides, messa
     code, out, err = run_select(capsys, tmp_path, {**config, **overrides})
     assert code == 1 and out == ""
     assert err.startswith("error (query-selection):") and message in err
+
+
+def test_a_labeled_index_past_the_points_exits_before_delta0_is_derived(
+    capsys, tmp_path, monkeypatch
+):
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("k-means ran before the pool's indices were checked")
+
+    monkeypatch.setattr(harness, "kmeans_cluster", no_kmeans)
+    config = thirty_point_expand_config(labeled=[0, 500], q=2, dcom={})
+    del config["query"]
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 1 and out == ""
+    assert err == "error (query-selection): pool.labeled[1] is 500, outside [0, 30)\n"
 
 
 def test_select_on_a_mixture_past_float32_range_names_the_non_finite_value(capsys, tmp_path):

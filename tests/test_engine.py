@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,14 +118,95 @@ def test_pool_state_validation():
         PoolState([0], [0, 1, 2], [0.5]).validate(3)
     with pytest.raises(PoolInvariantError):
         PoolState([0], [1], [0.5]).validate(3)
-    with pytest.raises(PoolInvariantError, match="each dataset index once"):
+    with pytest.raises(PoolInvariantError, match="pool.labeled must not repeat an index: 0 "):
         PoolState([0, 0], [1, 2], [0.5, 0.5]).validate(3)
-    with pytest.raises(PoolInvariantError, match="each dataset index once"):
+    with pytest.raises(PoolInvariantError, match="pool.unlabeled must not repeat an index: 1 "):
         PoolState([0], [1, 1, 2], [0.5]).validate(3)
     with pytest.raises(PoolInvariantError):
         PoolState([0], [1, 2], [0.5, 0.5]).validate(3)
     with pytest.raises(PoolInvariantError):
         PoolState([0], [1, 2], [-0.5]).validate(3)
+
+
+# The rules PoolState's constructor checks; the rest need n, and validate checks them.
+CONSTRUCTION_RULES = ("repeat", "overlap", "negative", "bool", "float",
+                      "radius-zero", "radius-negative", "radius-nan", "radius-inf")
+N_RULES = ("past-n", "missing", "radius-count")
+BAD_RADII = {"radius-zero": 0.0, "radius-negative": -0.5, "radius-nan": np.nan,
+             "radius-inf": np.inf}
+
+
+def _random_pool(rng, rule):
+    """(labeled, unlabeled, deltas, n): a random partition of range(n), n >= 2, with rule broken.
+
+    rule None leaves the pool valid. An index rule breaks one of the two
+    lists; a labeled index added or removed takes its radius along, so the
+    radius count stays right.
+    """
+    n = int(rng.integers(2, 25))
+    order = rng.permutation(n).tolist()
+    k = int(rng.integers(1 if rule in BAD_RADII else 0, n + 1))
+    labeled, unlabeled, deltas = order[:k], order[k:], rng.uniform(0.05, 2.0, k).tolist()
+    side, other = (labeled, unlabeled) if rng.random() < 0.5 else (unlabeled, labeled)
+    if not (other if rule == "overlap" else side):
+        side, other = other, side
+    added = None
+    if rule == "repeat":
+        added = side[int(rng.integers(len(side)))]
+    elif rule == "overlap":
+        added = other[int(rng.integers(len(other)))]
+    elif rule == "negative":
+        added = -int(rng.integers(1, 4))
+    elif rule == "past-n":
+        added = n + int(rng.integers(3))
+    if added is not None:
+        side.insert(int(rng.integers(len(side) + 1)), added)
+        if side is labeled:
+            deltas.append(0.5)
+    elif rule == "missing":
+        at = int(rng.integers(len(side)))
+        del side[at]
+        if side is labeled:
+            del deltas[at]
+    elif rule in ("bool", "float"):
+        value = int(rng.integers(2 if rule == "bool" else n))
+        holder = labeled if value in labeled else unlabeled
+        holder[holder.index(value)] = bool(value) if rule == "bool" else float(value)
+    elif rule == "radius-count":
+        if deltas and rng.random() < 0.5:
+            deltas.pop()
+        else:
+            deltas.append(0.5)
+    elif rule is not None:
+        deltas[int(rng.integers(len(deltas)))] = BAD_RADII[rule]
+    return labeled, unlabeled, deltas, n
+
+
+def test_pool_contract_matches_the_set_based_oracle():
+    rules = (None, *CONSTRUCTION_RULES, *N_RULES)
+    for seed in range(200):
+        rule = rules[seed % len(rules)]
+        labeled, unlabeled, deltas, n = _random_pool(np.random.default_rng(seed), rule)
+        valid = oracles.pool_is_valid(labeled, unlabeled, deltas, n)
+        assert valid == (rule is None), (seed, rule)
+        if rule in CONSTRUCTION_RULES:
+            with pytest.raises(PoolInvariantError):
+                PoolState(labeled, unlabeled, deltas)
+            continue
+        pool = PoolState(labeled, unlabeled, deltas)
+        if valid:
+            pool.validate(n)
+        else:
+            with pytest.raises(PoolInvariantError):
+                pool.validate(n)
+
+
+def test_pool_state_fields_cannot_be_assigned():
+    pool = PoolState([0], [1, 2], [0.5])
+    for name, value in (("labeled", [1]), ("unlabeled", [0, 2]), ("deltas", [0.25])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pool, name, value)
+    assert pool == PoolState([0], [1, 2], [0.5])
 
 
 def test_config_defaults_and_validation():
@@ -198,22 +281,26 @@ def test_expand_delta_fallback_to_resolution():
 
 
 @pytest.mark.parametrize(
-    "new_points, predicted, error, message",
+    "new_points, predicted, error, message, deltas",
     [
         # A length-1 prediction used to broadcast over every unlabeled point.
-        ([1], [1], PoolInvariantError, "holds 1 labels for 2 unlabeled points"),
+        ([1], [1], PoolInvariantError, "holds 1 labels for 2 unlabeled points", [0.5]),
         # -1 used to read point n - 1.
-        ([-1], [1, 1], ValueError, r"new_points\[0\] is -1, outside \[0, 4\)"),
-        ([4], [1, 1], ValueError, r"new_points\[0\] is 4"),
-        ([0.5], [1, 1], ValueError, "new_points must hold integer indices"),
+        ([-1], [1, 1], ValueError, r"new_points\[0\] is -1, outside \[0, 4\)", [0.5]),
+        ([4], [1, 1], ValueError, r"new_points\[0\] is 4", [0.5]),
+        ([0.5], [1, 1], ValueError, "new_points must hold integer indices", [0.5]),
         # An unlabeled point used to get a radius from its own prediction.
-        ([2], [1, 1], PoolInvariantError, "new point 2 is not in pool.labeled"),
-        ([1, 1], [1, 1], PoolInvariantError, "new_points must be distinct"),
+        ([2], [1, 1], PoolInvariantError, "new point 2 is not in pool.labeled", [0.5]),
+        ([1, 1], [1, 1], PoolInvariantError, "new_points must be distinct", [0.5]),
+        # The radii used to come back as [0.25] and as four radii for two points.
+        ([1], [1, 1], PoolInvariantError, "0 radii for 1 labeled points besides new_points", []),
+        ([1], [1, 1], PoolInvariantError, "3 radii for 1 labeled points besides new_points",
+         [0.5] * 3),
     ],
 )
-def test_expand_delta_names_bad_input(new_points, predicted, error, message):
+def test_expand_delta_names_bad_input(new_points, predicted, error, message, deltas):
     s = one_d(0.0, 0.2, 0.5, 0.9, labels=[0, 0, 1, 1])
-    pool = PoolState([0, 1], [2, 3], [0.5])
+    pool = PoolState([0, 1], [2, 3], deltas)
     config = DComConfig(delta0=0.5)
     with pytest.raises(error, match=message):
         expand_delta(s, pool, new_points, predicted, 0.5, config)
@@ -450,15 +537,17 @@ def test_dcom_select_rejects_a_margin_outside_the_unit_interval(bad):
     assert dcom_select(s, pool, np.linspace(0.0, 1.0, 60), 3, DComConfig(delta0=0.5)).selected
 
 
-@pytest.mark.parametrize("q", [0, -1])
+# q=True used to pick one point, and q=2.5 to fail in range().
+@pytest.mark.parametrize("q", [0, -1, True, 2.5])
 def test_nonpositive_budget_rejected(q):
     s = one_d(0.0, 1.0, 2.0, labels=[0, 1, 0])
     pool = PoolState([], [0, 1, 2], [])
     config = DComConfig(delta0=0.5)
-    with pytest.raises(PoolInvariantError):
+    with pytest.raises(PoolInvariantError, match="^q"):
         dcom_select(s, pool, np.ones(3), q, config)
-    with pytest.raises(PoolInvariantError):
+    with pytest.raises(PoolInvariantError, match="^q"):
         run_iteration(s, pool, LearnerSpec(), q, config)
+    assert len(dcom_select(s, pool, np.ones(3), np.int64(3), config).selected) == 3
 
 
 def test_dcom_select_no_duplicates_and_unlabeled_only():
