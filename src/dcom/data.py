@@ -288,19 +288,21 @@ def _gram_pairs(inputs, rows, cols, keep):
     position c0 of cols fills a len(part) x width keys array with the keys of
     part x cols[c0 : c0 + width], and the hook keep(lo, part, c0, keys, mask)
     fills mask, a boolean array of the keys' shape, with the pairs it wants;
-    it may overwrite keys. Every tile's keys and mask are contiguous views of
-    one keys buffer and one mask buffer of at most _TILE_ROWS x _TILE_COLS
-    cells, allocated once per call. Each marked pair is yielded, a tile at a
-    time in (row block, tile, row, column) order, as (k, i, j, key): the
-    position k in rows, i = rows[k], j in cols and the key as the hook left
-    it. So a row's pairs come in ascending cols order, and a column's in
-    rows order. The pass neither compares keys nor refines; each client
+    it may overwrite keys. A hook that returns False marks nothing: the tile
+    yields no pair and its mask is never read. Every tile's keys and mask are
+    contiguous views of one keys buffer and one mask buffer of at most
+    _TILE_ROWS x _TILE_COLS cells, allocated once per call. Each marked pair
+    is yielded, a tile at a time in (row block, tile, row, column) order, as
+    (k, i, j, key): the position k in rows, i = rows[k], j in cols and the
+    key as the hook left it. So a row's pairs come in ascending cols order,
+    and a column's in rows order. The pass neither compares keys nor refines; each client
     proves from the key error E of _gram_inputs that it marks every pair it
     needs, and refines with _pair_sq_dists the pairs its keys do not decide.
     graph.build_radius_graph and graph.covered_set mark the keys at or above
-    a floor at the radius and refine those below an upper floor,
-    purity.min_impure_distance marks and refines those within the slack of
-    either endpoint's running largest differently-labeled key, and
+    a floor at the radius and refine those below an upper floor;
+    purity.min_impure_distance first marks nothing, taking each point's
+    largest differently-labeled key per group of labels, then marks and
+    refines the keys within the slack of their row's largest; and
     engine._ball_counts marks and refines those in a band around a grid radius.
 
     Upper-triangle mode runs when rows is cols, the way a caller passes one
@@ -335,7 +337,8 @@ def _gram_pairs(inputs, rows, cols, keep):
             keys = keys_buf[: part.size * width].reshape(part.size, width)
             mask = mask_buf[: keys.size].reshape(keys.shape)
             np.matmul(left, tgt[c0 : c0 + width].T, out=keys)
-            keep(lo, part, c0, keys, mask)
+            if keep(lo, part, c0, keys, mask) is False:
+                continue
             if upper and c0 < hi:
                 overlap = min(width, hi - c0)
                 mask[:, :overlap] &= past[: part.size, c0 - lo : c0 - lo + overlap]

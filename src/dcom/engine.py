@@ -26,7 +26,7 @@ import numpy as np
 from . import data
 from .data import UNKNOWN_LABEL, EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists
 from .errors import ConfigError, PoolInvariantError
-from .graph import _index_array, _indices, build_radius_graph, covered_set
+from .graph import _distinct, _index_array, _indices, build_radius_graph, covered_set
 from .learners import (
     LearnerSpec,
     normalize_unit_interval,
@@ -221,7 +221,7 @@ def expand_delta(embedding_set, pool: PoolState, new_points, predicted_unlabeled
     pool.check_range(n)
     labeled = np.asarray(pool.labeled, dtype=np.int64)
     unlabeled = np.asarray(pool.unlabeled, dtype=np.int64)
-    if np.unique(new_points).size != new_points.size:
+    if _distinct(new_points).size != new_points.size:
         raise PoolInvariantError("new_points must be distinct")
     outside = new_points[~np.isin(new_points, labeled)]
     if outside.size:

@@ -1,10 +1,13 @@
 """Purity-curve estimation with k-means pseudo-labels and initial radius selection.
 
-k-means assigns each round from one float64 product of the points and the
-centroids, refining exactly only the points its keys leave undecided. The
-curve runs data._gram_pairs, the radius graph's Gram pass, in its
-upper-triangle mode on the points sorted by label, with its own marks; both
-clients' marks start from the key error bound of data._gram_inputs.
+k-means seeds from float64 keys, one product of the points and each chosen
+center, and assigns each round from one product of the centroids and the
+points; it refines exactly only the points its keys leave undecided. The
+curve runs data._gram_pairs, the radius graph's Gram pass, on the points
+sorted by label: an upper-triangle pass that only takes each point's largest
+differently-labeled key per group of labels, then one rectangular pass per
+group that marks the keys within the slack of their row's largest; its marks
+start from the key error bound of data._gram_inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data
 from .data import EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists, _sq_dists
 from .errors import DimensionMismatch, NoDeltaMeetsAlpha
 from .graph import _indices
@@ -67,35 +71,45 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
     """Lloyd's k-means with farthest-first init, deterministic per seed.
 
     The first center is drawn uniformly with the seeded generator; each
-    subsequent center is the point farthest from the chosen set (lowest index
-    on ties). Each round gives every point the centroid at the least exact
-    float64 distance _sq_dists, lowest index on ties. Each empty cluster, in
-    index order, takes the point farthest from its own centroid among the
-    clusters of two or more members, lowest index on ties; as k <= n such a
-    cluster exists while one is empty, and no cluster ends empty, so no
-    centroid is the NaN mean of nothing, even with duplicate points.
-    Iteration stops at an assignment fixpoint or after _KMEANS_ITERS rounds.
-    k must be a Python or NumPy integer in [1, n], not a bool.
+    subsequent center is the point farthest from the chosen set, by the least
+    exact float64 distance _sq_dists to a chosen center, lowest index on
+    ties. Each round gives every point the centroid at the least _sq_dists,
+    lowest index on ties. Each empty cluster, in index order, takes the point
+    farthest from its own centroid among the clusters of two or more members,
+    lowest index on ties; as k <= n such a cluster exists while one is empty,
+    and no cluster ends empty, so no centroid is the NaN mean of nothing,
+    even with duplicate points. A centroid is the mean of its points in index
+    order. Iteration stops at an assignment fixpoint or after _KMEANS_ITERS
+    rounds. k must be a Python or NumPy integer in [1, n], not a bool.
 
-    A round assigns by keys, one float64 product centroids @ points.T: the
-    key of point x and centroid c is sq' = (|x|^2 + |c|^2) - 2 x.c, against
-    the exact e = _sq_dists(x, c). Let M be the largest squared norm measured
-    that round, over the points and the centroids, u = 2^-53, and
-    gamma_k = k u / (1 - k u). In any summation order each norm is off by at
-    most gamma_d M and the product x.c by gamma_d |x| |c| <= gamma_d M
-    (Higham, Thm 3.1); the sum of the norms rounds by at most 2.01 u M, and
-    the final difference, at most 4.01 M as d u is tiny, by 4.01 u M. e sums d rounded
-    squares of rounded differences, so it is off the real |x - c|^2 <= 4 M by
-    at most gamma_{d+2} 4 M. So |sq' - e| <= (8 d + 14.1) u M, and
-    T = (9 d + 16) u M bounds it with room for the rounding of M, of T and of
-    the gap below. Float32 points keep every term far from float64's
-    overflow and underflow. A point whose second-least key exceeds its least
-    by more than 2 T takes the least key's centroid: every other centroid is
-    then strictly farther in e. Every other point is refined by the exact
-    rule, e against all k centroids, on its own rows; _sq_dists sums each row
-    on its own, so a row's e has the same bits in any batch. On the
-    init-delta bench's 6,000 points 2 T is about 1.3e-13, the least gap about
-    0.009, and none of the 4 rounds refines a row.
+    Both the seeding and the rounds decide from float64 keys: the key of
+    point x and center c is sq' = (|x|^2 + |c|^2) - 2 x.c, against the exact
+    e = _sq_dists(x, c). Let M be the largest squared norm measured over the
+    points and the centers in use, u = 2^-53, and gamma_k = k u / (1 - k u).
+    In any summation order each norm is off by at most gamma_d M and the
+    product x.c by gamma_d |x| |c| <= gamma_d M (Higham, Thm 3.1); the sum of
+    the norms rounds by at most 2.01 u M, and the final difference, at most
+    4.01 M as d u is tiny, by 4.01 u M. e sums d rounded squares of rounded
+    differences, so it is off the real |x - c|^2 <= 4 M by at most
+    gamma_{d+2} 4 M. So |sq' - e| <= (8 d + 14.1) u M, and
+    T = (9 d + 16) u M bounds it with room for the rounding of M, of T and
+    of a key plus or minus 2 T. Float32 points keep every term far from
+    float64's overflow and underflow. A least or largest key is then within
+    T of the least or largest e, so keys more than 2 T apart order their e
+    the same way.
+
+    The seeding keeps each point's least key to a chosen center, one
+    points @ c per center. Only the points whose least key is within 2 T of
+    the largest can hold the largest least e; when there are several, they
+    are refined exactly against every chosen center, on their own rows.
+    Each round makes one product centroids @ points.T and takes, in k row
+    passes, each point's least key and its count of keys within 2 T of it.
+    A point with one such key takes that centroid: every other centroid is
+    strictly farther in e. Every other point is refined by the exact rule,
+    e against all k centroids, on its own rows; _sq_dists sums each row on
+    its own, so a row's e has the same bits in any batch. On the init-delta
+    bench's 6,000 points 2 T is about 1.3e-13, the least gap about 0.009,
+    and neither the seeding nor any of the 4 rounds refines a row.
     """
     n = embedding_set.count
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
@@ -105,18 +119,26 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
     points = embedding_set.vectors.astype(np.float64)
-    rng = np.random.default_rng(seed)
-
-    centers_idx = [int(rng.integers(n))]
-    min_sq = _sq_dists(points, points[centers_idx[-1]])
-    for _ in range(1, k):
-        nxt = int(np.argmax(min_sq))
-        centers_idx.append(nxt)
-        min_sq = np.minimum(min_sq, _sq_dists(points, points[nxt]))
-    centroids = points[centers_idx].copy()
-
     point_norms = np.einsum("ij,ij->i", points, points)
     top_norm = float(point_norms.max())
+    # 2 T per unit of the largest squared norm M.
+    gap = 2.0 * (9 * points.shape[1] + 16) * 2.0**-53
+
+    rng = np.random.default_rng(seed)
+    centers_idx = [int(rng.integers(n))]
+    least = np.full(n, np.inf)
+    for _ in range(1, k):
+        c = centers_idx[-1]
+        key = point_norms + point_norms[c]
+        key -= 2.0 * (points @ points[c])
+        np.minimum(least, key, out=least)
+        far = np.flatnonzero(least >= least.max() - gap * top_norm)
+        if far.size > 1:
+            rows = points[far]
+            far = far[[np.min([_sq_dists(rows, points[j]) for j in centers_idx], axis=0).argmax()]]
+        centers_idx.append(int(far[0]))
+    centroids = points[centers_idx].copy()
+
     labels = None
     for _ in range(_KMEANS_ITERS):
         centroid_norms = np.einsum("ij,ij->i", centroids, centroids)
@@ -124,15 +146,19 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
         # than points @ centroids.T, about 3 MB less peak RSS with 2 threads.
         keys = np.add.outer(centroid_norms, point_norms)
         keys -= 2.0 * (centroids @ points.T)
-        new_labels = keys.argmin(axis=0)
-        if k > 1:
-            bound = (9 * points.shape[1] + 16) * 2.0**-53 * max(top_norm, centroid_norms.max())
-            least = np.partition(keys, 1, axis=0)
-            # Negated, so a point whose gap is NaN goes to the exact rule too.
-            unsure = np.flatnonzero(~(least[1] - least[0] > 2.0 * bound))
-            if unsure.size:
-                near = points[unsure]
-                new_labels[unsure] = np.array([_sq_dists(near, c) for c in centroids]).argmin(axis=0)
+        limit = keys.min(axis=0)
+        limit += gap * max(top_norm, centroid_norms.max())
+        # Row by row from the last, so each point ends with its lowest row within 2 T.
+        new_labels, close = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        for c in range(k - 1, -1, -1):
+            near = keys[c] <= limit
+            close += near
+            new_labels[near] = c
+        # Not "> 1", so a point whose keys are NaN goes to the exact rule too.
+        unsure = np.flatnonzero(close != 1)
+        if unsure.size:
+            rows = points[unsure]
+            new_labels[unsure] = np.array([_sq_dists(rows, c) for c in centroids]).argmin(axis=0)
 
         sizes = np.bincount(new_labels, minlength=k)
         if sizes.min() == 0:
@@ -147,10 +173,27 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
+        # Cluster c is the slice [ends[c] - sizes[c], ends[c]) of the points in stable label order.
+        grouped, ends = points[np.argsort(labels, kind="stable")], np.cumsum(sizes)
         for c in range(k):
-            centroids[c] = points[labels == c].mean(axis=0)
+            centroids[c] = grouped[ends[c] - sizes[c] : ends[c]].mean(axis=0)
 
-    return labels.astype(np.int64)
+    return labels
+
+
+def _label_groups(starts, size):
+    """Bounds of the groups of label runs: runs join in order, and a group closes at size points.
+
+    starts holds each run's first sorted position, then n. Group g is the
+    positions [bounds[g], bounds[g + 1]); every group but the last holds at
+    least size points, so there are at most ceil(n / size) + 1 of them, and
+    a run of size points or more ends its group.
+    """
+    n = starts[-1]
+    bounds = [0]
+    while bounds[-1] < n:
+        bounds.append(starts[np.searchsorted(starts, min(bounds[-1] + size, n))])
+    return np.array(bounds)
 
 
 def min_impure_distance(embedding_set, labels) -> np.ndarray:
@@ -163,36 +206,41 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
 
     The result is sqrt of the minimum exact float64 distance
     sum((x_j - x_c)^2) over differently-labeled j, found without a float64
-    pass over every point per center. data._gram_pairs runs in upper-triangle
-    mode: each unordered pair gets one key K_cj ~ -|x_c - x_j|^2/2 of
-    data._gram_inputs, off by at most the E derived there in either
-    orientation, so the nearest point has the largest key. The float64
-    distances, each off by a relative 1.1 (d + 2) v, can invert keys that
-    differ by up to 4.4 (d + 2) v M, as distances reach 4 M, and rounding a
-    maximum key minus the slack s costs at most u (2 M + E + s) <= 2.2 u M +
-    u s more. So every exact float64 minimiser has a key within
-    2 E + (4.4 d + 11) u M + u s <= (11 d + 22) u M + u s of the largest one,
-    and s = 12 (d + 4) u (1 + M), data._gram_inputs's slack, covers that.
+    pass over every point per center. Every key K_cj ~ -|x_c - x_j|^2/2 that
+    data._gram_pairs makes is off by at most the E of data._gram_inputs,
+    whichever pass, orientation and tile shape made it, so the nearest point
+    has the largest key. The float64 distances, each off by a relative
+    1.1 (d + 2) v, can invert keys that differ by up to 4.4 (d + 2) v M, as
+    distances reach 4 M, and rounding c's largest key minus the slack s costs
+    at most u (2 M + E + s) <= 2.2 u M + u s more. So every key of every
+    exact float64 minimiser of c is within
+    2 E + (4.4 d + 11) u M + u s <= (11 d + 22) u M + u s of c's largest
+    differently-labeled key, and s = 12 (d + 4) u (1 + M), data._gram_inputs's
+    slack, covers that: each such key is at least c's floor, that largest key
+    minus s in the keys' dtype.
 
-    The pass runs on the points sorted by label (a stable argsort), and best
-    goes back through the permutation: the proof holds in any point order,
-    and a pair's refine has the same bits in either. Sorted, a label
-    is one run of positions, so a tile excludes its same-label pairs with one
-    -inf fill per label run that meets both its rows and its columns.
+    Both phases run on the points sorted by label (a stable argsort), and
+    best goes back through the permutation: the proof holds in any point
+    order, and a pair's refine has the same bits in either. Sorted, a label
+    is one run of positions, so a tile drops its same-label pairs with one
+    -inf fill per label run that meets both its rows and its columns. The
+    runs join groups in label order, a group closing once it holds
+    data._TILE_ROWS points (_label_groups): so there are at most
+    ceil(n / _TILE_ROWS) + 1 groups whatever the label count, and the
+    init-delta bench's 10 runs of about 600 points are 10 groups.
 
-    The largest key of a point is known only once the whole pass has passed
-    it, so each point keeps a running maximum of its differently-labeled
-    keys. Each tile raises it over the tile's row for each row of its row
-    block, and over the tile's column for each column past the block's rows,
-    as those meet the block only as columns. A pair is marked, and so goes
-    through the exact refine, data._pair_sq_dists, when its key is at least
-    either endpoint's running maximum minus s: its column's, then its row's,
-    as the row's maximum so far. A running maximum never exceeds the final
-    one, so every exact minimiser of either endpoint is refined, and the
-    refine's minimum is taken at both endpoints. Tiles make the row maxima
-    grow tile by tile, so a few more pairs may be refined than with whole
-    rows: 19,080 on the init-delta bench's 6,000 points in label order
-    (19,050 in point order, 18,793 with whole rows).
+    Phase 1 is the pass's upper-triangle mode, and marks nothing. Each tile
+    raises, for each row of its row block, the row's largest key in each
+    group its columns meet, and for each column past the block's rows, as
+    those meet the block only as columns, the column's largest key in each
+    group the block's rows meet. So a (groups, n) table in the keys' dtype
+    ends holding each point's largest differently-labeled key per group, and
+    its column maxima give each point's floor. Phase 2 then runs the pass's
+    rectangular mode once per group, its columns the group and its rows the
+    points whose largest key there is at least their floor: no other group
+    holds a key of an exact minimiser. It marks the keys at or above the
+    row's floor and refines them with data._pair_sq_dists, keeping the least
+    at the row. On the init-delta bench's 6,000 points it refines 6,024 pairs.
     """
     n = embedding_set.count
     labels = np.asarray(labels)
@@ -202,37 +250,58 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
     ranked = labels[order]
     # Label run r holds the sorted positions [starts[r], starts[r + 1]).
     starts = np.r_[0, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, n]
+    bounds = _label_groups(starts, data._TILE_ROWS)
     points, gram, slack = inputs = _gram_inputs(EmbeddingSet(embedding_set.vectors[order]))
-    top = np.full(n, -np.inf, dtype=gram.dtype)
+    table = np.full((bounds.size - 1, n), -np.inf, dtype=gram.dtype)
 
-    def floors(maxima):
-        floor = maxima - slack
-        # A point with no other label so far has nothing to refine.
-        floor[floor == -np.inf] = np.inf
-        return floor
-
-    def keep(lo, part, c0, keys, mask):
-        hi, c1 = lo + part.size, c0 + keys.shape[1]
+    def drop_same_label(rows, c0, keys):
+        """-inf at the keys of sorted positions rows x [c0, c0 + width) that share a label."""
+        c1 = c0 + keys.shape[1]
         # The runs that start before both ranges end and end after both start.
-        first = np.searchsorted(starts, max(lo, c0), side="right") - 1
-        for r in range(first, np.searchsorted(starts, min(hi, c1))):
+        first = np.searchsorted(starts, max(rows[0], c0), side="right") - 1
+        for r in range(first, np.searchsorted(starts, min(rows[-1] + 1, c1))):
             s, e = starts[r], starts[r + 1]
-            keys[max(s - lo, 0) : e - lo, max(s - c0, 0) : e - c0] = -np.inf
-        np.maximum(top[lo:hi], keys.max(axis=1), out=top[lo:hi])
+            a, b = np.searchsorted(rows, (s, e))
+            keys[a:b, max(s - c0, 0) : e - c0] = -np.inf
+
+    def groups_in(lo, hi):
+        """The range of groups that meet positions [lo, hi)."""
+        return np.searchsorted(bounds, lo, side="right") - 1, np.searchsorted(bounds, hi)
+
+    def gather(lo, part, c0, keys, mask):
+        hi, c1 = lo + part.size, c0 + keys.shape[1]
+        drop_same_label(part, c0, keys)
+        g0, g1 = groups_in(c0, c1)
+        rows = table[g0:g1, lo:hi]
+        group_max = np.maximum.reduceat(keys, np.maximum(bounds[g0:g1] - c0, 0), axis=1)
+        np.maximum(rows, group_max.T, out=rows)
         # Columns past the block's rows meet it only as columns; its rows took their maxima above.
         after = max(hi, c0)
-        np.maximum(top[after:c1], keys[:, after - c0 :].max(axis=0), out=top[after:c1])
-        # Keep the pairs within the slack of their column's maximum, as +inf keys, or their row's.
-        np.greater_equal(keys, floors(top[c0:c1]), out=mask)
-        np.copyto(keys, np.inf, where=mask)
-        np.greater_equal(keys, floors(top[lo:hi])[:, None], out=mask)
+        if after < c1:
+            for g in range(*groups_in(lo, hi)):
+                block = keys[max(bounds[g] - lo, 0) : bounds[g + 1] - lo, after - c0 :]
+                np.maximum(table[g, after:c1], block.max(axis=0), out=table[g, after:c1])
+        return False
 
-    best = np.full(n, np.inf)
     everything = np.arange(n)
-    for _, i, j, _ in _gram_pairs(inputs, everything, everything, keep):
-        sq = _pair_sq_dists(points, i, j)
-        np.minimum.at(best, i, sq)
-        np.minimum.at(best, j, sq)
+    for _ in _gram_pairs(inputs, everything, everything, gather):
+        pass
+
+    floor = table.max(axis=0, initial=-np.inf) - slack
+    # A point with no other label has nothing to refine.
+    floor[floor == -np.inf] = np.inf
+    best = np.full(n, np.inf)
+    for g in range(bounds.size - 1):
+        rows = np.flatnonzero(table[g] >= floor)
+        if not rows.size:
+            continue
+
+        def mark(lo, part, c0, keys, mask):
+            drop_same_label(part, bounds[g] + c0, keys)
+            np.greater_equal(keys, floor[part, None], out=mask)
+
+        for _, i, j, _ in _gram_pairs(inputs, rows, np.arange(bounds[g], bounds[g + 1]), mark):
+            np.minimum.at(best, i, _pair_sq_dists(points, i, j))
     out = np.empty(n)
     out[order] = np.sqrt(best)
     return out

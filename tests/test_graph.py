@@ -373,6 +373,27 @@ def test_prune_incoming_duplicate_targets_decrement_once():
     assert g.out_degree.sum() == oracles.edges(g).shape[0]
 
 
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "repeated", "one", "empty"])
+def test_distinct_indices_are_np_uniques_for_every_caller(order):
+    # build_radius_graph, prune_incoming and expand_delta's check dedupe with
+    # a sort and an adjacent-equal mask; each must see np.unique's array.
+    rng = np.random.default_rng(len(order))
+    s = gen_gaussian_mixture(MixtureSpec(3, 20, 4, 2.0, 1.0, seed=3))
+    picked = rng.choice(s.count, size=s.count // 2, replace=False)
+    indices = {"sorted": np.sort(picked), "shuffled": picked,
+               "repeated": rng.choice(picked, size=2 * s.count),
+               "one": picked[:1], "empty": np.empty(0, dtype=np.int64)}[order]
+    unique = np.unique(indices)
+    got = graph._distinct(indices)
+    assert got.dtype == unique.dtype and np.array_equal(got, unique)
+    built, want = build_radius_graph(s, 1.5, indices), build_radius_graph(s, 1.5, unique)
+    assert np.array_equal(oracles.edges(built), oracles.edges(want))
+    built.prune_incoming(indices)
+    want.prune_incoming(unique)
+    assert np.array_equal(built.out_degree, want.out_degree)
+    assert np.array_equal(oracles.edges(built), oracles.edges(want))
+
+
 def test_cover_equals_prune_incoming_after_the_same_balls():
     # _cover skips prune_incoming's checks; fed a picked ball's uncovered
     # members and the pick when uncovered, it must leave the same graph.

@@ -122,6 +122,19 @@ def _kmeans_far_from_origin(rng):
     return EmbeddingSet(s.vectors.astype(np.float64) + 1e7), int(rng.integers(2, 6))
 
 
+def _kmeans_mirrored_far(rng):
+    # Copies of a centre 1e7 from the origin in 128 dimensions, then points
+    # centre +- v for coordinate permutations v of one integer vector, all
+    # exact in float32. Each is at one exact distance from the centre, so
+    # ties abound; |x|^2 passes 2^53, so their keys differ by rounding, and
+    # only the exact refine gives the seeding's ties to the lowest index.
+    centre = rng.integers(10**7, 10**7 + 1000, size=128).astype(np.float64)
+    v = rng.integers(-3, 4, size=128)
+    shifts = [sign * rng.permutation(v) for _ in range(3) for sign in (1, -1)]
+    copies = np.repeat(centre[None], int(rng.integers(3, 9)), axis=0)
+    return EmbeddingSet(np.concatenate((copies, centre + shifts))), int(rng.integers(2, 6))
+
+
 def _kmeans_symmetric_line(rng):
     # x, -x and 0 on a line: with two centroids at +-c, 0 is exactly equidistant.
     half = np.sort(rng.uniform(0.1, 3.0, size=int(rng.integers(1, 6))))
@@ -147,6 +160,7 @@ _KMEANS_CASES = {
     "d4096": _kmeans_gram_family("d4096"),
     "duplicates": _kmeans_duplicates,
     "far_from_origin": _kmeans_far_from_origin,
+    "mirrored_far": _kmeans_mirrored_far,
     "symmetric_line": _kmeans_symmetric_line,
     "k_is_n": _kmeans_k_is_n,
     "k_is_one": _kmeans_k_is_one,
@@ -212,8 +226,9 @@ def test_kmeans_on_duplicate_points_leaves_no_cluster_empty(rows, k):
 
 @pytest.mark.parametrize("case", ["far_from_origin", "symmetric_line", "lattice"])
 def test_kmeans_refines_the_rows_its_keys_do_not_decide(monkeypatch, case):
-    # After the k seeding passes, a call on fewer than n rows is a refine;
-    # these cases must reach it, and still match the oracle.
+    # A call on fewer than n rows is a refine, of the seeding or of a round
+    # (the empty-cluster repair's call has n rows); these cases must reach
+    # one, and still match the oracle.
     calls = _exact_calls(monkeypatch)
     rng = np.random.default_rng(7)
     refined = 0
@@ -221,7 +236,7 @@ def test_kmeans_refines_the_rows_its_keys_do_not_decide(monkeypatch, case):
         s, k = _KMEANS_CASES[case](rng)
         calls.clear()
         labels = kmeans_cluster(s, k, seed=3)
-        refined += sum(rows for rows, _ in calls[k:] if rows < s.count)
+        refined += sum(rows for rows, _ in calls if rows < s.count)
         assert np.array_equal(labels, oracles.kmeans_cluster(s, k, seed=3))
     assert refined > 0
 
@@ -229,9 +244,10 @@ def test_kmeans_refines_the_rows_its_keys_do_not_decide(monkeypatch, case):
 def test_kmeans_keys_decide_separated_points_without_a_refine(monkeypatch):
     calls = _exact_calls(monkeypatch)
     s = l2_normalize(gen_gaussian_mixture(MixtureSpec(10, 60, 64, 6.0, 1.0, seed=0)))
-    kmeans_cluster(s, 10, seed=0)
-    # The ten farthest-first seeding passes and nothing else.
-    assert calls == [(s.count, 1)] * 10
+    labels = kmeans_cluster(s, 10, seed=0)
+    # Neither the seeding nor a round makes an exact pass over every point.
+    assert [rows for rows, _ in calls if rows == s.count] == []
+    assert np.array_equal(labels, oracles.kmeans_cluster(s, 10, seed=0))
 
 
 @pytest.mark.parametrize("k", [True, np.bool_(True), 2.5, np.float64(2.0), "3", None])
@@ -344,6 +360,9 @@ _CASES = {
     "huge": _scaled(1e20),
     "tiny": _scaled(1e-30),
     "single_class": _single_class,
+    "two_labels": lambda seed: _gaussian(150, 8, seed, classes=2),
+    "own_labels": lambda seed: (_gaussian(60, 4, seed)[0],
+                                np.random.default_rng(seed).permutation(60)),
     "lone_point": _lone_point,
     "duplicates": _duplicates,
     "n1": lambda seed: _gaussian(1, 3, seed),
@@ -392,6 +411,86 @@ def test_min_impure_distance_matches_loop_oracle_on_the_gram_corpus(monkeypatch,
         oracles.set_tile(monkeypatch, _TILES[0])
 
 
+def _labels_near_one_per_block(shift):
+    # n / _TILE_ROWS labels, plus shift, spread evenly over n points: runs a
+    # little longer than a row block at shift -1, each a group of its own,
+    # and a little shorter at +1, merging into groups of two.
+    def make(seed):
+        rows = data._TILE_ROWS
+        n = 4 * rows + 3
+        s, _ = _gaussian(n, 3, seed)
+        return s, np.random.default_rng(seed).permutation(np.arange(n) % (n // rows + shift))
+
+    return make
+
+
+def _equidistant_across_groups(seed):
+    # Point 0 (label 0) is exactly 1 from point 1 (label 1) and point 2
+    # (label 2). A row block of far points of each of labels 1 and 2 makes
+    # label 1's run close the first group, so 1 and 2 fall in different groups.
+    rows = data._TILE_ROWS
+    far = np.random.default_rng(seed).normal(size=(2 * rows, 3)) + 100.0
+    points = np.concatenate(([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], far))
+    return EmbeddingSet(points), np.r_[0, 1, 2, np.repeat([1, 2], rows)]
+
+
+_GROUP_CASES = {
+    "runs_above_a_block": _labels_near_one_per_block(-1),
+    "runs_below_a_block": _labels_near_one_per_block(1),
+    "equidistant_across_groups": _equidistant_across_groups,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GROUP_CASES))
+def test_min_impure_distance_matches_loop_oracle_as_runs_form_groups(monkeypatch, case):
+    # The cases size their label runs by the row blocks in force, so each is made per tile.
+    for tile in _TILES:
+        oracles.set_tile(monkeypatch, tile)
+        for seed in range(3):
+            s, labels = _GROUP_CASES[case](seed)
+            expected = oracles.min_impure_distance(s, labels)
+            assert np.array_equal(min_impure_distance(s, labels), expected)
+    if case == "equidistant_across_groups":
+        assert expected[0] == 1.0
+
+
+def test_the_group_table_has_at_most_one_row_per_block_plus_one(monkeypatch):
+    # Every point its own label: n runs, grouped into the table's rows.
+    made, label_groups = [], purity._label_groups
+
+    def recording(starts, size):
+        made.append((label_groups(starts, size), size))
+        return made[-1][0]
+
+    monkeypatch.setattr(purity, "_label_groups", recording)
+    for tile in _TILES:
+        oracles.set_tile(monkeypatch, tile)
+        for n in (1, 2, 7, 300, 600):
+            s, _ = _gaussian(n, 3, n)
+            labels = np.random.default_rng(n).permutation(n)
+            assert np.array_equal(min_impure_distance(s, labels),
+                                  oracles.min_impure_distance(s, labels))
+            bounds, size = made.pop()
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert bounds.size - 1 <= -(-n // size) + 1
+            assert (np.diff(bounds)[:-1] >= size).all()
+
+
+def test_phase_two_refines_fewer_than_two_pairs_per_point_on_the_init_delta_bench(monkeypatch):
+    pairs, exact = [], data._sq_dists
+
+    def counting(points, center):
+        pairs.append(len(points))
+        return exact(points, center)
+
+    s = l2_normalize(gen_gaussian_mixture(MixtureSpec(10, 600, 64, 6.0, 1.0, seed=0)))
+    labels = kmeans_cluster(s, 10, seed=0)
+    monkeypatch.setattr(data, "_sq_dists", counting)
+    min_impure_distance(s, labels)
+    # Phase 1 refines nothing; the running maxima it replaced refined 19,080 pairs.
+    assert 0 < sum(pairs) < 2 * s.count
+
+
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_purity_sample_is_the_full_pass_at_unsorted_repeated_indices(case):
     grid = np.linspace(0.05, 3.0, 12)
@@ -415,8 +514,9 @@ def _other_label_in_an_earlier_strip(block, rng):
 
 
 def _same_label_strips_first(block, rng):
-    # Two row blocks (strips) of label 0 before mixed labels: a later point's
-    # running maximum over those blocks' rows is -inf, so its floor must be +inf.
+    # Two row blocks (strips) of label 0 before mixed labels: those blocks'
+    # tiles among themselves hold only same-label fills, so their points meet
+    # label 1 only in later tiles, and only as rows.
     s, _ = _gaussian(4 * block + 3, 4, int(rng.integers(1000)))
     labels = np.zeros(s.count, dtype=np.int64)
     labels[2 * block :] = rng.integers(0, 2, s.count - 2 * block)
