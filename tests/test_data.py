@@ -7,6 +7,7 @@ from dcom.data import (
     EmbeddingSet,
     _gram_inputs,
     _gram_pairs,
+    _pair_sq_dists,
     _sq_dists,
     MixtureSpec,
     gen_gaussian_mixture,
@@ -296,3 +297,110 @@ def test_mixture_spec_validation():
         MixtureSpec(0, 10, 4, 1.0, 1.0)
     with pytest.raises(ValueError):
         MixtureSpec(2, 10, 4, 1.0, 0.0)
+
+
+# A small chunk, and data._TILE_COLS as shipped: the chunked float64 passes
+# of l2_normalize, gen_gaussian_mixture and _gram_inputs run data._TILE_COLS
+# rows at a time.
+CHUNKS = (5, data._TILE_COLS)
+
+
+def chunk_sizes(chunk):
+    """Row counts at and around the chunk boundaries."""
+    return (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_l2_normalize_equals_whole_array_formula(monkeypatch, chunk):
+    monkeypatch.setattr(data, "_TILE_COLS", chunk)
+    rng = np.random.default_rng(chunk)
+    for n in chunk_sizes(chunk):
+        d = int(rng.integers(1, 10))
+        # Row scales from float32's subnormals to near its largest value.
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-40, 37, size=(n, 1))
+        s = EmbeddingSet(pts, labels=rng.integers(0, 3, size=n))
+        got, want = l2_normalize(s), oracles.l2_normalize(s)
+        assert got.vectors.dtype == np.float32 and np.array_equal(got.vectors, want.vectors), n
+        assert np.array_equal(got.labels, s.labels)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_l2_normalize_names_the_first_zero_row_in_a_later_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(data, "_TILE_COLS", chunk)
+    pts = np.random.default_rng(3).normal(size=(3 * chunk + 5, 4))
+    pts[[2 * chunk + 3, 3 * chunk + 1]] = 0.0
+    s = EmbeddingSet(pts)
+    with pytest.raises(ZeroVector) as want:
+        oracles.l2_normalize(s)
+    with pytest.raises(ZeroVector) as got:
+        l2_normalize(s)
+    assert got.value.row == want.value.row == 2 * chunk + 3
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_mixture_equals_whole_array_formula(monkeypatch, chunk):
+    monkeypatch.setattr(data, "_TILE_COLS", chunk)
+    for k, per_class in enumerate(chunk_sizes(chunk)[1:]):
+        spec = MixtureSpec(3, per_class, 1 + 2 * k, 6.0, 0.5, seed=k)
+        got, want = gen_gaussian_mixture(spec), oracles.gaussian_mixture(spec)
+        assert got.vectors.dtype == np.float32 and np.array_equal(got.vectors, want.vectors)
+        assert np.array_equal(got.labels, want.labels)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_mixture_past_float32_range_names_the_cell_of_the_whole_array_formula(monkeypatch,
+                                                                               chunk):
+    # RuntimeWarnings fail the suite, so the overflow must raise NonFinite alone.
+    monkeypatch.setattr(data, "_TILE_COLS", chunk)
+    per_class, seed = 3 * chunk + 5, 1
+    draws = np.random.default_rng(seed).standard_normal(2 * per_class)
+    # The largest draw, past the first chunk, times within_std passes float32's
+    # range; every draw in the first chunk times within_std stays inside it.
+    std = 3.5e38 / np.abs(draws[chunk:]).max()
+    assert np.abs(draws[:chunk]).max() * std < np.finfo(np.float32).max
+    spec = MixtureSpec(2, per_class, 1, 1e-30, std, seed=seed)
+    with pytest.raises(NonFinite) as want:
+        oracles.gaussian_mixture(spec)
+    with pytest.raises(NonFinite) as got:
+        gen_gaussian_mixture(spec)
+    assert got.value.cell == want.value.cell and got.value.cell[0] >= chunk
+    assert str(got.value) == str(want.value)
+
+
+def gram_inputs_match_whole_array_formula(s, extent):
+    vectors, gram, slack = _gram_inputs(s, extent)
+    want_gram, want_slack = oracles.gram_inputs(s, extent)
+    assert vectors is s.vectors
+    assert gram.dtype == want_gram.dtype and np.array_equal(gram, want_gram)
+    assert slack.dtype == want_slack.dtype and slack == want_slack
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_gram_inputs_equal_whole_array_formula(monkeypatch, chunk):
+    monkeypatch.setattr(data, "_TILE_COLS", chunk)
+    rng = np.random.default_rng(chunk + 1)
+    for n in chunk_sizes(chunk):
+        # Scales whose |x|^2 fit float32 keys, and 1e20, whose keys are float64.
+        scale = rng.choice([1e-3, 1.0, 1e20])
+        gram_inputs_match_whole_array_formula(
+            EmbeddingSet(rng.normal(size=(n, int(rng.integers(1, 10)))) * scale), scale)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("family", oracles.GRAM_FAMILIES)
+def test_gram_inputs_equal_whole_array_formula_on_gram_families(monkeypatch, family, chunk):
+    rng = np.random.default_rng(sum(map(ord, family)))
+    monkeypatch.setattr(data, "_TILE_COLS", chunk)
+    for _ in range(4):
+        s, _, radius = oracles.gram_case(family, rng)
+        gram_inputs_match_whole_array_formula(s, radius * radius)
+
+
+def test_pair_sq_dists_of_float32_rows_equals_a_float64_copys():
+    rng = np.random.default_rng(8)
+    vectors = EmbeddingSet(rng.normal(size=(300, 7)) * 1e3 + 5.0).vectors
+    a, b = rng.integers(0, 300, size=(2, 2 * data._REFINE_PAIRS + 3))
+    points = vectors.astype(np.float64)
+    assert np.array_equal(_pair_sq_dists(vectors, a, b), _sq_dists(points[a], points[b]))
+    assert np.array_equal(_pair_sq_dists(points, a, b), _sq_dists(points[a], points[b]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from dcom.data import (
     _pair_sq_dists,
     _sq_dists,
     gen_gaussian_mixture,
+    l2_normalize,
 )
-from dcom.errors import DenseRadiusGraph
+from dcom.errors import DenseRadiusGraph, TooManyPoints
 from dcom.graph import build_radius_graph, covered_set
 
 
@@ -108,6 +111,53 @@ def test_dense_build_fails_naming_n_delta_and_edges(monkeypatch):
     monkeypatch.setattr(graph, "_MAX_EDGES", entries - 1)
     with pytest.raises(DenseRadiusGraph):
         build_radius_graph(s, 1.5, covered=covered)
+
+
+def test_build_refuses_more_points_than_int32_indices_hold(monkeypatch):
+    # A DCM1 file may hold 2^31 points at d = 1; the CSR's int32 neighbours
+    # index at most 2^31 - 1 of them.
+    assert graph._MAX_POINTS == np.iinfo(np.int32).max
+    rng = np.random.default_rng(0)
+    small = EmbeddingSet(rng.normal(size=(50, 1)))
+    monkeypatch.setattr(graph, "_MAX_POINTS", small.count)
+    assert build_radius_graph(small, 0.1)._nbrs.dtype == np.int32
+    s = EmbeddingSet(rng.normal(size=(100_000, 1)))
+    monkeypatch.setattr(graph, "_MAX_POINTS", s.count - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyPoints) as err:
+            build_radius_graph(s, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"a radius graph holds at most {s.count - 1} points, "
+                              f"as int32 indices; got {s.count}")
+    # Less than a byte per point: it raised before any n-sized array was made.
+    assert peak < s.count
+
+
+def test_cold_build_and_normalize_make_no_float64_copy_of_the_points():
+    raw = gen_gaussian_mixture(MixtureSpec(10, 2000, 64, 6.0, 1.0, seed=0))
+    float64_copy = raw.count * raw.dim * 8
+    tracemalloc.start()
+    try:
+        s = l2_normalize(raw)
+        normalize_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = build_radius_graph(s, 0.9)
+        build_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # l2_normalize holds its float32 result and two float64 chunks at most.
+    assert normalize_peak < float64_copy
+    # The build holds the float32 gram, the Gram pass's two tile buffers of
+    # data._TILE_ROWS x data._TILE_COLS keys and flags, its pair lists and
+    # the CSR's temporaries. At 20k x 64 the buffers are half a float64
+    # copy of the points, so they are counted apart.
+    stored = g._nbrs.nbytes + g._indptr.nbytes + g._out_degree.nbytes + g._covered.nbytes
+    buffers = data._TILE_ROWS * data._TILE_COLS * (np.dtype(np.float32).itemsize + 1)
+    assert build_peak < float64_copy + stored + buffers
 
 
 def test_covered_set_examples():
@@ -622,8 +672,10 @@ def test_gram_keys_stay_within_the_stated_bound(monkeypatch, kind):
     rng = np.random.default_rng(sum(map(ord, kind)))
     pts, dtype = gram_key_points(kind, rng)
     inputs = _gram_inputs(EmbeddingSet(pts))
-    points, gram, slack = inputs
+    vectors, gram, slack = inputs
     assert gram.dtype == dtype and slack.dtype == dtype
+    # The float64 reference of the stored float32 vectors.
+    points = vectors.astype(np.float64)
     n, d = points.shape
     keys = np.full((n, n), np.nan)
 

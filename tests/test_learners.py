@@ -221,6 +221,20 @@ def test_predict_softmax_of_no_targets():
         assert probs.shape == (0, 3) and probs.flags.c_contiguous
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_probe_softmax_equals_the_stacked_copies_expression(seed):
+    # predict_softmax fills one float64 array in place; the probabilities must
+    # be those of the float64 copy with a ones column stacked on.
+    rng = np.random.default_rng(seed)
+    s = gen_gaussian_mixture(MixtureSpec(3, 40, int(rng.integers(1, 40)), 3.0, 1.0, seed=seed))
+    learner = train_learner(s, rng.permutation(s.count)[:30], LearnerSpec(epochs=40))
+    for targets in (rng.permutation(s.count)[: int(rng.integers(1, s.count))], np.arange(s.count)):
+        features = s.vectors[targets].astype(np.float64)
+        stacked = np.hstack((features, np.ones((features.shape[0], 1))))
+        assert np.array_equal(predict_softmax(learner, s, targets),
+                              _softmax(stacked @ learner.weights))
+
+
 def test_batched_trainer_error_messages():
     s = EmbeddingSet([[0.0], [1.0], [2.0], [3.0]], labels=[0, 1, -1, 0])
     spec = LearnerSpec(epochs=2)
