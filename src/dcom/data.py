@@ -283,7 +283,7 @@ def _gram_inputs(embedding_set, extent=0.0):
     row sum of one chunk of _float64_rows, so no n x d float64 copy is made;
     the refines gather float32 rows through _pair_sq_dists.
 
-    The key's error, which every caller's compare step starts from: let
+    The lemma that every client of the pass cites, for E, T and s. Let
     M = max |x|^2, v = 2^-53 <= u the float64 unit roundoff, and
     gamma_k = k u / (1 - k u) <= 15 k u / 14, as the dtype rule keeps
     (d + 2) u <= 1/15. A stored -|x|^2/2 is a float64 sum of d squares, off
@@ -291,12 +291,19 @@ def _gram_inputs(embedding_set, extent=0.0):
     most 1.01 (d v + u) M / 2. A key sums d + 2 products whose magnitudes
     add up to at most |x_i| |x_j| + M (1 + 1.01 (d v + u)) <= 2.01 M, so in
     any summation order it is off its stored terms' sum by at most
-    2.01 gamma_{d+2} M <= 2.2 (d + 2) u M (Higham, Thm 3.1). Each key is
-    therefore within E = 2.2 (d + 2) u M + 1.01 (d v + u) M of
-    -|x_i - x_j|^2/2: at most (2.2 d + 5.5) u M in float32, where
-    d v <= u / 512, and (3.3 d + 5.5) u M in float64, where v = u. The exact
-    float64 distance sum((x_i - x_j)^2) that confirms a candidate is off by a
-    relative 1.1 (d + 2) v. s's "1 +" also covers float32 underflow.
+    2.01 gamma_{d+2} M <= 2.2 (d + 2) u M (Higham, Thm 3.1).
+    E: each key, whichever tile shape and orientation made it, is within
+    E = 2.2 (d + 2) u M + 1.01 (d v + u) M of -D/2, D = |x_i - x_j|^2
+    <= 4 M: at most (2.2 d + 5.5) u M in float32, where d v <= u / 512,
+    and (3.3 d + 5.5) u M in float64, where v = u.
+    T: the exact float64 distance sq = sum((x_i - x_j)^2) that confirms a
+    pair is off D by a relative 1.1 (d + 2) v, so by at most
+    4.4 (d + 2) v M, and -2 K is within 2 E of D. So
+    |sq - (-2 K)| <= T = 2 E + 4.4 (d + 2) v M <= (11 d + 20) u M, in
+    float32 and float64 keys alike.
+    s: as stored in gram's dtype, s >= (12 d + 48) (1 - u) u (1 + M + r^2)
+    for any r^2 <= extent, so s (1 - 2.02 u) >= T + 2.02 u r^2 with room
+    to spare. Its "1 +" also covers float32 underflow.
     """
     vectors = embedding_set.vectors
     n, d = vectors.shape
@@ -328,15 +335,11 @@ def _gram_pairs(inputs, rows, cols, keep):
     is yielded, a tile at a time in (row block, tile, row, column) order, as
     (k, i, j, key): the position k in rows, i = rows[k], j in cols and the
     key as the hook left it. So a row's pairs come in ascending cols order,
-    and a column's in rows order. The pass neither compares keys nor refines; each client
-    proves from the key error E of _gram_inputs that it marks every pair it
-    needs, and refines with _pair_sq_dists the pairs its keys do not decide.
-    graph.build_radius_graph and graph.covered_set mark the keys at or above
-    a floor at the radius and refine those below an upper floor;
-    purity.min_impure_distance first marks nothing, taking each point's
-    largest differently-labeled key per group of labels, then marks and
-    refines the keys within the slack of their row's largest; and
-    engine._ball_counts marks and refines those in a band around a grid radius.
+    and a column's in rows order. The pass neither compares keys nor
+    refines; each client (graph._within, purity.min_impure_distance and
+    engine._ball_counts) proves from the lemma of _gram_inputs that it marks
+    every pair it needs, and refines with _pair_sq_dists the pairs its keys
+    do not decide.
 
     Upper-triangle mode runs when rows is cols, the way a caller passes one
     set of points for both sides. Then a row block's tiles start at its own

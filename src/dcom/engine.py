@@ -12,7 +12,8 @@ above 0 it scores every unlabeled point. Either way the pick's ball is
 covered with no re-check, as the graph itself produced its indices. The
 radii's ball counts come from data._gram_pairs, the radius graph's Gram pass:
 a float32 key bins each pair under the grid radii, and the hook marks only
-the pairs in a band around a grid radius for the exact float64 refine. Each
+the pairs in a band around a grid radius, as wide as the lemma of
+data._gram_inputs needs, for the exact float64 refine. Each
 block of new points then gets its radii from one pass/fail table of its
 counts, which largest_passing_index searches for every row at once.
 """
@@ -130,12 +131,13 @@ class DComConfig:
     delta_resolution: float = 0.05
 
     def __post_init__(self):
-        if self.delta0 <= 0:
-            raise ConfigError("delta0 must be positive")
+        # Each check is written so that NaN fails it, as "x <= 0" would let NaN through.
+        if not 0 < self.delta0 < np.inf:
+            raise ConfigError(f"delta0 must be positive and finite, got {self.delta0}")
         if self.delta_max is None:
             object.__setattr__(self, "delta_max", 2.0 * self.delta0)
-        if self.delta0 > self.delta_max:
-            raise ConfigError("delta0 must not exceed delta_max")
+        if not self.delta0 <= self.delta_max < np.inf:
+            raise ConfigError(f"delta_max must be finite and at least delta0, got {self.delta_max}")
         if not 0 < self.delta_resolution <= self.delta_max:
             raise ConfigError("delta_resolution must lie in (0, delta_max]")
         if not self.delta_max / self.delta_resolution <= _MAX_RADII:
@@ -145,10 +147,13 @@ class DComConfig:
         if top * top == np.inf:
             raise ConfigError(f"delta_max {self.delta_max} is too large: its grid radius "
                               f"{top} squared overflows float64")
+        for name in ("tau_slope", "tau_intercept"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.logistic_a < 1:
             raise ConfigError("logistic_a must lie in (0, 1)")
-        if self.logistic_k <= 0:
-            raise ConfigError("logistic_k must be positive")
+        if not 0 < self.logistic_k < np.inf:
+            raise ConfigError(f"logistic_k must be positive and finite, got {self.logistic_k}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,8 @@ def competence_score(coverage_p: float, a: float, k: float) -> float:
     """Logistic growth in the coverage probability; equals 1 at full coverage."""
     if not 0.0 <= coverage_p <= 1.0:
         raise ConfigError(f"coverage {coverage_p} outside [0, 1]")
-    if not 0 < a < 1 or k <= 0:
-        raise ConfigError("require a in (0,1) and k > 0")
+    if not 0 < a < 1 or not 0 < k < np.inf:
+        raise ConfigError("require a in (0,1) and a finite k > 0")
     return float((1.0 + np.exp(-k * (1.0 - a))) / (1.0 + np.exp(-k * (coverage_p - a))))
 
 
@@ -260,15 +265,10 @@ def _ball_counts(embedding_set, centers, labels, grid):
     _BALL_CELLS // max(min(n, data._TILE_COLS), 2 (len(grid) + 2)) centers,
     at least one. So a tile's keys and int64 slots, and a block's
     histograms of 2 (len(grid) + 2) slots per center, hold at most
-    _BALL_CELLS cells unless one center needs more. A pair's key K ~ -D/2,
-    D the exact squared distance, is off by at most the E of
-    data._gram_inputs, so sq' = -2 K is within 2 E of D. The exact refine sq
-    is within 1.1 (d + 2) v D <= 4.4 (d + 2) v M of D, as D <= 4 M. So
-    |sq - sq'| <= T = 2 E + 4.4 (d + 2) v M <= (11 d + 20) u M, which is
-    below s (1 - 2 u), s = 12 (d + 4) u (1 + M) the pass's slack before it
-    is stored in the keys' dtype. Call
-    [g_i - s, g_i + s], g_i = grid[i]^2, radius i's band: a pair with sq'
-    above it has sq > g_i, one below it sq < g_i.
+    _BALL_CELLS cells unless one center needs more. By the lemma of
+    data._gram_inputs, a pair's refine sq is within T < s of sq' = -2 K, s
+    the pass's slack. Call [g_i - s, g_i + s], g_i = grid[i]^2, radius i's
+    band: a pair with sq' above it has sq > g_i, one below it sq < g_i.
 
     Keys are placed in B + 1 = _BUCKETS + 1 buckets of width
     w = (g_last + s) / (B - 4): p = fl(K * fl(-2 / w)), within 3.1 u |p|

@@ -5,24 +5,24 @@ neighbours and starts from the caller's covered mask. Covering a point drops
 it from its neighbours' degrees, so out-degrees count uncovered neighbours, as
 do ball_members. The greedy kernel in engine (shared by dcom_select and
 select_probcover) builds over the unlabeled points with the pool's covered
-mask, then only covers, each picked ball through _cover, prune_incoming
-without its checks.
-Candidates come from data._gram_pairs, the package's one float32 Gram pass,
-which makes its keys one data._TILE_ROWS x data._TILE_COLS tile at a time, in
-one reused buffer of about 5 MB whatever the number of points. They are
-marked at a floor derived from the key error bound of data._gram_inputs. A
-candidate whose key clears an upper floor, as almost all do, is within the
-radius by the same bound; only the band between the two floors is confirmed
-with the package's exact float64 distance. So the edge set matches a
-brute-force O(n^2) scan bit for bit, and the CSR does not depend on the tile
-shape. The build runs the pass's upper-triangle mode over the uncovered
-points, the whole of a cold start, and its rectangular mode from the covered
-points to them: a pair of covered points is never alive, so never built.
-covered_set runs the same pass with a radius, and so a pair of floors, per
-labeled point. The pass reads the float32 vectors and gram of _gram_inputs,
-no float64 copy of the points, and a build frees them and its per-tile pair
-lists before it makes the CSR. A cold build on 100k x 64 points traces a
-peak of about 108 MiB; with int64 pairs and a float64 copy it was 338.
+mask, then only covers, each picked ball through _cover.
+A pair (i, j) is within i's radius r when the exact float64 distance
+sum((x_i - x_j)^2) is at most r^2, and _within is the one step that tests
+it, for the build and for coverage alike. Its candidates come from
+data._gram_pairs, the package's one float32 Gram pass, which makes its keys
+one data._TILE_ROWS x data._TILE_COLS tile at a time, in one reused buffer of
+about 5 MB whatever the number of points. A key at or above its row's upper
+floor, as almost all do, is within the radius by the lemma of
+data._gram_inputs; only the band down to the floor is confirmed with the
+exact distance. So the edge set matches a brute-force O(n^2) scan bit for
+bit, and the CSR does not depend on the tile shape. The build runs the
+pass's upper-triangle mode over the uncovered points, the whole of a cold
+start, and its rectangular mode from the covered points to them: a pair of
+covered points is never alive, so never built. covered_set runs it with a
+radius, and so a pair of floors, per labeled point. The pass reads the
+float32 vectors and gram of _gram_inputs, no float64 copy of the points, and
+a build frees them and its per-tile pair lists before it makes the CSR: a
+cold build on 100k x 64 points traces a peak of about 108 MiB.
 """
 
 from __future__ import annotations
@@ -73,14 +73,8 @@ class RadiusGraph:
         nbrs = self._nbrs[self._indptr[v] : self._indptr[v + 1]]
         return nbrs[~self._covered[nbrs]]
 
-    def prune_incoming(self, targets):
-        """Cover targets, dropping each from its neighbours' degrees (repeats allowed)."""
-        # A repeated target would list its neighbours twice and decrement twice.
-        targets = _distinct(_indices("targets", targets, self._covered.size))
-        self._cover(targets[~self._covered[targets]])
-
     def _cover(self, targets):
-        """prune_incoming with no checks: targets must be distinct, in range and uncovered."""
+        """Cover distinct, in-range, uncovered targets, dropping each from its neighbours' degrees."""
         self._covered[targets] = True
         starts = self._indptr[targets]
         counts = self._indptr[targets + 1] - starts
@@ -102,28 +96,9 @@ def build_radius_graph(
     uncovered neighbours in points x (points minus covered). Raises
     DenseRadiusGraph once more than _MAX_EDGES entries, 2 per pair, are stored,
     and TooManyPoints, before it allocates, for more than _MAX_POINTS points,
-    as the pairs and the CSR hold int32 indices.
-
-    The candidate pass keeps (i, j) when the key K_ij ~ -|x_i - x_j|^2/2 of
-    data._gram_inputs(embedding_set, delta^2), off by at most the E derived
-    there, is at least the floor f = -(r^2 + s)/2 rounded to the keys' dtype,
-    with r = delta and s its slack. Each candidate is then confirmed with the
-    exact float64 distance sum((x_i - x_j)^2) <= r^2, unless its key decides
-    it. The floor is off by at most 1.01 u (r^2 + s). An edge's exact
-    distance is at most r^2 (1 + 1.1 (d + 2) u), so its key is at least
-    -r^2/2 - 0.55 (d + 2) u r^2 - E, which clears the floor when
-    s (1 - 2.02 u) >= 2 E + 1.1 (d + 4) u r^2. As 2 E <= (6.6 d + 11) u M,
-    s = 12 (d + 4) u (1 + M + r^2) covers it.
-
-    A candidate whose key is at least the upper floor g = -(r^2 - s)/2,
-    rounded to the keys' dtype like f, is an edge with no refine; only the
-    band f <= K < g is refined. g is off by at most 1.01 u (r^2 + s), so
-    K >= g gives -2 K <= r^2 - s + 2.02 u (r^2 + s). The refine sq lies within
-    T = 2 E + 4.4 (d + 2) v M <= (11 d + 20) u M of -2 K, as
-    engine._ball_counts derives, in float32 and in float64 keys alike. So
-    sq <= r^2 - s (1 - 2.02 u) + 2.02 u r^2 + T, which is at most r^2 when
-    s (1 - 2.02 u) >= (11 d + 20) u M + 2.02 u r^2: the same s covers it,
-    its r^2 term the floors' rounding, as stored in the keys' dtype too.
+    as the pairs and the CSR hold int32 indices. Each pair is tested by
+    _within at r^2 = delta * delta, with the slack of data._gram_inputs at
+    extent r^2.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -145,21 +120,12 @@ def build_radius_graph(
     if open_points.size == 0:
         return RadiusGraph(n, open_points, open_points, covered)
     inputs = _gram_inputs(embedding_set, thresh)
-    floor, upper = _floors(thresh, inputs)
     a_parts, b_parts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
     edges = 0
-
-    def at_floor(lo, part, c0, keys, mask):
-        np.greater_equal(keys, floor, out=mask)
-
     # The upper-triangle pass yields each uncovered pair once, as a < b; then
     # covered x uncovered. No pair comes twice and no point meets itself.
     for rows in (open_points, shut_points):
-        pairs = _gram_pairs(inputs, rows, open_points, at_floor)
-        for _, a, b, key in pairs:
-            keep = key >= upper
-            band = np.flatnonzero(~keep)
-            keep[band] = _pair_sq_dists(inputs[0], a[band], b[band]) <= thresh
+        for a, b, keep in _within(inputs, rows, open_points, thresh):
             a_parts.append(a[keep])
             b_parts.append(b[keep])
             edges += 2 * a_parts[-1].size
@@ -173,17 +139,43 @@ def build_radius_graph(
     return RadiusGraph(n, a, b, covered)
 
 
-def _floors(sq_radii, inputs):
-    """build_radius_graph's floor f and upper floor g at each squared radius, in the keys' dtype.
+def _within(inputs, rows, cols, sq_radii):
+    """The one radius test: per tile of data._gram_pairs(inputs, rows, cols), (i, j, keep).
 
-    An infinite radius makes the slack infinite, and g NaN or +inf, so no
-    key clears g and every marked pair is refined.
+    sq_radii is one squared radius r^2, or one per row; keep marks the
+    pairs with _pair_sq_dists(x_i, x_j) <= r^2 at row i's radius, of those
+    the pass marked, so the ones at or above the floor f = -(r^2 + s)/2.
+    A pair at or above the upper floor g = -(r^2 - s)/2 is kept unrefined;
+    only the band f <= K < g is refined. f and g are rounded to the keys'
+    dtype, each off by at most 1.01 u (r^2 + s).
+
+    Both floors are exact when s (1 - 2.02 u) >= T + 2.02 u r^2, as
+    data._gram_inputs' slack s ensures for r^2 at most its extent, with T
+    the lemma's bound |sq - (-2 K)| <= T on a pair's refine sq and key K.
+    Floor: sq <= r^2 gives -2 K <= r^2 + T <= r^2 + s - 2.02 u (r^2 + s)
+    <= -2 f, so the pass marks the pair. Upper floor: K >= g gives
+    -2 K <= r^2 - s + 2.02 u (r^2 + s), so sq <= r^2 + T + 2.02 u r^2
+    - s (1 - 2.02 u) <= r^2. An infinite radius makes s infinite, so every
+    row's f is -inf and its g NaN, or +inf at a finite radius: every pair is
+    marked, none clears g, and each is refined. A scalar radius stays a
+    stride-0 view across the rows, which the tiles compare against as fast
+    as against one number.
     """
-    _, gram, slack = inputs
+    vectors, gram, slack = inputs
     sq_radii = np.asarray(sq_radii, dtype=np.float64)
     with np.errstate(invalid="ignore"):  # inf - inf
         floors, uppers = -(sq_radii + slack) / 2, -(sq_radii - slack) / 2
-    return floors.astype(gram.dtype), uppers.astype(gram.dtype)
+    floors, uppers, sq_radii = (np.broadcast_to(x, rows.shape) for x in
+                                (floors.astype(gram.dtype), uppers.astype(gram.dtype), sq_radii))
+
+    def at_floor(lo, part, c0, keys, mask):
+        np.greater_equal(keys, floors[lo : lo + part.size, None], out=mask)
+
+    for k, i, j, key in _gram_pairs(inputs, rows, cols, at_floor):
+        keep = key >= uppers[k]
+        band = np.flatnonzero(~keep)
+        keep[band] = _pair_sq_dists(vectors, i[band], j[band]) <= sq_radii[k[band]]
+        yield i, j, keep
 
 
 def _index_array(name, values, error=ValueError):
@@ -222,16 +214,13 @@ def _distinct(values):
 def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
     """Covered flags of the union of closed per-point balls around the labeled points.
 
-    Each block of labeled points runs the Gram pass against only the points
-    no earlier block covered, as a union has no order. A block is an eighth
-    of the pass's data._TILE_ROWS, so a pool that its first balls cover
-    skips the rest: on the covered-iter bench's 8k points a call took 6 ms
-    in blocks of 32 and 18 ms in blocks of 256 (2 cores). Row k gets its
-    floor, upper floor and refine at its own radius r_k: a key at or
-    above row k's upper floor covers its point with no refine, and only the
-    band between the two floors is refined. The floors and their proofs are
-    build_radius_graph's: the slack is computed for the largest radius and
-    only grows with it, so s >= 12 (d + 4) u (1 + M + r_k^2) row by row.
+    Each block of labeled points runs _within, at each row's own radius r_k,
+    against only the points no earlier block covered, as a union has no
+    order. A block is an eighth of the pass's data._TILE_ROWS, so a pool that
+    its first balls cover skips the rest: on the covered-iter bench's 8k
+    points a call took 6 ms in blocks of 32 and 18 ms in blocks of 256
+    (2 cores). The slack is data._gram_inputs' at the largest r_k^2, and
+    only grows with the extent, so it covers every row's r_k^2.
     """
     labeled = _indices("labeled", labeled, embedding_set.count)
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -245,19 +234,13 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
         raise ValueError(f"deltas must not be negative: deltas[{bad}] is {deltas[bad]}")
     sq_radii = deltas * deltas
     inputs = _gram_inputs(embedding_set, float(sq_radii.max(initial=0.0)))
-    floors, uppers = _floors(sq_radii, inputs)
     covered = np.zeros(embedding_set.count, dtype=bool)
     covered[labeled] = True
     step = max(1, data._TILE_ROWS // 8)
     for lo in range(0, labeled.size, step):
+        block = slice(lo, lo + step)
         # A labeled point is covered, so it never meets itself among the columns.
-        pairs = _gram_pairs(inputs, labeled[lo : lo + step], np.flatnonzero(~covered),
-                            lambda at, part, c0, keys, mask: np.greater_equal(
-                                keys, floors[lo + at : lo + at + part.size, None], out=mask))
-        for k, i, j, key in pairs:
-            row = lo + k
-            inside = key >= uppers[row]
-            band = np.flatnonzero(~inside)
-            inside[band] = _pair_sq_dists(inputs[0], i[band], j[band]) <= sq_radii[row[band]]
+        for _, j, inside in _within(inputs, labeled[block], np.flatnonzero(~covered),
+                                    sq_radii[block]):
             covered[j[inside]] = True
     return covered

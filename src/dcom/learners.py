@@ -37,10 +37,14 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {self.kind!r}")
-        if self.learning_rate <= 0 or self.epochs <= 0 or self.temperature <= 0:
-            raise ValueError("learning_rate, epochs and temperature must be positive")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be non-negative")
+        # Each check is written so that NaN fails it, as "x <= 0" would let NaN through.
+        for name in ("learning_rate", "temperature"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not self.epochs > 0:
+            raise ValueError(f"epochs must be positive, got {self.epochs}")
+        if not 0 <= self.l2_penalty < np.inf:
+            raise ValueError(f"l2_penalty must be non-negative and finite, got {self.l2_penalty}")
 
 
 @dataclass(frozen=True, eq=False)

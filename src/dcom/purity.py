@@ -6,8 +6,8 @@ points; it refines exactly only the points its keys leave undecided. The
 curve runs data._gram_pairs, the radius graph's Gram pass, on the points
 sorted by label: an upper-triangle pass that only takes each point's largest
 differently-labeled key per group of labels, then one rectangular pass per
-group that marks the keys within the slack of their row's largest; its marks
-start from the key error bound of data._gram_inputs.
+group that marks the keys within the slack of their row's largest, as the
+lemma of data._gram_inputs allows.
 """
 
 from __future__ import annotations
@@ -206,18 +206,15 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
 
     The result is sqrt of the minimum exact float64 distance
     sum((x_j - x_c)^2) over differently-labeled j, found without a float64
-    pass over every point per center. Every key K_cj ~ -|x_c - x_j|^2/2 that
-    data._gram_pairs makes is off by at most the E of data._gram_inputs,
-    whichever pass, orientation and tile shape made it, so the nearest point
-    has the largest key. The float64 distances, each off by a relative
-    1.1 (d + 2) v, can invert keys that differ by up to 4.4 (d + 2) v M, as
-    distances reach 4 M, and rounding c's largest key minus the slack s costs
-    at most u (2 M + E + s) <= 2.2 u M + u s more. So every key of every
-    exact float64 minimiser of c is within
-    2 E + (4.4 d + 11) u M + u s <= (11 d + 22) u M + u s of c's largest
-    differently-labeled key, and s = 12 (d + 4) u (1 + M), data._gram_inputs's
-    slack, covers that: each such key is at least c's floor, that largest key
-    minus s in the keys' dtype.
+    pass over every point per center. By the lemma of data._gram_inputs,
+    each key K_cj that data._gram_pairs makes, whichever pass, orientation
+    and tile shape made it, is within E of -D/2, D = |x_c - x_j|^2, and
+    each refine within 4.4 (d + 2) v M of D. Let K_cm be c's largest
+    differently-labeled key. An exact float64 minimiser j refines no larger
+    than m, so D_j <= D_m + 8.8 (d + 2) v M and K_cj >= K_cm - T. Rounding
+    K_cm - s, s the slack, costs at most u (2 M + E + s) <= 2.2 u M + u s,
+    and s (1 - u) >= (12 d + 48) (1 - u)^2 u M >= T + 2.2 u M: each key of
+    every exact minimiser is at least c's floor, K_cm - s in the keys' dtype.
 
     Both phases run on the points sorted by label (a stable argsort), and
     best goes back through the permutation: the proof holds in any point

@@ -8,7 +8,7 @@ from dcom import data, harness, purity
 from dcom.data import EmbeddingSet, _sq_dists
 from dcom.errors import ZeroVector
 from dcom.engine import PoolState, compute_tau, delta_grid
-from dcom.graph import build_radius_graph
+from dcom.graph import _indices, build_radius_graph
 from dcom.learners import train_learner
 
 
@@ -147,7 +147,7 @@ def greedy_select(embedding_set, unlabeled, covered, radius, competence, margins
     Each pick takes the highest competence * (1 - margin) + (1 - competence)
     * degree / max degree among the available positions of unlabeled, sorted
     and distinct, lowest position on ties, then covers its ball through the
-    checked RadiusGraph.prune_incoming.
+    checked prune_incoming below.
     """
     graph = build_radius_graph(embedding_set, radius, unlabeled, covered)
     uncertainty = competence * (1.0 - margins)
@@ -162,8 +162,22 @@ def greedy_select(embedding_set, unlabeled, covered, radius, competence, margins
         pick = int(unlabeled[pick_pos])
         picks.append(pick)
         available[pick_pos] = False
-        graph.prune_incoming(np.append(graph.ball_members(pick), pick))
+        prune_incoming(graph, np.append(graph.ball_members(pick), pick))
     return picks
+
+
+def prune_incoming(graph, targets):
+    """Reference for RadiusGraph._cover: covers any targets, checked; repeats and covered allowed.
+
+    Each target not yet covered is flagged and dropped from its neighbours'
+    degrees, one neighbour list at a time, where _cover, which takes only
+    distinct uncovered targets, drops all of them at once.
+    """
+    for t in np.unique(_indices("targets", targets, graph._covered.size)):
+        if not graph._covered[t]:
+            graph._covered[t] = True
+            nbrs = graph._nbrs[graph._indptr[t] : graph._indptr[t + 1]]
+            np.subtract.at(graph._out_degree, nbrs, 1)
 
 
 def min_impure_distance(embedding_set, labels) -> np.ndarray:

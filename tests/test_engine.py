@@ -221,6 +221,35 @@ def test_config_defaults_and_validation():
         DComConfig(delta0=0.5, logistic_a=1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "make, error, field",
+    [
+        (lambda v: DComConfig(delta0=v), ConfigError, "delta0"),
+        (lambda v: DComConfig(delta0=v, delta_max=1.0), ConfigError, "delta0"),
+        (lambda v: DComConfig(delta0=0.5, delta_max=v), ConfigError, "delta_max"),
+        (lambda v: DComConfig(delta0=0.5, delta_resolution=v), ConfigError, "delta_resolution"),
+        (lambda v: DComConfig(delta0=0.5, tau_slope=v), ConfigError, "tau_slope"),
+        (lambda v: DComConfig(delta0=0.5, tau_intercept=v), ConfigError, "tau_intercept"),
+        (lambda v: DComConfig(delta0=0.5, logistic_a=v), ConfigError, "logistic_a"),
+        (lambda v: DComConfig(delta0=0.5, logistic_k=v), ConfigError, "logistic_k"),
+        (lambda v: competence_score(0.5, 0.9, v), ConfigError, "finite k"),
+        (lambda v: LearnerSpec(learning_rate=v), ValueError, "learning_rate"),
+        (lambda v: LearnerSpec(l2_penalty=v), ValueError, "l2_penalty"),
+        (lambda v: LearnerSpec(temperature=v), ValueError, "temperature"),
+    ],
+    ids=["delta0", "delta0-with-delta_max", "delta_max", "delta_resolution", "tau_slope",
+         "tau_intercept", "logistic_a", "logistic_k", "competence-k", "learning_rate",
+         "l2_penalty", "temperature"],
+)
+def test_non_finite_config_values_are_rejected_naming_the_field(make, error, field, value):
+    # A check written "x <= 0" lets NaN through: DComConfig(delta0=0.5,
+    # logistic_k=nan) once made dcom_select pick the lowest positions at
+    # competence nan.
+    with pytest.raises(error, match=field):
+        make(value)
+
+
 def test_config_bounds_its_grid():
     # A square past float64 used to warn in expand_delta, and a fine
     # resolution to allocate its grid and count tables without limit.
@@ -600,7 +629,7 @@ def full_build_then_prune(s, labeled, deltas, delta):
     """
     graph = build_radius_graph(s, delta)
     if labeled:
-        graph.prune_incoming(np.flatnonzero(covered_set(s, labeled, deltas)))
+        oracles.prune_incoming(graph, np.flatnonzero(covered_set(s, labeled, deltas)))
     return graph
 
 
@@ -628,7 +657,7 @@ def pruned_graph_dcom_oracle(s, labeled, unlabeled, deltas, margins, q, config):
         pick = int(unlabeled[pos])
         selected.append(pick)
         available[pos] = False
-        graph.prune_incoming(np.append(graph.ball_members(pick), pick))
+        oracles.prune_incoming(graph, np.append(graph.ball_members(pick), pick))
         margin_full[pick] = 1.0
     return selected
 
@@ -645,7 +674,7 @@ def pruned_graph_probcover_oracle(s, labeled, unlabeled, delta0, q):
         pick = int(unlabeled[pos])
         selected.append(pick)
         available[pos] = False
-        graph.prune_incoming(np.append(graph.ball_members(pick), pick))
+        oracles.prune_incoming(graph, np.append(graph.ball_members(pick), pick))
     return selected
 
 

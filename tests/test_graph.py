@@ -45,7 +45,7 @@ def test_out_degree_is_a_read_only_view_that_covering_updates():
     degree = g.out_degree
     with pytest.raises(ValueError, match="read-only"):
         degree[0] = 5
-    g.prune_incoming([1])
+    oracles.prune_incoming(g, [1])
     assert degree.tolist() == [0, 2, 0]
 
 
@@ -215,15 +215,12 @@ def test_covered_set_rejects_a_negative_radius_naming_it():
         (lambda s: build_radius_graph(s, 0.5, points=[30]), r"^points\[0\] is 30, outside"),
         (lambda s: build_radius_graph(s, 0.5, points=[0, 3, -2]), r"^points\[2\] is -2,"),
         (lambda s: build_radius_graph(s, 0.5, points=[2, 30]), r"^points\[1\] is 30, outside"),
-        (lambda s: build_radius_graph(s, 3.0).prune_incoming([4, -1]), r"^targets\[1\] is -1,"),
-        (lambda s: build_radius_graph(s, 3.0).prune_incoming([30]), r"^targets\[0\] is 30,"),
     ],
     ids=["covered-negative", "covered-past-end", "points-negative", "points-past-end",
-         "points-negative-later", "points-past-end-later", "prune-negative", "prune-past-end"],
+         "points-negative-later", "points-past-end-later"],
 )
 def test_indices_outside_the_points_are_named(call, message):
-    # -1 would otherwise read point 29 (prune_incoming flagged it covered but
-    # kept its edges), and 30 fail with a bare IndexError.
+    # -1 would otherwise read point 29, and 30 fail with a bare IndexError.
     s = gen_gaussian_mixture(MixtureSpec(3, 10, 4, 6.0, 1.0, seed=5))
     with pytest.raises(ValueError, match=message):
         call(s)
@@ -236,8 +233,6 @@ def test_indices_outside_the_points_are_named(call, message):
          r"^labeled must hold integer indices, got dtype float64$"),
         (lambda s: covered_set(s, [True], [0.5]), r"^labeled must hold .* dtype bool$"),
         (lambda s: build_radius_graph(s, 3.0, points=[0.5, 2.9]), r"^points must .* float64$"),
-        (lambda s: build_radius_graph(s, 3.0).prune_incoming([True, False]),
-         r"^targets must hold .* dtype bool$"),
         (lambda s: build_radius_graph(s, 3.0, covered=np.zeros(30)),
          r"^covered must be a boolean mask of shape \(30,\), "
          r"got dtype float64 and shape \(30,\)$"),
@@ -247,7 +242,7 @@ def test_indices_outside_the_points_are_named(call, message):
         (lambda s: covered_set(s, [True, 2], [0.5, 0.5]), r"^labeled must hold .*, got a bool$"),
         (lambda s: build_radius_graph(s, 3.0, points=[3, np.True_]), r"^points must .* a bool$"),
     ],
-    ids=["covered-fraction", "covered-bool", "points-fraction", "prune-bool", "mask-float",
+    ids=["covered-fraction", "covered-bool", "points-fraction", "mask-float",
          "mask-short", "mask-indices", "covered-bool-among-ints", "points-bool-among-ints"],
 )
 def test_indices_of_another_dtype_are_named(call, message):
@@ -328,6 +323,30 @@ def test_covered_set_matches_per_point_passes(kind):
         assert covered.mean() == int(expected.sum()) / s.count
 
 
+def test_infinite_and_zero_radii_match_the_oracles():
+    # An infinite radius takes an infinite slack, so its floor is -inf and
+    # its upper floor NaN, or +inf at a finite radius beside it: every key is
+    # marked and refined, and inf - inf raises no RuntimeWarning. A zero
+    # radius covers its own point and its exact duplicates only.
+    rng = np.random.default_rng(35)
+    pts = rng.normal(size=(30, 4))
+    pts[7] = pts[3]
+    s = EmbeddingSet(pts)
+    cases = [([3, 10], [np.inf, 0.5]), ([3, 10], [0.0, 0.0]), ([10], [np.inf]), ([3], [0.0])]
+    for labeled, deltas in cases:
+        assert np.array_equal(covered_set(s, labeled, deltas),
+                              oracles.covered_set(s, labeled, deltas))
+    assert covered_set(s, [3, 10], [np.inf, 0.5]).all()
+    assert np.flatnonzero(covered_set(s, [3, 10], [0.0, 0.0])).tolist() == [3, 7, 10]
+    everything = np.arange(s.count)
+    g = build_radius_graph(s, np.inf)
+    assert np.array_equal(oracles.edges(g), oracles.radius_edges(s, np.inf, everything))
+    assert g.out_degree.tolist() == [s.count - 1] * s.count
+    covered = rng.random(s.count) < 0.5
+    g = build_radius_graph(s, np.inf, covered=covered)
+    assert np.array_equal(oracles.edges(g), oracles.radius_edges(s, np.inf, everything, covered))
+
+
 def band_pairs(inputs, rows, cols, sq_radii):
     """How many keys of the Gram pass over rows x cols lie in [floor, upper floor) at their radius.
 
@@ -397,7 +416,7 @@ def test_coverage_monotone_under_pool_growth():
 def test_prune_incoming_for_covered():
     s = one_d(0.0, 0.4, 0.8)
     g = build_radius_graph(s, 0.5)
-    g.prune_incoming(np.flatnonzero([True, True, True]))
+    oracles.prune_incoming(g, np.flatnonzero([True, True, True]))
     assert oracles.edges(g).shape[0] == 0
     assert g.out_degree.tolist() == [0, 0, 0]
 
@@ -405,19 +424,19 @@ def test_prune_incoming_for_covered():
 def test_prune_incoming_noop_and_idempotent():
     s = one_d(0.0, 0.4, 0.8)
     g = build_radius_graph(s, 0.5)
-    g.prune_incoming(np.flatnonzero([False, False, False]))
-    g.prune_incoming([])  # an empty list's dtype is float64
+    oracles.prune_incoming(g, np.flatnonzero([False, False, False]))
+    oracles.prune_incoming(g, [])  # an empty list's dtype is float64
     assert g.out_degree.tolist() == [1, 2, 1]
-    g.prune_incoming(np.flatnonzero([False, True, False]))
+    oracles.prune_incoming(g, np.flatnonzero([False, True, False]))
     first = oracles.edges(g).tolist()
-    g.prune_incoming(np.flatnonzero([False, True, False]))
+    oracles.prune_incoming(g, np.flatnonzero([False, True, False]))
     assert oracles.edges(g).tolist() == first == [[1, 0], [1, 2]]
 
 
 def test_prune_incoming_duplicate_targets_decrement_once():
     s = one_d(0.0, 0.1, 0.2)
     g = build_radius_graph(s, 0.5)
-    g.prune_incoming([2, 2])
+    oracles.prune_incoming(g, [2, 2])
     assert oracles.edges(g).tolist() == [[0, 1], [1, 0], [2, 0], [2, 1]]
     assert g.out_degree.tolist() == [1, 1, 2]
     assert g.out_degree.sum() == oracles.edges(g).shape[0]
@@ -425,8 +444,8 @@ def test_prune_incoming_duplicate_targets_decrement_once():
 
 @pytest.mark.parametrize("order", ["sorted", "shuffled", "repeated", "one", "empty"])
 def test_distinct_indices_are_np_uniques_for_every_caller(order):
-    # build_radius_graph, prune_incoming and expand_delta's check dedupe with
-    # a sort and an adjacent-equal mask; each must see np.unique's array.
+    # build_radius_graph and expand_delta's check dedupe with a sort and an
+    # adjacent-equal mask; each must see np.unique's array.
     rng = np.random.default_rng(len(order))
     s = gen_gaussian_mixture(MixtureSpec(3, 20, 4, 2.0, 1.0, seed=3))
     picked = rng.choice(s.count, size=s.count // 2, replace=False)
@@ -438,15 +457,17 @@ def test_distinct_indices_are_np_uniques_for_every_caller(order):
     assert got.dtype == unique.dtype and np.array_equal(got, unique)
     built, want = build_radius_graph(s, 1.5, indices), build_radius_graph(s, 1.5, unique)
     assert np.array_equal(oracles.edges(built), oracles.edges(want))
-    built.prune_incoming(indices)
-    want.prune_incoming(unique)
+    built._cover(unique)
+    want._cover(unique)
     assert np.array_equal(built.out_degree, want.out_degree)
     assert np.array_equal(oracles.edges(built), oracles.edges(want))
 
 
 def test_cover_equals_prune_incoming_after_the_same_balls():
-    # _cover skips prune_incoming's checks; fed a picked ball's uncovered
-    # members and the pick when uncovered, it must leave the same graph.
+    # _cover takes no repeats and no covered target, and drops every target at
+    # once; fed a picked ball's uncovered members and the pick when uncovered,
+    # it must leave the graph that the checked reference, one target at a
+    # time, leaves.
     rng = np.random.default_rng(11)
     for kind in ("gaussian", "lattice"):
         for _ in range(6):
@@ -455,7 +476,7 @@ def test_cover_equals_prune_incoming_after_the_same_balls():
             g = build_radius_graph(s, radius, points, covered)
             h = build_radius_graph(s, radius, points, covered)
             for v in rng.permutation(np.unique(points))[: int(rng.integers(1, 30))]:
-                g.prune_incoming(np.append(g.ball_members(v), v))
+                oracles.prune_incoming(g, np.append(g.ball_members(v), v))
                 ball = h.ball_members(v)
                 h._cover(ball if h._covered[v] else np.append(ball, v))
                 np.testing.assert_array_equal(h.out_degree, g.out_degree)
@@ -481,8 +502,8 @@ def test_prunes_never_raise_degree():
             assert np.array_equal(np.sort(h.ball_members(v)), g.ball_members(v))
             assert g.ball_members(v).size == before[v] == h.ball_members(v).size
         covered = np.flatnonzero(rng.random(40) < 0.1)
-        g.prune_incoming(covered)
-        h.prune_incoming(covered)
+        oracles.prune_incoming(g, covered)
+        oracles.prune_incoming(h, covered)
         assert (g.out_degree <= before).all()
 
 
