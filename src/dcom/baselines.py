@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import _sq_dists
 from .engine import _check_budget, _greedy_select
 from .errors import PoolInvariantError
 from .graph import covered_set
 from .learners import uncertainty_scores
+from .purity import _farthest_first
 
 STRATEGY_KINDS = ("random", "margin", "entropy", "maxprob", "coreset", "probcover", "dcom")
 
@@ -39,26 +39,20 @@ def select_by_uncertainty(pool, probs: np.ndarray, kind: str, q: int) -> list:
 
 
 def select_coreset(embedding_set, pool, q: int) -> list:
-    """Greedy k-center: repeatedly take the point farthest from the selected/labeled set."""
+    """Greedy k-center: repeatedly take the point farthest from the selected/labeled set.
+
+    purity._farthest_first picks from the labeled points, every unlabeled
+    point available: the largest least exact distance, lowest index on ties,
+    decided from the float64 keys k-means seeds from. With nothing labeled
+    the lowest unlabeled index goes first.
+    """
     _check_budget(pool, q)
     pool.check_range(embedding_set.count)
-    unlabeled = np.sort(np.asarray(pool.unlabeled, dtype=np.int64))  # lowest index on ties
     points = embedding_set.vectors.astype(np.float64)
-    candidates = points[unlabeled]
-    min_sq = np.full(unlabeled.size, np.inf)
-    for i in pool.labeled:
-        min_sq = np.minimum(min_sq, _sq_dists(candidates, points[i]))
-
-    selected = []
-    available = np.ones(unlabeled.size, dtype=bool)
-    for _ in range(q):
-        # With nothing labeled every distance is inf: the lowest index goes first.
-        pos = int(np.argmax(np.where(available, min_sq, -np.inf)))
-        pick = int(unlabeled[pos])
-        selected.append(pick)
-        available[pos] = False
-        min_sq = np.minimum(min_sq, _sq_dists(candidates, points[pick]))
-    return selected
+    available = np.zeros(embedding_set.count, dtype=bool)
+    available[np.asarray(pool.unlabeled, dtype=np.int64)] = True
+    norms = np.einsum("ij,ij->i", points, points)
+    return _farthest_first(points, norms, pool.labeled, available, q)
 
 
 def select_probcover(embedding_set, pool, delta0: float, q: int) -> list:

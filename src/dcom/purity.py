@@ -1,8 +1,9 @@
 """Purity-curve estimation with k-means pseudo-labels and initial radius selection.
 
-k-means seeds from float64 keys, one product of the points and each chosen
-center, and assigns each round from one product of the centroids and the
-points; it refines exactly only the points its keys leave undecided. The
+k-means seeds through _farthest_first, Core-Set's k-center greedy step, from
+float64 keys, one product of the points and each chosen center, and assigns
+each round from one product of the centroids and the points; both refine
+exactly only the points their keys leave undecided. The
 curve runs data._gram_pairs, the radius graph's Gram pass, on the points
 sorted by label: an upper-triangle pass that only takes each point's largest
 differently-labeled key per group of labels, then one rectangular pass per
@@ -67,28 +68,24 @@ class PurityCurve:
         object.__setattr__(self, "purity", purity)
 
 
-def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.ndarray:
-    """Lloyd's k-means with farthest-first init, deterministic per seed.
+def _farthest_first(points, norms, chosen, available, q):
+    """q picks of the k-center greedy step (Sener & Savarese 2018): Core-Set's and k-means' seeding.
 
-    The first center is drawn uniformly with the seeded generator; each
-    subsequent center is the point farthest from the chosen set, by the least
-    exact float64 distance _sq_dists to a chosen center, lowest index on
-    ties. Each round gives every point the centroid at the least _sq_dists,
-    lowest index on ties. Each empty cluster, in index order, takes the point
-    farthest from its own centroid among the clusters of two or more members,
-    lowest index on ties; as k <= n such a cluster exists while one is empty,
-    and no cluster ends empty, so no centroid is the NaN mean of nothing,
-    even with duplicate points. A centroid is the mean of its points in index
-    order. Iteration stops at an assignment fixpoint or after _KMEANS_ITERS
-    rounds. k must be a Python or NumPy integer in [1, n], not a bool.
+    Each pick is the available point with the largest least exact float64
+    distance _sq_dists to the chosen points and the earlier picks, lowest
+    index on ties; with nothing chosen every least distance is inf, and the
+    lowest available index goes first. points is n x d float64 and norms
+    their squared norms; available, a mask of the n points that is read and
+    not changed, holds at least q points. A point neither chosen nor
+    available is never a pick.
 
-    Both the seeding and the rounds decide from float64 keys: the key of
-    point x and center c is sq' = (|x|^2 + |c|^2) - 2 x.c, against the exact
-    e = _sq_dists(x, c). Let M be the largest squared norm measured over the
-    points and the centers in use, u = 2^-53, and gamma_k = k u / (1 - k u).
-    In any summation order each norm is off by at most gamma_d M and the
-    product x.c by gamma_d |x| |c| <= gamma_d M (Higham, Thm 3.1); the sum of
-    the norms rounds by at most 2.01 u M, and the final difference, at most
+    The picks decide from float64 keys: the key of point x and center c is
+    sq' = (|x|^2 + |c|^2) - 2 x.c, against the exact e = _sq_dists(x, c).
+    Let M be the largest squared norm measured over the points and the
+    centers in use, u = 2^-53, and gamma_k = k u / (1 - k u). In any
+    summation order each norm is off by at most gamma_d M and the product
+    x.c by gamma_d |x| |c| <= gamma_d M (Higham, Thm 3.1); the sum of the
+    norms rounds by at most 2.01 u M, and the final difference, at most
     4.01 M as d u is tiny, by 4.01 u M. e sums d rounded squares of rounded
     differences, so it is off the real |x - c|^2 <= 4 M by at most
     gamma_{d+2} 4 M. So |sq' - e| <= (8 d + 14.1) u M, and
@@ -98,18 +95,67 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
     T of the least or largest e, so keys more than 2 T apart order their e
     the same way.
 
-    The seeding keeps each point's least key to a chosen center, one
-    points @ c per center. Only the points whose least key is within 2 T of
-    the largest can hold the largest least e; when there are several, they
-    are refined exactly against every chosen center, on their own rows.
-    Each round makes one product centroids @ points.T and takes, in k row
-    passes, each point's least key and its count of keys within 2 T of it.
-    A point with one such key takes that centroid: every other centroid is
-    strictly farther in e. Every other point is refined by the exact rule,
-    e against all k centroids, on its own rows; _sq_dists sums each row on
-    its own, so a row's e has the same bits in any batch. On the init-delta
-    bench's 6,000 points 2 T is about 1.3e-13, the least gap about 0.009,
-    and neither the seeding nor any of the 4 rounds refines a row.
+    Each point keeps its least key to a chosen point, one points @ c per
+    chosen point. Only the available points whose least key is within 2 T
+    of the largest can hold the largest least e; when there are several,
+    they are refined exactly against every chosen point, on their own rows.
+    On the init-delta bench's 6,000 points no seeding step refines a row.
+
+    k-means passes chosen = [start] and every other point available. The
+    seeding over all points, in which a chosen point stays a candidate at
+    least distance 0, picks the same points while the largest available
+    least distance is positive, as no chosen point reaches it. Once it is 0,
+    with j centers chosen, every point equals one of those j, which are
+    distinct, and every later center of either seeding is a copy of one of
+    them. Lloyd's first round then gives each point the lowest centroid at
+    exact distance 0, its equal among the first j; its empty-cluster repair
+    reads only those labels and those j centers. So both seedings give the
+    same labels and centroid means from the first round on.
+    """
+    chosen, done = [int(c) for c in chosen], 0
+    least = np.where(available, np.inf, -np.inf)
+    # 2 T, with M the largest squared norm.
+    gap = 2.0 * (9 * points.shape[1] + 16) * 2.0**-53 * float(norms.max())
+    for _ in range(q):
+        for c in chosen[done:]:
+            key = norms + norms[c]
+            key -= 2.0 * (points @ points[c])
+            np.minimum(least, key, out=least)
+        done = len(chosen)
+        far = np.flatnonzero(least >= least.max() - gap)
+        if far.size > 1 and chosen:
+            rows = points[far]
+            far = far[[np.min([_sq_dists(rows, points[c]) for c in chosen], axis=0).argmax()]]
+        least[far[0]] = -np.inf
+        chosen.append(int(far[0]))
+    return chosen[len(chosen) - q :]
+
+
+def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.ndarray:
+    """Lloyd's k-means with farthest-first init, deterministic per seed.
+
+    The first center is drawn uniformly with the seeded generator; the
+    other k - 1 are _farthest_first's picks from it, every other point
+    available. Each round gives every point the centroid at the least
+    _sq_dists, lowest index on ties. Each empty cluster, in index order,
+    takes the point farthest from its own centroid among the clusters of two
+    or more members, lowest index on ties; as k <= n such a cluster exists
+    while one is empty, and no cluster ends empty, so no centroid is the NaN
+    mean of nothing, even with duplicate points. A centroid is the mean of
+    its points in index order. Iteration stops at an assignment fixpoint or
+    after _KMEANS_ITERS rounds. k must be a Python or NumPy integer in
+    [1, n], not a bool.
+
+    Each round decides from _farthest_first's keys, whose bound T holds with
+    M taken over the points and the centroids. It makes one product
+    centroids @ points.T and takes, in k row passes, each point's least key
+    and its count of keys within 2 T of it. A point with one such key takes
+    that centroid: every other centroid is strictly farther in e. Every
+    other point is refined by the exact rule, e against all k centroids, on
+    its own rows; _sq_dists sums each row on its own, so a row's e has the
+    same bits in any batch. On the init-delta bench's 6,000 points 2 T is
+    about 1.3e-13, the least gap about 0.009, and none of the 4 rounds
+    refines a row.
     """
     n = embedding_set.count
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
@@ -124,20 +170,9 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
     # 2 T per unit of the largest squared norm M.
     gap = 2.0 * (9 * points.shape[1] + 16) * 2.0**-53
 
-    rng = np.random.default_rng(seed)
-    centers_idx = [int(rng.integers(n))]
-    least = np.full(n, np.inf)
-    for _ in range(1, k):
-        c = centers_idx[-1]
-        key = point_norms + point_norms[c]
-        key -= 2.0 * (points @ points[c])
-        np.minimum(least, key, out=least)
-        far = np.flatnonzero(least >= least.max() - gap * top_norm)
-        if far.size > 1:
-            rows = points[far]
-            far = far[[np.min([_sq_dists(rows, points[j]) for j in centers_idx], axis=0).argmax()]]
-        centers_idx.append(int(far[0]))
-    centroids = points[centers_idx].copy()
+    start = int(np.random.default_rng(seed).integers(n))
+    others = np.arange(n) != start
+    centroids = points[[start, *_farthest_first(points, point_norms, [start], others, k - 1)]]
 
     labels = None
     for _ in range(_KMEANS_ITERS):
@@ -309,9 +344,11 @@ def estimate_purity_curve(embedding_set, labels, grid, sample=None) -> PurityCur
 
     All points act as centers unless a non-empty sample of point indices (any
     order, repeats allowed) is given; a fraction, a bool or an index outside
-    [0, n) raises ValueError naming it, and so does a grid radius that is not
-    finite and positive.
+    [0, n) raises ValueError naming it, and so do a grid radius that is not
+    finite and positive and an empty embedding set.
     """
+    if embedding_set.count == 0:
+        raise ValueError("the embedding set is empty: a purity curve needs at least one point")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")

@@ -103,22 +103,14 @@ def pool_is_valid(labeled, unlabeled, deltas, n) -> bool:
 def kmeans_cluster(embedding_set, k, seed=0) -> np.ndarray:
     """Reference for purity.kmeans_cluster: k full float64 passes per Lloyd round.
 
-    The same farthest-first seeding, empty-cluster repair (each empty
+    kmeans_seeds' centers, the same empty-cluster repair (each empty
     cluster takes the farthest point of a cluster of two or more) and
     centroid means; each round assigns every point by argmin over its exact
     distances to all k centroids, lowest index on ties.
     """
     n = embedding_set.count
     points = embedding_set.vectors.astype(np.float64)
-    rng = np.random.default_rng(seed)
-
-    centers_idx = [int(rng.integers(n))]
-    min_sq = _sq_dists(points, points[centers_idx[-1]])
-    for _ in range(1, k):
-        nxt = int(np.argmax(min_sq))
-        centers_idx.append(nxt)
-        min_sq = np.minimum(min_sq, _sq_dists(points, points[nxt]))
-    centroids = points[centers_idx].copy()
+    centroids = points[kmeans_seeds(embedding_set, k, seed)]
 
     labels = None
     for _ in range(purity._KMEANS_ITERS):
@@ -139,6 +131,46 @@ def kmeans_cluster(embedding_set, k, seed=0) -> np.ndarray:
             centroids[c] = points[labels == c].mean(axis=0)
 
     return labels.astype(np.int64)
+
+
+def kmeans_seeds(embedding_set, k, seed=0) -> list:
+    """kmeans_cluster's seeding: a seeded random start, then farthest-first over every point.
+
+    One exact pass over all n points per center. A chosen point stays a
+    candidate at least distance 0, so once every point equals a center the
+    seeding re-picks the lowest index, which purity._farthest_first, skipping
+    chosen points, does not.
+    """
+    points = embedding_set.vectors.astype(np.float64)
+    centers_idx = [int(np.random.default_rng(seed).integers(embedding_set.count))]
+    min_sq = _sq_dists(points, points[centers_idx[-1]])
+    for _ in range(1, k):
+        nxt = int(np.argmax(min_sq))
+        centers_idx.append(nxt)
+        min_sq = np.minimum(min_sq, _sq_dists(points, points[nxt]))
+    return centers_idx
+
+
+def coreset(embedding_set, labeled, unlabeled, q) -> list:
+    """Reference for baselines.select_coreset: brute-force k-center greedy.
+
+    Each pick scans the unlabeled points in index order and keeps the first
+    with the largest least exact distance to the labeled points and the
+    earlier picks; with none of those, every distance is inf.
+    """
+    pts = embedding_set.vectors.astype(np.float64)
+    chosen, picks = list(labeled), []
+    for _ in range(q):
+        best_u, best_d = None, -np.inf
+        for u in sorted(unlabeled):
+            if u in picks:
+                continue
+            d = ((pts[chosen] - pts[u]) ** 2).sum(axis=1).min(initial=np.inf)
+            if d > best_d:
+                best_u, best_d = u, d
+        picks.append(best_u)
+        chosen.append(best_u)
+    return picks
 
 
 def greedy_select(embedding_set, unlabeled, covered, radius, competence, margins, q):

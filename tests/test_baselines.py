@@ -7,9 +7,12 @@ from dcom.baselines import (
     select_probcover,
     select_random,
 )
-from dcom.data import EmbeddingSet
+from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture, l2_normalize
 from dcom.engine import DComConfig, PoolState, dcom_select
 from dcom.errors import PoolInvariantError
+
+import oracles
+from test_purity import _KMEANS_CASES, _exact_calls
 
 
 def one_d(*values):
@@ -134,21 +137,48 @@ def test_coreset_matches_greedy_oracle():
         labeled = sorted(rng.choice(30, size=4, replace=False).tolist())
         unlabeled = [i for i in range(30) if i not in labeled]
         pool = PoolState(labeled, unlabeled, [0.5] * 4)
-        picks = select_coreset(s, pool, 5)
-        pts = s.vectors.astype(np.float64)
-        chosen = list(labeled)
-        expected = []
-        for _ in range(5):
-            best_u, best_d = None, -np.inf
-            for u in unlabeled:
-                if u in expected:
-                    continue
-                d = min(((pts[u] - pts[c]) ** 2).sum() for c in chosen)
-                if d > best_d:
-                    best_u, best_d = u, d
-            expected.append(best_u)
-            chosen.append(best_u)
-        assert picks == expected
+        assert select_coreset(s, pool, 5) == oracles.coreset(s, labeled, unlabeled, 5)
+
+
+def _coreset_pool(rng, n, shape):
+    """(labeled, unlabeled) in shuffled order: nothing labeled, a subset of the points, or all of them."""
+    order = rng.permutation(n).tolist()
+    if shape == "cold":
+        return [], order
+    cut = int(rng.integers(1, n))
+    if shape == "subset":
+        return order[:cut // 2], order[cut:]
+    return order[:cut], order[cut:]
+
+
+# k-means' corpora, where keys tie or sit within their bound of a tie:
+# copies, points 1e7 from the origin, exact ties past 2^53, and the Gram
+# families k-means runs.
+@pytest.mark.parametrize("case", ["duplicates", "far_from_origin", "mirrored_far",
+                                  "lattice", "scale_1e20", "d4096"])
+def test_coreset_matches_the_oracle_on_the_kmeans_corpora(monkeypatch, case):
+    calls = _exact_calls(monkeypatch)
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for trial in range(9):
+        s, _ = _KMEANS_CASES[case](rng)
+        labeled, unlabeled = _coreset_pool(rng, s.count, ("cold", "subset", "split")[trial % 3])
+        # The first trial of each pool shape takes the whole unlabeled pool.
+        q = len(unlabeled) if trial < 3 else int(rng.integers(1, len(unlabeled) + 1))
+        pool = PoolState(labeled, unlabeled, [0.5] * len(labeled))
+        assert select_coreset(s, pool, q) == oracles.coreset(s, labeled, unlabeled, q)
+    if case in ("duplicates", "far_from_origin", "mirrored_far", "lattice"):
+        assert calls, "no pick reached the exact refine"
+
+
+def test_coreset_makes_no_exact_pass_over_the_pool_per_pick(monkeypatch):
+    calls = _exact_calls(monkeypatch)
+    s = l2_normalize(gen_gaussian_mixture(MixtureSpec(10, 60, 64, 6.0, 1.0, seed=0)))
+    labeled = list(range(0, s.count, 50))
+    unlabeled = [i for i in range(s.count) if i not in labeled]
+    picks = select_coreset(s, PoolState(labeled, unlabeled, [0.5] * len(labeled)), 40)
+    # The keys decide: an exact call refines near-ties only, never the pool.
+    assert [rows for rows, _ in calls if rows >= len(unlabeled)] == []
+    assert picks == oracles.coreset(s, labeled, unlabeled, 40)
 
 
 def test_coreset_empty_labeled_starts_lowest_index():

@@ -224,6 +224,24 @@ def test_kmeans_on_duplicate_points_leaves_no_cluster_empty(rows, k):
         assert np.array_equal(labels, oracles.kmeans_cluster(s, k, seed))
 
 
+def test_the_seeding_skips_chosen_points_and_keeps_the_oracles_labels():
+    # Once every point equals a center, the oracle's seeding over all points
+    # re-picks the lowest index, a chosen point, while _farthest_first picks
+    # the lowest point not chosen: another copy, so the labels cannot change.
+    rng = np.random.default_rng(11)
+    differ = 0
+    for _ in range(40):
+        s, k = _kmeans_duplicates(rng)
+        seed = int(rng.integers(100))
+        want = oracles.kmeans_seeds(s, k, seed)
+        points = s.vectors.astype(np.float64)
+        norms, others = (points**2).sum(axis=1), np.arange(s.count) != want[0]
+        got = [want[0], *purity._farthest_first(points, norms, want[:1], others, k - 1)]
+        differ += got != want
+        assert np.array_equal(kmeans_cluster(s, k, seed), oracles.kmeans_cluster(s, k, seed))
+    assert differ
+
+
 @pytest.mark.parametrize("case", ["far_from_origin", "symmetric_line", "lattice"])
 def test_kmeans_refines_the_rows_its_keys_do_not_decide(monkeypatch, case):
     # A call on fewer than n rows is a refine, of the seeding or of a round
@@ -576,6 +594,17 @@ def test_label_length_mismatch_is_named(count):
     ):
         with pytest.raises(DimensionMismatch, match=rf"\b{count}\b.*\b20\b"):
             call()
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_an_empty_embedding_set_is_named_before_any_pass(monkeypatch, action):
+    # Its mean over no centers used to warn "Mean of empty slice", and with
+    # warnings ignored the NaN purity failed the curve's [0, 1] check.
+    monkeypatch.setattr(purity, "min_impure_distance", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(ValueError, match="^the embedding set is empty"):
+            estimate_purity_curve(EmbeddingSet(np.zeros((0, 3)), []), [], [0.5])
 
 
 def test_empty_grid_rejected():
