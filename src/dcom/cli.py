@@ -77,6 +77,8 @@ def _load_round(config, expanding=False):
 def _cmd_init_delta(args):
     if args.classes < 2:
         raise ConfigError(f"--classes must be 2 or more, got {args.classes}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be 0 or more, got {args.seed}")
     dataset = harness.load_dataset(
         {"embeddings": args.embeddings, "l2_normalize": not args.no_normalize}
     )
@@ -126,13 +128,11 @@ def _cmd_run_loop(args):
 
 
 def _cmd_report(args):
-    records = harness.read_report(args.records)
-    summary = harness.summarize(records)
-    text = json.dumps(summary, indent=2, sort_keys=True)
+    text = harness._summary_text(harness.read_report(args.records))
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        Path(args.output).write_text(text)
     else:
-        print(text)
+        print(text, end="")
     return 0
 
 

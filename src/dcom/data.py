@@ -6,11 +6,15 @@ Binary layouts:
   labels ("DCL1"): 4 magic bytes, u32-LE count, then count int32-LE values
     where -1 means unknown.
 Paths ending in ".csv" use a header row and one record per point instead.
+_write_binary and _read_binary are the one codec of both binary layouts;
+_write_csv and _csv_records are the one CSV writer and reader, the run
+loop's reports included.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 from dataclasses import dataclass
@@ -113,79 +117,98 @@ class MixtureSpec:
 
 def write_embedding_file(embedding_set: EmbeddingSet, path) -> None:
     """Serialize to the DCM1 binary layout (or CSV when path ends '.csv')."""
+    vectors = embedding_set.vectors
     if str(path).endswith(".csv"):
-        _write_embedding_csv(embedding_set, path)
-        return
-    header = EMBEDDING_MAGIC + struct.pack(
-        "<II", embedding_set.count, embedding_set.dim
-    )
-    payload = embedding_set.vectors.astype("<f4", copy=False).tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+        header = [f"f{j}" for j in range(embedding_set.dim)]
+        _write_csv(path, header, map(np.ndarray.tolist, vectors))
+    else:
+        _write_binary(path, EMBEDDING_MAGIC, vectors.shape, vectors.astype("<f4", copy=False))
 
 
 def read_embedding_file(path) -> EmbeddingSet:
     """Parse a DCM1 file (or CSV). Bytes round-trip exactly through write."""
     if str(path).endswith(".csv"):
-        return _read_embedding_csv(path)
-    with open(Path(path), "rb") as fh:  # Path: open() takes an int as a file descriptor
-        raw = fh.read()
-    if len(raw) < 4 or raw[:4] != EMBEDDING_MAGIC:
-        raise BadMagic(0, bytes(raw[:4]))
-    if len(raw) < 12:
-        raise TruncatedPayload(len(raw), 12, len(raw))
-    n, d = struct.unpack("<II", raw[4:12])
-    if n * d > _MAX_ELEMENTS:
-        raise PayloadOverflow(4, n, d)
-    expected = 12 + 4 * n * d
-    if len(raw) != expected:
-        raise TruncatedPayload(min(len(raw), expected), expected, len(raw))
-    values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=12)
+        header, records, lines = _csv_records(path)
+        if header is None:
+            raise TruncatedPayload(0, 1, 0)
+        data = np.array([[_parse(float, v, path, line, k) for k, v in enumerate(row, 1)]
+                         for row, line in zip(records, lines)])
+        try:
+            return EmbeddingSet(data.reshape(len(records), len(header)))
+        except NonFinite as err:
+            row, column = err.cell
+            raise NonFinite(f"{path} line {lines[row]}, field {column + 1}") from None
+    (n, d), values = _read_binary(path, EMBEDDING_MAGIC, 2, "<f4")
     if not np.isfinite(values).all():
         offset = 12 + 4 * int(np.argmin(np.isfinite(values)))
         raise NonFinite(f"byte {offset}", offset)
-    return EmbeddingSet(values.reshape(n, d) if n else values.reshape(0, d))
+    return EmbeddingSet(values.reshape(n, d))
 
 
 def write_label_file(labels, path) -> None:
-    """Serialize integer labels to the DCL1 layout (or CSV)."""
+    """Serialize integer labels to the DCL1 layout (or CSV).
+
+    A label is -1 (unknown) or a class index, at most 2^31 - 1 in DCL1's
+    int32 cells: anything else raises a ValueError before the file is opened.
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    if str(path).endswith(".csv"):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label"])
-            for value in labels:
-                writer.writerow([int(value)])
-        return
-    with open(path, "wb") as fh:
-        fh.write(LABEL_MAGIC + struct.pack("<I", len(labels)))
-        fh.write(labels.astype("<i4").tobytes())
+    binary = not str(path).endswith(".csv")
+    top = np.iinfo(np.int32 if binary else np.int64).max
+    bad = np.flatnonzero((labels < UNKNOWN_LABEL) | (labels > top))
+    if bad.size:
+        raise ValueError(f"label {bad[0]} is {labels[bad[0]]}, outside [-1, {top}]")
+    if binary:
+        _write_binary(path, LABEL_MAGIC, labels.shape, labels.astype("<i4"))
+    else:
+        _write_csv(path, ["label"], ([label] for label in labels.tolist()))
 
 
 def read_label_file(path) -> np.ndarray:
     """Parse a DCL1 file (or CSV) into an int64 label array (-1 = unknown)."""
     if str(path).endswith(".csv"):
-        return np.array([int(row[0]) for row in _csv_records(path)[1]], dtype=np.int64)
+        _, records, lines = _csv_records(path)
+        return np.array([_parse(int, row[0], path, line, 1) for row, line in zip(records, lines)],
+                        dtype=np.int64)
+    return _read_binary(path, LABEL_MAGIC, 1, "<i4")[1].astype(np.int64)
+
+
+def _write_binary(path, magic, sizes, cells):
+    """The one binary writer: magic, each of sizes as a u32-LE, then cells' bytes in C order."""
+    with open(Path(path), "wb") as fh:  # Path: open() takes an int as a file descriptor
+        fh.write(magic + struct.pack(f"<{len(sizes)}I", *sizes))
+        fh.write(cells.tobytes())
+
+
+def _read_binary(path, magic, dims, dtype):
+    """The one binary parser: the dims u32-LE sizes after magic, and the cells that follow.
+
+    Raises BadMagic at byte 0, PayloadOverflow at byte 4 when two sizes
+    multiply past _MAX_ELEMENTS, and TruncatedPayload at the first byte the
+    header or the payload of 4-byte cells lacks or holds beyond its end.
+    """
     with open(Path(path), "rb") as fh:  # Path: open() takes an int as a file descriptor
         raw = fh.read()
-    if len(raw) < 4 or raw[:4] != LABEL_MAGIC:
-        raise BadMagic(0, bytes(raw[:4]))
-    if len(raw) < 8:
-        raise TruncatedPayload(len(raw), 8, len(raw))
-    (n,) = struct.unpack("<I", raw[4:8])
-    expected = 8 + 4 * n
+    if raw[:4] != magic:
+        raise BadMagic(0, raw[:4])
+    start = 4 + 4 * dims
+    if len(raw) < start:
+        raise TruncatedPayload(len(raw), start, len(raw))
+    sizes = struct.unpack(f"<{dims}I", raw[4:start])
+    count = math.prod(sizes)
+    if dims == 2 and count > _MAX_ELEMENTS:
+        raise PayloadOverflow(4, *sizes)
+    expected = start + 4 * count
     if len(raw) != expected:
         raise TruncatedPayload(min(len(raw), expected), expected, len(raw))
-    return np.frombuffer(raw, dtype="<i4", count=n, offset=8).astype(np.int64)
+    return sizes, np.frombuffer(raw, dtype=dtype, count=count, offset=start)
 
 
-def _write_embedding_csv(embedding_set, path):
-    with open(path, "w", newline="") as fh:
+def _write_csv(path, header, rows):
+    """The one CSV writer: the header row, then rows; a float field is written as its repr."""
+    with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(embedding_set.dim)])
-        for row in embedding_set.vectors:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _csv_records(path):
@@ -202,16 +225,13 @@ def _csv_records(path):
     return header, records, lines
 
 
-def _read_embedding_csv(path):
-    header, records, lines = _csv_records(path)
-    if header is None:
-        raise TruncatedPayload(0, 1, 0)
-    data = np.array([[float(v) for v in row] for row in records])
+def _parse(parse, token, path, line, field):
+    """parse(token), or a ValueError naming the token and its path, 1-based line and field."""
     try:
-        return EmbeddingSet(data.reshape(len(records), len(header)))
-    except NonFinite as err:
-        row, column = err.cell
-        raise NonFinite(f"{path} line {lines[row]}, field {column + 1}") from None
+        return parse(token)
+    except ValueError:
+        raise ValueError(f"{path} line {line}, field {field}: "
+                         f"cannot parse {token!r} as {parse.__name__}") from None
 
 
 def l2_normalize(embedding_set: EmbeddingSet) -> EmbeddingSet:

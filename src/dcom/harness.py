@@ -12,7 +12,6 @@ whose query half select_step runs), so both pick the same points.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import MISSING, dataclass, fields, replace
@@ -35,6 +34,8 @@ from .data import (
     EmbeddingSet,
     MixtureSpec,
     _csv_records,
+    _parse,
+    _write_csv,
     gen_gaussian_mixture,
     l2_normalize,
     read_embedding_file,
@@ -103,6 +104,8 @@ def _is_number(value):
 # comes as a tuple from run_al_loop callers.
 _JSON_TYPES = {
     "int": (_is_int, "an integer"),
+    # NumPy's default_rng takes no negative seed.
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "float": (_is_number, "a finite number"),
     "float | None": (lambda v: v is None or _is_number(v), "a finite number or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
@@ -133,9 +136,9 @@ CONFIG_KEYS = {
         "query": "list[int]", "q": "int",
     },
     ("data",): {"mixture": "object", "embeddings": "str", "labels": "str", "l2_normalize": "bool"},
-    ("data", "mixture"): _field_types(MixtureSpec),
-    ("split",): {"test_fraction": "float", "seed": "int"},
-    ("strategy",): {"kind": "str", "seed": "int"},
+    ("data", "mixture"): {**_field_types(MixtureSpec), "seed": "seed"},
+    ("split",): {"test_fraction": "float", "seed": "seed"},
+    ("strategy",): {"kind": "str", "seed": "seed"},
     ("learner",): _field_types(LearnerSpec),
     ("dcom",): {**_field_types(DComConfig), "delta0": "float | None", "alpha": "float"},
 }
@@ -423,17 +426,8 @@ def write_report(records, path) -> None:
         raise ValueError("records must be non-empty")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in records:
-            writer.writerow(
-                repr(getattr(r, f.name)) if f.type == "float" else getattr(r, f.name)
-                for f in fields(ExperimentRecord)
-            )
-    with open(path.with_suffix(".json"), "w") as fh:
-        json.dump(summarize(records), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_csv(path, REPORT_COLUMNS, ([getattr(r, c) for c in REPORT_COLUMNS] for r in records))
+    path.with_suffix(".json").write_text(_summary_text(records))
 
 
 def read_report(path) -> list:
@@ -442,14 +436,16 @@ def read_report(path) -> list:
     The header must hold every column of REPORT_COLUMNS, and at least one
     record must follow it.
     """
-    header, rows, _ = _csv_records(path)
+    header, rows, lines = _csv_records(path)
     missing = [c for c in REPORT_COLUMNS if c not in (header or ())]
     if missing:
         raise ValueError(f"{path} lacks report columns {missing}")
     if not rows:
         raise ValueError(f"{path} holds no records")
     columns = [(f.name, _PARSERS[f.type], header.index(f.name)) for f in fields(ExperimentRecord)]
-    return [ExperimentRecord(**{name: parse(r[k]) for name, parse, k in columns}) for r in rows]
+    return [ExperimentRecord(**{name: _parse(parse, r[k], path, line, k + 1)
+                                for name, parse, k in columns})
+            for r, line in zip(rows, lines)]
 
 
 def summarize(records) -> dict:
@@ -467,3 +463,8 @@ def summarize(records) -> dict:
             "repetitions": int(arr.size),
         }
     return summary
+
+
+def _summary_text(records) -> str:
+    """The report's JSON text: summarize(records), indented, keys sorted, one final newline."""
+    return json.dumps(summarize(records), indent=2, sort_keys=True) + "\n"

@@ -82,6 +82,27 @@ def test_init_delta_below_two_classes_exits_1_naming_classes(capsys, mixture_fil
     assert err == f"error (pseudo-purity): --classes must be 2 or more, got {classes}\n"
 
 
+def test_init_delta_negative_seed_exits_1_naming_it(capsys, mixture_file):
+    argv = ["init-delta", "--embeddings", str(mixture_file), "--classes", "3", "--seed", "-1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error (pseudo-purity): --seed must be 0 or more, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("f0,f1\n1.0,2.0\n3.0,abc\n", "line 3, field 2: cannot parse 'abc' as float"),
+     ("f0,f1\n1.0,2.0\n3.0,\n", "line 3, field 2: cannot parse '' as float")],
+    ids=["word", "empty"],
+)
+def test_init_delta_on_a_csv_token_that_is_no_number_names_it(capsys, tmp_path, text, message):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "init-delta", "--embeddings", str(path), "--classes", "2")
+    assert code == 1 and out == ""
+    assert err == f"error (pseudo-purity): {path} {message}\n"
+
+
 def test_init_delta_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "init-delta", "--embeddings", str(tmp_path / "nope.dcm"), "--classes", "2"
@@ -740,6 +761,26 @@ def test_bad_config_values_exit_1_naming_the_key(capsys, tmp_path, command, over
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 1 and out == ""
     assert key in err and "Traceback" not in err, err
+
+
+# NumPy's default_rng rejects a negative seed without naming it; check_config names the key.
+@pytest.mark.parametrize(
+    "command, dotted",
+    [("run-loop", "split.seed"), ("select", "strategy.seed"), ("run-loop", "strategy.seed"),
+     ("run-loop", "data.mixture.seed")],
+)
+def test_a_negative_seed_exits_1_naming_its_key(capsys, tmp_path, command, dotted):
+    config = select_config("random", [])
+    config.update(schedule=[3], output=str(tmp_path / "out"), split={"seed": 0})
+    section, key = config, dotted.split(".")
+    for name in key[:-1]:
+        section = section[name]
+    section[key[-1]] = -2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.endswith(f": {dotted} must be an integer >= 0, got -2\n"), err
 
 
 @pytest.mark.parametrize("key, value", [("repetitions", 2.0), ("schedule", [2.5, 3])])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,23 @@ def test_readers_reject_a_file_descriptor(read):
     # open() would read descriptor 0, stdin, for a path given as the integer 0.
     with pytest.raises(TypeError):
         read(0)
+
+
+@pytest.mark.parametrize("write, value", [(write_embedding_file, EmbeddingSet([[1.0]])),
+                                          (write_label_file, [1])])
+def test_writers_reject_a_file_descriptor(write, value):
+    # open() would write to the descriptor, then close it.
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(TypeError):
+            write(value, write_end)
+        os.fstat(write_end)  # still open
+        os.set_blocking(read_end, False)
+        with pytest.raises(BlockingIOError):  # and nothing was written
+            os.read(read_end, 1)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_label_file_round_trip(tmp_path):
