@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from array import array
 from pathlib import Path
 from dataclasses import dataclass
 
@@ -126,15 +127,20 @@ def write_embedding_file(embedding_set: EmbeddingSet, path) -> None:
 
 
 def read_embedding_file(path) -> EmbeddingSet:
-    """Parse a DCM1 file (or CSV). Bytes round-trip exactly through write."""
+    """Parse a DCM1 file (or CSV). Bytes round-trip exactly through write.
+
+    A CSV's values are parsed record by record into one float64 buffer.
+    """
     if str(path).endswith(".csv"):
-        header, records, lines = _csv_records(path)
+        records = _csv_records(path)
+        header, values, lines = next(records), array("d"), []
         if header is None:
             raise TruncatedPayload(0, 1, 0)
-        data = np.array([[_parse(float, v, path, line, k) for k, v in enumerate(row, 1)]
-                         for row, line in zip(records, lines)])
+        for line, record in records:
+            values.extend(_parse(float, v, path, line, k) for k, v in enumerate(record, 1))
+            lines.append(line)
         try:
-            return EmbeddingSet(data.reshape(len(records), len(header)))
+            return EmbeddingSet(np.frombuffer(values).reshape(len(lines), len(header)))
         except NonFinite as err:
             row, column = err.cell
             raise NonFinite(f"{path} line {lines[row]}, field {column + 1}") from None
@@ -164,10 +170,17 @@ def write_label_file(labels, path) -> None:
 
 
 def read_label_file(path) -> np.ndarray:
-    """Parse a DCL1 file (or CSV) into an int64 label array (-1 = unknown)."""
+    """Parse a DCL1 file (or CSV) into an int64 label array (-1 = unknown).
+
+    A CSV's labels are its only column, or else its column named "label".
+    """
     if str(path).endswith(".csv"):
-        _, records, lines = _csv_records(path)
-        return np.array([_parse(int, row[0], path, line, 1) for row, line in zip(records, lines)],
+        records = _csv_records(path)
+        header = next(records)
+        if header is not None and len(header) != 1 and "label" not in header:
+            raise ValueError(f"{path} header {header} has neither one column nor a 'label' column")
+        k = header.index("label") if header and "label" in header else 0
+        return np.array([_parse(int, row[k], path, line, k + 1) for line, row in records],
                         dtype=np.int64)
     return _read_binary(path, LABEL_MAGIC, 1, "<i4")[1].astype(np.int64)
 
@@ -212,17 +225,19 @@ def _write_csv(path, header, rows):
 
 
 def _csv_records(path):
-    """A CSV file's header (None if empty), its records of the header's width, and their lines."""
+    """Yield a CSV file's header (None if empty), then (line, record) for each record as read.
+
+    A record whose width is not the header's raises DimensionMismatch naming its line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header, records, lines = next(reader, None), [], []
+        header = next(reader, None)
+        yield header
         for record in reader:
             if len(record) != len(header):
                 raise DimensionMismatch(f"{path} line {reader.line_num} has "
                                         f"{len(record)} fields, the header {len(header)}")
-            records.append(record)
-            lines.append(reader.line_num)
-    return header, records, lines
+            yield reader.line_num, record
 
 
 def _parse(parse, token, path, line, field):

@@ -1,10 +1,12 @@
 """Seeded active-learning experiment loop, accuracy evaluation, CSV/JSON reports.
 
 A config is a plain dict (usually parsed from JSON); every key except the data
-source has a default. check_config, the one type check, rejects any key that
-CONFIG_KEYS does not list for its section or whose value lacks its JSON type
-("deltas" a list of numbers, "output" a string), for every command and every
-section, before any data loads; run_al_loop also rejects unknown (-1) labels.
+source has a default. check_config, the one type and value check, rejects any
+key that CONFIG_KEYS does not list for its section or whose value lacks its
+JSON type ("deltas" a list of numbers, "output" a string, "repetitions" an
+integer >= 1, "strategy.kind" one of STRATEGY_KINDS), for every command and
+every section, before any data loads; run_al_loop also rejects unknown (-1)
+labels and a split or schedule the data cannot hold.
 strategy_spec, strategy_setting and select_step hold every kind's strategy
 rules for the run loop and the CLI (a dcom round is engine.run_iteration,
 whose query half select_step runs), so both pick the same points.
@@ -115,6 +117,13 @@ _JSON_TYPES = {
                   "a list of integers"),
     "list[float]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
                     "a list of finite numbers"),
+    # Keys whose values have a rule beyond their JSON type, one row each.
+    "_schedule": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))
+                  and min(v, default=0) >= 1, "a non-empty list of positive integers"),
+    "_repetitions": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "_test_fraction": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "_kind": (lambda v: isinstance(v, str) and v in STRATEGY_KINDS,
+              f"one of {list(STRATEGY_KINDS)}"),
 }
 
 
@@ -130,22 +139,22 @@ def _field_types(cls):
 # of split, schedule, repetitions, record_timing and output.
 CONFIG_KEYS = {
     (): {
-        "data": "object", "split": "object", "schedule": "list[int]", "strategy": "object",
-        "learner": "object", "dcom": "object", "repetitions": "int", "record_timing": "bool",
-        "output": "str", "labeled": "list[int]", "deltas": "list[float]",
-        "query": "list[int]", "q": "int",
+        "data": "object", "split": "object", "schedule": "_schedule", "strategy": "object",
+        "learner": "object", "dcom": "object", "repetitions": "_repetitions",
+        "record_timing": "bool", "output": "str", "labeled": "list[int]",
+        "deltas": "list[float]", "query": "list[int]", "q": "int",
     },
     ("data",): {"mixture": "object", "embeddings": "str", "labels": "str", "l2_normalize": "bool"},
     ("data", "mixture"): {**_field_types(MixtureSpec), "seed": "seed"},
-    ("split",): {"test_fraction": "float", "seed": "seed"},
-    ("strategy",): {"kind": "str", "seed": "seed"},
+    ("split",): {"test_fraction": "_test_fraction", "seed": "seed"},
+    ("strategy",): {"kind": "_kind", "seed": "seed"},
     ("learner",): _field_types(LearnerSpec),
     ("dcom",): {**_field_types(DComConfig), "delta0": "float | None", "alpha": "float"},
 }
 
 
 def check_config(config):
-    """Raise a ConfigError naming the first unknown key or value of the wrong JSON type."""
+    """Raise a ConfigError naming the first unknown key, or value its _JSON_TYPES row rejects."""
     if not isinstance(config, dict):
         raise ConfigError(f"top-level config must be an object, got {config!r}")
     for path, types in CONFIG_KEYS.items():
@@ -169,12 +178,9 @@ def _require(values, keys, section="top-level"):
 
 
 def strategy_spec(config, kind=None):
-    """The strategy kind of a config (kind if given) and its seed; the one kind check."""
+    """The strategy kind of a checked config (kind if given) and its seed."""
     values = config.get("strategy", {})
-    kind = kind or values.get("kind", "dcom")
-    if kind not in STRATEGY_KINDS:
-        raise ConfigError(f"strategy.kind must be one of {list(STRATEGY_KINDS)}, got {kind!r}")
-    return kind, values.get("seed", 0)
+    return kind or values.get("kind", "dcom"), values.get("seed", 0)
 
 
 def learner_spec(config) -> LearnerSpec:
@@ -363,7 +369,8 @@ def run_al_loop(config) -> list:
     training batch of k repetitions it took part in; the records of one
     iteration sum to that iteration's wall time.
     """
-    _validate_config(config)
+    check_config(config)
+    _require(config, ("data", "schedule"))
     dataset = load_dataset(config["data"])
     if dataset.labels is None:
         raise ConfigError("run-loop reveals and scores labels, and data.labels gives none")
@@ -400,23 +407,6 @@ def run_al_loop(config) -> list:
     return [replace(record, run_seed=seed) for seed in seeds for record in records]
 
 
-def _validate_config(config):
-    """Reject what run_al_loop cannot run, naming the key; config is only read."""
-    check_config(config)
-    _require(config, ("data", "schedule"))
-    schedule = config["schedule"]
-    if not schedule or min(schedule) < 1:
-        raise ConfigError(
-            f"schedule must be a non-empty list of positive integers, got {schedule!r}"
-        )
-    repetitions = config.get("repetitions", 1)
-    if repetitions < 1:
-        raise ConfigError(f"repetitions must be an integer >= 1, got {repetitions!r}")
-    fraction = config.get("split", {}).get("test_fraction", 0.25)
-    if not 0 < fraction < 1:
-        raise ConfigError(f"split.test_fraction must lie in (0, 1), got {fraction!r}")
-
-
 def write_report(records, path) -> None:
     """Write the per-record CSV and a JSON summary of per-budget mean +- stderr.
 
@@ -436,16 +426,17 @@ def read_report(path) -> list:
     The header must hold every column of REPORT_COLUMNS, and at least one
     record must follow it.
     """
-    header, rows, lines = _csv_records(path)
+    records = _csv_records(path)
+    header = next(records)
     missing = [c for c in REPORT_COLUMNS if c not in (header or ())]
     if missing:
         raise ValueError(f"{path} lacks report columns {missing}")
-    if not rows:
-        raise ValueError(f"{path} holds no records")
     columns = [(f.name, _PARSERS[f.type], header.index(f.name)) for f in fields(ExperimentRecord)]
-    return [ExperimentRecord(**{name: _parse(parse, r[k], path, line, k + 1)
-                                for name, parse, k in columns})
-            for r, line in zip(rows, lines)]
+    parsed = [ExperimentRecord(**{name: _parse(parse, r[k], path, line, k + 1)
+                                  for name, parse, k in columns}) for line, r in records]
+    if not parsed:
+        raise ValueError(f"{path} holds no records")
+    return parsed
 
 
 def summarize(records) -> dict:

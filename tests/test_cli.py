@@ -13,6 +13,7 @@ from dcom.data import (
     write_label_file,
 )
 from dcom.engine import PoolState, run_iteration
+from dcom.errors import ConfigError
 
 
 @pytest.fixture
@@ -781,6 +782,48 @@ def test_a_negative_seed_exits_1_naming_its_key(capsys, tmp_path, command, dotte
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 1 and out == ""
     assert err.endswith(f": {dotted} must be an integer >= 0, got -2\n"), err
+
+
+# The run loop's value rules and the rule of strategy.kind, by dotted key. Every
+# command checks each of them, read or not, before it loads any data.
+_VALUE_RULES = {
+    "schedule": "a non-empty list of positive integers",
+    "repetitions": "an integer >= 1",
+    "split.test_fraction": "a number in (0, 1)",
+    "strategy.kind": f"one of {list(STRATEGY_KINDS)}",
+}
+
+
+@pytest.mark.parametrize(
+    "dotted, value",
+    [("schedule", value) for value in ([], [0], [3, -1], [True])]
+    + [("repetitions", value) for value in (0, -2, True, 1.0)]
+    + [("split.test_fraction", value) for value in (0, 1, -0.5, 1.5, float("nan"), "0.25")]
+    + [("strategy.kind", value) for value in ("oracle", "")],
+)
+def test_a_value_outside_its_rule_exits_1_before_data_loads(
+    monkeypatch, capsys, tmp_path, dotted, value
+):
+    def load_dataset(data_cfg):
+        raise AssertionError("data loaded before the config was checked")
+
+    monkeypatch.setattr(harness, "load_dataset", load_dataset)
+    config = thirty_point_expand_config(q=2, schedule=[3], output=str(tmp_path / "out"))
+    *sections, last = dotted.split(".")
+    target = config
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[last] = value
+    message = f"{dotted} must be {_VALUE_RULES[dotted]}, got {value!r}"
+    with pytest.raises(ConfigError) as err:
+        harness.check_config(config)
+    assert str(err.value) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for command in ("run-loop", "select", "expand-delta"):
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.endswith(f": {message}\n"), (command, err)
 
 
 @pytest.mark.parametrize("key, value", [("repetitions", 2.0), ("schedule", [2.5, 3])])

@@ -6,6 +6,7 @@ type, byte offset and message of each malformed file a reader rejects.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from dcom.cli import cli_dispatch
 from dcom.data import (
     EmbeddingSet,
+    MixtureSpec,
+    gen_gaussian_mixture,
     read_embedding_file,
     read_label_file,
     write_embedding_file,
@@ -166,17 +169,20 @@ def test_binary_files_of_no_cells_read_as_empty(tmp_path, read, raw, shape):
 
 # Each case: the CSV text, then the embedding reader's and the label reader's
 # outcome: an error type, its offset (None: it has no byte offset) and its
-# message ("{path}" stands for the file), or the shape read.
+# message ("{path}" stands for the file), or the shape read. The label reader
+# rejects the header f0,f1 before it reads a record.
+_NO_LABEL_COLUMN = (ValueError, None,
+                    "{path} header ['f0', 'f1'] has neither one column nor a 'label' column")
 _CSV_CORPUS = {
     "empty": ("", (TruncatedPayload, 0, "truncated payload at byte 0: expected 1 bytes, got 0"),
               (0,)),
-    "header-only": ("f0,f1\r\n", (0, 2), (0,)),
+    "header-only": ("f0,f1\r\n", (0, 2), _NO_LABEL_COLUMN),
     "blank-line": ("f0,f1\n1,2\n\n3,4\n",
                    (DimensionMismatch, None, "{path} line 3 has 0 fields, the header 2"),
-                   (DimensionMismatch, None, "{path} line 3 has 0 fields, the header 2")),
+                   _NO_LABEL_COLUMN),
     "ragged-line": ("f0,f1\n1,2\n3\n",
                     (DimensionMismatch, None, "{path} line 3 has 1 fields, the header 2"),
-                    (DimensionMismatch, None, "{path} line 3 has 1 fields, the header 2")),
+                    _NO_LABEL_COLUMN),
     "ragged-label-line": ("label\n1\n2,3\n",
                           (DimensionMismatch, None, "{path} line 3 has 2 fields, the header 1"),
                           (DimensionMismatch, None, "{path} line 3 has 2 fields, the header 1")),
@@ -219,6 +225,49 @@ def test_a_label_outside_the_layouts_range_is_rejected_before_the_file_opens(
         write_label_file(labels, path)
     assert str(err.value) == message
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "text, labels",
+    [("id,label\n7,2\n8,0\n", [2, 0]), ("label,id\n2,7\n", [2]), ("y\n3\n-1\n", [3, -1])],
+    ids=["label-second", "label-first", "one-column"],
+)
+def test_a_label_csv_reads_its_label_column_or_its_only_column(tmp_path, text, labels):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    assert read_label_file(path).tolist() == labels
+
+
+def test_a_label_csv_of_two_columns_none_named_label_is_rejected(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("a,b\n1,x\n")  # 'x' is never parsed: the header fails first
+    with pytest.raises(ValueError) as err:
+        read_label_file(path)
+    assert str(err.value) == f"{path} header ['a', 'b'] has neither one column nor a 'label' column"
+
+
+def test_csv_errors_come_in_file_order(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("f0,f1\n1,2\n3,abc\n5,6\n7\n")
+    with pytest.raises(ValueError) as err:
+        read_embedding_file(path)
+    assert str(err.value) == f"{path} line 3, field 2: cannot parse 'abc' as float"
+
+
+def test_reading_an_embedding_csv_holds_no_python_float_per_value(tmp_path):
+    # A Python float and its list slot take 32 bytes a value; the reader's
+    # one float64 buffer takes 8, and the float32 vectors 4 more.
+    points = gen_gaussian_mixture(MixtureSpec(4, 1000, 64, 6.0, 1.0, seed=1))
+    path = tmp_path / "points.csv"
+    write_embedding_file(points, path)
+    tracemalloc.start()
+    try:
+        loaded = read_embedding_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == EmbeddingSet(points.vectors)
+    assert peak < 3 * points.vectors.size * 8, peak
 
 
 def test_a_csv_label_past_int32_round_trips(tmp_path):

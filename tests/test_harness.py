@@ -283,11 +283,11 @@ def test_strategy_delta0_zero_is_not_unset():
         run_al_loop(config)
 
 
-def test_strategy_spec_names_an_unknown_kind():
+def test_check_config_names_an_unknown_kind():
     assert strategy_spec({"strategy": {"kind": "random", "seed": 3}}) == ("random", 3)
     assert strategy_spec({"strategy": {"kind": "oracle"}}, "dcom") == ("dcom", 0)
     with pytest.raises(ConfigError, match=r"^strategy\.kind must be one of .*'oracle'"):
-        strategy_spec({"strategy": {"kind": "oracle"}})
+        check_config({"strategy": {"kind": "oracle"}})
 
 
 @pytest.mark.parametrize(
