@@ -68,8 +68,10 @@ class EmbeddingSet:
                 raise DimensionMismatch(
                     f"labels length {labels.shape} does not match {vectors.shape[0]} points"
                 )
-            if (labels < UNKNOWN_LABEL).any():
-                raise ValueError("labels must be >= 0 or the unknown sentinel -1")
+            bad = np.flatnonzero(labels < UNKNOWN_LABEL)
+            if bad.size:
+                raise ValueError(f"labels[{bad[0]}] is {labels[bad[0]]}: "
+                                 "labels must be >= 0 or the unknown sentinel -1")
             labels.setflags(write=False)
         self.vectors = vectors
         self.labels = labels
@@ -180,8 +182,8 @@ def read_label_file(path) -> np.ndarray:
         if header is not None and len(header) != 1 and "label" not in header:
             raise ValueError(f"{path} header {header} has neither one column nor a 'label' column")
         k = header.index("label") if header and "label" in header else 0
-        return np.array([_parse(int, row[k], path, line, k + 1) for line, row in records],
-                        dtype=np.int64)
+        return np.array([_parse(int, row[k], path, line, k + 1, int64=True)
+                         for line, row in records], dtype=np.int64)
     return _read_binary(path, LABEL_MAGIC, 1, "<i4")[1].astype(np.int64)
 
 
@@ -240,13 +242,19 @@ def _csv_records(path):
             yield reader.line_num, record
 
 
-def _parse(parse, token, path, line, field):
-    """parse(token), or a ValueError naming the token and its path, 1-based line and field."""
+def _parse(parse, token, path, line, field, int64=False):
+    """parse(token), or a ValueError naming the token and its path, 1-based line and field.
+
+    With int64, an int outside int64's range does not parse either.
+    """
+    where = f"{path} line {line}, field {field}"
     try:
-        return parse(token)
+        value = parse(token)
     except ValueError:
-        raise ValueError(f"{path} line {line}, field {field}: "
-                         f"cannot parse {token!r} as {parse.__name__}") from None
+        raise ValueError(f"{where}: cannot parse {token!r} as {parse.__name__}") from None
+    if int64 and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{where}: cannot parse {token!r} as int64")
+    return value
 
 
 def l2_normalize(embedding_set: EmbeddingSet) -> EmbeddingSet:

@@ -410,11 +410,15 @@ def run_al_loop(config) -> list:
 def write_report(records, path) -> None:
     """Write the per-record CSV and a JSON summary of per-budget mean +- stderr.
 
-    path is the CSV target; the summary lands next to it with a .json suffix.
+    path is the CSV target; the summary lands next to it with a .json suffix,
+    so a path that already ends in .json raises ValueError before anything is
+    written.
     """
     if not records:
         raise ValueError("records must be non-empty")
     path = Path(path)
+    if path.suffix == ".json":
+        raise ValueError(f"report path {path} ends in .json, where its summary would overwrite it")
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(path, REPORT_COLUMNS, ([getattr(r, c) for c in REPORT_COLUMNS] for r in records))
     path.with_suffix(".json").write_text(_summary_text(records))

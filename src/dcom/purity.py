@@ -2,9 +2,9 @@
 
 k-means seeds through _farthest_first, Core-Set's k-center greedy step, from
 float64 keys, one product of the points and each chosen center, and assigns
-each round from one product of the centroids and the points; both refine
-exactly only the points their keys leave undecided. The
-curve runs data._gram_pairs, the radius graph's Gram pass, on the points
+each round by one argmin over one product of the centroids and the points;
+both refine exactly only the points their keys leave undecided. The curve
+runs data._gram_pairs, the radius graph's Gram pass, on the points
 sorted by label: an upper-triangle pass that only takes each point's largest
 differently-labeled key per group of labels, then one rectangular pass per
 group that marks the keys within the slack of their row's largest, as the
@@ -148,9 +148,9 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
 
     Each round decides from _farthest_first's keys, whose bound T holds with
     M taken over the points and the centroids. It makes one product
-    centroids @ points.T and takes, in k row passes, each point's least key
-    and its count of keys within 2 T of it. A point with one such key takes
-    that centroid: every other centroid is strictly farther in e. Every
+    centroids @ points.T, takes each point's least key with one argmin and
+    counts its keys within 2 T of it. A point with one such key takes that
+    centroid: every other centroid is strictly farther in e. Every
     other point is refined by the exact rule, e against all k centroids, on
     its own rows; _sq_dists sums each row on its own, so a row's e has the
     same bits in any batch. On the init-delta bench's 6,000 points 2 T is
@@ -166,7 +166,6 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
         raise ValueError(f"k={k} exceeds point count {n}")
     points = embedding_set.vectors.astype(np.float64)
     point_norms = np.einsum("ij,ij->i", points, points)
-    top_norm = float(point_norms.max())
     # 2 T per unit of the largest squared norm M.
     gap = 2.0 * (9 * points.shape[1] + 16) * 2.0**-53
 
@@ -181,16 +180,10 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
         # than points @ centroids.T, about 3 MB less peak RSS with 2 threads.
         keys = np.add.outer(centroid_norms, point_norms)
         keys -= 2.0 * (centroids @ points.T)
-        limit = keys.min(axis=0)
-        limit += gap * max(top_norm, centroid_norms.max())
-        # Row by row from the last, so each point ends with its lowest row within 2 T.
-        new_labels, close = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        for c in range(k - 1, -1, -1):
-            near = keys[c] <= limit
-            close += near
-            new_labels[near] = c
+        new_labels = keys.argmin(axis=0)
+        limit = keys.min(axis=0) + gap * max(point_norms.max(), centroid_norms.max())
         # Not "> 1", so a point whose keys are NaN goes to the exact rule too.
-        unsure = np.flatnonzero(close != 1)
+        unsure = np.flatnonzero(np.count_nonzero(keys <= limit, axis=0) != 1)
         if unsure.size:
             rows = points[unsure]
             new_labels[unsure] = np.array([_sq_dists(rows, c) for c in centroids]).argmin(axis=0)
@@ -208,10 +201,9 @@ def kmeans_cluster(embedding_set: EmbeddingSet, k: int, seed: int = 0) -> np.nda
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
-        # Cluster c is the slice [ends[c] - sizes[c], ends[c]) of the points in stable label order.
-        grouped, ends = points[np.argsort(labels, kind="stable")], np.cumsum(sizes)
-        for c in range(k):
-            centroids[c] = grouped[ends[c] - sizes[c] : ends[c]].mean(axis=0)
+        # A stable label sort cut at the sizes: each cluster's rows in index order.
+        for c, rows in enumerate(np.split(np.argsort(labels, kind="stable"), sizes.cumsum()[:-1])):
+            centroids[c] = points[rows].mean(axis=0)
 
     return labels
 

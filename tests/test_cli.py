@@ -949,6 +949,28 @@ def test_run_loop_without_labels_names_data_labels(capsys, tmp_path, files):
     assert err.startswith("error (experiment-harness):") and "data.labels" in err
 
 
+@pytest.mark.parametrize("token", ["99999999999999999999", "-99999999999999999999"])
+def test_select_on_a_csv_label_past_int64_exits_1_naming_it(capsys, tmp_path, files, token):
+    path = tmp_path / "labels.csv"
+    path.write_text("label\n" + "0\n" * 89 + f"{token}\n")
+    config = file_config({**files, "labels": str(path)}, "coreset", [0, 35])
+    code, out, err = run_select(capsys, tmp_path, config)
+    assert code == 1 and out == ""
+    assert err == (f"error (query-selection): {path} line 91, field 1: "
+                   f"cannot parse {token!r} as int64\n")
+
+
+def test_select_on_a_dcl1_label_below_unknown_exits_1_naming_it(capsys, tmp_path, files):
+    labels = np.zeros(90, dtype="<i4")
+    labels[[40, 60]] = [-3, -2]
+    with open(files["labels"], "wb") as fh:
+        fh.write(b"DCL1" + np.uint32(90).astype("<u4").tobytes() + labels.tobytes())
+    code, out, err = run_select(capsys, tmp_path, file_config(files, "coreset", [0, 35]))
+    assert code == 1 and out == ""
+    assert err == ("error (query-selection): labels[40] is -3: "
+                   "labels must be >= 0 or the unknown sentinel -1\n")
+
+
 @pytest.mark.parametrize("key", ["embeddings", "labels"])
 def test_an_integer_data_path_exits_1_naming_it(capsys, tmp_path, files, key):
     # open() would read an integer as a file descriptor, 0 being stdin.

@@ -229,8 +229,9 @@ def test_a_label_outside_the_layouts_range_is_rejected_before_the_file_opens(
 
 @pytest.mark.parametrize(
     "text, labels",
-    [("id,label\n7,2\n8,0\n", [2, 0]), ("label,id\n2,7\n", [2]), ("y\n3\n-1\n", [3, -1])],
-    ids=["label-second", "label-first", "one-column"],
+    [("id,label\n7,2\n8,0\n", [2, 0]), ("label,id\n2,7\n", [2]), ("y\n3\n-1\n", [3, -1]),
+     (f"label\n{2**63 - 1}\n{-(2**63)}\n", [2**63 - 1, -(2**63)])],
+    ids=["label-second", "label-first", "one-column", "int64-ends"],
 )
 def test_a_label_csv_reads_its_label_column_or_its_only_column(tmp_path, text, labels):
     path = tmp_path / "labels.csv"
@@ -276,6 +277,24 @@ def test_a_csv_label_past_int32_round_trips(tmp_path):
     assert read_label_file(path).tolist() == [2**31 + 5, -1]
 
 
+def test_a_dcl1_label_below_unknown_is_named_with_its_position(tmp_path):
+    path = tmp_path / "labels.dcl"
+    path.write_bytes(_dcl1(4, 0, -1, -7, -2))
+    with pytest.raises(ValueError) as err:
+        EmbeddingSet(np.zeros((4, 2)), read_label_file(path))
+    assert str(err.value) == "labels[2] is -7: labels must be >= 0 or the unknown sentinel -1"
+
+
+def test_a_report_path_ending_in_json_is_rejected_before_anything_is_written(tmp_path):
+    # The summary goes to the path with a .json suffix: here the CSV's own path.
+    path = tmp_path / "out" / "report.json"
+    with pytest.raises(ValueError) as err:
+        write_report(RECORDS, path)
+    assert str(err.value) == (f"report path {path} ends in .json, "
+                              "where its summary would overwrite it")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "read, text, message",
     [
@@ -284,10 +303,15 @@ def test_a_csv_label_past_int32_round_trips(tmp_path):
         (read_embedding_file, "f0,f1\n,2.0\n", "line 2, field 1: cannot parse '' as float"),
         (read_label_file, "label\n0\nx\n", "line 3, field 1: cannot parse 'x' as int"),
         (read_label_file, "label\n1.0\n", "line 2, field 1: cannot parse '1.0' as int"),
+        (read_label_file, "label\n0\n99999999999999999999\n",
+         "line 3, field 1: cannot parse '99999999999999999999' as int64"),
+        (read_label_file, "label\n-9223372036854775809\n",
+         "line 2, field 1: cannot parse '-9223372036854775809' as int64"),
         (read_report, GOLDEN_REPORT_CSV.decode().replace("\r\n1,dcom", "\r\none,dcom"),
          "line 3, field 1: cannot parse 'one' as int"),
     ],
-    ids=["embedding-word", "embedding-empty", "label-word", "label-float", "report-word"],
+    ids=["embedding-word", "embedding-empty", "label-word", "label-float", "label-past-int64",
+         "label-below-int64", "report-word"],
 )
 def test_a_csv_token_that_does_not_parse_names_its_line_field_and_text(tmp_path, read, text,
                                                                         message):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -272,6 +273,20 @@ def test_kmeans_keys_decide_separated_points_without_a_refine(monkeypatch):
 def test_kmeans_names_a_k_that_is_not_an_integer(k):
     with pytest.raises(ValueError, match=r"k must be an integer, got"):
         kmeans_cluster(one_d(0.0, 1.0, 2.0), k)
+
+
+def test_kmeans_rounds_copy_no_points():
+    # Beside its one n x d float64 copy of the points, a round holds k x n
+    # keys and one cluster's rows at a time: no second n x d array.
+    s = l2_normalize(gen_gaussian_mixture(MixtureSpec(8, 1000, 64, 6.0, 1.0, seed=0)))
+    tracemalloc.start()
+    try:
+        labels = kmeans_cluster(s, 8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * s.vectors.size * 8, peak
+    assert np.array_equal(labels, oracles.kmeans_cluster(s, 8, seed=0))
 
 
 def test_kmeans_takes_numpy_integers():
