@@ -9,13 +9,16 @@ same loop at competence 0 with a uniform radius. At competence 0, every
 probcover pick and every pick of a cold start, a step is one argmax over the
 graph's integer out-degrees, which provably gives the float score's pick;
 above 0 it scores every unlabeled point. Either way the pick's ball is
-covered with no re-check, as the graph itself produced its indices. The
-radii's ball counts come from data._gram_pairs, the radius graph's Gram pass:
-a float32 key bins each pair under the grid radii, and the hook marks only
-the pairs in a band around a grid radius, as wide as the lemma of
-data._gram_inputs needs, for the exact float64 refine. Each
-block of new points then gets its radii from one pass/fail table of its
-counts, which largest_passing_index searches for every row at once.
+covered with no re-check, as the graph itself produced its indices. Once no
+out-degree is left, as on a fully covered pool from the start, the loop
+stops stepping and the rest of the picks come from one stable sort of the
+margin term. The radii's ball counts come from data._gram_pairs, the radius
+graph's Gram pass: a float32 key bins each pair under the grid radii, and
+the hook marks only the pairs in a band around a grid radius, as wide as the
+lemma of data._gram_inputs needs, for the exact float64 refine. Each block
+of up to data._TILE_ROWS new points meets each column tile in one GEMM, and
+then gets its radii from one pass/fail table of its counts, which
+largest_passing_index searches for every row at once.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .learners import (
 # Buckets of _ball_counts' table, which spans squared distances up to the largest
 # squared grid radius; more buckets mean narrower bands and fewer exact refines.
 _BUCKETS = 2**14
-# Keys of one tile, centres x tile columns, and histogram slots per _ball_counts
+# int64 slots of one chunk of a tile's rows, and histogram slots per _ball_counts
 # block: bounds memory.
 _BALL_CELLS = 2**16
 # Most radii in a DComConfig's grid: expand_delta's count tables grow with it, not the data.
@@ -262,10 +265,12 @@ def _ball_counts(embedding_set, centers, labels, grid):
     (block, len(grid)). grid must be positive and non-decreasing.
 
     The centers run through data._gram_pairs against every point in blocks of
-    _BALL_CELLS // max(min(n, data._TILE_COLS), 2 (len(grid) + 2)) centers,
-    at least one. So a tile's keys and int64 slots, and a block's
-    histograms of 2 (len(grid) + 2) slots per center, hold at most
-    _BALL_CELLS cells unless one center needs more. By the lemma of
+    min(data._TILE_ROWS, _BALL_CELLS // (2 (len(grid) + 2))) centers, at
+    least one, so a block meets each column tile in one GEMM. The hook bins
+    a tile's rows in chunks of _BALL_CELLS // width, at least one. So a
+    chunk's int64 slots, and a block's histograms of 2 (len(grid) + 2) slots
+    per center, hold at most _BALL_CELLS cells unless one center or one row
+    needs more. By the lemma of
     data._gram_inputs, a pair's refine sq is within T < s of sq' = -2 K, s
     the pass's slack. Call [g_i - s, g_i + s], g_i = grid[i]^2, radius i's
     band: a pair with sq' above it has sq > g_i, one below it sq < g_i.
@@ -305,7 +310,7 @@ def _ball_counts(embedding_set, centers, labels, grid):
     scale = dtype.type(-2.0 / width)
     slots = 2 * (size + 2)
     everything = np.arange(embedding_set.count)
-    step = max(1, _BALL_CELLS // max(min(everything.size, data._TILE_COLS), slots))
+    step = max(1, min(data._TILE_ROWS, _BALL_CELLS // slots))
     for lo in range(0, centers.size, step):
         block = centers[lo : lo + step]
         hist = np.zeros(block.size * slots, dtype=np.int64)
@@ -313,12 +318,16 @@ def _ball_counts(embedding_set, centers, labels, grid):
         def keep(at, part, c0, keys, mask):
             np.multiply(keys, scale, out=keys)
             np.clip(keys, 0, _BUCKETS, out=keys)
-            slot = table.take(keys.astype(np.intp))
-            np.equal(labels[part][:, None], labels[c0 : c0 + keys.shape[1]], out=mask)
-            slot += mask
-            np.greater_equal(slot, 2 * (size + 1), out=mask)
-            slot += slots * np.arange(at, at + part.size)[:, None]
-            hist[:] += np.bincount(slot.ravel(), minlength=hist.size)
+            col_labels = labels[c0 : c0 + keys.shape[1]]
+            chunk = max(1, _BALL_CELLS // keys.shape[1])
+            for r0 in range(0, part.size, chunk):
+                rows = slice(r0, r0 + chunk)
+                slot = table.take(keys[rows].astype(np.intp))
+                np.equal(labels[part[rows]][:, None], col_labels, out=mask[rows])
+                slot += mask[rows]
+                np.greater_equal(slot, 2 * (size + 1), out=mask[rows])
+                slot += slots * np.arange(at + r0, at + r0 + slot.shape[0])[:, None]
+                hist[:] += np.bincount(slot.ravel(), minlength=hist.size)
 
         for k, c, j, _ in _gram_pairs(inputs, block, everything, keep):
             beta = np.searchsorted(sq_radii, _pair_sq_dists(inputs[0], c, j), "left")
@@ -381,35 +390,45 @@ def _greedy_select(embedding_set, unlabeled, covered, radius, competence, margin
     For a margin in [0, 1] the first term is 0.0 * (1 - margin) = +0.0. For
     integers 0 <= d1 < d2 <= top < 2^53 the quotients d1 / top and d2 / top
     differ by at least 1 / top, far more than an ulp of a value <= 1, so
-    they round in the same order, and at top 0 every score is 0. The step
-    also needs no gather of the degrees of unlabeled, as out_degree over
-    all n points has the same maximum at the same lowest index:
+    they round in the same order. The step also needs no gather of the
+    degrees of unlabeled, as out_degree over all n points has the same
+    maximum at the same lowest index:
     - the graph is built over unlabeled only, so every other point has
       degree 0;
     - a picked point covered all its uncovered neighbours, so its degree is 0.
     So while max(out_degree) > 0, argmax(out_degree) is an available point of
     unlabeled, the lowest index of those with the top degree, and, unlabeled
-    being sorted, the lowest position too. Once the top degree is 0 it stays
-    0, as degrees only fall, and every available point scores the same: the
-    pick is the lowest available position.
+    being sorted, the lowest position too.
+
+    The loop stops stepping once the top degree is 0, read off the argmax or
+    max the step already makes. Degrees only fall, so it stays 0, and every
+    later score is uncertainty + (1 - competence) * 0.0, exactly
+    uncertainty = competence * (1 - margin) for competence in [0, 1]. A
+    pick's ball is then empty, and an uncovered pick has no in-edge: any
+    neighbour of it would count it, a degree above 0. So covering changes
+    no degree, and each later step takes the highest uncertainty among the
+    available positions, the lowest on ties: the rest of the picks are the
+    available positions in one stable argsort of -uncertainty, which keeps
+    position order at competence 0, where every uncertainty is 0.
     """
     # Only unlabeled points ever pick, and only uncovered ones count toward a degree.
     graph = build_radius_graph(embedding_set, radius, unlabeled, covered)
     degree = graph.out_degree
-    if competence != 0:
-        uncertainty = competence * (1.0 - margins)
+    uncertainty = competence * (1.0 - margins) if competence else np.zeros(unlabeled.size)
     available = np.ones(unlabeled.size, dtype=bool)
     picks = []
     for _ in range(q):
         if competence == 0:
             best = int(np.argmax(degree))  # argmax returns the lowest index on ties
-            pick_pos = (int(np.searchsorted(unlabeled, best)) if degree[best]
-                        else int(np.argmax(available)))
+            if not degree[best]:
+                break
+            pick_pos = int(np.searchsorted(unlabeled, best))
         else:
             degrees = degree[unlabeled].astype(np.float64)
             top = degrees.max()
-            odr = degrees / top if top > 0 else np.zeros_like(degrees)
-            scores = uncertainty + (1.0 - competence) * odr
+            if not top:
+                break
+            scores = uncertainty + (1.0 - competence) * (degrees / top)
             pick_pos = int(np.argmax(np.where(available, scores, -np.inf)))
         pick = int(unlabeled[pick_pos])
         picks.append(pick)
@@ -417,7 +436,9 @@ def _greedy_select(embedding_set, unlabeled, covered, radius, competence, margin
         # The ball's uncovered members and the pick, if uncovered: distinct, so no re-check.
         ball = graph.ball_members(pick)
         graph._cover(ball if graph._covered[pick] else np.append(ball, pick))
-    return picks
+    rest = np.flatnonzero(available)
+    rest = rest[np.argsort(-uncertainty[rest], kind="stable")]
+    return picks + unlabeled[rest[: q - len(picks)]].tolist()
 
 
 def run_iteration(embedding_set: EmbeddingSet, pool: PoolState, learner_spec: LearnerSpec,

@@ -20,9 +20,10 @@ pass's upper-triangle mode over the uncovered points, the whole of a cold
 start, and its rectangular mode from the covered points to them: a pair of
 covered points is never alive, so never built. covered_set runs it with a
 radius, and so a pair of floors, per labeled point. The pass reads the
-float32 vectors and gram of _gram_inputs, no float64 copy of the points, and
-a build frees them and its per-tile pair lists before it makes the CSR: a
-cold build on 100k x 64 points traces a peak of about 108 MiB.
+float32 vectors and gram of _gram_inputs, no float64 copy of the points. The
+set keeps the gram for its later passes, and a build frees its per-tile pair
+lists before it makes the CSR: a cold build on 100k x 64 points traces a
+peak of about 134 MiB, 25 MiB of it the kept gram.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def build_radius_graph(
             if edges > _MAX_EDGES:
                 raise DenseRadiusGraph(f"radius graph too dense: {edges} edges so far within "
                                        f"delta {delta:.6g} among {n} points")
-    # Free the Gram inputs and the parts before the CSR's arrays are made.
+    # Free the parts, and float64 Gram inputs, which the set does not keep, before the CSR.
     del inputs
     a, b = np.concatenate(a_parts), np.concatenate(b_parts)
     del a_parts, b_parts
@@ -216,9 +217,10 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
 
     Each block of labeled points runs _within, at each row's own radius r_k,
     against only the points no earlier block covered, as a union has no
-    order. A block is an eighth of the pass's data._TILE_ROWS, so a pool that
-    its first balls cover skips the rest: on the covered-iter bench's 8k
-    points a call took 6 ms in blocks of 32 and 18 ms in blocks of 256
+    order. A block is an eighth of the pass's data._TILE_ROWS, and the call
+    stops at the first block that finds no point left uncovered, so a pool
+    that its first balls cover skips the rest: on the covered-iter bench's
+    8k points a call took 6 ms in blocks of 32 and 18 ms in blocks of 256
     (2 cores). The slack is data._gram_inputs' at the largest r_k^2, and
     only grows with the extent, so it covers every row's r_k^2.
     """
@@ -240,7 +242,9 @@ def covered_set(embedding_set, labeled, deltas) -> np.ndarray:
     for lo in range(0, labeled.size, step):
         block = slice(lo, lo + step)
         # A labeled point is covered, so it never meets itself among the columns.
-        for _, j, inside in _within(inputs, labeled[block], np.flatnonzero(~covered),
-                                    sq_radii[block]):
+        uncovered = np.flatnonzero(~covered)
+        if not uncovered.size:
+            break
+        for _, j, inside in _within(inputs, labeled[block], uncovered, sq_radii[block]):
             covered[j[inside]] = True
     return covered

@@ -416,6 +416,40 @@ def test_gram_inputs_equal_whole_array_formula_on_gram_families(monkeypatch, fam
         gram_inputs_match_whole_array_formula(s, radius * radius)
 
 
+def test_gram_inputs_build_float32_rows_once_per_set():
+    # Only the slack reads the extent, so the first float32 call's rows are
+    # held by the set, read-only, and every later float32 call returns them.
+    rng = np.random.default_rng(43)
+    extents = [0.0, 2.25, 1e3, 0.5]
+    for order in (extents, extents[::-1]):
+        s = EmbeddingSet(rng.normal(size=(300, 6)))
+        held = []
+        for extent in order:
+            gram_inputs_match_whole_array_formula(s, extent)
+            held.append(_gram_inputs(s, extent)[1])
+        assert all(gram is held[0] for gram in held) and held[0].dtype == np.float32
+        assert not held[0].flags.writeable
+        with pytest.raises(ValueError):
+            held[0][0, 0] = 1.0
+        # An extent whose keys overflow float32 gets fresh float64 rows each
+        # call, and the set keeps its float32 rows.
+        for _ in range(2):
+            gram_inputs_match_whole_array_formula(s, 1e38)
+            gram = _gram_inputs(s, 1e38)[1]
+            assert gram.dtype == np.float64 and gram is not held[0]
+        assert _gram_inputs(s, 1.0)[1] is held[0]
+    # A float64 call first holds nothing: the next float32 call builds the rows.
+    s = EmbeddingSet(rng.normal(size=(50, 3)))
+    assert _gram_inputs(s, 1e38)[1].dtype == np.float64 and s._gram is None
+    gram_inputs_match_whole_array_formula(s, 0.0)
+    assert s._gram[0] is _gram_inputs(s)[1]
+    # Equal sets hold rows of their own.
+    twin = EmbeddingSet(s.vectors.copy())
+    assert twin == s and twin._gram is None
+    assert _gram_inputs(twin)[1] is not s._gram[0]
+    assert np.array_equal(_gram_inputs(twin)[1], s._gram[0])
+
+
 def test_pair_sq_dists_of_float32_rows_equals_a_float64_copys():
     rng = np.random.default_rng(8)
     vectors = EmbeddingSet(rng.normal(size=(300, 7)) * 1e3 + 5.0).vectors

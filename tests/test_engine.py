@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dcom import data, engine
+from dcom import data, engine, graph
 from dcom.data import EmbeddingSet, MixtureSpec, gen_gaussian_mixture
 from dcom.errors import ConfigError, PoolInvariantError
 from dcom.engine import (
@@ -762,3 +762,42 @@ def test_greedy_select_at_competence_zero_equals_the_float_score_oracle():
         got = engine._greedy_select(s, unlabeled, covered, radius, competence, margins, q)
         assert got == oracles.greedy_select(s, unlabeled, covered, radius, competence, margins, q)
     assert everything >= 15
+
+
+def test_greedy_select_tail_equals_the_stepwise_oracle(monkeypatch):
+    # Once the top degree is 0 the loop stops stepping and sorts the rest, so
+    # it covers fewer balls than it picks; the oracle steps every pick.
+    covers = []
+    cover = graph.RadiusGraph._cover
+    monkeypatch.setattr(graph.RadiusGraph, "_cover",
+                        lambda self, targets: covers.append(1) or cover(self, targets))
+    rng = np.random.default_rng(1771)
+    mid_loop = 0
+    for trial in range(90):
+        s, unlabeled, covered, radius, q = greedy_case(rng)
+        if trial % 3 == 0:
+            covered = np.ones(s.count, dtype=bool)  # a fully covered pool: an empty graph
+        if trial % 2 == 0:
+            q = unlabeled.size  # every available point
+        # Few distinct margins, so the tail's sort meets many ties.
+        margins = rng.choice([0.0, 0.25, 0.5, 1.0], size=unlabeled.size)
+        for competence in (0.0, 0.5, 1.0):
+            covers.clear()
+            got = engine._greedy_select(s, unlabeled, covered, radius, competence, margins, q)
+            assert got == oracles.greedy_select(s, unlabeled, covered, radius, competence,
+                                                margins, q)
+            if trial % 3 == 0:
+                assert covers == []
+            mid_loop += 0 < len(covers) < q
+    assert mid_loop >= 30
+
+
+def test_dcom_select_on_a_fully_covered_pool_sorts_by_margin():
+    # Coverage 1.0 gives competence exactly 1.0 and an empty graph: the
+    # picks are the highest 1 - margin, lowest index on ties, with no step.
+    s = one_d(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    pool = PoolState([0], [1, 2, 3, 4, 5, 6], [10.0])
+    margins = [0.5, 0.2, 0.5, 0.2, 0.9, 0.0]
+    result = dcom_select(s, pool, margins, 6, DComConfig(delta0=0.5))
+    assert result.coverage_before == 1.0 and result.competence == 1.0
+    assert result.selected == [6, 2, 4, 1, 3, 5]

@@ -812,3 +812,34 @@ def test_symmetric_build_matches_brute_force_and_the_rectangular_pass(monkeypatc
         assert g.out_degree.tolist() == np.bincount(got[:, 0], minlength=n).tolist()
         balls = [g.ball_members(u) for u in range(n)]
         assert np.array_equal(np.concatenate(balls), got[:, 1])
+
+
+def test_covered_set_stops_once_nothing_is_left_uncovered(monkeypatch):
+    # Each block of labeled points runs _within against the points still
+    # uncovered; once a block leaves none, no later block runs a pass.
+    calls = []
+    within = graph._within
+
+    def counting(inputs, rows, cols, sq_radii):
+        calls.append((rows.size, cols.size))
+        return within(inputs, rows, cols, sq_radii)
+
+    monkeypatch.setattr(graph, "_within", counting)
+    rng = np.random.default_rng(61)
+    s = EmbeddingSet(rng.normal(size=(300, 4)))
+    step = data._TILE_ROWS // 8
+    labeled = rng.choice(300, size=3 * step + 5, replace=False)
+    # Any one ball covers the pool.
+    assert covered_set(s, labeled, np.full(labeled.size, 100.0)).all()
+    assert calls == [(step, 300 - labeled.size)]
+    # A pool whose every point is labeled makes no pass.
+    calls.clear()
+    assert covered_set(s, np.arange(300), np.full(300, 0.5)).all()
+    assert calls == []
+    # Small balls leave points uncovered, so every block runs, and the mask
+    # is the oracle's.
+    calls.clear()
+    deltas = np.full(labeled.size, 0.1)
+    assert np.array_equal(covered_set(s, labeled, deltas),
+                          oracles.covered_set(s, labeled, deltas))
+    assert len(calls) == 4

@@ -129,3 +129,48 @@ def test_permuting_points_and_labels_permutes_the_purity_pass(monkeypatch, shape
             p = rng.permutation(s.count)
             assert np.array_equal(min_impure_distance(EmbeddingSet(s.vectors[p]), labels[p]),
                                   want[p])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_ball_count_blocks_match_their_oracles_at_every_tile_shape(monkeypatch, shape):
+    # A block is min(_TILE_ROWS, _BALL_CELLS // slots) centres, one GEMM per
+    # column tile, and its hook bins _BALL_CELLS // width rows at a time.
+    # The cases: the default cells; cells that split a tile's rows into
+    # several chunks at the shapes wider than one radius's 6 slots; and
+    # 200 radii whose slots cap the block below _TILE_ROWS.
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    oracles.set_tile(monkeypatch, shape)
+    s, _, radius = _case("partial_tiles", rng)
+    n, rows = s.count, data._TILE_ROWS
+    labels = rng.integers(0, 3, size=n)
+    s = EmbeddingSet(s.vectors, labels)
+    # More centres than a row block, so there are several blocks.
+    centres = rng.choice(n, size=rows + (n - rows) // 2, replace=False)
+    assert centres.size > rows
+    chunked = 0
+    for cells, radii in ((2**16, 6), (6 * rows, 1), (2**16, 200),
+                         (2 * 202 * max(1, 2 * rows // 3), 200)):
+        monkeypatch.setattr(engine, "_BALL_CELLS", cells)
+        grid = np.unique(np.append(radius * rng.uniform(0.05, 2.0, size=radii - 1), radius))
+        slots = 2 * (grid.size + 2)
+        step = max(1, min(rows, cells // slots))
+        chunked += cells // min(n, data._TILE_COLS) < step
+        blocks = list(engine._ball_counts(s, centres, labels, grid))
+        assert [b[0].shape[0] for b in blocks] == [
+            min(step, centres.size - lo) for lo in range(0, centres.size, step)]
+        want_total, want_same = oracles.ball_counts(s, centres, labels, grid)
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), want_total)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), want_same)
+        # expand_delta's radii at a grid of as many radii, the new points all centres.
+        config = engine.DComConfig(delta0=radius, delta_max=2 * radius,
+                                   delta_resolution=2 * radius / radii)
+        rest = np.setdiff1d(np.arange(n), centres)
+        earlier = rng.choice(rest, size=min(3, rest.size), replace=False)
+        unlabeled = np.setdiff1d(rest, earlier)
+        pool = engine.PoolState(earlier.tolist() + centres.tolist(), unlabeled.tolist(),
+                                [radius] * earlier.size)
+        predicted = rng.integers(0, 3, size=unlabeled.size)
+        coverage = float(rng.uniform())
+        got = engine.expand_delta(s, pool, centres, predicted, coverage, config)
+        assert got == oracles.expand_delta(s, pool, centres, predicted, coverage, config)
+    assert chunked >= (shape[1] > 6 and shape[0] > 1)
