@@ -49,19 +49,31 @@ class EmbeddingSet:
 
     Vectors are stored as float32 (the on-disk precision); distance
     computations promote to float64 so brute-force oracles are stable.
-    _gram holds the set's float32 Gram rows and largest squared norm once
-    _gram_inputs has built them, read-only, so every pass over the set
-    shares them; it is None until then, and each set, however equal to
-    another, holds its own.
+    A set's storage is one C-contiguous n x (d + 2) float32 array, _rows,
+    that only data reads or writes: vectors is its read-only [:, :d] view,
+    so rows are d + 2 cells apart and vectors is not C-contiguous. The first
+    float32 call of _gram_inputs fills the last two columns and keeps the
+    largest squared norm in _top, None until then; _gram, a read-only view
+    of the whole array, is then the set's Gram rows. The constructor copies
+    its input and labels, so each set holds arrays of its own and the
+    caller's stay writable; the package's producers fill or gather the
+    storage directly and hand it over through _embedding_set.
     """
 
-    __slots__ = ("vectors", "labels", "_gram")
+    __slots__ = ("vectors", "labels", "_rows", "_gram", "_top")
 
     def __init__(self, vectors, labels=None):
         with np.errstate(over="ignore"):  # a value past float32's range becomes inf, caught below
             vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise DimensionMismatch(f"vectors must be 2-D, got shape {vectors.shape}")
+        rows = _storage(*vectors.shape)
+        rows[:, : vectors.shape[1]] = vectors
+        self._hold(rows, None if labels is None else np.array(labels, dtype=np.int64))
+
+    def _hold(self, rows, labels, top=None):
+        """Take rows, filled in its first d columns, and labels as the set's own, without a copy."""
+        vectors = rows[:, : rows.shape[1] - 2]
         if not np.isfinite(vectors).all():
             row, column = np.argwhere(~np.isfinite(vectors))[0]
             raise NonFinite(f"row {row}, column {column}", cell=(row, column))
@@ -77,9 +89,9 @@ class EmbeddingSet:
                 raise ValueError(f"labels[{bad[0]}] is {labels[bad[0]]}: "
                                  "labels must be >= 0 or the unknown sentinel -1")
             labels.setflags(write=False)
-        self.vectors = vectors
-        self.labels = labels
-        self._gram = None
+        gram = rows.view()
+        gram.setflags(write=False)
+        self.vectors, self.labels, self._rows, self._gram, self._top = vectors, labels, rows, gram, top
 
     @property
     def count(self):
@@ -104,6 +116,41 @@ class EmbeddingSet:
         if (self.labels is None) != (other.labels is None):
             return False
         return self.labels is None or np.array_equal(self.labels, other.labels)
+
+
+def _storage(n, d):
+    """The storage of an n x d EmbeddingSet, for a producer to fill its first d columns."""
+    return np.empty((n, d + 2), dtype=np.float32)
+
+
+def _embedding_set(rows, labels=None, top=None):
+    """The set whose storage is rows, a filled _storage(n, d), without a copy.
+
+    The one path by which the package's producers make a set. top, when
+    given, is the largest squared norm of rows whose last two columns
+    _gram_inputs has already filled.
+    """
+    embedding_set = EmbeddingSet.__new__(EmbeddingSet)
+    embedding_set._hold(rows, labels, top)
+    return embedding_set
+
+
+def _points_at(embedding_set, index=None, labels=None):
+    """The set of embedding_set's points at the distinct positions index, all when None.
+
+    Its storage is one gather of embedding_set's rows, or, with index None,
+    embedding_set's own array. Its labels are labels, or else the set's at
+    index. When index holds all n positions, a held largest squared norm
+    carries over with the filled columns: a permutation keeps every row's
+    bits and so their maximum.
+    """
+    rows, top = embedding_set._rows, embedding_set._top
+    if labels is None and embedding_set.labels is not None:
+        labels = embedding_set.labels if index is None else embedding_set.labels[index]
+    if index is not None:
+        top = top if len(index) == len(rows) else None
+        rows = rows.take(index, axis=0)
+    return _embedding_set(rows, labels, top)
 
 
 @dataclass(frozen=True)
@@ -136,7 +183,8 @@ def write_embedding_file(embedding_set: EmbeddingSet, path) -> None:
 def read_embedding_file(path) -> EmbeddingSet:
     """Parse a DCM1 file (or CSV). Bytes round-trip exactly through write.
 
-    A CSV's values are parsed record by record into one float64 buffer.
+    A CSV's values are parsed record by record into one float64 buffer, and
+    either layout's values are copied once into the set's storage.
     """
     if str(path).endswith(".csv"):
         records = _csv_records(path)
@@ -146,16 +194,23 @@ def read_embedding_file(path) -> EmbeddingSet:
         for line, record in records:
             values.extend(_parse(float, v, path, line, k) for k, v in enumerate(record, 1))
             lines.append(line)
+        rows = _storage(len(lines), len(header))
+        with np.errstate(over="ignore"):  # a value past float32's range becomes inf, named below
+            rows[:, : len(header)] = np.frombuffer(values).reshape(len(lines), len(header))
         try:
-            return EmbeddingSet(np.frombuffer(values).reshape(len(lines), len(header)))
+            return _embedding_set(rows)
         except NonFinite as err:
             row, column = err.cell
             raise NonFinite(f"{path} line {lines[row]}, field {column + 1}") from None
     (n, d), values = _read_binary(path, EMBEDDING_MAGIC, 2, "<f4")
-    if not np.isfinite(values).all():
-        offset = 12 + 4 * int(np.argmin(np.isfinite(values)))
-        raise NonFinite(f"byte {offset}", offset)
-    return EmbeddingSet(values.reshape(n, d))
+    rows = _storage(n, d)
+    rows[:, :d] = values.reshape(n, d)
+    del values  # the file's bytes: the set holds its points once
+    try:
+        return _embedding_set(rows)
+    except NonFinite as err:
+        offset = 12 + 4 * (err.cell[0] * d + err.cell[1])
+        raise NonFinite(f"byte {offset}", offset) from None
 
 
 def write_label_file(labels, path) -> None:
@@ -270,14 +325,14 @@ def l2_normalize(embedding_set: EmbeddingSet) -> EmbeddingSet:
     copy is made.
     """
     vectors = embedding_set.vectors
-    out = np.empty(vectors.shape, dtype=np.float32)
+    out = _storage(*vectors.shape)
     for lo, rows in _float64_rows(vectors):
         norms = np.sqrt((rows * rows).sum(axis=1))
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ZeroVector(lo + int(zero[0]))
-        out[lo : lo + len(rows)] = np.divide(rows, norms[:, None], out=rows)
-    return EmbeddingSet(out, embedding_set.labels)
+        out[lo : lo + len(rows), : vectors.shape[1]] = np.divide(rows, norms[:, None], out=rows)
+    return _embedding_set(out, embedding_set.labels)
 
 
 def _float64_rows(vectors):
@@ -329,12 +384,14 @@ def _gram_inputs(embedding_set, extent=0.0):
     float32 unless d > 2^20 or 4 B would overflow float32; then float64.
     _gram_pairs multiplies these rows into keys. Each |x_i|^2 is a float64
     row sum of one chunk of _float64_rows, so no n x d float64 copy is made;
-    the refines gather float32 rows through _pair_sq_dists. Only s depends
-    on the extent, so the first float32 call keeps its rows and max |x|^2
-    in the set's read-only _gram, which later calls reuse whatever their
-    extent; an extent that needs float64 rows builds them fresh each call
-    and leaves _gram as it is. At 8k x 64 a build took 2.8-3.0 ms and a call
-    on held rows 2 us (2 cores).
+    the refines gather float32 rows through _pair_sq_dists. The float32
+    gram is the set's own storage, whose first d columns are the vectors:
+    the first float32 call fills its last two columns and keeps max |x|^2 in
+    the set's _top, and later calls, whatever their extent, compute only s.
+    So no copy of the points is made. An extent that needs float64 rows
+    builds them fresh each call and leaves the set's array and _top as they
+    are. At 8k x 64 a fill took 1.0 ms, where building a separate gram took
+    1.6 ms, and a call on filled rows 5 us (2 cores).
 
     The lemma that every client of the pass cites, for E, T and s. Let
     M = max |x|^2, v = 2^-53 <= u the float64 unit roundoff, and
@@ -360,20 +417,18 @@ def _gram_inputs(embedding_set, extent=0.0):
     """
     vectors = embedding_set.vectors
     n, d = vectors.shape
-    held = embedding_set._gram
-    if held is not None and 4.0 * (held[1] + extent) < 2.0**127:
-        gram, top = held
-    else:
+    gram, top = embedding_set._gram, embedding_set._top
+    if top is None or 4.0 * (top + extent) >= 2.0**127:
         sq_norms = np.empty(n)
         for lo, rows in _float64_rows(vectors):
             sq_norms[lo : lo + len(rows)] = np.multiply(rows, rows, out=rows).sum(axis=1)
         top = float(sq_norms.max(initial=0.0))
-        dtype = np.float32 if d <= 2**20 and 4.0 * (top + extent) < 2.0**127 else np.float64
-        gram = np.empty((n, d + 2), dtype=dtype)
-        gram[:, :d], gram[:, d], gram[:, d + 1] = vectors, -0.5 * sq_norms, 1.0
-        if dtype == np.float32:
-            gram.setflags(write=False)
-            embedding_set._gram = gram, top
+        if d <= 2**20 and 4.0 * (top + extent) < 2.0**127:
+            embedding_set._rows[:, d], embedding_set._rows[:, d + 1] = -0.5 * sq_norms, 1.0
+            embedding_set._top = top
+        else:
+            gram = np.empty((n, d + 2))
+            gram[:, :d], gram[:, d], gram[:, d + 1] = vectors, -0.5 * sq_norms, 1.0
     bound = top + extent
     slack = gram.dtype.type(12 * (d + 4) * np.finfo(gram.dtype).eps / 2 * (1.0 + bound))
     return vectors, gram, slack
@@ -454,7 +509,7 @@ def gen_gaussian_mixture(spec: MixtureSpec) -> EmbeddingSet:
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.num_classes * spec.points_per_class
-    points = np.empty((n, spec.dim), dtype=np.float32)
+    points = _storage(n, spec.dim)
     labels = np.empty(n, dtype=np.int64)
     for c in range(spec.num_classes):
         mean = np.zeros(spec.dim)
@@ -465,6 +520,6 @@ def gen_gaussian_mixture(spec: MixtureSpec) -> EmbeddingSet:
             hi = min(lo + _TILE_COLS, end)
             rows = mean + spec.within_std * rng.standard_normal((hi - lo, spec.dim))
             with np.errstate(over="ignore"):  # past float32's range is inf: EmbeddingSet names it
-                points[lo:hi] = rows
+                points[lo:hi, : spec.dim] = rows
         labels[start:end] = c
-    return EmbeddingSet(points, labels)
+    return _embedding_set(points, labels)

@@ -21,9 +21,11 @@ start, and its rectangular mode from the covered points to them: a pair of
 covered points is never alive, so never built. covered_set runs it with a
 radius, and so a pair of floors, per labeled point. The pass reads the
 float32 vectors and gram of _gram_inputs, no float64 copy of the points. The
-set keeps the gram for its later passes, and a build frees its per-tile pair
-lists before it makes the CSR: a cold build on 100k x 64 points traces a
-peak of about 134 MiB, 25 MiB of it the kept gram.
+gram is the set's own storage, the vectors its first d columns, so the build
+allocates no copy of the points; it frees its per-tile pair lists before it
+makes the CSR. A cold build on 100k x 64 normalized points at delta 0.9
+(5,561,798 entries), traced from after the points are made, peaks at about
+109 MiB (134 MiB when the gram was an array of its own).
 """
 
 from __future__ import annotations

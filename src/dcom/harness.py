@@ -37,6 +37,7 @@ from .data import (
     MixtureSpec,
     _csv_records,
     _parse,
+    _points_at,
     _write_csv,
     gen_gaussian_mixture,
     l2_normalize,
@@ -201,7 +202,7 @@ def load_dataset(data_cfg) -> EmbeddingSet:
     elif "embeddings" in data_cfg:
         dataset = read_embedding_file(data_cfg["embeddings"])
         if "labels" in data_cfg:
-            dataset = EmbeddingSet(dataset.vectors, read_label_file(data_cfg["labels"]))
+            dataset = _points_at(dataset, labels=read_label_file(data_cfg["labels"]))
     else:
         raise ConfigError("data config needs either 'mixture' or 'embeddings'")
     if data_cfg.get("l2_normalize", True):
@@ -393,8 +394,7 @@ def run_al_loop(config) -> list:
     spec = learner_spec(config)
     # Queries, coverage and training all live on the train partition; the test
     # partition is only ever touched by evaluate_accuracy.
-    pool_set = EmbeddingSet(dataset.vectors[train], dataset.labels[train])
-    test_set = EmbeddingSet(dataset.vectors[test], dataset.labels[test])
+    pool_set, test_set = _points_at(dataset, train), _points_at(dataset, test)
     setting = strategy_setting(pool_set, kind, config.get("dcom", {}), split_seed)
 
     seeds = [base_seed + i for i in range(config.get("repetitions", 1))]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data
-from .data import EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists, _sq_dists
+from .data import (EmbeddingSet, _gram_inputs, _gram_pairs, _pair_sq_dists, _points_at,
+                   _sq_dists)
 from .errors import DimensionMismatch, NoDeltaMeetsAlpha
 from .graph import _indices
 
@@ -245,9 +246,12 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
 
     Both phases run on the points sorted by label (a stable argsort), and
     best goes back through the permutation: the proof holds in any point
-    order, and a pair's refine has the same bits in either. Sorted, a label
-    is one run of positions, so a tile drops its same-label pairs with one
-    -inf fill per label run that meets both its rows and its columns. The
+    order, and a pair's refine has the same bits in either. The sorted set
+    gathers the set's filled Gram rows and carries their largest norm, so
+    its keys and slack are the ones a sort of the points would get, with no
+    pass over them. Sorted, a label is one run of positions, so a tile drops
+    its same-label pairs with one -inf fill per label run that meets both
+    its rows and its columns. The
     runs join groups in label order, a group closing once it holds
     data._TILE_ROWS points (_label_groups): so there are at most
     ceil(n / _TILE_ROWS) + 1 groups whatever the label count, and the
@@ -275,7 +279,9 @@ def min_impure_distance(embedding_set, labels) -> np.ndarray:
     # Label run r holds the sorted positions [starts[r], starts[r + 1]).
     starts = np.r_[0, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, n]
     bounds = _label_groups(starts, data._TILE_ROWS)
-    points, gram, slack = inputs = _gram_inputs(EmbeddingSet(embedding_set.vectors[order]))
+    # Fill the set's own Gram rows, which the sorted set gathers with their largest norm.
+    _gram_inputs(embedding_set)
+    points, gram, slack = inputs = _gram_inputs(_points_at(embedding_set, order))
     table = np.full((bounds.size - 1, n), -np.inf, dtype=gram.dtype)
 
     def drop_same_label(rows, c0, keys):

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -20,6 +21,7 @@ from dcom.data import (
     write_label_file,
 )
 from dcom.errors import BadMagic, NonFinite, TruncatedPayload, ZeroVector
+from dcom.harness import load_dataset
 
 
 def test_binary_round_trip(tmp_path):
@@ -417,8 +419,9 @@ def test_gram_inputs_equal_whole_array_formula_on_gram_families(monkeypatch, fam
 
 
 def test_gram_inputs_build_float32_rows_once_per_set():
-    # Only the slack reads the extent, so the first float32 call's rows are
-    # held by the set, read-only, and every later float32 call returns them.
+    # Only the slack reads the extent, so the first float32 call fills the
+    # set's rows and holds their largest norm in _top, and every later float32
+    # call returns the set's read-only _gram.
     rng = np.random.default_rng(43)
     extents = [0.0, 2.25, 1e3, 0.5]
     for order in (extents, extents[::-1]):
@@ -428,6 +431,7 @@ def test_gram_inputs_build_float32_rows_once_per_set():
             gram_inputs_match_whole_array_formula(s, extent)
             held.append(_gram_inputs(s, extent)[1])
         assert all(gram is held[0] for gram in held) and held[0].dtype == np.float32
+        assert held[0] is s._gram and s._top is not None
         assert not held[0].flags.writeable
         with pytest.raises(ValueError):
             held[0][0, 0] = 1.0
@@ -438,16 +442,97 @@ def test_gram_inputs_build_float32_rows_once_per_set():
             gram = _gram_inputs(s, 1e38)[1]
             assert gram.dtype == np.float64 and gram is not held[0]
         assert _gram_inputs(s, 1.0)[1] is held[0]
-    # A float64 call first holds nothing: the next float32 call builds the rows.
+    # A float64 call first holds nothing: the next float32 call fills the rows.
     s = EmbeddingSet(rng.normal(size=(50, 3)))
-    assert _gram_inputs(s, 1e38)[1].dtype == np.float64 and s._gram is None
+    assert _gram_inputs(s, 1e38)[1].dtype == np.float64 and s._top is None
     gram_inputs_match_whole_array_formula(s, 0.0)
-    assert s._gram[0] is _gram_inputs(s)[1]
+    assert s._top is not None and s._gram is _gram_inputs(s)[1]
     # Equal sets hold rows of their own.
     twin = EmbeddingSet(s.vectors.copy())
-    assert twin == s and twin._gram is None
-    assert _gram_inputs(twin)[1] is not s._gram[0]
-    assert np.array_equal(_gram_inputs(twin)[1], s._gram[0])
+    assert twin == s and twin._top is None
+    assert not np.shares_memory(_gram_inputs(twin)[1], s._gram)
+    assert np.array_equal(_gram_inputs(twin)[1], s._gram)
+
+
+def test_a_set_copies_its_input_and_leaves_the_callers_arrays_writable():
+    vectors, labels = np.zeros((3, 2), np.float32), np.array([0, 1, -1])
+    s = EmbeddingSet(vectors, labels)
+    assert vectors.flags.writeable and labels.flags.writeable
+    assert not np.shares_memory(s.vectors, vectors) and not np.shares_memory(s.labels, labels)
+    vectors[0, 0], labels[0] = 5.0, 2
+    assert s.vectors[0, 0] == 0.0 and s.labels[0] == 0
+    assert not s.vectors.flags.writeable and not s.labels.flags.writeable
+
+
+def _sets_from_every_producer(tmp_path):
+    """The same 90 x 5 points and labels from each way the package makes a set."""
+    mixture = gen_gaussian_mixture(MixtureSpec(3, 30, 5, 4.0, 1.0, seed=9))
+    sets = {"mixture": mixture,
+            "constructor": EmbeddingSet(mixture.vectors, mixture.labels),
+            "constructor_of_a_copy": EmbeddingSet(mixture.vectors.copy(), mixture.labels.copy()),
+            "identity_gather": data._points_at(mixture, np.arange(mixture.count))}
+    write_label_file(mixture.labels, tmp_path / "labels.dcl")
+    for name in ("points.dcm", "points.csv"):
+        write_embedding_file(mixture, tmp_path / name)
+        sets[name] = load_dataset({"embeddings": str(tmp_path / name), "l2_normalize": False,
+                                   "labels": str(tmp_path / "labels.dcl")})
+    return mixture, sets
+
+
+def test_every_producer_stores_the_points_once_in_the_gram_rows(tmp_path):
+    mixture, sets = _sets_from_every_producer(tmp_path)
+    want_bytes = {}
+    for name in ("want.dcm", "want.csv"):
+        write_embedding_file(mixture, tmp_path / name)
+        want_bytes[name[-3:]] = (tmp_path / name).read_bytes()
+    normalized = {name: l2_normalize(s) for name, s in sets.items()}
+    for name, s in sets.items():
+        assert s == mixture and normalized[name] == normalized["mixture"], name
+        assert np.array_equal(s.vectors, mixture.vectors) and s.vectors.dtype == np.float32
+        assert not s.vectors.flags.writeable and not s.labels.flags.writeable
+        with pytest.raises(ValueError):
+            s.vectors[0, 0] = 1.0
+        for suffix in ("dcm", "csv"):
+            write_embedding_file(s, tmp_path / f"{name}.{suffix}")
+            assert (tmp_path / f"{name}.{suffix}").read_bytes() == want_bytes[suffix], name
+        # The vectors are the first d columns of the set's Gram rows.
+        for t in (s, normalized[name]):
+            gram = _gram_inputs(t)[1]
+            assert gram.dtype == np.float32 and np.shares_memory(t.vectors, gram)
+            assert np.array_equal(gram[:, : t.dim], t.vectors)
+    # Equal sets hold arrays of their own.
+    for a, b in itertools.combinations([*sets.values(), *normalized.values()], 2):
+        assert not np.shares_memory(a._gram, b._gram)
+
+
+@pytest.mark.parametrize("points, extent", [
+    (np.random.default_rng(1).normal(size=(50, 3)), 1e38),  # the extent overflows float32 keys
+    (np.full((4, 3), 1e19), 0.0),  # so do the norms themselves
+])
+def test_float64_gram_rows_leave_the_sets_array_unfilled(points, extent):
+    s = EmbeddingSet(points)
+    before = s._rows.tobytes()
+    for _ in range(2):
+        gram_inputs_match_whole_array_formula(s, extent)
+        gram = _gram_inputs(s, extent)[1]
+        assert gram.dtype == np.float64 and not np.shares_memory(gram, s._rows)
+        assert s._top is None and s._rows.tobytes() == before
+
+
+def test_a_gather_carries_the_held_rows_only_for_a_permutation():
+    rng = np.random.default_rng(12)
+    s = EmbeddingSet(rng.normal(size=(200, 4)) * 3.0, rng.integers(0, 3, 200))
+    gram = _gram_inputs(s, 1.0)[1]
+    order = rng.permutation(200)
+    permuted = data._points_at(s, order)
+    assert permuted._top == s._top and np.array_equal(permuted.labels, s.labels[order])
+    assert np.array_equal(permuted._gram, gram[order])
+    assert not np.shares_memory(permuted._rows, s._rows)
+    gram_inputs_match_whole_array_formula(permuted, 1.0)
+    # A subset's largest norm may be smaller, which changes the slack: it starts unfilled.
+    part = data._points_at(s, order[:150])
+    assert part._top is None and np.array_equal(part.vectors, s.vectors[order[:150]])
+    gram_inputs_match_whole_array_formula(part, 1.0)
 
 
 def test_pair_sq_dists_of_float32_rows_equals_a_float64_copys():

@@ -444,6 +444,25 @@ def test_min_impure_distance_matches_loop_oracle_on_the_gram_corpus(monkeypatch,
         oracles.set_tile(monkeypatch, _TILES[0])
 
 
+def test_min_impure_distance_sorts_the_sets_own_rows_without_a_norm_pass(monkeypatch):
+    # The label-sorted set gathers the set's filled Gram rows and carries
+    # their largest norm, so only the set's first float32 call sums squares.
+    passes, float64_rows = [], data._float64_rows
+
+    def counting(vectors):
+        passes.append(len(vectors))
+        return float64_rows(vectors)
+
+    monkeypatch.setattr(data, "_float64_rows", counting)
+    for case in ("gaussian", "mixture", "duplicates", "d64_partial_block"):
+        s, labels = _CASES[case](0)
+        expected = oracles.min_impure_distance(s, labels)
+        passes.clear()
+        for _ in range(3):
+            assert np.array_equal(min_impure_distance(s, labels), expected), case
+        assert passes == [s.count] and s._top is not None, case
+
+
 def _labels_near_one_per_block(shift):
     # n / _TILE_ROWS labels, plus shift, spread evenly over n points: runs a
     # little longer than a row block at shift -1, each a group of its own,
